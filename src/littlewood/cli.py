@@ -19,9 +19,13 @@ from fractions import Fraction
 
 from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
+from littlewood.intconv import capacity_error
 from littlewood.special_numbers import carlitz_numbers, eulerian_polynomial, tangent_numbers
 
 SCHEMA_VERSION = "v1"
+# Largest --p accepted; it matches the length 2^24 - 1 of the largest Galois
+# polynomial.
+MAX_PRIME = 1 << 24
 
 
 class CommandError(Exception):
@@ -219,10 +223,13 @@ def _cmd_empirical(args):
             raise CommandError(f"family {family} takes --p, not --k")
         sizes = args.p
         for p in sizes:
+            if p > MAX_PRIME:
+                raise CommandError(f"prime size {p} exceeds the limit {MAX_PRIME}")
             if not poly_mod.is_odd_prime(p):
                 raise CommandError(
                     f"primality check failed: {p} is not an odd prime"
                 )
+        shapes = [(p, p - 1) for p in sizes]  # (length, sum of |coefficients|)
     else:
         if not args.k:
             raise CommandError("family galois requires at least one --k")
@@ -232,12 +239,19 @@ def _cmd_empirical(args):
         for k in sizes:
             if not 2 <= k <= 24:
                 raise CommandError(f"field exponent {k} out of range 2..24")
+        shapes = [((1 << k) - 1, (1 << k) - 1) for k in sizes]
+    for n, abs_sum in shapes:
+        reason = capacity_error(n, q, abs_sum, 1)
+        if reason:
+            raise CommandError(reason)
 
     shift, shift_ratio = args.shift, args.shift_ratio
     if family == "shifted" and shift is None and shift_ratio is None:
         raise CommandError("shifted family needs --shift or --shift-ratio")
     if family != "shifted" and (shift is not None or shift_ratio is not None):
         raise CommandError("--shift/--shift-ratio apply to the shifted family only")
+    if family == "shifted" and q > 8:
+        raise CommandError("shifted family supports q <= 8")
 
     table = poly_mod.convergence_table(
         family, q, sizes, shift=shift, shift_ratio=shift_ratio

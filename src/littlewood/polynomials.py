@@ -3,31 +3,31 @@
 A coefficient vector is a tuple of integers, constant term first.  For a
 real-coefficient polynomial f and even exponent 2q, the 2q-th power of the
 L^2q norm equals the sum of squared coefficients of f^q (orthonormality of
-the monomials), so it is an exact integer computed by integer convolution.
-A trigonometric quadrature with enough sample points serves as an
-independent floating-point oracle.
+the monomials), so it is an exact integer.  `littlewood.intconv` computes it
+with number-theoretic transforms, one forward/inverse pair per prime.  A
+trigonometric quadrature with enough sample points serves as an independent
+floating-point oracle.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from littlewood.gf2k import galois
-from littlewood.intconv import convolve
+from littlewood.intconv import power_square_sum
 from littlewood.limits import (
     fekete_limit_recursive,
     galois_limit_recursive,
     shifted_fekete_limit,
 )
 
-# Miller-Rabin with these witnesses is deterministic below 3.3 * 10^14,
-# far above any degree this package supports.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
-_MR_LIMIT = 3_300_000_000_000_000
+# Miller-Rabin with the prime witnesses up to 41 is deterministic below
+# 3317044064679887385961981, the least strong pseudoprime to all of them.
+# The witnesses up to 37 alone are fooled by 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_980
 
 
 def is_odd_prime(p: int) -> bool:
@@ -86,17 +86,7 @@ def norm_2q_exact(f, q: int) -> int:
     """Exact integer value of the 2q-th power of the L^2q norm of f."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    coeffs = list(f)
-    power = None
-    base = coeffs
-    e = q
-    while e:
-        if e & 1:
-            power = base if power is None else convolve(power, base)
-        e >>= 1
-        if e:
-            base = convolve(base, base)
-    return sum(c * c for c in power)
+    return power_square_sum(f, q)
 
 
 def norm_2q_quadrature(f, q: int) -> float:
@@ -127,13 +117,6 @@ class ConvergenceRow:
     rel_err: float
 
 
-def _worker_count() -> int:
-    env = os.environ.get("LITTLEWOOD_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def convergence_table(
     family: str,
     q: int,
@@ -145,9 +128,8 @@ def convergence_table(
 
     `sizes` are odd primes for the fekete/shifted families and exponents k
     for galois.  The shifted family takes either a fixed shift r or a target
-    ratio R (then r = round(R * p), so r/p -> R).  Rows are computed
-    possibly in parallel (capped by LITTLEWOOD_THREADS) but always emitted
-    in input order.
+    ratio R (then r = round(R * p), so r/p -> R).  Rows are computed and
+    returned in input order.
     """
     if family == "fekete":
         limit = fekete_limit_recursive(q)
@@ -186,12 +168,7 @@ def convergence_table(
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    sizes = list(sizes)
-    workers = min(_worker_count(), max(1, len(sizes)))
-    if workers == 1 or len(sizes) == 1:
-        return [row(s) for s in sizes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, sizes))
+    return [row(s) for s in sizes]
 
 
 def _round_half_up(x: Fraction) -> int:

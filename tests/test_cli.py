@@ -10,6 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from littlewood import polynomials as poly_mod
 from littlewood.cli import main
 
 with resources.files("littlewood").joinpath("schema/output.v1.json").open() as fh:
@@ -187,6 +188,36 @@ def test_empirical_composite_prime_is_error(capsys):
     assert code == 1
     assert "primality" in record["error"]
     assert "9" in record["error"]
+
+
+def test_empirical_refuses_oversized_input(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized request reached the norm engine")
+
+    monkeypatch.setattr(poly_mod, "convergence_table", never)
+    cases = [
+        (("--family", "galois", "--q", "2", "--k", "21"), "capacity"),
+        (("--family", "fekete", "--q", "2", "--p", "1048583"), "capacity"),
+        (("--family", "shifted", "--q", "3", "--p", "700001", "--shift", "1"), "capacity"),
+        (("--family", "fekete", "--q", "74", "--p", "5"), "NTT primes"),
+        (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "limit"),
+        (("--family", "shifted", "--q", "12", "--p", "5", "--shift", "1"), "q <= 8"),
+    ]
+    for argv, reason in cases:
+        code, out = run_cli(capsys, "empirical", *argv)
+        record = json.loads(out)
+        jsonschema.validate(record, SCHEMA)
+        assert code == 1, argv
+        assert reason in record["error"], argv
+
+
+def test_empirical_ignores_thread_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("LITTLEWOOD_THREADS", "abc")
+    code, record = run_json(
+        capsys, "empirical", "--family", "fekete", "--q", "2", "--p", "5", "--p", "7"
+    )
+    assert code == 0
+    assert [r["exact_norm"] for r in record["results"]] == ["28", "50"]
 
 
 def test_json_deterministic_apart_from_timing(capsys):

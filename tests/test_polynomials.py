@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import isprime
 
 from littlewood.gf2k import build_gf2k, galois
-from littlewood.intconv import _ntt_convolve, _schoolbook, convolve
+from littlewood.intconv import _MODULUS, MAX_LEN, capacity_error, power_square_sum
 from littlewood.polynomials import (
     convergence_table,
     fekete,
@@ -25,6 +28,22 @@ def test_is_odd_prime():
     assert all(is_odd_prime(p) for p in primes)
     assert not is_odd_prime(2)
     assert not is_odd_prime(9)
+    # strong pseudoprimes to the witnesses 2..17, 2..23 and 2..37 respectively
+    assert not is_odd_prime(341550071728321)  # 10670053 * 32010157
+    assert not is_odd_prime(3825123056546413051)  # 149491 * 747451 * 34233211
+    assert not is_odd_prime(318665857834031151167461)  # 399165290221 * 798330580441
+    with pytest.raises(ValueError):
+        is_odd_prime(3317044064679887385961981)
+
+
+def test_is_odd_prime_matches_sympy():
+    rng = random.Random(41)
+    samples = [rng.randrange(3, 10**digits) for digits in (4, 8, 12, 16, 20, 24)
+               for _ in range(200)]
+    small_primes = [n for n in range(3, 2000) if isprime(n)]
+    samples += [rng.choice(small_primes) * rng.randrange(3, 10**12) for _ in range(200)]
+    for n in samples:
+        assert is_odd_prime(n) == (n % 2 == 1 and isprime(n)), n
 
 
 def test_legendre_examples():
@@ -152,33 +171,90 @@ def test_galois_beta_multiset():
     assert sorted(norm_2q_exact(galois(2, beta=b), 2) for b in (1, 2, 3)) == [11, 11, 19]
 
 
+def _kronecker_power_coefficients(a, q):
+    """Coefficients of f^q by one big-integer power: f is evaluated at 2^bits
+    with room for every signed coefficient of f^q, and the result is read
+    back digit by digit."""
+    bound = sum(map(abs, a)) ** (q - 1) * max(map(abs, a))
+    bits = bound.bit_length() + 2
+    value = sum(c << (bits * i) for i, c in enumerate(a)) ** q
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for _ in range(q * (len(a) - 1) + 1):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        out.append(digit)
+        value = (value - digit) >> bits
+    assert value == 0
+    return out
+
+
+@st.composite
+def _powers(draw):
+    """(coefficients, q) with q <= 6, length <= 400 and |coefficients| up to
+    10^20, within the bound the primes can recover."""
+    q = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 400))
+    digits = [e for e in range(21)
+              if q == 1 or 2 * (n * 10**e) ** (q - 1) * 10**e < _MODULUS]
+    top = 10 ** draw(st.sampled_from(digits))
+    return draw(st.lists(st.integers(-top, top), min_size=n, max_size=n)), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_powers())
+@example(([10**20, -(10**20), 3] * 100, 2))   # five primes, Python-int sum
+@example(([1, -1] * 200, 6))                   # one prime, int64 sum
+@example(([0, 0, 0], 4))
+def test_power_square_sum_matches_oracle(case):
+    coeffs, q = case
+    expected = sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
+    assert power_square_sum(coeffs, q) == expected
+    assert norm_2q_exact(tuple(coeffs), q) == expected
+
+
 def test_convolution_routes_agree():
+    # the engine's int64 and Python-int sums and its q = 1 shortcut agree
+    # with the big-integer oracle
     rng = random.Random(5)
     for _ in range(10):
-        la = rng.randrange(1, 300)
-        lb = rng.randrange(1, 300)
+        n = rng.randrange(1, 300)
         bound = 10 ** rng.randrange(1, 8)
-        a = [rng.randrange(-bound, bound + 1) for _ in range(la)]
-        b = [rng.randrange(-bound, bound + 1) for _ in range(lb)]
-        assert _ntt_convolve(a, b) == _schoolbook(a, b)
-    assert convolve([], [1, 2]) == []
-    assert convolve([3], [4]) == [12]
+        a = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+        for q in (1, 2, 3):
+            expected = sum(c * c for c in _kronecker_power_coefficients(a, q))
+            assert power_square_sum(a, q) == expected
+    assert power_square_sum([], 2) == 0
+    assert power_square_sum([3], 2) == 81
 
 
 def test_convolution_large_coefficients():
-    # within multi-modulus capacity the NTT route must stay exact
+    # within multi-modulus capacity the transform route must stay exact
     rng = random.Random(6)
-    a = [rng.randrange(-(10**20), 10**20) for _ in range(80)]
-    b = [rng.randrange(-(10**20), 10**20) for _ in range(200)]
-    assert _ntt_convolve(a, b) == _schoolbook(a, b)
+    a = [rng.randrange(-(10**20), 10**20) for _ in range(200)]
+    expected = sum(c * c for c in _kronecker_power_coefficients(a, 2))
+    assert power_square_sum(a, 2) == expected
 
 
-def test_convolution_dispatch_beyond_ntt_capacity():
-    # coefficient bound beyond the modulus product falls back to schoolbook
+def test_power_square_sum_beyond_capacity():
     rng = random.Random(7)
-    a = [rng.randrange(-(10**30), 10**30) for _ in range(150)]
-    b = [rng.randrange(-(10**30), 10**30) for _ in range(150)]
-    assert convolve(a, b) == _schoolbook(a, b)
+    big = [rng.randrange(-(10**30), 10**30) for _ in range(150)]
+    with pytest.raises(ValueError, match="NTT primes"):
+        power_square_sum(big, 2)
+    with pytest.raises(ValueError, match="capacity"):
+        power_square_sum([1] * (MAX_LEN // 2 + 1), 2)
+    assert power_square_sum([1] * (MAX_LEN // 2), 1) == MAX_LEN // 2
+    assert capacity_error((1 << 20) - 1, 2, (1 << 20) - 1, 1) is None   # Galois k = 20
+    assert capacity_error((1 << 21) - 1, 2, (1 << 21) - 1, 1) is not None
+    assert capacity_error(1 << 24, 1, 1 << 24, 1) is None
+    # for fekete(5) the bound 2 * 4^(q-1) passes the prime product at q = 74
+    assert capacity_error(5, 74, 4, 1) is not None
+    with pytest.raises(ValueError, match="NTT primes"):
+        power_square_sum(fekete(5), 74)
+    expected = sum(c * c for c in _kronecker_power_coefficients(fekete(5), 73))
+    assert power_square_sum(fekete(5), 73) == expected
+    assert power_square_sum([], 3) == 0
 
 
 def test_convergence_table_fekete():
@@ -216,7 +292,7 @@ def test_convergence_table_shifted():
         convergence_table("shifted", 2, [101], shift=1, shift_ratio=Fraction(1, 4))
 
 
-def test_convergence_table_parallel_order(monkeypatch):
-    monkeypatch.setenv("LITTLEWOOD_THREADS", "4")
+def test_convergence_table_input_order():
     rows = convergence_table("fekete", 2, [13, 5, 7])
     assert [r.n for r in rows] == [13, 5, 7]
+    assert [r.exact_norm for r in rows] == [norm_2q_exact(fekete(p), 2) for p in (13, 5, 7)]
