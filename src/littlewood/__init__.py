@@ -3,7 +3,7 @@ polynomials, with the machinery behind them: exact special numbers, piecewise
 polynomial algebra over the rationals, set-partition profiles, and exact
 integer norms of the actual polynomials at finite sizes.
 """
-from littlewood.gf2k import FieldGF2k, build_gf2k, galois
+from littlewood.gf2k import galois, primitive_polynomial
 from littlewood.limits import (
     LimitTable,
     PhiMinResult,
@@ -60,14 +60,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceRow",
     "EvenBlockProfile",
-    "FieldGF2k",
     "LimitTable",
     "MinimizeResult",
     "PhiMinResult",
     "PiecewisePoly",
     "SizeProfile",
     "TriangleRow",
-    "build_gf2k",
     "carlitz_numbers",
     "composition_count",
     "convergence_table",
@@ -92,6 +90,7 @@ __all__ = [
     "norm_2q_quadrature",
     "phi_min",
     "phi_piecewise",
+    "primitive_polynomial",
     "pw_add",
     "pw_affine",
     "pw_minimize",

@@ -20,7 +20,6 @@ from fractions import Fraction
 from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
 from littlewood.intconv import capacity_error
-from littlewood.special_numbers import carlitz_numbers, eulerian_polynomial, tangent_numbers
 
 SCHEMA_VERSION = "v1"
 # Largest --p accepted; it matches the length 2^24 - 1 of the largest Galois
@@ -49,7 +48,10 @@ def _positive_int(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,11 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="littlewood",
         description="Exact limiting L^2q norm ratios of Fekete, shifted "
         "Fekete, and Galois polynomials, with empirical cross-checks.",
-    )
-    parser.add_argument(
-        "--seed-tables",
-        action="store_true",
-        help="pre-warm factorial and special-number caches before running",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -113,13 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _seed_tables() -> None:
-    tangent_numbers(16)
-    carlitz_numbers(16)
-    for n in range(1, 9):
-        eulerian_polynomial(n)
 
 
 def _cmd_limits(args):
@@ -294,8 +284,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed_tables:
-        _seed_tables()
     started = time.perf_counter()
     try:
         params, results, csv_spec = _HANDLERS[args.command](args)

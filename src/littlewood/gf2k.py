@@ -1,50 +1,17 @@
-"""Binary fields GF(2^k) with discrete-log tables and the absolute trace.
+"""Galois polynomials: additive characters of GF(2^k) along the powers of theta.
 
 Field elements are bitmasks over the polynomial basis.  The field for each k
 uses the lexicographically smallest primitive polynomial of degree k, so the
-construction is deterministic; the antilog table lists the powers of the
-canonical primitive element theta = x.
+construction is deterministic, and theta = x is a primitive element.  The
+coefficients come from one vectorised pass: the elements beta*theta^j fill an
+int64 array by doubling, and the trace, being GF(2)-linear, is the parity of
+a masked popcount.
 """
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-
-@dataclass(frozen=True)
-class FieldGF2k:
-    k: int
-    primitive_polynomial: int
-    antilog: array  # antilog[i] = theta^i for i in [0, 2^k - 1)
-    trace: bytes    # trace[x] = Tr(x) in {0, 1} for every field element x
-    _log: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def order(self) -> int:
-        return (1 << self.k) - 1
-
-    def log(self, x: int) -> int:
-        """Discrete log of a nonzero element with respect to theta."""
-        if not self._log:
-            self._log.update({e: i for i, e in enumerate(self.antilog)})
-        try:
-            return self._log[x]
-        except KeyError:
-            raise ValueError(f"{x} is not a nonzero field element") from None
-
-
-def _gf2_mod(a: int, b: int) -> int:
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db and a:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
+import numpy as np
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, k: int) -> int:
@@ -84,59 +51,33 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(poly: int, k: int) -> bool:
-    # Rabin's test: x^(2^k) == x mod poly, and gcd(x^(2^(k/r)) - x, poly) = 1
-    # for every prime r dividing k.
-    s = 2  # x
-    powers = [s]
-    for _ in range(k):
-        s = _gf2_mulmod(s, s, poly, k)
-        powers.append(s)
-    if powers[k] != 2:
-        return False
-    for r in _prime_factors(k):
-        if _gf2_gcd(powers[k // r] ^ 2, poly) != 1:
-            return False
-    return True
-
-
-def _is_primitive(poly: int, k: int) -> bool:
-    if not _is_irreducible(poly, k):
-        return False
-    order = (1 << k) - 1
-    for r in _prime_factors(order):
-        if _gf2_powmod(2, order // r, poly, k) == 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
-def build_gf2k(k: int) -> FieldGF2k:
-    """Construct GF(2^k) for 2 <= k <= 24.
+def primitive_polynomial(k: int) -> int:
+    """Lexicographically smallest primitive polynomial of degree k, 2 <= k <= 24.
 
-    Selects the lexicographically smallest primitive polynomial of degree k,
-    then fills the antilog table by repeated multiplication by theta and the
-    trace table from the traces of the basis elements (the trace is
-    GF(2)-linear, so Tr reduces to a masked popcount parity).
+    A degree-k polynomial with nonzero constant term is primitive exactly when
+    x has multiplicative order 2^k - 1 modulo it (Lidl & Niederreiter,
+    Thm 3.16): x^(2^k - 1) = 1 and x^((2^k - 1)/r) != 1 for each prime r
+    dividing 2^k - 1.
     """
     if not 2 <= k <= 24:
         raise ValueError("k must satisfy 2 <= k <= 24")
-    poly = next(
+    order = (1 << k) - 1
+    cofactors = [order // r for r in _prime_factors(order)]
+    return next(
         cand
         for cand in range((1 << k) | 1, 1 << (k + 1), 2)
-        if _is_primitive(cand, k)
+        if _gf2_powmod(2, order, cand, k) == 1
+        and all(_gf2_powmod(2, c, cand, k) != 1 for c in cofactors)
     )
 
-    order = (1 << k) - 1
-    antilog = array("l", bytes(0))
-    x = 1
-    for _ in range(order):
-        antilog.append(x)
-        x = _gf2_mulmod(x, 2, poly, k)
-    if x != 1:
-        raise AssertionError("antilog table failed to close")
 
-    trace_mask = 0
+def _trace_mask(k: int, poly: int) -> int:
+    """Bitmask of the basis elements 2^i with trace 1.
+
+    The trace is GF(2)-linear, so Tr(x) is the parity of x & mask.
+    """
+    mask = 0
     for i in range(k):
         e = 1 << i
         t = 0
@@ -145,10 +86,33 @@ def build_gf2k(k: int) -> FieldGF2k:
             e = _gf2_mulmod(e, e, poly, k)
         if t not in (0, 1):
             raise AssertionError("trace of a basis element must be 0 or 1")
-        trace_mask |= t << i
-    trace = bytes((x & trace_mask).bit_count() & 1 for x in range(1 << k))
+        mask |= t << i
+    return mask
 
-    return FieldGF2k(k, poly, antilog, trace)
+
+def _elements(k: int, beta: int, poly: int) -> np.ndarray:
+    """x[j] = beta * theta^j for j < 2^k - 1, filled by doubling.
+
+    The step is x[m:2m] = theta^m * x[:m].  Multiplying by the constant
+    theta^m is GF(2)-linear, so it is the XOR over the bits i of x of
+    theta^m * 2^i: k vector operations per doubling.
+    """
+    order = (1 << k) - 1
+    x = np.empty(order, dtype=np.int64)
+    x[0] = beta
+    bit = np.empty(order // 2 + 1, dtype=np.int64)
+    m, theta_m = 1, 2
+    while m < order:
+        size = min(m, order - m)
+        src, dst, tmp = x[:size], x[m:m + size], bit[:size]
+        dst[:] = 0
+        for i in range(k):
+            np.right_shift(src, i, out=tmp)
+            np.bitwise_and(tmp, 1, out=tmp)
+            np.multiply(tmp, _gf2_mulmod(theta_m, 1 << i, poly, k), out=tmp)
+            np.bitwise_xor(dst, tmp, out=dst)
+        m, theta_m = 2 * m, _gf2_mulmod(theta_m, theta_m, poly, k)
+    return x
 
 
 def galois(k: int, beta: int = 1) -> tuple[int, ...]:
@@ -159,10 +123,8 @@ def galois(k: int, beta: int = 1) -> tuple[int, ...]:
     """
     if beta == 0:
         raise ValueError("beta must be nonzero (the character must be nontrivial)")
-    fld = build_gf2k(k)
-    offset = fld.log(beta)
-    order = fld.order
-    antilog, trace = fld.antilog, fld.trace
-    return tuple(
-        -1 if trace[antilog[(offset + j) % order]] else 1 for j in range(order)
-    )
+    poly = primitive_polynomial(k)
+    if not 0 < beta < 1 << k:
+        raise ValueError(f"{beta} is not a nonzero field element")
+    parity = np.bitwise_count(_elements(k, beta, poly) & _trace_mask(k, poly)) & 1
+    return tuple((1 - 2 * parity.astype(np.int8)).tolist())

@@ -118,6 +118,22 @@ def test_phi_eval_bad_rational_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    for argv, flag in (
+        (["phi", "--q", "2", "--eval", "1/0"], "--eval"),
+        (["phi", "--q", "3", "--min", "--eps", "1/0"], "--eps"),
+        (["empirical", "--family", "shifted", "--q", "2", "--p", "5",
+          "--shift-ratio", "1/0"], "--shift-ratio"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: littlewood"), argv
+        assert f"argument {flag}" in err and "'1/0'" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_phi_min(capsys):
     code, record = run_json(capsys, "phi", "--q", "2", "--min")
     assert code == 0
@@ -235,13 +251,6 @@ def test_csv_byte_identical(capsys):
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)
     assert first == second
-
-
-def test_seed_tables_flag(capsys):
-    code, record = run_json(
-        capsys, "--seed-tables", "limits", "--family", "galois", "--qmax", "2"
-    )
-    assert code == 0
 
 
 def test_module_entry_point():

@@ -1,13 +1,17 @@
 """Tests for polynomial construction, fields, exact norms, and convergence."""
+import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import isprime
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
-from littlewood.gf2k import build_gf2k, galois
+from littlewood.gf2k import galois, primitive_polynomial
 from littlewood.intconv import _MODULUS, MAX_LEN, capacity_error, power_square_sum
 from littlewood.polynomials import (
     convergence_table,
@@ -81,24 +85,91 @@ def test_shifted_fekete():
         assert coeffs.count(0) == 1
 
 
-def test_build_gf2k_small():
-    fld = build_gf2k(2)
-    assert fld.primitive_polynomial == 0b111
-    assert list(fld.antilog) == [1, 2, 3]
-    fld3 = build_gf2k(3)
-    assert len(fld3.antilog) == 7
-    assert len(set(fld3.antilog)) == 7
-    with pytest.raises(ValueError):
-        build_gf2k(1)
-    with pytest.raises(ValueError):
-        build_gf2k(25)
+def _times_x(a: int, poly: int) -> int:
+    """a * x modulo poly over GF(2), for a of lower degree than poly."""
+    a <<= 1
+    return a ^ poly if a >> (poly.bit_length() - 1) else a
 
 
-def test_trace_balance():
-    for k in range(2, 11):
-        fld = build_gf2k(k)
-        assert set(fld.trace) <= {0, 1}
-        assert sum(1 for t in fld.trace if t == 0) == 1 << (k - 1)
+def _order_of_x(poly: int) -> int:
+    """Multiplicative order of x modulo poly, by powering until x^j = 1."""
+    e, j = _times_x(1, poly), 1
+    while e != 1:
+        e, j = _times_x(e, poly), j + 1
+    return j
+
+
+def _is_primitive_reference(poly: int, k: int) -> bool:
+    coeffs = [int(b) for b in bin(poly)[2:]]  # highest degree first
+    return gf_irreducible_p(coeffs, 2, ZZ) and _order_of_x(poly) == (1 << k) - 1
+
+
+def test_primitive_polynomial_small():
+    assert primitive_polynomial(2) == 0b111
+    with pytest.raises(ValueError):
+        primitive_polynomial(1)
+    with pytest.raises(ValueError):
+        primitive_polynomial(25)
+
+
+def test_primitive_polynomial_is_least_primitive():
+    for k in range(2, 13):
+        poly = primitive_polynomial(k)
+        assert poly.bit_length() == k + 1 and poly & 1
+        assert _is_primitive_reference(poly, k), k
+        for cand in range((1 << k) | 1, poly, 2):
+            assert not _is_primitive_reference(cand, k), (k, cand)
+
+
+def test_galois_balanced():
+    rng = random.Random(7)
+    for k in range(2, 13):
+        top = 1 << k
+        for beta in {1, 2, top - 1, rng.randrange(1, top)}:
+            assert galois(k, beta).count(-1) == 1 << (k - 1), (k, beta)
+
+
+@st.composite
+def _field_shift(draw):
+    k = draw(st.integers(2, 12))
+    n = (1 << k) - 1
+    return k, draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_shift())
+@example((2, 1, 1))
+@example((12, 4094, 4095))
+def test_galois_shift_property(case):
+    # galois(k, beta * theta^s)[j] = galois(k, beta)[(j + s) mod n]
+    k, s, beta = case
+    n = (1 << k) - 1
+    poly = primitive_polynomial(k)
+    shifted = beta
+    for _ in range(s):
+        shifted = _times_x(shifted, poly)
+    base = galois(k, beta)
+    assert galois(k, shifted) == tuple(base[(j + s) % n] for j in range(n))
+
+
+# sha256 of the int8 bytes of galois(k, beta), recorded from an independent
+# table-based construction (antilog and trace tables) to pin the output
+GALOIS_DIGESTS = {
+    (2, 1): "16936d11fec03b650b80969a5865726bfb4cc002f91f436fc7ea45269a57f0b3",
+    (2, 3): "ffc7b292dff0b7bab76c5e7a1ea4704f33f985ce9529b52ad4e033e8b3bec7ec",
+    (8, 1): "1946eb5c8f19f4b355356c46b0ec9248e730ea4575815c94c3c20dd5a42c6c00",
+    (8, 3): "a0edcf1e70734381093c21b26f88220f3148e2ad06948ec03a432ad45aa3a35a",
+    (16, 1): "d854878ef7d540c31616a9bed781ca8da8904c844b227115b50931493929eff0",
+    (16, 3): "dcb45b8d6d2e281474b73079065bb4be42f1d9a3d5d441f352d90e2084e63f65",
+    (20, 1): "1994928ed2d52b586c17a20e988089185e369df840bf19022a88281cc2503dee",
+    (20, 3): "c124fb6a2a14cffbdae793f70f803be2af3a7c30e9578a9d6b4c4a84856688cc",
+}
+
+
+def test_galois_pinned_digests():
+    for (k, beta), digest in GALOIS_DIGESTS.items():
+        coeffs = np.array(galois(k, beta), dtype=np.int8)
+        assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest, (k, beta)
 
 
 def test_galois_small():
@@ -109,8 +180,11 @@ def test_galois_small():
         assert all(c in (-1, 1) for c in coeffs)
         # character sum over the nonzero elements
         assert sum(coeffs) == -1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be nonzero"):
         galois(3, beta=0)
+    for beta in (8, 9, -1, -5):
+        with pytest.raises(ValueError, match="not a nonzero field element"):
+            galois(3, beta)
 
 
 def test_norm_exact_hand_values():
