@@ -2,8 +2,13 @@
 polynomials, with the machinery behind them: exact special numbers, piecewise
 polynomial algebra over the rationals, set-partition profiles, and exact
 integer norms of the actual polynomials at finite sizes.
+
+The numpy-backed names (Galois polynomials, polynomial construction and
+exact norms) are imported on first access, so the exact-rational layers and
+the CLI commands built on them run without loading numpy.
 """
-from littlewood.gf2k import galois, primitive_polynomial
+from importlib import import_module
+
 from littlewood.limits import (
     LimitTable,
     PhiMinResult,
@@ -37,15 +42,6 @@ from littlewood.piecewise import (
     pw_mul,
     pw_restrict,
     pw_scale,
-)
-from littlewood.polynomials import (
-    ConvergenceRow,
-    convergence_table,
-    fekete,
-    legendre,
-    norm_2q_exact,
-    norm_2q_quadrature,
-    shifted_fekete,
 )
 from littlewood.special_numbers import (
     carlitz_numbers,
@@ -101,3 +97,22 @@ __all__ = [
     "shifted_fekete_limit",
     "tangent_numbers",
 ]
+
+# name -> module that defines it; resolved by __getattr__ below (PEP 562)
+_NUMPY_BACKED = {
+    "galois": "gf2k",
+    "primitive_polynomial": "gf2k",
+    "ConvergenceRow": "polynomials",
+    "convergence_table": "polynomials",
+    "fekete": "polynomials",
+    "legendre": "polynomials",
+    "norm_2q_exact": "polynomials",
+    "norm_2q_quadrature": "polynomials",
+    "shifted_fekete": "polynomials",
+}
+
+
+def __getattr__(name: str):
+    if name in _NUMPY_BACKED:
+        return getattr(import_module(f"littlewood.{_NUMPY_BACKED[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 
 from littlewood import limits as limits_mod
-from littlewood import polynomials as poly_mod
-from littlewood.intconv import capacity_error
 
 SCHEMA_VERSION = "v1"
 # Largest --p accepted; it matches the length 2^24 - 1 of the largest Galois
@@ -52,6 +51,24 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
+
+
+# Options taking a rational.  argparse reads a value such as "-1/4" as an
+# option (its negative-number pattern covers only integers and decimals), so
+# `_attach_negative_values` joins it to its option first.
+_RATIONAL_OPTIONS = ("--eval", "--eps", "--shift-ratio")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--eval -1/4" as "--eval=-1/4" for the rational options."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,6 +222,11 @@ def _cmd_phi(args):
 
 
 def _cmd_empirical(args):
+    # the norm engine and the polynomial builders load numpy; only this
+    # command needs them
+    from littlewood import polynomials as poly_mod
+    from littlewood.intconv import capacity_error
+
     family, q = args.family, args.q
     if family in ("fekete", "shifted"):
         if not args.p:
@@ -283,7 +305,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     started = time.perf_counter()
     try:
         params, results, csv_spec = _HANDLERS[args.command](args)

@@ -226,8 +226,8 @@ def shifted_fekete_limit(q: int, R) -> Fraction:
     return total
 
 
-def _compositions(ranges: list[range], target: int):
-    """Integer tuples, one from each range, summing to target."""
+def _compositions(ranges: list[list[int]], target: int):
+    """Integer tuples, one from each ascending list, summing to target."""
     suffix_min = [0] * (len(ranges) + 1)
     suffix_max = [0] * (len(ranges) + 1)
     for i in range(len(ranges) - 1, -1, -1):
@@ -249,15 +249,29 @@ def _compositions(ranges: list[range], target: int):
 
 
 @lru_cache(maxsize=None)
+def _block_spline(N: int, P: int, a: int) -> PiecewisePoly:
+    """R -> E(2N-1, 2(N-P) R + a - 1) on [0, 1/2], zero elsewhere."""
+    alpha, beta = 2 * (N - P), a - 1
+    spline = eulerian_spline(2 * N - 1)
+    if alpha:
+        # only the pieces between beta and beta + alpha/2 reach [0, 1/2]
+        ends = sorted((beta, beta + alpha * HALF))
+        spline = pw_restrict(spline, *ends)
+    return pw_restrict(pw_affine(spline, alpha, beta), 0, HALF)
+
+
+@lru_cache(maxsize=None)
 def phi_piecewise(q: int) -> PiecewisePoly:
     """The shift-ratio limit function of order q on [0, 1/2], exactly.
 
     Assembled from Eulerian splines: every block of every even block profile
     contributes the spline of order 2N-1 composed with the affine map
     R -> 2(N-P) R + (a-1); blocks multiply, compositions and profiles sum.
-    Composition indices range over the safe superset a in [1-N, 3N-1]
-    (vanishing splines prune the excess).  Evaluation at any rational in
-    [0, 1/2] equals `shifted_fekete_limit(q, R)`.
+    Each block spline is built once per (N, P, a) and cached already
+    restricted to [0, 1/2], so products run over [0, 1/2] only.
+    Composition indices range over the a in [1-N, 3N-1] whose block spline
+    does not vanish there.  Evaluation at any rational in [0, 1/2] equals
+    `shifted_fekete_limit(q, R)`.
     """
     if not 1 <= q <= 6:
         raise ValueError("symbolic construction supports 1 <= q <= 6")
@@ -266,17 +280,20 @@ def phi_piecewise(q: int) -> PiecewisePoly:
         weight = Fraction(prof.count)
         for N, _ in prof.entries:
             weight *= Fraction(_tangent(N), factorial(2 * N - 1))
-        ranges = [range(1 - N, 3 * N) for N, _ in prof.entries]
+        ranges = [
+            [a for a in range(1 - N, 3 * N) if _block_spline(N, P, a) != ZERO]
+            for N, P in prof.entries
+        ]
+        profile_sum = ZERO
         for a_tuple in _compositions(ranges, q):
             term = None
             for (N, P), a in zip(prof.entries, a_tuple):
-                g = pw_affine(eulerian_spline(2 * N - 1), 2 * (N - P), a - 1)
+                g = _block_spline(N, P, a)
                 term = g if term is None else pw_mul(term, g)
                 if term == ZERO:
                     break
-            if term == ZERO:
-                continue
-            total = pw_add(total, pw_scale(pw_restrict(term, 0, HALF), weight))
+            profile_sum = pw_add(profile_sum, term)
+        total = pw_add(total, pw_scale(profile_sum, weight))
     return total
 
 

@@ -3,9 +3,10 @@
 Signed tangent numbers, signed Carlitz numbers, Eulerian numbers at
 rational arguments, Eulerian polynomials, and restricted-composition
 counts.  Everything is exact: integers are unbounded and non-integer
-values are `fractions.Fraction`.  All functions are pure; the memoization
-caches (`functools.lru_cache`) are append-only and safe for concurrent
-readers.
+values are `fractions.Fraction`.  Eulerian polynomials come from the
+integer recurrence E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1); the
+alternating binomial sum serves rational arguments only.  All functions
+are pure; several memoize with `functools.lru_cache`.
 """
 from __future__ import annotations
 
@@ -100,21 +101,20 @@ def eulerian_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients (constant term first) of A_N(x) = sum_a E(2N-1, a-1) x^a.
 
     A_N has degree 2N-1, zero constant term, and nonnegative integer
-    coefficients given by row 2N-1 of the Eulerian-number triangle.
+    coefficients given by row 2N-1 of the Eulerian-number triangle, built
+    from row 1 by the integer recurrence.
 
     >>> eulerian_polynomial(2)
     (0, 1, 4, 1)
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    n = 2 * N - 1
-    coeffs = [0] * (2 * N)
-    for a in range(1, 2 * N):
-        v = _eulerian_general(n, Fraction(a - 1))
-        if v.denominator != 1:
-            raise ArithmeticError(f"Eulerian number E({n},{a - 1}) not integral")
-        coeffs[a] = v.numerator
-    return tuple(coeffs)
+    row: tuple[int, ...] = (1,)  # E(1, 0)
+    for n in range(2, 2 * N):
+        # E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), zero outside 0..n-2
+        prev = (0,) + row + (0,)
+        row = tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n))
+    return (0,) + row
 
 
 def composition_count(N: int, n: int, m: int) -> int:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its machine-readable output."""
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -110,6 +111,27 @@ def test_phi_eval(capsys):
     # periodicity: phi_2(3/4) = phi_2(1/4)
     code, record = run_json(capsys, "phi", "--q", "2", "--eval", "3/4")
     assert record["results"][0]["value"] == "7/6"
+
+
+def test_phi_eval_negative_rational(capsys):
+    # phi_q is even, so -1/4 gives 7/6 as 1/4 does; the value after a space
+    # must parse like the "--eval=-1/4" form
+    for argv in (("--eval", "-1/4"), ("--eval=-1/4",)):
+        code, record = run_json(capsys, "phi", "--q", "2", *argv)
+        assert code == 0, argv
+        assert record["results"][0]["value"] == "7/6", argv
+
+
+def test_negative_rational_options(capsys):
+    code, record = run_json(capsys, "phi", "--q", "3", "--min", "--eps", "-1/4")
+    assert code == 1
+    assert record["error"] == "--eps must be positive"
+    code, record = run_json(
+        capsys, "empirical", "--family", "shifted", "--q", "2", "--p", "13",
+        "--shift-ratio", "-1/3",
+    )
+    assert code == 0
+    assert record["parameters"]["shift_ratio"] == "-1/3"
 
 
 def test_phi_eval_bad_rational_is_usage_error():
@@ -264,3 +286,70 @@ def test_module_entry_point():
     record = json.loads(proc.stdout)
     jsonschema.validate(record, SCHEMA)
     assert record["results"][1]["limit"] == "5/3"
+
+
+# sha256 of the CSV output, recorded before the integer Eulerian rows and the
+# cached block splines replaced the alternating sums and the whole-support
+# spline products
+PINNED_CSV_DIGESTS = [
+    (("limits", "--family", "fekete", "--qmax", "64"),
+     "f4a60d0cf273ce0983c6f22ebaac0a6f0455b3ec3dc93a760a8871f5a0b4eae9"),
+    (("limits", "--family", "galois", "--qmax", "64"),
+     "fcefe214b495dc5e2f9acb6b57f19d86983b8f945dbb0407fd5d174a0d4b389e"),
+    (("triangle", "--family", "fekete", "--rows", "16"),
+     "ea6a3841d29125cb763198b746098b19966ee57a8e880d63a821fa51950c89cf"),
+    (("triangle", "--family", "galois", "--rows", "16"),
+     "58dfe1a11062926ffdec28dd77234ed74fd8e4119ba45e900a6d981faec5f845"),
+    (("phi", "--q", "6", "--pieces"),
+     "0a5bdca371b9ef28a859213e4fe1105323e52db24043f3d91cc850278e2427f5"),
+    (("phi", "--q", "6", "--min"),
+     "e76ebcfaea513c4e2305aed36e35ae5127f813aaf42a1e95885c64f82de37cd4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_CSV_DIGESTS, ids=["-".join(a) for a, _ in PINNED_CSV_DIGESTS]
+)
+def test_exact_csv_pinned_digests(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+NUMPY_FREE_SCRIPT = """
+import sys
+import littlewood.cli
+from littlewood.cli import main
+assert "numpy" not in sys.modules, "import littlewood.cli"
+for argv in (
+    ["limits", "--family", "fekete", "--qmax", "8"],
+    ["triangle", "--family", "galois", "--rows", "4"],
+    ["phi", "--q", "2", "--eval", "-1/4"],
+    ["phi", "--q", "3", "--min"],
+    ["phi", "--q", "4", "--pieces"],
+):
+    assert main(argv) == 0
+    assert "numpy" not in sys.modules, argv
+import littlewood
+for name in littlewood.__all__:
+    getattr(littlewood, name)
+assert "numpy" in sys.modules
+from littlewood import galois, fekete
+assert galois(3) and fekete(5) == (0, 1, -1, -1, 1)
+"""
+
+
+def test_exact_commands_do_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_package_attribute():
+    import littlewood
+
+    with pytest.raises(AttributeError):
+        littlewood.no_such_name

@@ -2,10 +2,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from littlewood.partitions import enumerate_set_partitions
+from littlewood.partitions import enumerate_set_partitions, even_block_profiles
 from littlewood.limits import (
     fekete_limit_direct,
     fekete_limit_recursive,
@@ -17,6 +18,15 @@ from littlewood.limits import (
     phi_min,
     phi_piecewise,
     shifted_fekete_limit,
+)
+from littlewood.piecewise import (
+    ZERO,
+    eulerian_spline,
+    pw_add,
+    pw_affine,
+    pw_mul,
+    pw_restrict,
+    pw_scale,
 )
 from littlewood.special_numbers import carlitz_numbers, tangent_numbers
 
@@ -317,11 +327,42 @@ def test_phi4_closed_form():
 
 def test_phi_matches_pointwise_evaluation():
     rng = random.Random(20)
-    for q in range(1, 6):
+    for q in range(1, 7):
         f = phi_piecewise(q)
         for _ in range(20):
             r = Fraction(rng.randint(0, 2**16), 2**17)
             assert f.evaluate(r) == shifted_fekete_limit(q, r), (q, r)
+
+
+def _phi_piecewise_uncached(q):
+    # the assembly without cached block splines: every block is composed over
+    # the spline's whole support and each product is restricted at the end
+    tangent = tangent_numbers(q)
+    total = ZERO
+    for prof in even_block_profiles(q):
+        weight = Fraction(prof.count)
+        for N, _ in prof.entries:
+            weight *= Fraction(tangent[N - 1], math.factorial(2 * N - 1))
+        ranges = [range(1 - N, 3 * N) for N, _ in prof.entries]
+        for a_tuple in product(*ranges):
+            if sum(a_tuple) != q:
+                continue
+            term = None
+            for (N, P), a in zip(prof.entries, a_tuple):
+                g = pw_affine(eulerian_spline(2 * N - 1), 2 * (N - P), a - 1)
+                term = g if term is None else pw_mul(term, g)
+                if term == ZERO:
+                    break
+            if term == ZERO:
+                continue
+            restricted = pw_restrict(term, 0, Fraction(1, 2))
+            total = pw_add(total, pw_scale(restricted, weight))
+    return total
+
+
+def test_phi_piecewise_matches_uncached_assembly():
+    for q in range(1, 7):
+        assert phi_piecewise(q) == _phi_piecewise_uncached(q), q
 
 
 def test_phi1_constant():

@@ -147,6 +147,26 @@ def test_eulerian_polynomial_row_sum():
         assert sum(eulerian_polynomial(N)) == math.factorial(2 * N - 1)
 
 
+def test_eulerian_polynomial_matches_alternating_sum():
+    # the integer recurrence against the rational-argument route, over the
+    # rows the limit recursions use (q <= 64)
+    for N in range(1, 65):
+        n = 2 * N - 1
+        coeffs = eulerian_polynomial(N)
+        assert len(coeffs) == 2 * N and coeffs[0] == 0, N
+        assert coeffs[1:] == tuple(eulerian_general(n, a - 1) for a in range(1, 2 * N)), N
+        assert coeffs[1:] == coeffs[:0:-1], N
+        assert sum(coeffs) == math.factorial(n), N
+
+
+def test_eulerian_polynomial_large_row():
+    # built without recursion, so a row past the interpreter's recursion
+    # limit works; E(n, 1) = 2^n - n - 1
+    coeffs = eulerian_polynomial(500)
+    assert sum(coeffs) == math.factorial(999)
+    assert coeffs[1:3] == (1, 2**999 - 1000)
+
+
 # ---------------------------------------------------------------------------
 # composition counts
 
