@@ -3,9 +3,11 @@ polynomials, with the machinery behind them: exact special numbers, piecewise
 polynomial algebra over the rationals, set-partition profiles, and exact
 integer norms of the actual polynomials at finite sizes.
 
-The numpy-backed names (Galois polynomials, polynomial construction and
-exact norms) are imported on first access, so the exact-rational layers and
-the CLI commands built on them run without loading numpy.
+The limit recursions and the special numbers are imported with the package.
+Every other name (partition profiles, the piecewise algebra, and the
+numpy-backed Galois polynomials, polynomial construction and exact norms) is
+imported on first access, so the `limits`, `triangle` and `phi --eval`
+commands load neither numpy nor the spline, profile and Sturm modules.
 """
 from importlib import import_module
 
@@ -23,25 +25,6 @@ from littlewood.limits import (
     phi_min,
     phi_piecewise,
     shifted_fekete_limit,
-)
-from littlewood.partitions import (
-    EvenBlockProfile,
-    SizeProfile,
-    enumerate_set_partitions,
-    even_block_profiles,
-    even_size_profiles,
-    galois_size_profiles,
-)
-from littlewood.piecewise import (
-    MinimizeResult,
-    PiecewisePoly,
-    eulerian_spline,
-    pw_add,
-    pw_affine,
-    pw_minimize,
-    pw_mul,
-    pw_restrict,
-    pw_scale,
 )
 from littlewood.special_numbers import (
     carlitz_numbers,
@@ -99,7 +82,22 @@ __all__ = [
 ]
 
 # name -> module that defines it; resolved by __getattr__ below (PEP 562)
-_NUMPY_BACKED = {
+_LAZY = {
+    "EvenBlockProfile": "partitions",
+    "SizeProfile": "partitions",
+    "enumerate_set_partitions": "partitions",
+    "even_block_profiles": "partitions",
+    "even_size_profiles": "partitions",
+    "galois_size_profiles": "partitions",
+    "MinimizeResult": "piecewise",
+    "PiecewisePoly": "piecewise",
+    "eulerian_spline": "piecewise",
+    "pw_add": "piecewise",
+    "pw_affine": "piecewise",
+    "pw_minimize": "piecewise",
+    "pw_mul": "piecewise",
+    "pw_restrict": "piecewise",
+    "pw_scale": "piecewise",
     "galois": "gf2k",
     "primitive_polynomial": "gf2k",
     "ConvergenceRow": "polynomials",
@@ -113,6 +111,6 @@ _NUMPY_BACKED = {
 
 
 def __getattr__(name: str):
-    if name in _NUMPY_BACKED:
-        return getattr(import_module(f"littlewood.{_NUMPY_BACKED[name]}"), name)
+    if name in _LAZY:
+        return getattr(import_module(f"littlewood.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

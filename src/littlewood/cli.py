@@ -24,6 +24,8 @@ SCHEMA_VERSION = "v1"
 # Largest --p accepted; it matches the length 2^24 - 1 of the largest Galois
 # polynomial.
 MAX_PRIME = 1 << 24
+# Largest q of `limits --qmax` and of the fekete/galois `empirical` limits.
+MAX_Q = 64
 
 
 class CommandError(Exception):
@@ -130,8 +132,8 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_limits(args):
-    if args.qmax > 64:
-        raise CommandError("qmax must be at most 64")
+    if args.qmax > MAX_Q:
+        raise CommandError(f"qmax must be at most {MAX_Q}")
     table = limits_mod.limit_table(args.family, args.qmax)
     params = {"family": args.family, "qmax": args.qmax, "format": args.format}
     results = [
@@ -165,8 +167,9 @@ def _cmd_triangle(args):
 def _cmd_phi(args):
     q = args.q
     if args.eval_at is not None:
-        if q > 8:
-            raise CommandError("--eval supports q <= 8")
+        reason = limits_mod.shifted_limit_error(q, args.eval_at)
+        if reason:
+            raise CommandError(reason)
         value = limits_mod.shifted_fekete_limit(q, args.eval_at)
         params = {"q": q, "eval": _rat(args.eval_at), "format": args.format}
         results = [
@@ -228,6 +231,8 @@ def _cmd_empirical(args):
     from littlewood.intconv import capacity_error
 
     family, q = args.family, args.q
+    if family != "shifted" and q > MAX_Q:
+        raise CommandError(f"family {family} supports q <= {MAX_Q}")
     if family in ("fekete", "shifted"):
         if not args.p:
             raise CommandError(f"family {family} requires at least one --p")
@@ -262,8 +267,12 @@ def _cmd_empirical(args):
         raise CommandError("shifted family needs --shift or --shift-ratio")
     if family != "shifted" and (shift is not None or shift_ratio is not None):
         raise CommandError("--shift/--shift-ratio apply to the shifted family only")
-    if family == "shifted" and q > 8:
-        raise CommandError("shifted family supports q <= 8")
+    if family == "shifted":
+        ratios = [shift_ratio] if shift is None else [Fraction(shift, p) for p in sizes]
+        for ratio in ratios:
+            reason = limits_mod.shifted_limit_error(q, ratio)
+            if reason:
+                raise CommandError(reason)
 
     table = poly_mod.convergence_table(
         family, q, sizes, shift=shift, shift_ratio=shift_ratio

@@ -1,61 +1,58 @@
 """Limiting L^2q norm ratios for Fekete, shifted Fekete, and Galois polynomials.
 
-Two independent routes compute each family's limits: a polynomial recursion
-(cheap, used for the published tables and the triangular arrays) and a direct
-partition-profile sum (used as a cross-check).  The shift
-dependence is captured both pointwise (exact rational evaluation at any shift
-ratio) and symbolically as an exact piecewise polynomial on [0, 1/2], whose
-minima are certified with Sturm-based enclosures.
+Each quantity has one production route.  The Fekete and Galois limits and
+their triangular arrays come from a polynomial recursion.  The shifted limit
+phi_q(R) at a rational shift ratio R comes from the exponential formula over
+even block profiles, run as an integer power-series recurrence.  phi_q on
+[0, 1/2] is also built as an exact piecewise polynomial from Eulerian
+splines, whose minimum is certified with Sturm-based enclosures.  The direct
+partition-profile sums `fekete_limit_direct` and `galois_limit_direct` are
+kept as cross-checks.
+
+The spline, partition-profile and Sturm modules are imported by the
+functions that use them, so the recursions and `shifted_fekete_limit` run
+without loading them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, floor
+from itertools import repeat
+from math import comb, factorial
+from operator import add, mul
+from typing import TYPE_CHECKING, NamedTuple
 
-from littlewood.partitions import even_block_profiles, even_size_profiles, galois_size_profiles
-from littlewood.piecewise import (
-    ZERO,
-    MinimizeResult,
-    PiecewisePoly,
-    eulerian_spline,
-    pw_add,
-    pw_affine,
-    pw_minimize,
-    pw_mul,
-    pw_restrict,
-    pw_scale,
-)
-from littlewood.ratpoly import poly_add, poly_mul, poly_scale
-from littlewood.special_numbers import (
-    _carlitz,
-    _tangent,
-    eulerian_general,
-    eulerian_polynomial,
-)
+from littlewood.special_numbers import _carlitz, _tangent, eulerian_polynomial
+
+if TYPE_CHECKING:
+    from littlewood.piecewise import PiecewisePoly
 
 HALF = Fraction(1, 2)
 
 FAMILIES = ("fekete", "galois")
 
+# Admission rule of `shifted_fekete_limit`: q <= SHIFTED_QMAX and
+# q * (decimal digits of R's denominator) <= SHIFTED_DIGITS.  Its cost grows
+# with q and with the size of its integers, about 2q times the digits of the
+# denominator; the printed value has about that many digits too, well below
+# Python's 4300-digit limit on int-to-str conversion.
+SHIFTED_QMAX = 16
+SHIFTED_DIGITS = 1000
 
-@dataclass(frozen=True)
-class TriangleRow:
+
+class TriangleRow(NamedTuple):
     """Row k of a family's triangular integer array: 2k-1 palindromic values."""
 
     k: int
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LimitTable:
+class LimitTable(NamedTuple):
     family: str
     entries: dict[int, Fraction]
 
 
-@dataclass(frozen=True)
-class PhiMinResult:
+class PhiMinResult(NamedTuple):
     argmin: tuple[Fraction, Fraction]
     value: tuple[Fraction, Fraction]
     alt_flag: bool
@@ -71,18 +68,34 @@ def _scaled_weight(k: int, j: int) -> int:
     return num // den
 
 
+def _palindromic_sum(k: int, terms) -> tuple[int, ...]:
+    """Sum of scale * A_j(x) * prev(x) over terms (scale, j, prev).
+
+    Every product is palindromic of degree 2k-1 with zero constant term
+    (c_m = c_{2k-m}), so only coefficients 0..k are computed; the rest are
+    mirrored.
+    """
+    half = [0] * (k + 1)
+    for scale, j, prev in terms:
+        a = eulerian_polynomial(j)
+        for i in range(1, min(len(a), k + 1)):
+            s = scale * a[i]
+            for m, b in enumerate(prev[: k + 1 - i], start=i):
+                half[m] += s * b
+    return tuple(half) + tuple(half[k - 1:0:-1])
+
+
 @lru_cache(maxsize=None)
 def _fekete_int_poly(k: int) -> tuple[int, ...]:
     # (2k-1)! times the recursion polynomial, so coefficients stay integers:
     # F_0 = 1;  F_{2k}(x) = sum_j C(2k-1, 2j-1) T(j)/(2j-1)! A_j(x) F_{2k-2j}(x)
     if k == 0:
         return (1,)
-    total: tuple = ()
-    for j in range(1, k + 1):
-        scale = comb(2 * k - 1, 2 * j - 1) * _tangent(j) * _scaled_weight(k, j)
-        term = poly_mul(eulerian_polynomial(j), _fekete_int_poly(k - j))
-        total = poly_add(total, poly_scale(term, scale))
-    return total
+    return _palindromic_sum(k, (
+        (comb(2 * k - 1, 2 * j - 1) * _tangent(j) * _scaled_weight(k, j), j,
+         _fekete_int_poly(k - j))
+        for j in range(1, k + 1)
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -90,14 +103,11 @@ def _galois_int_poly(k: int) -> tuple[int, ...]:
     # G_0 = 1;  G_k(x) = sum_j C(k,j) C(k-1,j-1) C(j)/(2j-1)! A_j(x) G_{k-j}(x)
     if k == 0:
         return (1,)
-    total: tuple = ()
-    for j in range(1, k + 1):
-        scale = (
-            comb(k, j) * comb(k - 1, j - 1) * _carlitz(j) * _scaled_weight(k, j)
-        )
-        term = poly_mul(eulerian_polynomial(j), _galois_int_poly(k - j))
-        total = poly_add(total, poly_scale(term, scale))
-    return total
+    return _palindromic_sum(k, (
+        (comb(k, j) * comb(k - 1, j - 1) * _carlitz(j) * _scaled_weight(k, j), j,
+         _galois_int_poly(k - j))
+        for j in range(1, k + 1)
+    ))
 
 
 def _coefficient(poly: tuple, m: int) -> Fraction:
@@ -155,6 +165,9 @@ def fekete_limit_direct(q: int) -> Fraction:
     Per profile, the composition sum factors as the x^q coefficient of the
     product of the blocks' Eulerian polynomials.
     """
+    from littlewood.partitions import even_size_profiles
+    from littlewood.ratpoly import poly_mul
+
     if not 1 <= q <= 10:
         raise ValueError("direct evaluation supports 1 <= q <= 10")
     total = Fraction(0)
@@ -172,6 +185,9 @@ def fekete_limit_direct(q: int) -> Fraction:
 def galois_limit_direct(q: int) -> Fraction:
     """Direct partition-sum form of the Galois limit, via size profiles,
     including the multinomial factor q!/prod(N_i!) applied per partition."""
+    from littlewood.partitions import galois_size_profiles
+    from littlewood.ratpoly import poly_mul
+
     if not 1 <= q <= 10:
         raise ValueError("direct evaluation supports 1 <= q <= 10")
     total = Fraction(0)
@@ -185,45 +201,151 @@ def galois_limit_direct(q: int) -> Fraction:
     return total
 
 
+def shifted_limit_error(q: int, R) -> str | None:
+    """Why `shifted_fekete_limit(q, R)` is refused, or None if it is admitted."""
+    if not 1 <= q <= SHIFTED_QMAX:
+        return f"shifted limits support 1 <= q <= {SHIFTED_QMAX}"
+    digits = SHIFTED_DIGITS // q
+    if Fraction(R).denominator >= 10**digits:
+        return (
+            f"shift ratio denominator exceeds {digits} digits at q={q} "
+            f"(q * digits must be at most {SHIFTED_DIGITS})"
+        )
+    return None
+
+
+def _factorial_valuation(n: int, p: int) -> int:
+    v = 0
+    while n:
+        n //= p
+        v += n
+    return v
+
+
+@lru_cache(maxsize=None)
+def _block_scale(q: int) -> int:
+    """Least c such that (2N-1)! (2N)! divides c^N for every N <= q.
+
+    Then c^N / ((2N-1)! (2N-P)! P!) is an integer for every block (N, P).
+    """
+    c = 1
+    for p in range(2, 2 * q + 1):
+        if all(p % f for f in range(2, p)):
+            c *= p ** max(
+                -(-(_factorial_valuation(2 * N - 1, p) + _factorial_valuation(2 * N, p)) // N)
+                for N in range(1, q + 1)
+            )
+    return c
+
+
+def _shifted_blocks(q: int, r: int, d: int, c: int) -> list[dict]:
+    """Blocks of the exponential formula at R = r/d, scaled by c^N d^(2N).
+
+    blocks[N][P] = (e, coeffs): coeffs[i] is the coefficient of x^(e+i) in
+    c^N d^(2N) T(N) / ((2N-1)! (2N-P)! P!) * sum_a E(2N-1, 2RD + a - 1) x^(a+N),
+    with D = N - P.  Write 2RD = f + t/d with 0 <= t < d.  The scaled values
+    W_n[m] = d^n E(n, t/d + m - 1), m = 0..n, follow the integer recurrence
+    W_n[m] = (t + m d) W_{n-1}[m] + ((n+1-m) d - t) W_{n-1}[m-1], W_0 = [1],
+    and the value at a sits at m = f + a.
+    """
+    blocks: list[dict] = [{} for _ in range(q + 1)]
+    # a block has 2N elements, P of them above q and 2N - P at most q, so
+    # |D| <= min(N, q - N)
+    for D in range(-(q // 2), q // 2 + 1):
+        f, t = divmod(2 * r * D, d)
+        row = [1]
+        for n in range(1, 2 * q):
+            row.append(0)
+            row = [t * row[0]] + [
+                (t + m * d) * row[m] + ((n + 1 - m) * d - t) * row[m - 1]
+                for m in range(1, n + 1)
+            ]
+            N, odd = divmod(n + 1, 2)
+            P = N - D
+            if odd or abs(D) > N or not 0 <= P <= q or 2 * N - P > q:
+                continue
+            scale = d * _tangent(N) * (
+                c**N // (factorial(2 * N - 1) * factorial(2 * N - P) * factorial(P))
+            )
+            lo, hi = 0, len(row)
+            while row[hi - 1] == 0:
+                hi -= 1
+            while row[lo] == 0:
+                lo += 1
+            blocks[N][P] = (lo - f + N, [scale * v for v in row[lo:hi]])
+    return blocks
+
+
 def shifted_fekete_limit(q: int, R) -> Fraction:
     """Limit of the normalized 2q-th power norm of shifted Fekete polynomials
-    whose shift ratio tends to R; exact for any rational R.
+    whose shift ratio tends to R; exact for any rational R admitted by
+    `shifted_limit_error` (q <= 16, q * digits of R's denominator <= 1000).
 
-    Per even block profile, each block contributes Eulerian values at
-    arguments 2R(N-P) + a - 1 over the finite range of integers a where the
-    value can be nonzero; the composition sum is a sparse convolution over
-    the a-exponents, read off at total exponent q.
+    The profile sum over even block profiles is an exponential-formula
+    coefficient: phi_q(R) = q!^2 [t^q u^q x^(2q)] exp(G), with
+    G = sum_{N <= q, P} T(N) / ((2N-1)! (2N-P)! P!) t^N u^P
+        * sum_a E(2N-1, 2R(N-P) + a - 1) x^(a+N),
+    where a block of 2N elements has P of them above q.  R is first reduced
+    into [0, 1/2) by the period.  With R = r/d, scaling each block by
+    c^N d^(2N) (`_block_scale`) makes it integral, and F_n = n! [t^n] exp(G),
+    scaled by c^n d^(2n), follows the integer recurrence
+    F_n = sum_k k (n-1)!/(n-k)! G_k F_{n-k}.  Each F_n keeps only the u- and
+    x-exponents that can still reach u^q x^(2q), and the last step computes
+    that one coefficient.  The cost is polynomial in q, about q^6 products of
+    integers with about 2q times as many digits as d.
     """
-    if not 1 <= q <= 8:
-        raise ValueError("pointwise shifted evaluation supports 1 <= q <= 8")
-    R = Fraction(R)
-    total = Fraction(0)
-    for prof in even_block_profiles(q):
-        weight = Fraction(prof.count)
-        conv: dict[int, Fraction] = {0: Fraction(1)}
-        for N, P in prof.entries:
-            weight *= Fraction(_tangent(N), factorial(2 * N - 1))
-            shift = 2 * R * (N - P)
-            # nonzero requires shift + a - 1 in (-1, 2N-1)
-            a_min = floor(-shift) + 1
-            a_max = ceil(2 * N - shift) - 1
-            block = {}
-            for a in range(a_min, a_max + 1):
-                v = eulerian_general(2 * N - 1, shift + a - 1)
-                if v:
-                    block[a] = v
-            if not block:
-                conv = {}
-                break
-            nxt: dict[int, Fraction] = {}
-            for e, c in conv.items():
-                for a, v in block.items():
-                    key = e + a
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * v
-            conv = nxt
-        if conv:
-            total += weight * conv.get(q, Fraction(0))
-    return total
+    reason = shifted_limit_error(q, R)
+    if reason:
+        raise ValueError(reason)
+    R = Fraction(R) % HALF
+    r, d = R.numerator, R.denominator
+    c = _block_scale(q)
+    X = 2 * q
+    blocks = _shifted_blocks(q, r, d, c)
+    # a product of t-degree m has x-exponents in [xmin[m], xmax[m]]
+    xmin, xmax = [0] * (q + 1), [0] * (q + 1)
+    for m in range(1, q + 1):
+        spans = [
+            (e + xmin[m - k], e + len(g) - 1 + xmax[m - k])
+            for k in range(1, m + 1)
+            for e, g in blocks[k].values()
+        ]
+        xmin[m] = min(lo for lo, _ in spans)
+        xmax[m] = max(hi for _, hi in spans)
+
+    # series[n] = {u-exponent p: (lowest x-exponent, coefficients)} of F_n
+    series: list[dict] = [{0: (0, [1])}]
+    for n in range(1, q):
+        p_lo, p_hi = max(0, 2 * n - q), min(2 * n, q)
+        xlo = max(xmin[n], X - xmax[q - n])
+        width = min(xmax[n], X - xmin[q - n]) - xlo + 1
+        acc: dict[int, list] = {}
+        for k in range(1, n + 1):
+            w = k * factorial(n - 1) // factorial(n - k)
+            for P, (ge, g) in blocks[k].items():
+                for p0, (fe, f) in series[n - k].items():
+                    if not p_lo <= p0 + P <= p_hi:
+                        continue
+                    h = acc.setdefault(p0 + P, [0] * width)
+                    for i, gv in enumerate(g, start=ge + fe - xlo):
+                        j0, j1 = max(0, -i), min(len(f), width - i)
+                        if j0 < j1 and gv:
+                            h[i + j0:i + j1] = map(
+                                add, h[i + j0:i + j1], map(mul, repeat(w * gv), f[j0:j1])
+                            )
+        series.append({p: (xlo, h) for p, h in acc.items()})
+
+    total = 0
+    for k in range(1, q + 1):
+        part = 0
+        for P, (ge, g) in blocks[k].items():
+            if q - P in series[q - k]:
+                fe, f = series[q - k][q - P]
+                for i, gv in enumerate(g, start=ge + fe):
+                    if 0 <= X - i < len(f):
+                        part += gv * f[X - i]
+        total += k * factorial(q - 1) // factorial(q - k) * part
+    return Fraction(factorial(q) * total, c**q * d ** (2 * q))
 
 
 def _compositions(ranges: list[list[int]], target: int):
@@ -251,6 +373,8 @@ def _compositions(ranges: list[list[int]], target: int):
 @lru_cache(maxsize=None)
 def _block_spline(N: int, P: int, a: int) -> PiecewisePoly:
     """R -> E(2N-1, 2(N-P) R + a - 1) on [0, 1/2], zero elsewhere."""
+    from littlewood.piecewise import eulerian_spline, pw_affine, pw_restrict
+
     alpha, beta = 2 * (N - P), a - 1
     spline = eulerian_spline(2 * N - 1)
     if alpha:
@@ -273,6 +397,9 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     does not vanish there.  Evaluation at any rational in [0, 1/2] equals
     `shifted_fekete_limit(q, R)`.
     """
+    from littlewood.partitions import even_block_profiles
+    from littlewood.piecewise import ZERO, pw_add, pw_mul, pw_scale
+
     if not 1 <= q <= 6:
         raise ValueError("symbolic construction supports 1 <= q <= 6")
     total = ZERO
@@ -304,7 +431,9 @@ def phi_min(q: int, eps) -> PhiMinResult:
     overlaps the minimum enclosure (uniqueness of the minimizer is evidence,
     never an assumption).
     """
+    from littlewood.piecewise import pw_minimize
+
     if not 2 <= q <= 6:
         raise ValueError("phi_min supports 2 <= q <= 6 (order 1 is constant)")
-    res: MinimizeResult = pw_minimize(phi_piecewise(q), 0, HALF, eps)
+    res = pw_minimize(phi_piecewise(q), 0, HALF, eps)
     return PhiMinResult(res.argmin, res.value, bool(res.competitors))

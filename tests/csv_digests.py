@@ -1,0 +1,66 @@
+"""sha256 digests of the CSV output of the exact commands (`limits`,
+`triangle`, `phi`), each recorded from an earlier version of the program
+whose route it pins.
+
+`tests/test_cli.py` checks the table in-process.  Run as a script,
+`PYTHONPATH=src python tests/csv_digests.py` runs every command as
+`python -m littlewood ... --format csv` and compares the bytes, with no
+dependency beyond the standard library; it exits 1 on any mismatch.
+"""
+import hashlib
+import subprocess
+import sys
+
+PINNED_CSV_DIGESTS = [
+    # recorded before the integer Eulerian rows and the cached block splines
+    # replaced the alternating sums and the whole-support spline products
+    (("limits", "--family", "fekete", "--qmax", "64"),
+     "f4a60d0cf273ce0983c6f22ebaac0a6f0455b3ec3dc93a760a8871f5a0b4eae9"),
+    (("limits", "--family", "galois", "--qmax", "64"),
+     "fcefe214b495dc5e2f9acb6b57f19d86983b8f945dbb0407fd5d174a0d4b389e"),
+    (("triangle", "--family", "fekete", "--rows", "16"),
+     "ea6a3841d29125cb763198b746098b19966ee57a8e880d63a821fa51950c89cf"),
+    (("triangle", "--family", "galois", "--rows", "16"),
+     "58dfe1a11062926ffdec28dd77234ed74fd8e4119ba45e900a6d981faec5f845"),
+    (("phi", "--q", "6", "--pieces"),
+     "0a5bdca371b9ef28a859213e4fe1105323e52db24043f3d91cc850278e2427f5"),
+    (("phi", "--q", "6", "--min"),
+     "e76ebcfaea513c4e2305aed36e35ae5127f813aaf42a1e95885c64f82de37cd4"),
+    # recorded from the even-block-profile sum, before the exponential
+    # formula replaced it
+    (("phi", "--q", "5", "--eval", "3/7"),
+     "5f75e1ecab44ec5eb90dda1620de030c70acd881dbc1c894b7291bbed8587209"),
+    (("phi", "--q", "7", "--eval", "1/3"),
+     "3d00ec53a5a57520b0d487614b489fcbce66fb831b44bccd5b0bdf92ea86f6c9"),
+    (("phi", "--q", "7", "--eval", "2/7"),
+     "a141324dad572be386fabfa2928237f49d5c124d16dff58bfebb7aac19b061a6"),
+    (("phi", "--q", "7", "--eval", "-1/5"),
+     "9e33aaeaf75e10abdd9c76f7ef556b4ada488b331a2fd36bea1b2935c5911565"),
+    (("phi", "--q", "8", "--eval", "1/4"),
+     "49a5796453b00c5dee921d9c35c452e8bb249f1246aed2bf57e123e9ad030e97"),
+    (("phi", "--q", "8", "--eval", "1/3"),
+     "d2d027254c4383abbf2181eeded31555923cfb4eb253bd30cc0d46d9ccfb9163"),
+    (("phi", "--q", "8", "--eval", "3/7"),
+     "ebb94454b932603374cf0a818e3855f7f28ad15e3e8571f1a243cac864d31d22"),
+    (("phi", "--q", "8", "--eval", "-5/12"),
+     "a46771d3e79a568bbaa2a2108647301c8457e73ba91dd1bee8c67e68dfceba9e"),
+]
+
+
+def main() -> int:
+    failures = 0
+    for argv, digest in PINNED_CSV_DIGESTS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "littlewood", *argv, "--format", "csv"],
+            capture_output=True,
+        )
+        ok = proc.returncode == 0 and hashlib.sha256(proc.stdout).hexdigest() == digest
+        print("ok  " if ok else "FAIL", " ".join(argv))
+        if not ok:
+            failures += 1
+            sys.stderr.write(proc.stderr.decode())
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from csv_digests import PINNED_CSV_DIGESTS
+from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
 from littlewood.cli import main
 
@@ -178,11 +180,42 @@ def test_phi_pieces(capsys):
 
 
 def test_phi_out_of_range_is_error_record(capsys):
-    code, out = run_cli(capsys, "phi", "--q", "9", "--eval", "1/4")
+    code, out = run_cli(capsys, "phi", "--q", "17", "--eval", "1/4")
     record = json.loads(out)
     jsonschema.validate(record, SCHEMA)
     assert code == 1
-    assert "q <= 8" in record["error"]
+    assert "1 <= q <= 16" in record["error"]
+
+
+def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused request reached the evaluator")
+
+    monkeypatch.setattr(limits_mod, "shifted_fekete_limit", never)
+    cases = [
+        (("--q", "17", "--eval", "1/4"), "1 <= q <= 16"),
+        (("--q", "8", "--eval", "1/" + "1" + "0" * 320), "exceeds 125 digits at q=8"),
+        (("--q", "8", "--eval", "-1/" + "1" + "0" * 3000), "exceeds 125 digits"),
+        (("--q", "16", "--eval", "1/" + "9" * 63), "exceeds 62 digits at q=16"),
+        (("--q", "1", "--eval", "1/" + "1" + "0" * 1000), "exceeds 1000 digits"),
+    ]
+    for argv, reason in cases:
+        code, out = run_cli(capsys, "phi", *argv)
+        record = json.loads(out)
+        jsonschema.validate(record, SCHEMA)
+        assert code == 1, argv
+        assert reason in record["error"], argv
+
+
+def test_phi_eval_beyond_the_former_cap(capsys):
+    code, record = run_json(capsys, "phi", "--q", "12", "--eval", "1/4")
+    assert code == 0
+    value = Fraction(record["results"][0]["value"])
+    assert value == limits_mod.shifted_fekete_limit(12, Fraction(-1, 4))
+    # the largest denominator admitted at q = 8 prints in full
+    code, record = run_json(capsys, "phi", "--q", "8", "--eval", "1/" + "9" * 125)
+    assert code == 0
+    assert len(record["results"][0]["value"]) > 15 * 125
 
 
 def test_empirical_fekete(capsys):
@@ -237,9 +270,14 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
         (("--family", "galois", "--q", "2", "--k", "21"), "capacity"),
         (("--family", "fekete", "--q", "2", "--p", "1048583"), "capacity"),
         (("--family", "shifted", "--q", "3", "--p", "700001", "--shift", "1"), "capacity"),
-        (("--family", "fekete", "--q", "74", "--p", "5"), "NTT primes"),
+        (("--family", "fekete", "--q", "64", "--p", "7"), "NTT primes"),
         (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "limit"),
-        (("--family", "shifted", "--q", "12", "--p", "5", "--shift", "1"), "q <= 8"),
+        (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16"),
+        (("--family", "shifted", "--q", "8", "--p", "3",
+          "--shift-ratio", "1/" + "1" + "0" * 320), "exceeds 125 digits"),
+        (("--family", "fekete", "--q", "100", "--p", "3"), "q <= 64"),
+        (("--family", "fekete", "--q", "65", "--p", "3"), "q <= 64"),
+        (("--family", "galois", "--q", "92", "--k", "2"), "q <= 64"),
     ]
     for argv, reason in cases:
         code, out = run_cli(capsys, "empirical", *argv)
@@ -288,25 +326,6 @@ def test_module_entry_point():
     assert record["results"][1]["limit"] == "5/3"
 
 
-# sha256 of the CSV output, recorded before the integer Eulerian rows and the
-# cached block splines replaced the alternating sums and the whole-support
-# spline products
-PINNED_CSV_DIGESTS = [
-    (("limits", "--family", "fekete", "--qmax", "64"),
-     "f4a60d0cf273ce0983c6f22ebaac0a6f0455b3ec3dc93a760a8871f5a0b4eae9"),
-    (("limits", "--family", "galois", "--qmax", "64"),
-     "fcefe214b495dc5e2f9acb6b57f19d86983b8f945dbb0407fd5d174a0d4b389e"),
-    (("triangle", "--family", "fekete", "--rows", "16"),
-     "ea6a3841d29125cb763198b746098b19966ee57a8e880d63a821fa51950c89cf"),
-    (("triangle", "--family", "galois", "--rows", "16"),
-     "58dfe1a11062926ffdec28dd77234ed74fd8e4119ba45e900a6d981faec5f845"),
-    (("phi", "--q", "6", "--pieces"),
-     "0a5bdca371b9ef28a859213e4fe1105323e52db24043f3d91cc850278e2427f5"),
-    (("phi", "--q", "6", "--min"),
-     "e76ebcfaea513c4e2305aed36e35ae5127f813aaf42a1e95885c64f82de37cd4"),
-]
-
-
 @pytest.mark.parametrize(
     "argv, digest", PINNED_CSV_DIGESTS, ids=["-".join(a) for a, _ in PINNED_CSV_DIGESTS]
 )
@@ -321,15 +340,22 @@ import sys
 import littlewood.cli
 from littlewood.cli import main
 assert "numpy" not in sys.modules, "import littlewood.cli"
-for argv in (
-    ["limits", "--family", "fekete", "--qmax", "8"],
-    ["triangle", "--family", "galois", "--rows", "4"],
-    ["phi", "--q", "2", "--eval", "-1/4"],
-    ["phi", "--q", "3", "--min"],
-    ["phi", "--q", "4", "--pieces"],
+# limits, triangle and phi --eval also skip the spline, profile and Sturm
+# modules and dataclasses
+LEAN = ("dataclasses", "littlewood.piecewise", "littlewood.partitions",
+        "littlewood.sturm", "numpy")
+for argv, skipped in (
+    (["limits", "--family", "fekete", "--qmax", "8"], LEAN),
+    (["triangle", "--family", "galois", "--rows", "4"], LEAN),
+    (["phi", "--q", "2", "--eval", "-1/4"], LEAN),
+    (["phi", "--q", "12", "--eval", "2/7"], LEAN),
+    (["phi", "--q", "3", "--min"], ("numpy",)),
+    (["phi", "--q", "4", "--pieces"], ("numpy",)),
 ):
     assert main(argv) == 0
-    assert "numpy" not in sys.modules, argv
+    loaded = [name for name in skipped if name in sys.modules]
+    assert not loaded, (argv, loaded)
+assert "littlewood.sturm" in sys.modules
 import littlewood
 for name in littlewood.__all__:
     getattr(littlewood, name)

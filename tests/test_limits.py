@@ -5,9 +5,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from littlewood.partitions import enumerate_set_partitions, even_block_profiles
 from littlewood.limits import (
+    SHIFTED_DIGITS,
+    SHIFTED_QMAX,
     fekete_limit_direct,
     fekete_limit_recursive,
     fekete_triangle_row,
@@ -18,6 +22,7 @@ from littlewood.limits import (
     phi_min,
     phi_piecewise,
     shifted_fekete_limit,
+    shifted_limit_error,
 )
 from littlewood.piecewise import (
     ZERO,
@@ -28,7 +33,11 @@ from littlewood.piecewise import (
     pw_restrict,
     pw_scale,
 )
-from littlewood.special_numbers import carlitz_numbers, tangent_numbers
+from littlewood.special_numbers import (
+    carlitz_numbers,
+    eulerian_general,
+    tangent_numbers,
+)
 
 FEKETE_LIMITS = [
     Fraction(1),
@@ -218,9 +227,52 @@ def test_monotone_growth():
 # shifted limits
 
 
+def _profile_shifted_limit(q, R):
+    # the former production route: per even block profile, each block
+    # contributes Eulerian values at 2R(N-P) + a - 1 over the a where they can
+    # be nonzero, and the composition sum is a sparse convolution over the
+    # a-exponents, read off at total exponent q
+    R = Fraction(R)
+    tangent = tangent_numbers(q)
+    total = Fraction(0)
+    for prof in even_block_profiles(q):
+        weight = Fraction(prof.count)
+        conv = {0: Fraction(1)}
+        for N, P in prof.entries:
+            weight *= Fraction(tangent[N - 1], math.factorial(2 * N - 1))
+            shift = 2 * R * (N - P)
+            nxt = {}
+            for a in range(math.floor(-shift) + 1, math.ceil(2 * N - shift)):
+                v = eulerian_general(2 * N - 1, shift + a - 1)
+                if v:
+                    for e, c in conv.items():
+                        nxt[e + a] = nxt.get(e + a, Fraction(0)) + c * v
+            conv = nxt
+        total += weight * conv.get(q, Fraction(0))
+    return total
+
+
+ORACLE_RATIOS = [
+    Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2),
+    Fraction(5, 4), Fraction(-3, 10), Fraction(-9, 7), Fraction(13, 6),
+    Fraction(7, 1000003), Fraction(10**40 + 1, 3 * 10**40),
+]
+
+
+def test_shifted_matches_profile_oracle():
+    for q in range(1, 9):
+        for R in ORACLE_RATIOS:
+            assert shifted_fekete_limit(q, R) == _profile_shifted_limit(q, R), (q, R)
+
+
+def test_shifted_matches_profile_oracle_q9_q10():
+    for q, R in ((9, Fraction(1, 4)), (9, Fraction(-2, 5)), (10, Fraction(3, 7))):
+        assert shifted_fekete_limit(q, R) == _profile_shifted_limit(q, R), (q, R)
+
+
 def test_shifted_reduces_to_fekete_at_zero():
-    for q in range(1, 7):
-        assert shifted_fekete_limit(q, 0) == fekete_limit_recursive(q)
+    for q in range(1, SHIFTED_QMAX + 1):
+        assert shifted_fekete_limit(q, 0) == fekete_limit_recursive(q), q
 
 
 def test_shifted_quarter_values():
@@ -236,11 +288,41 @@ def test_shifted_symmetries():
             assert shifted_fekete_limit(q, -R) == v
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(1, 12),
+    R=st.fractions(max_denominator=10**12).filter(lambda r: abs(r) < 100),
+)
+@example(q=12, R=Fraction(1, 4))
+@example(q=7, R=Fraction(-7, 2))
+def test_shifted_symmetries_property(q, R):
+    v = shifted_fekete_limit(q, R)
+    assert shifted_fekete_limit(q, -R) == v
+    assert shifted_fekete_limit(q, R + Fraction(1, 2)) == v
+
+
 def test_shifted_preconditions():
-    with pytest.raises(ValueError):
-        shifted_fekete_limit(9, 0)
-    with pytest.raises(ValueError):
-        shifted_fekete_limit(0, 0)
+    for q in (0, SHIFTED_QMAX + 1):
+        with pytest.raises(ValueError, match="1 <= q <= 16"):
+            shifted_fekete_limit(q, 0)
+    # q * (digits of the denominator) <= SHIFTED_DIGITS
+    for q in (1, 8, SHIFTED_QMAX):
+        digits = SHIFTED_DIGITS // q
+        assert shifted_limit_error(q, Fraction(1, 10**digits - 1)) is None
+        with pytest.raises(ValueError, match=f"exceeds {digits} digits"):
+            shifted_fekete_limit(q, Fraction(-3, 10**digits))
+
+
+def test_shifted_large_denominators():
+    # the largest denominator the rule admits at q = 8: the period and the
+    # reflection reach R through different reductions into [0, 1/2)
+    d = 10 ** (SHIFTED_DIGITS // 8) - 1
+    R = Fraction(d // 3 - 1, d)
+    v = shifted_fekete_limit(8, R)
+    assert shifted_fekete_limit(8, -R) == v
+    assert shifted_fekete_limit(8, R + 3) == v
+    R = Fraction(1, 10**124 + 7)
+    assert shifted_fekete_limit(5, R) == _profile_shifted_limit(5, R)
 
 
 # ---------------------------------------------------------------------------
