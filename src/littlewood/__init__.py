@@ -4,10 +4,11 @@ polynomial algebra over the rationals, set-partition profiles, and exact
 integer norms of the actual polynomials at finite sizes.
 
 The limit recursions and the special numbers are imported with the package.
-Every other name (partition profiles, the piecewise algebra, and the
-numpy-backed Galois polynomials, polynomial construction and exact norms) is
-imported on first access, so the `limits`, `triangle` and `phi --eval`
-commands load neither numpy nor the spline, profile and Sturm modules.
+Every other name (partition profiles, the piecewise algebra, the Galois
+polynomials, polynomial construction and exact norms) is imported on first
+access, so the `limits`, `triangle`, `phi --eval` and `empirical` commands
+skip the spline, profile and Sturm modules.  Nothing here imports numpy; only the
+quadrature oracle `norm_2q_quadrature` loads it, when called.
 """
 from importlib import import_module
 

@@ -225,8 +225,7 @@ def _cmd_phi(args):
 
 
 def _cmd_empirical(args):
-    # the norm engine and the polynomial builders load numpy; only this
-    # command needs them
+    # only this command needs the polynomial builders and the norm engine
     from littlewood import polynomials as poly_mod
     from littlewood.intconv import capacity_error
 

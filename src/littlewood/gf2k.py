@@ -1,17 +1,20 @@
 """Galois polynomials: additive characters of GF(2^k) along the powers of theta.
 
 Field elements are bitmasks over the polynomial basis.  The field for each k
-uses the lexicographically smallest primitive polynomial of degree k, so the
+uses the lexicographically smallest primitive polynomial c of degree k, so the
 construction is deterministic, and theta = x is a primitive element.  The
-coefficients come from one vectorised pass: the elements beta*theta^j fill an
-int64 array by doubling, and the trace, being GF(2)-linear, is the parity of
-a masked popcount.
+trace bits s_j = Tr(beta*theta^j) form an m-sequence: c(theta) = 0 gives
+s_(j+k) = XOR of s_(j+i) over the terms x^i (i < k) of c, and since
+c(x)^(2^t) = c(x^(2^t)) over GF(2), also s_(j+k*2^t) = XOR of s_(j+i*2^t).
+The first k bits come from the trace directly; the rest are filled 2^t at a
+time by shifting and XORing one big integer holding the bits so far.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
+# bit '0' -> 1 and bit '1' -> -1, as signed bytes
+_SIGN = bytes.maketrans(b"01", b"\x01\xff")
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, k: int) -> int:
@@ -90,31 +93,6 @@ def _trace_mask(k: int, poly: int) -> int:
     return mask
 
 
-def _elements(k: int, beta: int, poly: int) -> np.ndarray:
-    """x[j] = beta * theta^j for j < 2^k - 1, filled by doubling.
-
-    The step is x[m:2m] = theta^m * x[:m].  Multiplying by the constant
-    theta^m is GF(2)-linear, so it is the XOR over the bits i of x of
-    theta^m * 2^i: k vector operations per doubling.
-    """
-    order = (1 << k) - 1
-    x = np.empty(order, dtype=np.int64)
-    x[0] = beta
-    bit = np.empty(order // 2 + 1, dtype=np.int64)
-    m, theta_m = 1, 2
-    while m < order:
-        size = min(m, order - m)
-        src, dst, tmp = x[:size], x[m:m + size], bit[:size]
-        dst[:] = 0
-        for i in range(k):
-            np.right_shift(src, i, out=tmp)
-            np.bitwise_and(tmp, 1, out=tmp)
-            np.multiply(tmp, _gf2_mulmod(theta_m, 1 << i, poly, k), out=tmp)
-            np.bitwise_xor(dst, tmp, out=dst)
-        m, theta_m = 2 * m, _gf2_mulmod(theta_m, theta_m, poly, k)
-    return x
-
-
 def galois(k: int, beta: int = 1) -> tuple[int, ...]:
     """Coefficients of the Galois polynomial of length 2^k - 1.
 
@@ -126,5 +104,28 @@ def galois(k: int, beta: int = 1) -> tuple[int, ...]:
     poly = primitive_polynomial(k)
     if not 0 < beta < 1 << k:
         raise ValueError(f"{beta} is not a nonzero field element")
-    parity = np.bitwise_count(_elements(k, beta, poly) & _trace_mask(k, poly)) & 1
-    return tuple((1 - 2 * parity.astype(np.int8)).tolist())
+    n = (1 << k) - 1
+    text = format(_trace_bits(k, beta, poly, n), f"0{n}b")[::-1]
+    return tuple(memoryview(text.encode().translate(_SIGN)).cast("b"))
+
+
+def _trace_bits(k: int, beta: int, poly: int, n: int) -> int:
+    """The integer whose bit j is s_j = Tr(beta * theta^j), for j < n."""
+    mask = _trace_mask(k, poly)
+    bits, e = 0, beta
+    for j in range(k):
+        bits |= (bin(e & mask).count("1") & 1) << j
+        e = _gf2_mulmod(e, 2, poly, k)
+    taps = [i for i in range(k) if poly >> i & 1]
+    known = k
+    while known < n:
+        # bits known..known+d-1 are s_(j+k*d) for the d values of j from
+        # known-k*d; d = 2^t is the largest with k*d <= known
+        d = 1 << ((known // k).bit_length() - 1)
+        window = bits >> (known - k * d)
+        new = 0
+        for i in taps:
+            new ^= window >> (i * d)
+        bits |= (new & ((1 << d) - 1)) << known
+        known += d
+    return bits & ((1 << n) - 1)

@@ -4,16 +4,14 @@ A coefficient vector is a tuple of integers, constant term first.  For a
 real-coefficient polynomial f and even exponent 2q, the 2q-th power of the
 L^2q norm equals the sum of squared coefficients of f^q (orthonormality of
 the monomials), so it is an exact integer.  `littlewood.intconv` computes it
-with number-theoretic transforms, one forward/inverse pair per prime.  A
-trigonometric quadrature with enough sample points serves as an independent
-floating-point oracle.
+by Kronecker substitution with the C `decimal` module.  A trigonometric
+quadrature with enough sample points serves as an independent floating-point
+oracle; it is the one function here that needs numpy, and imports it itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import NamedTuple
 
 from littlewood.gf2k import galois
 from littlewood.intconv import power_square_sum
@@ -28,6 +26,9 @@ from littlewood.limits import (
 # The witnesses up to 37 alone are fooled by 318665857834031151167461.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_980
+# a byte of the square marks (1 for a nonzero square mod p, else 0) -> the
+# Legendre symbol as a signed byte (1 or -1 as 255)
+_LEGENDRE = bytes.maketrans(b"\x00\x01", b"\xff\x01")
 
 
 def is_odd_prime(p: int) -> bool:
@@ -67,9 +68,11 @@ def fekete(p: int) -> tuple[int, ...]:
     if not is_odd_prime(p):
         raise ValueError(f"primality check failed: {p} is not an odd prime")
     squares = bytearray(p)
-    for j in range(1, p):
+    for j in range(1, (p + 1) // 2):  # j and p - j have the same square
         squares[j * j % p] = 1
-    return (0,) + tuple(1 if squares[j] else -1 for j in range(1, p))
+    signs = squares.translate(_LEGENDRE)
+    signs[0] = 0
+    return tuple(memoryview(signs).cast("b"))
 
 
 def shifted_fekete(p: int, r: int) -> tuple[int, ...]:
@@ -79,7 +82,7 @@ def shifted_fekete(p: int, r: int) -> tuple[int, ...]:
     it is kept as 0 to match the definition.
     """
     base = fekete(p)
-    return tuple(base[(j + r) % p] for j in range(p))
+    return base[r % p :] + base[: r % p]
 
 
 def norm_2q_exact(f, q: int) -> int:
@@ -96,6 +99,8 @@ def norm_2q_quadrature(f, q: int) -> float:
     q*deg(f), so averaging over M = 2*q*deg(f) + 1 equally spaced points is
     mathematically exact; accuracy is limited only by double precision.
     """
+    import numpy as np
+
     if q < 1:
         raise ValueError("q must be >= 1")
     coeffs = np.asarray(list(f), dtype=float)
@@ -105,8 +110,7 @@ def norm_2q_quadrature(f, q: int) -> float:
     return float(np.mean(values**q))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     family: str
     q: int
     n: int

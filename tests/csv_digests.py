@@ -1,8 +1,8 @@
 """sha256 digests of the CSV output of the exact commands (`limits`,
-`triangle`, `phi`), each recorded from an earlier version of the program
-whose route it pins.
+`triangle`, `phi`) and of `empirical` runs, each recorded from an earlier
+version of the program whose route it pins.
 
-`tests/test_cli.py` checks the table in-process.  Run as a script,
+`tests/test_cli.py` checks both tables in-process.  Run as a script,
 `PYTHONPATH=src python tests/csv_digests.py` runs every command as
 `python -m littlewood ... --format csv` and compares the bytes, with no
 dependency beyond the standard library; it exits 1 on any mismatch.
@@ -47,9 +47,39 @@ PINNED_CSV_DIGESTS = [
 ]
 
 
+def _sweep(*head: str, primes: tuple[int, ...]) -> tuple[str, ...]:
+    return (*head, *(arg for p in primes for arg in ("--p", str(p))))
+
+
+# the shapes of the benchmark's `norms` jobs, recorded from the numpy NTT
+# engine and the numpy Galois doubling pass, before Kronecker substitution
+# in decimal and the m-sequence recurrence replaced them
+NORM_CSV_DIGESTS = [
+    (("empirical", "--family", "fekete", "--q", "2", "--p", "31601"),
+     "b0d6fe89a7bee01b6ecb3d87b8daff42f7e8d780e3083621bcbe65b3e6159a83"),
+    (("empirical", "--family", "fekete", "--q", "3", "--p", "10709"),
+     "aa3d083778cf116249e1d50e41ee06bbdc466cdf3059bdd4d63a08fedb2c95fc"),
+    (("empirical", "--family", "shifted", "--q", "2", "--p", "9949",
+      "--shift-ratio", "1/4"),
+     "d85adef8b051375180402af56eab491c7a85be23e6fb3eb27910fb27e1f72111"),
+    (("empirical", "--family", "galois", "--q", "2", "--k", "16"),
+     "f303bbdc475deabc0bf1cc2a688f7c039cb4bfc38e9b09056aab645bc9e3d4da"),
+    (("empirical", "--family", "galois", "--q", "1", "--k", "20"),
+     "4b84c90269a352a43f59a916409d7c36e2dae488836dccb08865312a99518d51"),
+    (_sweep("empirical", "--family", "shifted", "--q", "4", "--shift", "2",
+            primes=(107, 233, 383, 541, 673, 853, 1013, 1193)),
+     "6bf00d4458986cb37fe3a1614d36a21070b3f4166a1397e689bbafa526258e08"),
+    (_sweep("empirical", "--family", "fekete", "--q", "2",
+            primes=(3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                    59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109,
+                    113, 127)),
+     "6553256e3094f7f4e23828b2fcf4876b31acf6d4da8ccb6657be319bbd09cee7"),
+]
+
+
 def main() -> int:
     failures = 0
-    for argv, digest in PINNED_CSV_DIGESTS:
+    for argv, digest in PINNED_CSV_DIGESTS + NORM_CSV_DIGESTS:
         proc = subprocess.run(
             [sys.executable, "-m", "littlewood", *argv, "--format", "csv"],
             capture_output=True,

@@ -11,7 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from csv_digests import PINNED_CSV_DIGESTS
+from csv_digests import NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS
 from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
 from littlewood.cli import main
@@ -270,7 +270,7 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
         (("--family", "galois", "--q", "2", "--k", "21"), "capacity"),
         (("--family", "fekete", "--q", "2", "--p", "1048583"), "capacity"),
         (("--family", "shifted", "--q", "3", "--p", "700001", "--shift", "1"), "capacity"),
-        (("--family", "fekete", "--q", "64", "--p", "7"), "NTT primes"),
+        (("--family", "fekete", "--q", "64", "--p", "7"), "coefficient bound"),
         (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "limit"),
         (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16"),
         (("--family", "shifted", "--q", "8", "--p", "3",
@@ -285,6 +285,32 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
         jsonschema.validate(record, SCHEMA)
         assert code == 1, argv
         assert reason in record["error"], argv
+
+
+def test_empirical_refuses_without_c_decimal(capsys, monkeypatch):
+    from littlewood import intconv
+
+    monkeypatch.setattr(intconv, "C_DECIMAL", False)
+    # q = 1 needs no big multiplication
+    code, record = run_json(capsys, "empirical", "--family", "fekete", "--q", "1",
+                            "--p", "5")
+    assert code == 0
+    assert record["results"][0]["exact_norm"] == "4"
+    with pytest.raises(ValueError, match="C decimal module"):
+        poly_mod.norm_2q_exact(poly_mod.fekete(5), 2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused request reached the norm engine")
+
+    monkeypatch.setattr(poly_mod, "convergence_table", never)
+    for argv in (("--family", "fekete", "--q", "2", "--p", "5"),
+                 ("--family", "galois", "--q", "3", "--k", "2"),
+                 ("--family", "shifted", "--q", "2", "--p", "5", "--shift", "1")):
+        code, out = run_cli(capsys, "empirical", *argv)
+        record = json.loads(out)
+        jsonschema.validate(record, SCHEMA)
+        assert code == 1, argv
+        assert "C decimal module" in record["error"], argv
 
 
 def test_empirical_ignores_thread_env_var(capsys, monkeypatch):
@@ -335,13 +361,22 @@ def test_exact_csv_pinned_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest", NORM_CSV_DIGESTS, ids=[" ".join(a[:8]) for a, _ in NORM_CSV_DIGESTS]
+)
+def test_empirical_csv_pinned_digests(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 NUMPY_FREE_SCRIPT = """
 import sys
 import littlewood.cli
 from littlewood.cli import main
 assert "numpy" not in sys.modules, "import littlewood.cli"
-# limits, triangle and phi --eval also skip the spline, profile and Sturm
-# modules and dataclasses
+# limits, triangle, phi --eval and empirical also skip the spline, profile
+# and Sturm modules and dataclasses
 LEAN = ("dataclasses", "littlewood.piecewise", "littlewood.partitions",
         "littlewood.sturm", "numpy")
 for argv, skipped in (
@@ -349,6 +384,14 @@ for argv, skipped in (
     (["triangle", "--family", "galois", "--rows", "4"], LEAN),
     (["phi", "--q", "2", "--eval", "-1/4"], LEAN),
     (["phi", "--q", "12", "--eval", "2/7"], LEAN),
+    (["empirical", "--family", "fekete", "--q", "1", "--p", "101"], LEAN),
+    (["empirical", "--family", "fekete", "--q", "2", "--p", "101"], LEAN),
+    (["empirical", "--family", "shifted", "--q", "1", "--p", "101",
+      "--shift-ratio", "1/4"], LEAN),
+    (["empirical", "--family", "shifted", "--q", "2", "--p", "101",
+      "--shift-ratio", "1/4"], LEAN),
+    (["empirical", "--family", "galois", "--q", "1", "--k", "10"], LEAN),
+    (["empirical", "--family", "galois", "--q", "2", "--k", "10"], LEAN),
     (["phi", "--q", "3", "--min"], ("numpy",)),
     (["phi", "--q", "4", "--pieces"], ("numpy",)),
 ):
@@ -359,7 +402,7 @@ assert "littlewood.sturm" in sys.modules
 import littlewood
 for name in littlewood.__all__:
     getattr(littlewood, name)
-assert "numpy" in sys.modules
+assert "numpy" not in sys.modules
 from littlewood import galois, fekete
 assert galois(3) and fekete(5) == (0, 1, -1, -1, 1)
 """

@@ -11,7 +11,7 @@ from sympy import isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from littlewood.gf2k import galois, primitive_polynomial
+from littlewood.gf2k import _gf2_mulmod, galois, primitive_polynomial
 from littlewood.intconv import _MODULUS, MAX_LEN, capacity_error, power_square_sum
 from littlewood.polynomials import (
     convergence_table,
@@ -79,10 +79,12 @@ def test_fekete_small():
 def test_shifted_fekete():
     assert shifted_fekete(5, 0) == fekete(5)
     assert shifted_fekete(5, 1) == (1, -1, -1, 1, 0)
+    base = fekete(11)
     for r in range(-7, 13):
         coeffs = shifted_fekete(11, r)
-        assert sorted(coeffs) == sorted(fekete(11))  # cyclic shift
+        assert sorted(coeffs) == sorted(base)  # cyclic shift
         assert coeffs.count(0) == 1
+        assert coeffs == tuple(base[(j + r) % 11] for j in range(11))
 
 
 def _times_x(a: int, poly: int) -> int:
@@ -163,6 +165,10 @@ GALOIS_DIGESTS = {
     (16, 3): "dcb45b8d6d2e281474b73079065bb4be42f1d9a3d5d441f352d90e2084e63f65",
     (20, 1): "1994928ed2d52b586c17a20e988089185e369df840bf19022a88281cc2503dee",
     (20, 3): "c124fb6a2a14cffbdae793f70f803be2af3a7c30e9578a9d6b4c4a84856688cc",
+    # recorded from the vectorised doubling pass, before the m-sequence
+    # recurrence replaced it
+    (22, 1): "e3415f7487a538309a04881db9c02fdba3c864713e2a667086de95d7fc24f281",
+    (24, 1): "81c96a117c06d5a2e6182dcb47741e91c20aec8444112ad12c93e92288dca315",
 }
 
 
@@ -170,6 +176,37 @@ def test_galois_pinned_digests():
     for (k, beta), digest in GALOIS_DIGESTS.items():
         coeffs = np.array(galois(k, beta), dtype=np.int8)
         assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest, (k, beta)
+
+
+def _galois_by_trace(k: int, beta: int) -> tuple[int, ...]:
+    """(-1)^Tr(beta * theta^j) with Tr(e) = e + e^2 + ... + e^(2^(k-1)),
+    straight from the definition."""
+    poly = primitive_polynomial(k)
+    out, e = [], beta
+    for _ in range((1 << k) - 1):
+        trace, power = 0, e
+        for _ in range(k):
+            trace ^= power
+            power = _gf2_mulmod(power, power, poly, k)
+        assert trace in (0, 1)
+        out.append(1 - 2 * trace)
+        e = _gf2_mulmod(e, 2, poly, k)
+    return tuple(out)
+
+
+@st.composite
+def _field_element(draw):
+    k = draw(st.integers(2, 10))
+    return k, draw(st.integers(1, (1 << k) - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_element())
+@example((2, 1))
+@example((10, 1023))
+def test_galois_matches_trace_definition(case):
+    k, beta = case
+    assert galois(k, beta) == _galois_by_trace(k, beta)
 
 
 def test_galois_small():
@@ -314,7 +351,7 @@ def test_convolution_large_coefficients():
 def test_power_square_sum_beyond_capacity():
     rng = random.Random(7)
     big = [rng.randrange(-(10**30), 10**30) for _ in range(150)]
-    with pytest.raises(ValueError, match="NTT primes"):
+    with pytest.raises(ValueError, match="coefficient bound"):
         power_square_sum(big, 2)
     with pytest.raises(ValueError, match="capacity"):
         power_square_sum([1] * (MAX_LEN // 2 + 1), 2)
@@ -324,7 +361,7 @@ def test_power_square_sum_beyond_capacity():
     assert capacity_error(1 << 24, 1, 1 << 24, 1) is None
     # for fekete(5) the bound 2 * 4^(q-1) passes the prime product at q = 74
     assert capacity_error(5, 74, 4, 1) is not None
-    with pytest.raises(ValueError, match="NTT primes"):
+    with pytest.raises(ValueError, match="coefficient bound"):
         power_square_sum(fekete(5), 74)
     expected = sum(c * c for c in _kronecker_power_coefficients(fekete(5), 73))
     assert power_square_sum(fekete(5), 73) == expected
