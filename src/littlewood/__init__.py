@@ -1,13 +1,14 @@
 """Exact limiting L^2q norm ratios of Fekete, shifted Fekete, and Galois
-polynomials, with the machinery behind them: exact special numbers, piecewise
-polynomial algebra over the rationals, set-partition profiles, and exact
-integer norms of the actual polynomials at finite sizes.
+polynomials, with the machinery behind them: exact special numbers, exact
+piecewise polynomials with certified minimization, set-partition profiles,
+and exact integer norms of the actual polynomials at finite sizes.
 
 The limit recursions and the special numbers are imported with the package.
-Every other name (partition profiles, the piecewise algebra, the Galois
+Every other name (partition profiles, piecewise polynomials, the Galois
 polynomials, polynomial construction and exact norms) is imported on first
 access, so the `limits`, `triangle`, `phi --eval` and `empirical` commands
-skip the spline, profile and Sturm modules.  Nothing here imports numpy; only the
+skip the piecewise, profile and Sturm modules, and no command loads the
+profile module.  Nothing here imports numpy; only the
 quadrature oracle `norm_2q_quadrature` loads it, when called.
 """
 from importlib import import_module
@@ -52,7 +53,6 @@ __all__ = [
     "enumerate_set_partitions",
     "eulerian_general",
     "eulerian_polynomial",
-    "eulerian_spline",
     "even_block_profiles",
     "even_size_profiles",
     "fekete",
@@ -71,12 +71,7 @@ __all__ = [
     "phi_min",
     "phi_piecewise",
     "primitive_polynomial",
-    "pw_add",
-    "pw_affine",
     "pw_minimize",
-    "pw_mul",
-    "pw_restrict",
-    "pw_scale",
     "shifted_fekete",
     "shifted_fekete_limit",
     "tangent_numbers",
@@ -92,13 +87,7 @@ _LAZY = {
     "galois_size_profiles": "partitions",
     "MinimizeResult": "piecewise",
     "PiecewisePoly": "piecewise",
-    "eulerian_spline": "piecewise",
-    "pw_add": "piecewise",
-    "pw_affine": "piecewise",
     "pw_minimize": "piecewise",
-    "pw_mul": "piecewise",
-    "pw_restrict": "piecewise",
-    "pw_scale": "piecewise",
     "galois": "gf2k",
     "primitive_polynomial": "gf2k",
     "ConvergenceRow": "polynomials",

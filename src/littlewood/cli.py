@@ -185,8 +185,8 @@ def _cmd_phi(args):
         return params, results, (header, rows)
 
     if args.minimize:
-        if not 2 <= q <= 6:
-            raise CommandError("--min supports 2 <= q <= 6")
+        if not 2 <= q <= limits_mod.PHI_PIECES_QMAX:
+            raise CommandError(f"--min supports 2 <= q <= {limits_mod.PHI_PIECES_QMAX}")
         if args.eps <= 0:
             raise CommandError("--eps must be positive")
         res = limits_mod.phi_min(q, args.eps)
@@ -208,8 +208,8 @@ def _cmd_phi(args):
                  "true" if res.alt_flag else "false"]]
         return params, results, (header, rows)
 
-    if q > 6:
-        raise CommandError("--pieces supports q <= 6")
+    if q > limits_mod.PHI_PIECES_QMAX:
+        raise CommandError(f"--pieces supports q <= {limits_mod.PHI_PIECES_QMAX}")
     f = limits_mod.phi_piecewise(q)
     params = {"q": q, "pieces": True, "format": args.format}
     results = []

@@ -4,12 +4,13 @@ Each quantity has one production route.  The Fekete and Galois limits and
 their triangular arrays come from a polynomial recursion.  The shifted limit
 phi_q(R) at a rational shift ratio R comes from the exponential formula over
 even block profiles, run as an integer power-series recurrence.  phi_q on
-[0, 1/2] is also built as an exact piecewise polynomial from Eulerian
-splines, whose minimum is certified with Sturm-based enclosures.  The direct
+[0, 1/2] is also built as an exact piecewise polynomial, by interpolating
+that evaluator on each interval between candidate breakpoints, and its
+minimum is certified with Sturm-based enclosures.  The direct
 partition-profile sums `fekete_limit_direct` and `galois_limit_direct` are
 kept as cross-checks.
 
-The spline, partition-profile and Sturm modules are imported by the
+The piecewise, partition-profile and Sturm modules are imported by the
 functions that use them, so the recursions and `shifted_fekete_limit` run
 without loading them.
 """
@@ -38,6 +39,10 @@ FAMILIES = ("fekete", "galois")
 # Python's 4300-digit limit on int-to-str conversion.
 SHIFTED_QMAX = 16
 SHIFTED_DIGITS = 1000
+
+# Largest order of the symbolic phi constructions, `phi_piecewise` and
+# `phi_min`, and of the `phi --pieces` and `phi --min` commands.
+PHI_PIECES_QMAX = 6
 
 
 class TriangleRow(NamedTuple):
@@ -348,80 +353,40 @@ def shifted_fekete_limit(q: int, R) -> Fraction:
     return Fraction(factorial(q) * total, c**q * d ** (2 * q))
 
 
-def _compositions(ranges: list[list[int]], target: int):
-    """Integer tuples, one from each ascending list, summing to target."""
-    suffix_min = [0] * (len(ranges) + 1)
-    suffix_max = [0] * (len(ranges) + 1)
-    for i in range(len(ranges) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + ranges[i][0]
-        suffix_max[i] = suffix_max[i + 1] + ranges[i][-1]
-    chosen = [0] * len(ranges)
-
-    def rec(i: int, remaining: int):
-        if i == len(ranges):
-            yield tuple(chosen)
-            return
-        for a in ranges[i]:
-            rest = remaining - a
-            if suffix_min[i + 1] <= rest <= suffix_max[i + 1]:
-                chosen[i] = a
-                yield from rec(i + 1, rest)
-
-    yield from rec(0, target)
-
-
-@lru_cache(maxsize=None)
-def _block_spline(N: int, P: int, a: int) -> PiecewisePoly:
-    """R -> E(2N-1, 2(N-P) R + a - 1) on [0, 1/2], zero elsewhere."""
-    from littlewood.piecewise import eulerian_spline, pw_affine, pw_restrict
-
-    alpha, beta = 2 * (N - P), a - 1
-    spline = eulerian_spline(2 * N - 1)
-    if alpha:
-        # only the pieces between beta and beta + alpha/2 reach [0, 1/2]
-        ends = sorted((beta, beta + alpha * HALF))
-        spline = pw_restrict(spline, *ends)
-    return pw_restrict(pw_affine(spline, alpha, beta), 0, HALF)
-
-
 @lru_cache(maxsize=None)
 def phi_piecewise(q: int) -> PiecewisePoly:
     """The shift-ratio limit function of order q on [0, 1/2], exactly.
 
-    Assembled from Eulerian splines: every block of every even block profile
-    contributes the spline of order 2N-1 composed with the affine map
-    R -> 2(N-P) R + (a-1); blocks multiply, compositions and profiles sum.
-    Each block spline is built once per (N, P, a) and cached already
-    restricted to [0, 1/2], so products run over [0, 1/2] only.
-    Composition indices range over the a in [1-N, 3N-1] whose block spline
-    does not vanish there.  Evaluation at any rational in [0, 1/2] equals
-    `shifted_fekete_limit(q, R)`.
+    Every block of every even block profile contributes an Eulerian value at
+    2(N-P) R + a - 1, a polynomial in R of degree 2N-1 between the points
+    where its argument is an integer; so phi_q is a polynomial of degree at
+    most 2q-1 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
+    bounds |D| = |N-P| by min(N, q-N)).  On each interval between candidate
+    breakpoints the piece is interpolated from 2q exact values of
+    `shifted_fekete_limit` at interior rationals and checked against one more;
+    a mismatch raises ArithmeticError.  Equal neighbours then merge, so only
+    true breakpoints remain.
     """
-    from littlewood.partitions import even_block_profiles
-    from littlewood.piecewise import ZERO, pw_add, pw_mul, pw_scale
+    from littlewood.piecewise import PiecewisePoly
+    from littlewood.ratpoly import poly_eval, poly_interpolate
 
-    if not 1 <= q <= 6:
-        raise ValueError("symbolic construction supports 1 <= q <= 6")
-    total = ZERO
-    for prof in even_block_profiles(q):
-        weight = Fraction(prof.count)
-        for N, _ in prof.entries:
-            weight *= Fraction(_tangent(N), factorial(2 * N - 1))
-        ranges = [
-            [a for a in range(1 - N, 3 * N) if _block_spline(N, P, a) != ZERO]
-            for N, P in prof.entries
-        ]
-        profile_sum = ZERO
-        for a_tuple in _compositions(ranges, q):
-            term = None
-            for (N, P), a in zip(prof.entries, a_tuple):
-                g = _block_spline(N, P, a)
-                term = g if term is None else pw_mul(term, g)
-                if term == ZERO:
-                    break
-            profile_sum = pw_add(profile_sum, term)
-        total = pw_add(total, pw_scale(profile_sum, weight))
-    return total
+    if not 1 <= q <= PHI_PIECES_QMAX:
+        raise ValueError(f"symbolic construction supports 1 <= q <= {PHI_PIECES_QMAX}")
+    breaks = sorted({Fraction(0), HALF} | {
+        Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
+    })
+    pieces = []
+    for a, b in zip(breaks, breaks[1:]):
+        # 2q interpolation nodes and the check node last, all interior
+        xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
+        ys = [shifted_fekete_limit(q, x) for x in xs]
+        piece = poly_interpolate(xs[:-1], ys[:-1])
+        if poly_eval(piece, xs[-1]) != ys[-1]:
+            raise ArithmeticError(
+                f"phi_{q} on [{a}, {b}] is not a polynomial of degree below {2 * q}"
+            )
+        pieces.append(piece)
+    return PiecewisePoly(tuple(breaks), tuple(pieces))
 
 
 def phi_min(q: int, eps) -> PhiMinResult:
@@ -433,7 +398,9 @@ def phi_min(q: int, eps) -> PhiMinResult:
     """
     from littlewood.piecewise import pw_minimize
 
-    if not 2 <= q <= 6:
-        raise ValueError("phi_min supports 2 <= q <= 6 (order 1 is constant)")
+    if not 2 <= q <= PHI_PIECES_QMAX:
+        raise ValueError(
+            f"phi_min supports 2 <= q <= {PHI_PIECES_QMAX} (order 1 is constant)"
+        )
     res = pw_minimize(phi_piecewise(q), 0, HALF, eps)
     return PhiMinResult(res.argmin, res.value, bool(res.competitors))

@@ -2,9 +2,10 @@
 
 A set partition of {1..m} is represented as a tuple of blocks, each block a
 tuple of ascending integers, blocks ordered by smallest element.  The raw
-enumerator is an oracle for tests only; production code consumes the profile
-streams, which compress the partition sums to a few dozen multiplicity-
-weighted terms.
+enumerator is an oracle for tests only.  The profile streams compress the
+partition sums to a few dozen multiplicity-weighted terms; they serve the
+direct routes `fekete_limit_direct` and `galois_limit_direct` and the test
+oracles of the shifted limit, and no command loads this module.
 """
 from __future__ import annotations
 

@@ -1,34 +1,23 @@
-"""Exact algebra of univariate piecewise polynomials over the rationals.
+"""Exact univariate piecewise polynomials over the rationals, and their
+certified minimization.
 
 A `PiecewisePoly` holds strictly increasing rational breakpoints b_0 < ... < b_k
 and k coefficient tuples; piece i is valid on [b_{i-1}, b_i) and the value is 0
-outside [b_0, b_k).  Values are canonical on construction: coefficients are
-`Fraction`s, trailing zero coefficients are trimmed, identical adjacent pieces
-are merged, and zero pieces at either end of the support are dropped, so
-equality of two values is decidable field by field.
-
-The `total` flag marks the everywhere-constant variant (the image of an affine
-substitution with zero slope): a single constant piece on the conventional
-support [0, 1) that is understood to extend over the whole line.  The zero
-function is the canonical total constant 0.
+outside [b_0, b_k].  Values are canonical on construction: coefficients are
+`Fraction`s, trailing zero coefficients are trimmed and identical adjacent
+pieces are merged, so equality of two values is decidable field by field.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from littlewood.ratpoly import (
-    poly_add,
-    poly_compose_affine,
     poly_degree,
     poly_derivative,
     poly_eval,
-    poly_mul,
     poly_range,
-    poly_scale,
     poly_trim,
 )
 from littlewood.sturm import isolate_roots
@@ -38,7 +27,6 @@ from littlewood.sturm import isolate_roots
 class PiecewisePoly:
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[tuple[Fraction, ...], ...]
-    total: bool = False
 
     def __post_init__(self):
         bps = tuple(Fraction(b) for b in self.breakpoints)
@@ -49,183 +37,27 @@ class PiecewisePoly:
             raise ValueError("piece count must equal breakpoint count - 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.total:
-            if len(pieces) != 1 or len(pieces[0]) > 1:
-                raise ValueError("a total function must be a single constant piece")
-            bps = (Fraction(0), Fraction(1))
-        else:
-            merged_b = [bps[0]]
-            merged_p: list[tuple[Fraction, ...]] = []
-            for i, p in enumerate(pieces):
-                if merged_p and merged_p[-1] == p:
-                    merged_b[-1] = bps[i + 1]
-                else:
-                    merged_p.append(p)
-                    merged_b.append(bps[i + 1])
-            while merged_p and not merged_p[0]:
-                merged_p.pop(0)
-                merged_b.pop(0)
-            while merged_p and not merged_p[-1]:
-                merged_p.pop()
-                merged_b.pop()
-            if merged_p:
-                bps, pieces = tuple(merged_b), tuple(merged_p)
+        merged_b = [bps[0]]
+        merged_p: list[tuple[Fraction, ...]] = []
+        for i, p in enumerate(pieces):
+            if merged_p and merged_p[-1] == p:
+                merged_b[-1] = bps[i + 1]
             else:
-                bps, pieces = (Fraction(0), Fraction(1)), ((),)
-                object.__setattr__(self, "total", True)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", pieces)
-
-    @property
-    def support(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
+                merged_p.append(p)
+                merged_b.append(bps[i + 1])
+        object.__setattr__(self, "breakpoints", tuple(merged_b))
+        object.__setattr__(self, "pieces", tuple(merged_p))
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
-        if self.total:
-            return poly_eval(self.pieces[0], x)
         bps = self.breakpoints
         if x < bps[0] or x > bps[-1]:
             return Fraction(0)
         if x == bps[-1]:
-            # Right edge takes the limit of the last piece; all splines built
-            # here are continuous, so this agrees with the two-sided limit.
+            # Right edge takes the limit of the last piece; phi_q is
+            # continuous, so this agrees with the two-sided limit there.
             return poly_eval(self.pieces[-1], x)
         return poly_eval(self.pieces[bisect_right(bps, x) - 1], x)
-
-    def __add__(self, other):
-        return pw_add(self, other)
-
-    def __mul__(self, other):
-        return pw_mul(self, other)
-
-
-ZERO = PiecewisePoly((Fraction(0), Fraction(1)), ((),), total=True)
-
-
-def _const(f: PiecewisePoly) -> Fraction:
-    return f.pieces[0][0] if f.pieces[0] else Fraction(0)
-
-
-def _piece_on(f: PiecewisePoly, a: Fraction) -> tuple[Fraction, ...]:
-    """Piece polynomial of f valid on [a, next breakpoint); () outside."""
-    if f.total:
-        return f.pieces[0]
-    bps = f.breakpoints
-    if a < bps[0] or a >= bps[-1]:
-        return ()
-    return f.pieces[bisect_right(bps, a) - 1]
-
-
-@lru_cache(maxsize=None)
-def eulerian_spline(n: int) -> PiecewisePoly:
-    """The order-n Eulerian numbers as a function of a real argument.
-
-    Supported exactly on [-1, n]; on [j-1, j) the piece is the partial
-    alternating-binomial sum sum_{i=0}^{j} (-1)^i C(n+1, i)(x+1-i)^n expanded
-    in x.  Agrees with `special_numbers.eulerian_general` at every rational.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pieces = []
-    acc: tuple = ()
-    for j in range(0, n + 1):
-        shifted = tuple(
-            math.comb(n, m) * (1 - j) ** (n - m) for m in range(n + 1)
-        )
-        acc = poly_add(acc, poly_scale(shifted, (-1) ** j * math.comb(n + 1, j)))
-        pieces.append(acc)
-    return PiecewisePoly(tuple(Fraction(j) for j in range(-1, n + 1)), tuple(pieces))
-
-
-def pw_add(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    """Pointwise sum; the breakpoint set is the merged union."""
-    if f.total and g.total:
-        return PiecewisePoly(
-            (0, 1), (poly_add(f.pieces[0], g.pieces[0]),), total=True
-        )
-    if f.total or g.total:
-        t, other = (f, g) if f.total else (g, f)
-        if _const(t) == 0:
-            return other
-        raise ValueError(
-            "sum of a nonzero constant and a compactly supported function "
-            "is not representable; restrict the operands first"
-        )
-    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
-    pieces = [poly_add(_piece_on(f, a), _piece_on(g, a)) for a in grid[:-1]]
-    return PiecewisePoly(tuple(grid), tuple(pieces))
-
-
-def pw_mul(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    """Pointwise product; constants multiply without truncating support."""
-    if f.total and g.total:
-        return PiecewisePoly(
-            (0, 1), (poly_mul(f.pieces[0], g.pieces[0]),), total=True
-        )
-    if f.total:
-        return pw_scale(g, _const(f))
-    if g.total:
-        return pw_scale(f, _const(g))
-    lo = max(f.breakpoints[0], g.breakpoints[0])
-    hi = min(f.breakpoints[-1], g.breakpoints[-1])
-    if not lo < hi:
-        return ZERO
-    grid = sorted(
-        {b for b in f.breakpoints + g.breakpoints if lo <= b <= hi} | {lo, hi}
-    )
-    pieces = [poly_mul(_piece_on(f, a), _piece_on(g, a)) for a in grid[:-1]]
-    return PiecewisePoly(tuple(grid), tuple(pieces))
-
-
-def pw_scale(f: PiecewisePoly, c) -> PiecewisePoly:
-    """Pointwise scaling by a rational constant."""
-    c = Fraction(c)
-    if c == 0:
-        return ZERO
-    return PiecewisePoly(
-        f.breakpoints, tuple(poly_scale(p, c) for p in f.pieces), total=f.total
-    )
-
-
-def pw_affine(f: PiecewisePoly, alpha, beta) -> PiecewisePoly:
-    """Substitution g(x) = f(alpha*x + beta).
-
-    For alpha = 0 the result is the everywhere-constant f(beta).  For
-    alpha < 0 the breakpoint order reverses; the half-open piece convention
-    flips orientation there, which is harmless for the continuous splines
-    this package constructs.
-    """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if f.total:
-        return f
-    if alpha == 0:
-        return PiecewisePoly((0, 1), ((f.evaluate(beta),),), total=True)
-    if alpha > 0:
-        bps = tuple((b - beta) / alpha for b in f.breakpoints)
-        pieces = tuple(poly_compose_affine(p, alpha, beta) for p in f.pieces)
-    else:
-        bps = tuple((b - beta) / alpha for b in reversed(f.breakpoints))
-        pieces = tuple(
-            poly_compose_affine(p, alpha, beta) for p in reversed(f.pieces)
-        )
-    return PiecewisePoly(bps, pieces)
-
-
-def pw_restrict(f: PiecewisePoly, lo, hi) -> PiecewisePoly:
-    """The function agreeing with f on [lo, hi] and vanishing outside."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError("restriction interval must be nonempty")
-    if f.total:
-        return PiecewisePoly((lo, hi), (f.pieces[0],))
-    a = max(lo, f.breakpoints[0])
-    b = min(hi, f.breakpoints[-1])
-    if not a < b:
-        return ZERO
-    grid = sorted({x for x in f.breakpoints if a <= x <= b} | {a, b})
-    pieces = [_piece_on(f, u) for u in grid[:-1]]
-    return PiecewisePoly(tuple(grid), tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -256,19 +88,16 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
         raise ValueError("eps must be positive")
     if not lo < hi:
         raise ValueError("empty minimization interval")
-    if f.total:
-        segments = [(lo, hi, f.pieces[0])]
-    else:
-        a, b = max(lo, f.breakpoints[0]), min(hi, f.breakpoints[-1])
-        if not a < b:
-            raise ValueError("minimization interval misses the piece domains")
-        lo, hi = a, b
-        segments = []
-        bps = f.breakpoints
-        for i, piece in enumerate(f.pieces):
-            u, v = max(lo, bps[i]), min(hi, bps[i + 1])
-            if u < v:
-                segments.append((u, v, piece))
+    a, b = max(lo, f.breakpoints[0]), min(hi, f.breakpoints[-1])
+    if not a < b:
+        raise ValueError("minimization interval misses the piece domains")
+    lo, hi = a, b
+    segments = []
+    bps = f.breakpoints
+    for i, piece in enumerate(f.pieces):
+        u, v = max(lo, bps[i]), min(hi, bps[i + 1])
+        if u < v:
+            segments.append((u, v, piece))
 
     exact_xs = {lo, hi}
     # candidate records: [x_lo, x_hi, val_lo, val_hi, piece, derivative]

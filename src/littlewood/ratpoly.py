@@ -38,16 +38,6 @@ def poly_neg(a: Sequence) -> Coeffs:
     return tuple(-c for c in a)
 
 
-def poly_sub(a: Sequence, b: Sequence) -> Coeffs:
-    return poly_add(a, poly_neg(b))
-
-
-def poly_scale(a: Sequence, s) -> Coeffs:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
-
-
 def poly_mul(a: Sequence, b: Sequence) -> Coeffs:
     if not a or not b:
         return ()
@@ -71,12 +61,20 @@ def poly_derivative(a: Sequence) -> Coeffs:
     return tuple(i * c for i, c in enumerate(a))[1:]
 
 
-def poly_compose_affine(a: Sequence, alpha, beta) -> Coeffs:
-    """Coefficients of p(alpha*x + beta), by Horner over the linear map."""
+def poly_interpolate(xs: Sequence, ys: Sequence) -> Coeffs:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]).
+
+    Newton divided differences, expanded from the Newton form by Horner; the
+    xs must be distinct.
+    """
+    xs = [Fraction(x) for x in xs]
+    dd = [Fraction(y) for y in ys]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
     acc: Coeffs = ()
-    lin = poly_trim((beta, alpha))
-    for c in reversed(a):
-        acc = poly_add(poly_mul(acc, lin), (c,))
+    for x, c in zip(reversed(xs), reversed(dd)):
+        acc = poly_add(poly_mul(acc, (-x, 1)), (c,))
     return acc
 
 

@@ -14,7 +14,6 @@ from littlewood.ratpoly import (
     poly_derivative,
     poly_eval,
     poly_neg,
-    poly_sub,
     poly_trim,
 )
 

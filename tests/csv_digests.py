@@ -26,6 +26,26 @@ PINNED_CSV_DIGESTS = [
      "0a5bdca371b9ef28a859213e4fe1105323e52db24043f3d91cc850278e2427f5"),
     (("phi", "--q", "6", "--min"),
      "e76ebcfaea513c4e2305aed36e35ae5127f813aaf42a1e95885c64f82de37cd4"),
+    # recorded from the Eulerian-spline route, before interpolation of the
+    # exponential-formula evaluator replaced it
+    (("phi", "--q", "1", "--pieces"),
+     "9793ad05c3688643463038a983416d1a4c0500ba3b894b5fecd17d3775316c05"),
+    (("phi", "--q", "2", "--pieces"),
+     "a1de0a0256c2ff8ec013291d6e89341e36e62c0862690da4e073d20b1fef20d1"),
+    (("phi", "--q", "3", "--pieces"),
+     "f87125aeb453b33eaf286c15c1f5f4e82352ab5317b203fe625e38d09883cbc5"),
+    (("phi", "--q", "4", "--pieces"),
+     "4c71cb4ecd0b21833df44402fe454a4244b1da8a094814316a5060c1b5f8876a"),
+    (("phi", "--q", "5", "--pieces"),
+     "e2ce6386b028d5767794849107170fa4b0266dfb77ce26c6d4b83c27dfdfba8f"),
+    (("phi", "--q", "2", "--min"),
+     "b69ee2a21e495d12c0b5a1bce6fcd171d00d112d37ce9b4ca20ecf2d3321b0e5"),
+    (("phi", "--q", "3", "--min"),
+     "c16ed0b7a412b0f3d8af7295b737b961cb9eae896fb8401f3f2f152143b608d8"),
+    (("phi", "--q", "4", "--min"),
+     "47ffd92b4cf149abdfcdd2cdac8435c3160fd7b1b5b6bf931b0ffa62a6c6befd"),
+    (("phi", "--q", "5", "--min"),
+     "56a35b8639aee350ba38f8d00cfbb0e4e5660bdddf86b688df01052937471b23"),
     # recorded from the even-block-profile sum, before the exponential
     # formula replaced it
     (("phi", "--q", "5", "--eval", "3/7"),

@@ -375,10 +375,11 @@ import sys
 import littlewood.cli
 from littlewood.cli import main
 assert "numpy" not in sys.modules, "import littlewood.cli"
-# limits, triangle, phi --eval and empirical also skip the spline, profile
-# and Sturm modules and dataclasses
+# limits, triangle, phi --eval and empirical also skip the piecewise, profile
+# and Sturm modules and dataclasses; phi --min and --pieces skip the profiles
 LEAN = ("dataclasses", "littlewood.piecewise", "littlewood.partitions",
         "littlewood.sturm", "numpy")
+SYMBOLIC = ("littlewood.partitions", "numpy")
 for argv, skipped in (
     (["limits", "--family", "fekete", "--qmax", "8"], LEAN),
     (["triangle", "--family", "galois", "--rows", "4"], LEAN),
@@ -392,8 +393,8 @@ for argv, skipped in (
       "--shift-ratio", "1/4"], LEAN),
     (["empirical", "--family", "galois", "--q", "1", "--k", "10"], LEAN),
     (["empirical", "--family", "galois", "--q", "2", "--k", "10"], LEAN),
-    (["phi", "--q", "3", "--min"], ("numpy",)),
-    (["phi", "--q", "4", "--pieces"], ("numpy",)),
+    (["phi", "--q", "3", "--min"], SYMBOLIC),
+    (["phi", "--q", "4", "--pieces"], SYMBOLIC),
 ):
     assert main(argv) == 0
     loaded = [name for name in skipped if name in sys.modules]

@@ -2,7 +2,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,15 +23,8 @@ from littlewood.limits import (
     shifted_fekete_limit,
     shifted_limit_error,
 )
-from littlewood.piecewise import (
-    ZERO,
-    eulerian_spline,
-    pw_add,
-    pw_affine,
-    pw_mul,
-    pw_restrict,
-    pw_scale,
-)
+from littlewood import limits
+from littlewood.ratpoly import poly_eval
 from littlewood.special_numbers import (
     carlitz_numbers,
     eulerian_general,
@@ -416,35 +408,36 @@ def test_phi_matches_pointwise_evaluation():
             assert f.evaluate(r) == shifted_fekete_limit(q, r), (q, r)
 
 
-def _phi_piecewise_uncached(q):
-    # the assembly without cached block splines: every block is composed over
-    # the spline's whole support and each product is restricted at the end
-    tangent = tangent_numbers(q)
-    total = ZERO
-    for prof in even_block_profiles(q):
-        weight = Fraction(prof.count)
-        for N, _ in prof.entries:
-            weight *= Fraction(tangent[N - 1], math.factorial(2 * N - 1))
-        ranges = [range(1 - N, 3 * N) for N, _ in prof.entries]
-        for a_tuple in product(*ranges):
-            if sum(a_tuple) != q:
-                continue
-            term = None
-            for (N, P), a in zip(prof.entries, a_tuple):
-                g = pw_affine(eulerian_spline(2 * N - 1), 2 * (N - P), a - 1)
-                term = g if term is None else pw_mul(term, g)
-                if term == ZERO:
-                    break
-            if term == ZERO:
-                continue
-            restricted = pw_restrict(term, 0, Fraction(1, 2))
-            total = pw_add(total, pw_scale(restricted, weight))
-    return total
-
-
-def test_phi_piecewise_matches_uncached_assembly():
+def test_phi_pieces_match_profile_oracle():
+    # 2q points strictly inside each piece determine it (degree <= 2q-1); the
+    # 1009 in their denominators keeps them off the interpolation nodes,
+    # whose denominators have only primes below 2q+3
     for q in range(1, 7):
-        assert phi_piecewise(q) == _phi_piecewise_uncached(q), q
+        f = phi_piecewise(q)
+        for i, piece in enumerate(f.pieces):
+            lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
+            for k in range(1, 2 * q + 1):
+                x = lo + (hi - lo) * (Fraction(2 * k - 1, 4 * q) + Fraction(1, 1009))
+                assert lo < x < hi
+                assert poly_eval(piece, x) == _profile_shifted_limit(q, x), (q, x)
+
+
+def test_phi_piecewise_check_node_fires(monkeypatch):
+    exact = limits.shifted_fekete_limit
+    calls = []
+
+    def perturbed(q, R):
+        # one wrong interpolation value moves the piece off the check node
+        calls.append(R)
+        return exact(q, R) + (len(calls) == 3)
+
+    phi_piecewise.cache_clear()
+    monkeypatch.setattr(limits, "shifted_fekete_limit", perturbed)
+    try:
+        with pytest.raises(ArithmeticError):
+            phi_piecewise(4)
+    finally:
+        phi_piecewise.cache_clear()
 
 
 def test_phi1_constant():

@@ -1,141 +1,32 @@
-"""Tests for the exact piecewise polynomial algebra and minimization."""
-import random
+"""Tests for exact piecewise polynomials and their minimization."""
 from fractions import Fraction
 
 import pytest
 
-from littlewood.piecewise import (
-    ZERO,
-    PiecewisePoly,
-    eulerian_spline,
-    pw_add,
-    pw_affine,
-    pw_minimize,
-    pw_mul,
-    pw_restrict,
-    pw_scale,
-)
-from littlewood.ratpoly import poly_eval
-from littlewood.special_numbers import eulerian_general
+from littlewood.piecewise import PiecewisePoly, pw_minimize
+from littlewood.ratpoly import poly_eval, poly_interpolate
 from littlewood.sturm import count_roots_open, sturm_sequence
 
-
-def _random_rational(rng, lo=-3, hi=9):
-    den = rng.randint(1, 64)
-    num = rng.randint(lo * den, hi * den)
-    return Fraction(num, den)
+# E(1, x) as a function of a real x: the hat x+1 on [-1, 0), 1-x on [0, 1)
+HAT = PiecewisePoly((-1, 0, 1), ((1, 1), (1, -1)))
 
 
-def _sample_values(rng, count=100):
-    return [_random_rational(rng) for _ in range(count)]
-
-
-@pytest.fixture
-def splines():
-    return [eulerian_spline(n) for n in (1, 2, 3, 4)]
-
-
-def test_eulerian_spline_n1():
-    f = eulerian_spline(1)
-    assert f.breakpoints == (-1, 0, 1)
-    assert f.pieces == ((1, 1), (1, -1))  # x+1 on [-1,0), 1-x on [0,1)
-    assert f.evaluate(Fraction(-3, 2)) == 0
-    assert f.evaluate(2) == 0
-
-
-def test_eulerian_spline_matches_pointwise():
-    rng = random.Random(101)
-    for n in range(1, 7):
-        f = eulerian_spline(n)
-        assert f.evaluate(n) == 0
-        for x in _sample_values(rng, 40):
-            assert f.evaluate(x) == eulerian_general(n, x), (n, x)
-    assert eulerian_spline(3).evaluate(1) == 4
-
-
-def test_eulerian_spline_continuity():
-    for n in range(1, 10):
-        f = eulerian_spline(n)
-        for i in range(1, len(f.breakpoints) - 1):
-            b = f.breakpoints[i]
-            left = poly_eval(f.pieces[i - 1], b)
-            right = poly_eval(f.pieces[i], b)
-            assert left == right, (n, b)
-
-
-def test_pw_add_pointwise(splines):
-    rng = random.Random(7)
-    for f in splines:
-        for g in splines:
-            h = pw_add(f, g)
-            for x in _sample_values(rng):
-                assert h.evaluate(x) == f.evaluate(x) + g.evaluate(x)
-
-
-def test_pw_mul_pointwise(splines):
-    rng = random.Random(8)
-    for f in splines:
-        for g in splines:
-            h = pw_mul(f, g)
-            for x in _sample_values(rng):
-                assert h.evaluate(x) == f.evaluate(x) * g.evaluate(x)
-
-
-def test_pw_scale_and_affine_pointwise(splines):
-    rng = random.Random(9)
-    for f in splines:
-        c = _random_rational(rng)
-        h = pw_scale(f, c)
-        for x in _sample_values(rng, 50):
-            assert h.evaluate(x) == c * f.evaluate(x)
-        alpha = _random_rational(rng)
-        beta = _random_rational(rng)
-        g = pw_affine(f, alpha, beta)
-        for x in _sample_values(rng, 50):
-            assert g.evaluate(x) == f.evaluate(alpha * x + beta), (alpha, beta, x)
-
-
-def test_pw_identities(splines):
-    f = splines[2]
-    assert pw_add(f, ZERO) == f
-    assert pw_scale(f, 0) == ZERO
-    assert pw_affine(f, 1, 0) == f
-    one = eulerian_spline(1)
-    assert pw_mul(one, one).evaluate(Fraction(1, 2)) == Fraction(1, 4)
-
-
-def test_pw_affine_special_cases():
-    one = eulerian_spline(1)
-    g = pw_affine(one, 2, -1)  # x -> 2x - 1
-    assert g.evaluate(Fraction(1, 2)) == 1
-    const = pw_affine(one, 0, Fraction(1, 2))
-    assert const.total
-    assert const.evaluate(Fraction(77, 3)) == Fraction(1, 2)
-    # constants multiply without truncating support
-    prod = pw_mul(const, one)
-    assert prod.support == one.support
-    assert prod.evaluate(0) == Fraction(1, 2)
-
-
-def test_pw_restrict():
-    f = eulerian_spline(2)
-    g = pw_restrict(f, 0, 1)
-    assert g.support == (0, 1)
-    assert g.evaluate(Fraction(1, 2)) == f.evaluate(Fraction(1, 2))
-    assert g.evaluate(Fraction(3, 2)) == 0
-    assert pw_restrict(f, 10, 11) == ZERO
-
-
-def test_canonicalization_idempotent(splines):
-    for f in splines:
-        again = PiecewisePoly(f.breakpoints, f.pieces, f.total)
-        assert again == f
-    # adjacent equal pieces merge and zero tails drop
+def test_canonicalization_idempotent():
+    f = PiecewisePoly((0, Fraction(1, 4), Fraction(1, 2)), ((1, 2, 0), (3, -1)))
+    assert f.pieces == ((1, 2), (3, -1))
+    assert PiecewisePoly(f.breakpoints, f.pieces) == f
+    assert PiecewisePoly(HAT.breakpoints, HAT.pieces) == HAT
+    # adjacent equal pieces merge; zero pieces stay
     messy = PiecewisePoly((0, 1, 2, 3, 4), ((), (1, 2), (1, 2), ()))
-    assert messy.breakpoints == (1, 3)
-    assert messy.pieces == ((1, 2),)
-    # an all-zero value collapses to the canonical zero
-    assert PiecewisePoly((5, 9), ((),)) == ZERO
+    assert messy.breakpoints == (0, 1, 3, 4)
+    assert messy.pieces == ((), (1, 2), ())
+
+
+def test_evaluate_edges():
+    assert HAT.evaluate(Fraction(-1, 2)) == Fraction(1, 2)
+    assert HAT.evaluate(0) == 1
+    assert HAT.evaluate(1) == 0
+    assert HAT.evaluate(Fraction(-3, 2)) == HAT.evaluate(2) == 0
 
 
 def test_invalid_construction():
@@ -143,14 +34,15 @@ def test_invalid_construction():
         PiecewisePoly((0, 0), ((1,),))
     with pytest.raises(ValueError):
         PiecewisePoly((0, 1), ((1,), (2,)))
-    with pytest.raises(ValueError):
-        PiecewisePoly((0, 1), ((1, 2),), total=True)
 
 
-def test_pw_add_total_nonzero_rejected():
-    const = pw_affine(eulerian_spline(1), 0, 0)  # constant 1
-    with pytest.raises(ValueError):
-        pw_add(const, eulerian_spline(1))
+def test_poly_interpolate_recovers_polynomial():
+    p = (Fraction(-3, 7), 0, 5, Fraction(1, 2), 0, -2)
+    xs = [Fraction(-2), Fraction(-1, 3), 0, Fraction(1, 5), 1, Fraction(7, 2)]
+    assert poly_interpolate(xs, [poly_eval(p, x) for x in xs]) == p
+    # extra nodes on a lower-degree polynomial give the same coefficients
+    assert poly_interpolate(xs, [poly_eval(p[:3], x) for x in xs]) == p[:3]
+    assert poly_interpolate(xs, [0] * len(xs)) == ()
 
 
 def test_minimize_perfect_square():
@@ -181,8 +73,14 @@ def test_minimize_irrational_critical_point():
 
 
 def test_minimize_bounds_sound():
-    # polynomial with interior minimum and competing shapes across pieces
-    f = pw_mul(eulerian_spline(2), pw_affine(eulerian_spline(2), -1, 1))
+    # E(2, x) E(2, 1-x), with E(2, .) the Eulerian spline (x+1)^2, 1+2x-2x^2,
+    # (x-2)^2 on [-1, 0), [0, 1), [1, 2): an interior minimum and competing
+    # shapes across pieces
+    f = PiecewisePoly((-1, 0, 1, 2), (
+        (1, 4, 6, 4, 1),         # (x+1)^4
+        (1, 4, 0, -8, 4),        # (1+2x-2x^2)^2
+        (16, -32, 24, -8, 1),    # (x-2)^4
+    ))
     lo, hi = Fraction(0), Fraction(1)
     eps = Fraction(1, 1 << 12)
     res = pw_minimize(f, lo, hi, eps)
@@ -199,8 +97,7 @@ def test_minimize_bounds_sound():
 
 
 def test_minimize_empty_domain_errors():
-    f = eulerian_spline(1)
     with pytest.raises(ValueError):
-        pw_minimize(f, 5, 6, Fraction(1, 16))
+        pw_minimize(HAT, 5, 6, Fraction(1, 16))
     with pytest.raises(ValueError):
-        pw_minimize(f, 0, 1, Fraction(0))
+        pw_minimize(HAT, 0, 1, Fraction(0))
