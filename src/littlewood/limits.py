@@ -1,14 +1,15 @@
 """Limiting L^2q norm ratios for Fekete, shifted Fekete, and Galois polynomials.
 
 Each quantity has one production route.  The Fekete and Galois limits and
-their triangular arrays come from a polynomial recursion.  The shifted limit
-phi_q(R) at a rational shift ratio R comes from the exponential formula over
-even block profiles, run as an integer power-series recurrence.  phi_q on
-[0, 1/2] is also built as an exact piecewise polynomial, by interpolating
-that evaluator on each interval between candidate breakpoints, and its
-minimum is certified with Sturm-based enclosures.  The direct
-partition-profile sums `fekete_limit_direct` and `galois_limit_direct` are
-kept as cross-checks.
+their triangular arrays come from a polynomial recursion, run in y = x + 1/x
+on the palindromic polynomials x^k pi_k(y) at half the degree.  The shifted
+limit phi_q(R) at a rational shift ratio R comes from the exponential formula
+over even block profiles, run as an integer power-series recurrence.  phi_q
+on [0, 1/2] is also built as an exact piecewise polynomial, by interpolating
+that evaluator between candidate breakpoints in [0, 1/4] and mirroring by
+phi_q(R) = phi_q(1/2 - R), and its minimum is certified with Sturm-based
+enclosures.  The direct partition-profile sums `fekete_limit_direct` and
+`galois_limit_direct` are kept as cross-checks.
 
 The piecewise, partition-profile and Sturm modules are imported by the
 functions that use them, so the recursions and `shifted_fekete_limit` run
@@ -63,96 +64,94 @@ class PhiMinResult(NamedTuple):
     alt_flag: bool
 
 
-def _scaled_weight(k: int, j: int) -> int:
-    # (2k-1)! / ((2j-1)! (2k-2j-1)!), an exact integer (multinomial); the
-    # denominator's second factorial is 0! in the j = k term.
-    num = factorial(2 * k - 1)
-    den = factorial(2 * j - 1) * factorial(max(2 * (k - j) - 1, 0))
-    if num % den:
-        raise ArithmeticError(f"triangle scaling (k={k}, j={j}) is not integral")
-    return num // den
+def _y_form(half) -> tuple[int, ...]:
+    """pi with sum_i pi_i (x + 1/x)^i = half[0] + sum_m half[m] (x^m + x^-m).
 
-
-def _palindromic_sum(k: int, terms) -> tuple[int, ...]:
-    """Sum of scale * A_j(x) * prev(x) over terms (scale, j, prev).
-
-    Every product is palindromic of degree 2k-1 with zero constant term
-    (c_m = c_{2k-m}), so only coefficients 0..k are computed; the rest are
-    mirrored.
+    As (x + 1/x)^i = sum_t C(i, t) x^(i-2t), half[m] = sum_t pi_(m+2t) C(m+2t, t)
+    (`_x_form`); this solves for pi from the top degree down.
     """
-    half = [0] * (k + 1)
-    for scale, j, prev in terms:
-        a = eulerian_polynomial(j)
-        for i in range(1, min(len(a), k + 1)):
-            s = scale * a[i]
-            for m, b in enumerate(prev[: k + 1 - i], start=i):
-                half[m] += s * b
-    return tuple(half) + tuple(half[k - 1:0:-1])
+    pi = list(half)
+    for i in range(len(pi) - 3, -1, -1):
+        pi[i] -= sum(pi[m] * comb(m, (m - i) // 2) for m in range(i + 2, len(pi), 2))
+    return tuple(pi)
+
+
+def _x_form(pi) -> tuple[int, ...]:
+    return tuple(
+        sum(pi[m] * comb(m, (m - i) // 2) for m in range(i, len(pi), 2))
+        for i in range(len(pi))
+    )
 
 
 @lru_cache(maxsize=None)
-def _fekete_int_poly(k: int) -> tuple[int, ...]:
-    # (2k-1)! times the recursion polynomial, so coefficients stay integers:
-    # F_0 = 1;  F_{2k}(x) = sum_j C(2k-1, 2j-1) T(j)/(2j-1)! A_j(x) F_{2k-2j}(x)
-    if k == 0:
-        return (1,)
-    return _palindromic_sum(k, (
-        (comb(2 * k - 1, 2 * j - 1) * _tangent(j) * _scaled_weight(k, j), j,
-         _fekete_int_poly(k - j))
-        for j in range(1, k + 1)
-    ))
+def _eulerian_y(j: int) -> tuple[int, ...]:
+    # A_j(x) = x^j alpha_j(x + 1/x) with deg alpha_j = j - 1
+    return _y_form(eulerian_polynomial(j)[j:])
 
 
 @lru_cache(maxsize=None)
-def _galois_int_poly(k: int) -> tuple[int, ...]:
-    # G_0 = 1;  G_k(x) = sum_j C(k,j) C(k-1,j-1) C(j)/(2j-1)! A_j(x) G_{k-j}(x)
+def _recursion_y(family: str, k: int) -> tuple[int, ...]:
+    """pi_k, where (2k-1)! times the recursion polynomial is x^k pi_k(x + 1/x).
+
+    F_0 = G_0 = 1;  F_2k = sum_j C(2k-1, 2j-1) T(j)/(2j-1)! A_j F_(2k-2j)  and
+    G_k = sum_j C(k, j) C(k-1, j-1) C(j)/(2j-1)! A_j G_(k-j).  Scaled by (2k-1)!,
+    the weight of A_j times (2k-2j-1)! F_(2k-2j) gains the integer factor
+    (2k-1)!/((2j-1)! (2k-2j-1)!) = C(2k-1, 2j-1) max(2k-2j, 1), and in
+    y = x + 1/x each term is alpha_j pi_(k-j): degree k-1 instead of 2k-1.
+    """
     if k == 0:
         return (1,)
-    return _palindromic_sum(k, (
-        (comb(k, j) * comb(k - 1, j - 1) * _carlitz(j) * _scaled_weight(k, j), j,
-         _galois_int_poly(k - j))
-        for j in range(1, k + 1)
-    ))
+    acc = [0] * k
+    for j in range(1, k + 1):
+        s = comb(2 * k - 1, 2 * j - 1) * max(2 * (k - j), 1)
+        if family == "fekete":
+            s *= comb(2 * k - 1, 2 * j - 1) * _tangent(j)
+        else:
+            s *= comb(k, j) * comb(k - 1, j - 1) * _carlitz(j)
+        a, p = sorted((_eulerian_y(j), _recursion_y(family, k - j)), key=len)
+        for i, av in enumerate(a):
+            acc[i:i + len(p)] = map(add, acc[i:i + len(p)], map(mul, repeat(s * av), p))
+    return tuple(acc)
 
 
 def _coefficient(poly: tuple, m: int) -> Fraction:
     return Fraction(poly[m]) if 0 <= m < len(poly) else Fraction(0)
 
 
-def fekete_limit_recursive(q: int) -> Fraction:
-    """Limit of the normalized 2q-th power norm of Fekete polynomials, F(q, q)."""
+def _limit(family: str, q: int) -> Fraction:
     if q < 1:
         raise ValueError("q must be >= 1")
-    return _coefficient(_fekete_int_poly(q), q) / factorial(2 * q - 1)
+    # F(q, q) and G(q, q) are the x^0 term of pi_q(x + 1/x) over (2q-1)!
+    pi = _recursion_y(family, q)
+    centre = sum(pi[m] * comb(m, m // 2) for m in range(0, q, 2))
+    return Fraction(centre, factorial(2 * q - 1))
+
+
+def fekete_limit_recursive(q: int) -> Fraction:
+    """Limit of the normalized 2q-th power norm of Fekete polynomials, F(q, q)."""
+    return _limit("fekete", q)
 
 
 def galois_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Galois polynomials, G(q, q)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return _coefficient(_galois_int_poly(q), q) / factorial(2 * q - 1)
+    return _limit("galois", q)
 
 
-def _triangle_row(k: int, poly: tuple) -> TriangleRow:
-    values = []
-    for m in range(1, 2 * k):
-        v = poly[m] if m < len(poly) else 0
-        values.append(int(v))
-    return TriangleRow(k, tuple(values))
+def _triangle_row(family: str, k: int) -> TriangleRow:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    half = _x_form(_recursion_y(family, k))
+    return TriangleRow(k, half[:0:-1] + half)
 
 
 def fekete_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! F(k, m) for m = 1..2k-1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _triangle_row(k, _fekete_int_poly(k))
+    return _triangle_row("fekete", k)
 
 
 def galois_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! G(k, m) for m = 1..2k-1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _triangle_row(k, _galois_int_poly(k))
+    return _triangle_row("galois", k)
 
 
 def limit_table(family: str, qmax: int) -> LimitTable:
@@ -361,32 +360,33 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     2(N-P) R + a - 1, a polynomial in R of degree 2N-1 between the points
     where its argument is an integer; so phi_q is a polynomial of degree at
     most 2q-1 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
-    bounds |D| = |N-P| by min(N, q-N)).  On each interval between candidate
-    breakpoints the piece is interpolated from 2q exact values of
-    `shifted_fekete_limit` at interior rationals and checked against one more;
-    a mismatch raises ArithmeticError.  Equal neighbours then merge, so only
-    true breakpoints remain.
+    bounds |D| = |N-P| by min(N, q-N)).  These and 1/4 are mirrored by
+    R -> 1/2 - R, under which phi_q is invariant.  On each interval [a, b]
+    between candidates in [0, 1/4], 2q exact values of `shifted_fekete_limit`
+    at interior rationals x give the piece there and, at the nodes 1/2 - x,
+    the piece on [1/2 - b, 1/2 - a]; both are checked against one more value,
+    and a mismatch raises ArithmeticError.  Equal neighbours then merge, so
+    only true breakpoints remain.
     """
     from littlewood.piecewise import PiecewisePoly
     from littlewood.ratpoly import poly_eval, poly_interpolate
 
     if not 1 <= q <= PHI_PIECES_QMAX:
         raise ValueError(f"symbolic construction supports 1 <= q <= {PHI_PIECES_QMAX}")
-    breaks = sorted({Fraction(0), HALF} | {
+    breaks = sorted({Fraction(0), HALF / 2, HALF} | {
         Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
     })
-    pieces = []
-    for a, b in zip(breaks, breaks[1:]):
+    left, right = [], []
+    for a, b in zip(breaks, breaks[1:breaks.index(HALF / 2) + 1]):
         # 2q interpolation nodes and the check node last, all interior
         xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
         ys = [shifted_fekete_limit(q, x) for x in xs]
-        piece = poly_interpolate(xs[:-1], ys[:-1])
-        if poly_eval(piece, xs[-1]) != ys[-1]:
-            raise ArithmeticError(
-                f"phi_{q} on [{a}, {b}] is not a polynomial of degree below {2 * q}"
-            )
-        pieces.append(piece)
-    return PiecewisePoly(tuple(breaks), tuple(pieces))
+        for nodes, out in ((xs, left), ([HALF - x for x in xs], right)):
+            piece = poly_interpolate(nodes[:-1], ys[:-1])
+            if poly_eval(piece, nodes[-1]) != ys[-1]:
+                raise ArithmeticError(f"phi_{q} near {nodes[-1]} is not of degree < {2 * q}")
+            out.append(piece)
+    return PiecewisePoly(tuple(breaks), tuple(left + right[::-1]))
 
 
 def phi_min(q: int, eps) -> PhiMinResult:

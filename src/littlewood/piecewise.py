@@ -10,8 +10,8 @@ pieces are merged, so equality of two values is decidable field by field.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from littlewood.ratpoly import (
     poly_degree,
@@ -23,16 +23,19 @@ from littlewood.ratpoly import (
 from littlewood.sturm import isolate_roots
 
 
-@dataclass(frozen=True)
-class PiecewisePoly:
+class _Pieces(NamedTuple):
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        pieces = tuple(
-            poly_trim(tuple(Fraction(c) for c in p)) for p in self.pieces
-        )
+
+class PiecewisePoly(_Pieces):
+    # a NamedTuple class may not override __new__, so the canonical form is
+    # built in this subclass
+    __slots__ = ()
+
+    def __new__(cls, breakpoints, pieces):
+        bps = tuple(Fraction(b) for b in breakpoints)
+        pieces = tuple(poly_trim(tuple(Fraction(c) for c in p)) for p in pieces)
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise ValueError("piece count must equal breakpoint count - 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
@@ -45,8 +48,7 @@ class PiecewisePoly:
             else:
                 merged_p.append(p)
                 merged_b.append(bps[i + 1])
-        object.__setattr__(self, "breakpoints", tuple(merged_b))
-        object.__setattr__(self, "pieces", tuple(merged_p))
+        return super().__new__(cls, tuple(merged_b), tuple(merged_p))
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
@@ -60,8 +62,7 @@ class PiecewisePoly:
         return poly_eval(self.pieces[bisect_right(bps, x) - 1], x)
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Result of `pw_minimize`.
 
     `argmin` encloses one global minimizer (degenerate when found exactly);

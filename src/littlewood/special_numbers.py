@@ -96,24 +96,36 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     return _eulerian_general(n, Fraction(x))
 
 
+# The newest row E(n, 0..n-1) of the Eulerian triangle built so far (n = its
+# length).  The limit recursions ask for rows in increasing order, so each
+# row is built once.  Only the newest is kept: the odd rows up to n = 999
+# together hold about 165 MB.  It saves work only; any row is a correct start,
+# so an update lost between threads costs time, never a wrong value.
+_eulerian_row: list[tuple[int, ...]] = [(1,)]
+
+
 @lru_cache(maxsize=None)
 def eulerian_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients (constant term first) of A_N(x) = sum_a E(2N-1, a-1) x^a.
 
     A_N has degree 2N-1, zero constant term, and nonnegative integer
-    coefficients given by row 2N-1 of the Eulerian-number triangle, built
-    from row 1 by the integer recurrence.
+    coefficients given by row 2N-1 of the Eulerian-number triangle.  The
+    rows come from the integer recurrence, in a loop that extends the newest
+    row built so far (from row 1 only when an earlier row is asked for).
 
     >>> eulerian_polynomial(2)
     (0, 1, 4, 1)
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    row: tuple[int, ...] = (1,)  # E(1, 0)
-    for n in range(2, 2 * N):
+    row = _eulerian_row[0]
+    if len(row) >= 2 * N:
+        row = (1,)  # E(1, 0)
+    for n in range(len(row) + 1, 2 * N):
         # E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), zero outside 0..n-2
         prev = (0,) + row + (0,)
         row = tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n))
+    _eulerian_row[0] = max(row, _eulerian_row[0], key=len)
     return (0,) + row
 
 

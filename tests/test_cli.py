@@ -377,9 +377,10 @@ from littlewood.cli import main
 assert "numpy" not in sys.modules, "import littlewood.cli"
 # limits, triangle, phi --eval and empirical also skip the piecewise, profile
 # and Sturm modules and dataclasses; phi --min and --pieces skip the profiles
+# and dataclasses
 LEAN = ("dataclasses", "littlewood.piecewise", "littlewood.partitions",
         "littlewood.sturm", "numpy")
-SYMBOLIC = ("littlewood.partitions", "numpy")
+SYMBOLIC = ("dataclasses", "littlewood.partitions", "numpy")
 for argv, skipped in (
     (["limits", "--family", "fekete", "--qmax", "8"], LEAN),
     (["triangle", "--family", "galois", "--rows", "4"], LEAN),

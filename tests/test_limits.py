@@ -28,6 +28,7 @@ from littlewood.ratpoly import poly_eval
 from littlewood.special_numbers import (
     carlitz_numbers,
     eulerian_general,
+    eulerian_polynomial,
     tangent_numbers,
 )
 
@@ -107,6 +108,38 @@ def test_triangle_invariants():
         fact = math.factorial(2 * k - 1)
         assert Fraction(fr[k - 1], fact) == fekete_limit_recursive(k)
         assert Fraction(gr[k - 1], fact) == galois_limit_recursive(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=30))
+@example([0])
+@example([5, -2, 0, 7])
+def test_y_form_round_trip(half):
+    # a palindromic x-coefficient vector, written in y = x + 1/x and back
+    full = half[:0:-1] + half
+    centre = full[len(full) // 2:]
+    pi = limits._y_form(centre)
+    assert len(pi) == len(centre)
+    assert limits._x_form(pi) == tuple(centre)
+    # sum_i pi_i (x + 1/x)^i at x = 2, times 2^d, against the x-form at x = 2
+    d = len(half) - 1
+    lhs = sum(c * 5**i * 2 ** (d - i) for i, c in enumerate(pi))
+    rhs = sum(c * 2**m for m, c in enumerate(full))
+    assert lhs == rhs
+
+
+def test_eulerian_y_form_expands_back():
+    for j in range(1, 49):
+        alpha = limits._eulerian_y(j)
+        assert len(alpha) == j
+        assert limits._x_form(alpha) == eulerian_polynomial(j)[j:], j
+
+
+def test_triangle_rows_palindromic():
+    for k in range(1, 17):
+        for row in (fekete_triangle_row(k), galois_triangle_row(k)):
+            assert row.k == k and len(row.values) == 2 * k - 1
+            assert row.values == row.values[::-1], k
 
 
 def test_direct_equals_recursive():
@@ -438,6 +471,49 @@ def test_phi_piecewise_check_node_fires(monkeypatch):
             phi_piecewise(4)
     finally:
         phi_piecewise.cache_clear()
+
+
+def _candidate_intervals_below_quarter(q):
+    breaks = sorted({Fraction(0), Fraction(1, 4)} | {
+        Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
+    })
+    return len([b for b in breaks if 0 < b <= Fraction(1, 4)])
+
+
+def test_phi_piecewise_evaluates_only_below_quarter(monkeypatch):
+    exact = limits.shifted_fekete_limit
+    calls = []
+
+    def counted(q, R):
+        assert 0 < R < Fraction(1, 4)
+        calls.append(R)
+        return exact(q, R)
+
+    monkeypatch.setattr(limits, "shifted_fekete_limit", counted)
+    try:
+        for q in range(1, 7):
+            phi_piecewise.cache_clear()
+            calls.clear()
+            phi_piecewise(q)
+            assert len(calls) == _candidate_intervals_below_quarter(q) * (2 * q + 1), q
+        assert len(calls) == 26
+    finally:
+        phi_piecewise.cache_clear()
+
+
+def test_phi_pieces_mirror():
+    # phi_q(R) = phi_q(1/2 - R): the piece on [1/2 - b, 1/2 - a] is the one on
+    # [a, b] at R -> 1/2 - R; 2q+1 points determine a polynomial of degree <= 2q
+    half = Fraction(1, 2)
+    for q in range(1, 7):
+        f = phi_piecewise(q)
+        bps, n = f.breakpoints, len(f.pieces)
+        assert all(x + y == half for x, y in zip(bps, bps[::-1])), q
+        for i, piece in enumerate(f.pieces):
+            lo, hi = bps[i], bps[i + 1]
+            for k in range(1, 2 * q + 2):
+                x = lo + (hi - lo) * Fraction(k, 2 * q + 3)
+                assert poly_eval(piece, x) == poly_eval(f.pieces[n - 1 - i], half - x), (q, x)
 
 
 def test_phi1_constant():

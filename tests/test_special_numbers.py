@@ -167,6 +167,15 @@ def test_eulerian_polynomial_large_row():
     assert coeffs[1:3] == (1, 2**999 - 1000)
 
 
+def test_eulerian_polynomial_any_order():
+    # rows are extended from the newest one built, and rebuilt from row 1 when
+    # an earlier row is asked for; the uncached function sees both cases
+    build = eulerian_polynomial.__wrapped__
+    for N in (9, 3, 12, 1, 12, 2, 5):
+        coeffs = build(N)
+        assert coeffs[1:] == tuple(eulerian_general(2 * N - 1, a - 1) for a in range(1, 2 * N))
+
+
 # ---------------------------------------------------------------------------
 # composition counts
 
