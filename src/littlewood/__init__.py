@@ -7,7 +7,7 @@ The limit recursions and the special numbers are imported with the package.
 Every other name (partition profiles, piecewise polynomials, the Galois
 polynomials, polynomial construction and exact norms) is imported on first
 access, so the `limits`, `triangle`, `phi --eval` and `empirical` commands
-skip the piecewise, profile and Sturm modules, and no command loads the
+skip the piecewise, profile and root modules, and no command loads the
 profile module.  Nothing here imports numpy; only the
 quadrature oracle `norm_2q_quadrature` loads it, when called.
 """

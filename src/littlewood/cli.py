@@ -49,6 +49,9 @@ def _positive_int(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
+    # Fraction expands an exponent in full, before any cost rule can refuse it
+    if "e" in text.lower():
+        raise ValueError("exponent notation")
     try:
         return Fraction(text)
     except ZeroDivisionError:

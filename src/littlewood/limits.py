@@ -7,11 +7,11 @@ limit phi_q(R) at a rational shift ratio R comes from the exponential formula
 over even block profiles, run as an integer power-series recurrence.  phi_q
 on [0, 1/2] is also built as an exact piecewise polynomial, by interpolating
 that evaluator between candidate breakpoints in [0, 1/4] and mirroring by
-phi_q(R) = phi_q(1/2 - R), and its minimum is certified with Sturm-based
-enclosures.  The direct partition-profile sums `fekete_limit_direct` and
-`galois_limit_direct` are kept as cross-checks.
+phi_q(R) = phi_q(1/2 - R), and its minimum is certified with enclosures
+from Descartes root isolation.  The direct partition-profile sums
+`fekete_limit_direct` and `galois_limit_direct` are kept as cross-checks.
 
-The piecewise, partition-profile and Sturm modules are imported by the
+The piecewise, partition-profile and root modules are imported by the
 functions that use them, so the recursions and `shifted_fekete_limit` run
 without loading them.
 """

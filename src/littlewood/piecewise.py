@@ -13,14 +13,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from littlewood.ratpoly import (
-    poly_degree,
-    poly_derivative,
-    poly_eval,
-    poly_range,
-    poly_trim,
-)
-from littlewood.sturm import isolate_roots
+from littlewood.ratpoly import poly_derivative, poly_eval, poly_range, poly_trim
+from littlewood.sturm import isolate_roots, refine
 
 
 class _Pieces(NamedTuple):
@@ -79,40 +73,42 @@ class MinimizeResult(NamedTuple):
 def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
     """Minimize f over [lo, hi] with exact certificates.
 
-    Per piece, the real roots of the derivative are isolated with Sturm
-    sequences and refined by bisection to width <= eps; candidate values are
-    compared using exact evaluation at rational points plus interval bounds,
-    with extra refinement until candidates separate or a width floor is hit.
+    Per piece, the real roots of the derivative are isolated by Descartes
+    bisection and refined by sign bisection to width <= eps; candidate values
+    are compared using exact evaluation at rational points plus interval
+    bounds, with extra refinement until candidates separate or a width floor
+    is hit.
+
+    >>> cubic = PiecewisePoly((0, 2), ((0, -2, 0, 1),))   # x^3 - 2x
+    >>> pw_minimize(cubic, 0, 2, Fraction(1, 8)).argmin   # holds sqrt(2/3)
+    (Fraction(3, 4), Fraction(7, 8))
+    >>> square = PiecewisePoly((0, 1), ((1, -8, 16),))    # (4x - 1)^2
+    >>> pw_minimize(square, 0, 1, Fraction(1, 8))[:2]
+    ((Fraction(1, 4), Fraction(1, 4)), (Fraction(0, 1), Fraction(0, 1)))
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not lo < hi:
         raise ValueError("empty minimization interval")
-    a, b = max(lo, f.breakpoints[0]), min(hi, f.breakpoints[-1])
-    if not a < b:
-        raise ValueError("minimization interval misses the piece domains")
-    lo, hi = a, b
-    segments = []
     bps = f.breakpoints
-    for i, piece in enumerate(f.pieces):
-        u, v = max(lo, bps[i]), min(hi, bps[i + 1])
-        if u < v:
-            segments.append((u, v, piece))
+    lo, hi = max(lo, bps[0]), min(hi, bps[-1])
+    if not lo < hi:
+        raise ValueError("minimization interval misses the piece domains")
 
-    exact_xs = {lo, hi}
+    exact_xs = set()
     # candidate records: [x_lo, x_hi, val_lo, val_hi, piece, derivative]
     cands: list[list] = []
-    for u, v, piece in segments:
-        exact_xs.update((u, v))
-        deriv = poly_trim(poly_derivative(piece))
-        if poly_degree(deriv) < 0:
+    for i, piece in enumerate(f.pieces):
+        u, v = max(lo, bps[i]), min(hi, bps[i + 1])
+        if u >= v:
             continue
+        exact_xs.update((u, v))
+        deriv = poly_derivative(piece)
         roots, intervals = isolate_roots(deriv, u, v, eps)
         exact_xs.update(roots)
         for a, b in intervals:
-            vlo, vhi = _segment_bounds(piece, a, b)
-            cands.append([a, b, vlo, vhi, piece, deriv])
+            cands.append([a, b, *_segment_bounds(piece, a, b), piece, deriv])
     for x in sorted(exact_xs):
         val = f.evaluate(x)
         cands.append([x, x, val, val, None, None])
@@ -121,28 +117,17 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
     while True:
         best_upper = min(c[3] for c in cands)
         overlapping = [c for c in cands if c[2] <= best_upper]
-        if len(overlapping) <= 1:
+        movable = [c for c in overlapping if c[1] - c[0] > width_floor]
+        if len(overlapping) <= 1 or not movable:
             break
-        progressed = False
-        for c in overlapping:
-            if c[4] is None or c[1] - c[0] <= width_floor:
-                continue
-            mid = (c[0] + c[1]) / 2
-            dm = poly_eval(c[5], mid)
-            if dm == 0:
-                val = poly_eval(c[4], mid)
-                c[0] = c[1] = mid
-                c[2] = c[3] = val
-                c[4] = c[5] = None
+        for c in movable:
+            root = refine(c[5], c[0], c[1], (c[1] - c[0]) / 2)
+            if isinstance(root, Fraction):
+                val = poly_eval(c[4], root)
+                c[:] = [root, root, val, val, None, None]
             else:
-                if (poly_eval(c[5], c[0]) > 0) != (dm > 0):
-                    c[1] = mid
-                else:
-                    c[0] = mid
-                c[2], c[3] = _segment_bounds(c[4], c[0], c[1])
-            progressed = True
-        if not progressed:
-            break
+                c[:2] = root
+                c[2], c[3] = _segment_bounds(c[4], *root)
 
     best = min(cands, key=lambda c: (c[3], c[0]))
     overlapping = [c for c in cands if c[2] <= best[3]]

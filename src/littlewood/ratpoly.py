@@ -20,11 +20,6 @@ def poly_trim(c: Sequence) -> Coeffs:
     return tuple(c[:n])
 
 
-def poly_degree(c: Sequence) -> int:
-    """Degree of a trimmed polynomial; the zero polynomial has degree -1."""
-    return len(c) - 1
-
-
 def poly_add(a: Sequence, b: Sequence) -> Coeffs:
     if len(a) < len(b):
         a, b = b, a
@@ -32,10 +27,6 @@ def poly_add(a: Sequence, b: Sequence) -> Coeffs:
     for i, cb in enumerate(b):
         out[i] += cb
     return poly_trim(out)
-
-
-def poly_neg(a: Sequence) -> Coeffs:
-    return tuple(-c for c in a)
 
 
 def poly_mul(a: Sequence, b: Sequence) -> Coeffs:

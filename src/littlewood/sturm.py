@@ -1,21 +1,17 @@
-"""Sturm sequences and exact real-root isolation for rational polynomials.
+"""Exact real-root isolation for rational polynomials by Descartes bisection.
 
-Polynomials use the dense tuple representation from `ratpoly`.  Remainder
-sequences are reduced to primitive integer form at every step (positive
-scaling only, so signs are preserved) to keep coefficients small.
+Polynomials use the dense tuple representation from `ratpoly`.  Roots are
+isolated by Descartes' rule of signs under bisection (Collins & Akritas,
+1976), in integer arithmetic, and then refined by sign bisection.  The module
+kept its name from the Sturm chains it used to build, because the benchmark
+tracer probes `littlewood.sturm.isolate_roots`.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from littlewood.ratpoly import (
-    poly_degree,
-    poly_derivative,
-    poly_eval,
-    poly_neg,
-    poly_trim,
-)
+from littlewood.ratpoly import poly_derivative, poly_eval, poly_trim
 
 
 def _primitive(p) -> tuple[int, ...]:
@@ -30,140 +26,93 @@ def _primitive(p) -> tuple[int, ...]:
     return tuple(c // content for c in ints)
 
 
-def _poly_rem(a, b):
-    """Remainder of a divided by b over the rationals."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        factor = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, cb in enumerate(b):
-            a[shift + i] -= factor * cb
-        a.pop()
-    return poly_trim(a)
-
-
-def poly_gcd(a, b) -> tuple[int, ...]:
-    """Primitive gcd of two rational polynomials."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_poly_rem(a, b))
-    return a
-
-
-def poly_div_exact(a, b):
-    """Quotient a / b assuming the division is exact."""
-    a = list(Fraction(c) for c in a)
+def _divmod(a, b):
+    """Quotient and remainder of a divided by b over the rationals."""
+    rem = [Fraction(c) for c in a]
     db, lead = len(b) - 1, Fraction(b[-1])
-    out = [Fraction(0)] * (len(a) - db)
-    for i in range(len(out) - 1, -1, -1):
-        out[i] = a[i + db] / lead
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = rem[i + db] / lead
         for j, cb in enumerate(b):
-            a[i + j] -= out[i] * cb
-    if any(a[:db]):
-        raise ArithmeticError("inexact polynomial division")
-    return poly_trim(out)
+            rem[i + j] -= quot[i] * cb
+    return poly_trim(quot), poly_trim(rem[:db])
 
 
 def squarefree_part(p) -> tuple[int, ...]:
     """Primitive squarefree polynomial with the same real roots as p."""
     p = _primitive(p)
-    if poly_degree(p) < 1:
-        return p
-    g = poly_gcd(p, poly_derivative(p))
-    if poly_degree(g) < 1:
-        return p
-    return _primitive(poly_div_exact(p, g))
+    a, b = p, _primitive(poly_derivative(p))
+    while b:
+        a, b = b, _primitive(_divmod(a, b)[1])
+    return _primitive(_divmod(p, a)[0]) if len(a) > 1 else p
 
 
-def sturm_sequence(p) -> list[tuple[int, ...]]:
-    """Sturm chain of a squarefree polynomial, primitive at each step."""
-    seq = [_primitive(p), _primitive(poly_derivative(p))]
-    while seq[-1]:
-        r = _poly_rem(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append(_primitive(poly_neg(r)))
-    return [s for s in seq if s]
+def _taylor_shift(q, c: int) -> list[int]:
+    """Coefficients of q(t + c)."""
+    q = list(q)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += c * q[j + 1]
+    return q
 
 
-def sign_variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_open(seq, a, b) -> int:
-    """Number of distinct real roots in (a, b); requires p(a) != 0 != p(b)."""
-    va = sign_variations([poly_eval(s, a) for s in seq])
-    vb = sign_variations([poly_eval(s, b) for s in seq])
-    return va - vb
-
-
-def isolate_roots(p, lo, hi, eps: Fraction):
+def isolate_roots(p, lo, hi, eps):
     """Locate all real roots of p in [lo, hi].
 
-    Returns (exact, intervals): `exact` are rational roots found exactly,
-    `intervals` are open intervals of width <= eps each containing exactly
-    one (necessarily irrational) simple root.  Rational roots discovered at
-    endpoints or bisection midpoints are deflated out and the isolation is
-    restarted on the quotient.
+    Returns (exact, intervals), both sorted: `exact` are the rational roots
+    met at lo, hi or a bisection point, and `intervals` are open intervals
+    (a, b) of width <= eps, each holding exactly one other root, with
+    p(a) and p(b) nonzero.
+
+    >>> isolate_roots((-2, 0, 1), 0, 2, Fraction(1, 8))   # x^2 - 2
+    ([], [(Fraction(11, 8), Fraction(3, 2))])
+    >>> isolate_roots((0, -1, 0, 1), -1, 1, 1)            # x^3 - x
+    ([Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)], [])
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     p = squarefree_part(p)
-    exact: list[Fraction] = []
-    while True:
-        if poly_degree(p) < 1:
-            return sorted(exact), []
-        restart = False
-        for r in (lo, hi):
-            if poly_eval(p, r) == 0:
-                exact.append(r)
-                p = _primitive(poly_div_exact(p, (-r, 1)))
-                restart = True
-        if restart:
+    d = len(p) - 1
+    if d < 1:
+        return [], []
+    # q(t) = den^d p(lo + (hi - lo) t) in integers: its roots in (0, 1) are
+    # those of p in (lo, hi), and q(0), q(1) have the signs of p(lo), p(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    q = _taylor_shift([c * den ** (d - i) for i, c in enumerate(p)], int(lo * den))
+    w = int((hi - lo) * den)
+    q = [c * w**i for i, c in enumerate(q)]
+    exact = [x for x, v in ((lo, q[0]), (hi, sum(q))) if v == 0]
+    intervals = []
+    todo = [(lo, hi, q)]
+    while todo:
+        a, b, q = todo.pop()
+        # Descartes: the sign variations of (1 + s)^d q(1 / (1 + s)) bound the
+        # roots of q in (0, 1), and are exact when 0 or 1
+        signs = [c > 0 for c in _taylor_shift(q[::-1], 1) if c]
+        bound = sum(x != y for x, y in zip(signs, signs[1:]))
+        if bound == 0:
             continue
-        seq = sturm_sequence(p)
-        intervals: list[tuple[Fraction, Fraction]] = []
-        todo = [(lo, hi, count_roots_open(seq, lo, hi))]
-        while todo and not restart:
-            a, b, cnt = todo.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                root = _refine_sign_change(p, a, b, eps)
-                if isinstance(root, Fraction):
-                    exact.append(root)
-                    p = _primitive(poly_div_exact(p, (-root, 1)))
-                    restart = True
-                else:
-                    intervals.append(root)
-                continue
-            mid = (a + b) / 2
-            if poly_eval(p, mid) == 0:
-                exact.append(mid)
-                p = _primitive(poly_div_exact(p, (-mid, 1)))
-                restart = True
-                continue
-            c_left = count_roots_open(seq, a, mid)
-            todo.append((a, mid, c_left))
-            todo.append((mid, b, cnt - c_left))
-        if not restart:
-            return sorted(exact), sorted(intervals)
+        if bound == 1 and q[0] and sum(q):
+            root = refine(p, a, b, eps)
+            (exact if isinstance(root, Fraction) else intervals).append(root)
+            continue
+        # halves: 2^d q(t / 2) on (a, mid) and 2^d q((1 + t) / 2) on (mid, b)
+        mid = (a + b) / 2
+        left = [c << (d - i) for i, c in enumerate(q)]
+        right = _taylor_shift(left, 1)
+        if right[0] == 0:
+            exact.append(mid)
+        todo += [(mid, b, right), (a, mid, left)]
+    return sorted(exact), sorted(intervals)
 
 
-def _refine_sign_change(p, a, b, eps):
-    """Shrink (a, b) holding one simple root to width <= eps by bisection.
+def refine(p, a, b, width):
+    """Bisect (a, b), where p changes sign once, down to width <= `width`.
 
     Returns the root as a Fraction when a midpoint hits it exactly,
     otherwise the final open interval.
     """
     fa = poly_eval(p, a)
-    while b - a > eps:
+    while b - a > width:
         mid = (a + b) / 2
         fm = poly_eval(p, mid)
         if fm == 0:

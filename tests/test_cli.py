@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -136,10 +137,27 @@ def test_negative_rational_options(capsys):
     assert record["parameters"]["shift_ratio"] == "-1/3"
 
 
-def test_phi_eval_bad_rational_is_usage_error():
+def test_phi_eval_bad_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phi", "--q", "2", "--eval", "zap"])
     assert exc.value.code == 2
+    # exponent notation is refused before the value is built
+    for argv in (
+        ["phi", "--q", "2", "--eval", "1e5000"],
+        ["phi", "--q", "3", "--min", "--eps", "1e-5000"],
+        ["phi", "--q", "3", "--min", "--eps", "1E-3"],
+        ["empirical", "--family", "shifted", "--q", "2", "--p", "101",
+         "--shift-ratio", "1e5000"],
+        ["phi", "--q", "2", "--eval", "1e100000000"],
+    ):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: littlewood") and "Traceback" not in err, argv
+        assert f"'{argv[-1]}'" in err, argv
 
 
 def test_zero_denominator_is_usage_error(capsys):

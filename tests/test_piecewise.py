@@ -1,11 +1,28 @@
 """Tests for exact piecewise polynomials and their minimization."""
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from littlewood import limits
+from littlewood.limits import phi_piecewise, shifted_fekete_limit
 from littlewood.piecewise import PiecewisePoly, pw_minimize
-from littlewood.ratpoly import poly_eval, poly_interpolate
-from littlewood.sturm import count_roots_open, sturm_sequence
+from littlewood.ratpoly import poly_derivative, poly_eval, poly_interpolate, poly_mul
+from littlewood.sturm import isolate_roots
+
+X = sympy.Symbol("x")
+
+
+def _rational(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sympy_poly(p):
+    return sympy.Poly([_rational(c) for c in reversed(p)], X)
 
 # E(1, x) as a function of a real x: the hat x+1 on [-1, 0), 1-x on [0, 1)
 HAT = PiecewisePoly((-1, 0, 1), ((1, 1), (1, -1)))
@@ -60,9 +77,9 @@ def test_minimize_irrational_critical_point():
     res = pw_minimize(f, 0, 2, eps)
     u, v = res.argmin
     assert v - u <= eps
-    # Sturm-count oracle: derivative has exactly one root in the enclosure
+    # sympy's root count: the derivative has exactly one root in the enclosure
     deriv = (-2, 0, 3)
-    assert count_roots_open(sturm_sequence(deriv), u, v) == 1
+    assert _sympy_poly(deriv).count_roots(_rational(u), _rational(v)) == 1
     # sign change of the derivative across the enclosure
     assert poly_eval(deriv, u) < 0 < poly_eval(deriv, v)
     lo, hi = res.value
@@ -101,3 +118,82 @@ def test_minimize_empty_domain_errors():
         pw_minimize(HAT, 5, 6, Fraction(1, 16))
     with pytest.raises(ValueError):
         pw_minimize(HAT, 0, 1, Fraction(0))
+
+
+@st.composite
+def _root_problems(draw):
+    """A polynomial of degree <= 8 and an interval: repeated rational roots,
+    roots at the ends and at dyadic midpoints, and irrational pairs."""
+    lo = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 4)))
+    hi = lo + Fraction(draw(st.integers(1, 16)), draw(st.integers(1, 4)))
+    eps = Fraction(1, 2 ** draw(st.integers(1, 20)))
+    p = (draw(st.sampled_from([-3, -1, 1, 2])),)
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["end", "dyadic", "rational", "pair"]))
+        if kind == "pair":
+            # (x - c)^2 - d with d a prime over a square: roots c +- sqrt(d)
+            c = Fraction(draw(st.integers(-16, 16)), draw(st.integers(1, 4)))
+            d = Fraction(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 8)) ** 2)
+            factor = (c * c - d, -2 * c, 1)
+        else:
+            if kind == "end":
+                r = draw(st.sampled_from([lo, hi]))
+            elif kind == "dyadic":
+                k = draw(st.integers(1, 4))
+                r = lo + (hi - lo) * Fraction(draw(st.integers(1, 2**k - 1)), 2**k)
+            else:
+                r = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 6)))
+            factor = (-r, 1)
+        for _ in range(draw(st.integers(1, 3))):
+            if len(p) + len(factor) - 2 <= 8:
+                p = poly_mul(p, factor)
+    return p, lo, hi, eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_problems())
+def test_isolate_and_minimize_match_sympy(problem):
+    p, lo, hi, eps = problem
+    P = _sympy_poly(p)
+    roots = [r for r in dict.fromkeys(sympy.real_roots(P)) if lo <= r <= hi]
+    exact, intervals = isolate_roots(p, lo, hi, eps)
+    assert len(exact) + len(intervals) == len(roots)
+    assert {_rational(x) for x in exact} <= set(roots)
+    for a, b in intervals:
+        assert lo <= a < b <= hi and b - a <= eps
+        assert P.eval(_rational(a)) != 0 != P.eval(_rational(b))
+        assert len([r for r in roots if a < r < b]) == 1
+    assert not [x for x in exact for a, b in intervals if a < x < b]
+
+    # f' = p: the minimum of f over [lo, hi] is at an end or at a root of p
+    f = PiecewisePoly((lo, hi), ((0,) + tuple(Fraction(c, i + 1) for i, c in enumerate(p)),))
+    F = _sympy_poly(f.pieces[0])
+    values = {x: F.eval(x) for x in [_rational(lo), _rational(hi), *roots]}
+    true_min = min(values.values(), key=lambda v: sympy.N(v, 60))
+    res = pw_minimize(f, lo, hi, eps)
+    assert _rational(res.value[0]) <= true_min <= _rational(res.value[1])
+    minimizers = [x for x, v in values.items() if abs(sympy.N(v - true_min, 60)) < 1e-40]
+    assert any(_rational(u) <= x <= _rational(v)
+               for u, v in (res.argmin, *res.competitors) for x in minimizers)
+
+
+def test_phi8_twin_irrational_minima(monkeypatch):
+    # phi_8 has its minimum off 1/4, at an irrational R near 0.24113 and at
+    # its mirror 1/2 - R
+    monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
+    phi_piecewise.cache_clear()
+    try:
+        f = phi_piecewise(8)
+    finally:
+        phi_piecewise.cache_clear()
+    eps = Fraction(1, 1 << 20)
+    res = pw_minimize(f, 0, Fraction(1, 2), eps)
+    u, v = res.argmin
+    assert 0 < v - u <= eps and Fraction(24, 100) < u < v < Fraction(26, 100)
+    i = bisect_right(f.breakpoints, u) - 1
+    assert v <= f.breakpoints[i + 1]
+    deriv = _sympy_poly(poly_derivative(f.pieces[i]))
+    assert deriv.count_roots(_rational(u), _rational(v)) == 1
+    assert max(f.evaluate(u), f.evaluate(v)) < shifted_fekete_limit(8, Fraction(1, 4))
+    (c0, c1), = res.competitors
+    assert (c0, c1) == (Fraction(1, 2) - v, Fraction(1, 2) - u)
