@@ -25,7 +25,10 @@ SCHEMA_VERSION = "v1"
 # polynomial.
 MAX_PRIME = 1 << 24
 # Largest q of `limits --qmax` and of the fekete/galois `empirical` limits.
-MAX_Q = 64
+# `limits --qmax 128` takes about 4 s and 25 MB per family on a 2-vCPU
+# machine; the work grows about as q^3 products of integers whose size grows
+# with q.
+MAX_Q = 128
 
 
 class CommandError(Exception):

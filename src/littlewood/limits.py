@@ -1,15 +1,19 @@
 """Limiting L^2q norm ratios for Fekete, shifted Fekete, and Galois polynomials.
 
 Each quantity has one production route.  The Fekete and Galois limits and
-their triangular arrays come from a polynomial recursion, run in y = x + 1/x
-on the palindromic polynomials x^k pi_k(y) at half the degree.  The shifted
-limit phi_q(R) at a rational shift ratio R comes from the exponential formula
-over even block profiles, run as an integer power-series recurrence.  phi_q
-on [0, 1/2] is also built as an exact piecewise polynomial, by interpolating
-that evaluator between candidate breakpoints in [0, 1/4] and mirroring by
-phi_q(R) = phi_q(1/2 - R), and its minimum is certified with enclosures
-from Descartes root isolation.  The direct partition-profile sums
-`fekete_limit_direct` and `galois_limit_direct` are kept as cross-checks.
+their triangular arrays come from a polynomial recursion in y = x + 1/x on
+the palindromic polynomials x^k pi_k(y).  It is linear in products of
+polynomials, so it runs as a scalar recurrence at each integer node
+y = 0, 1, -1, 2, ..., and pi_k is interpolated from k node values for a
+limit or a triangle row.  The shifted limit phi_q(R) at a rational shift
+ratio R comes from the exponential formula over even block profiles, run as
+an integer power-series recurrence.  phi_q on [0, 1/2] is also built as an
+exact piecewise polynomial, by interpolating that evaluator between
+candidate breakpoints in [0, 1/4], where one pass of the recurrence serves
+all nodes of an interval, and mirroring by phi_q(R) = phi_q(1/2 - R); its
+minimum is certified with enclosures from Descartes root isolation.  The
+direct partition-profile sums `fekete_limit_direct` and
+`galois_limit_direct` are kept as cross-checks.
 
 The piecewise, partition-profile and root modules are imported by the
 functions that use them, so the recursions and `shifted_fekete_limit` run
@@ -19,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from math import comb, factorial
+from itertools import count, cycle, repeat
+from math import comb, factorial, lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -64,32 +68,58 @@ class PhiMinResult(NamedTuple):
     alt_flag: bool
 
 
-def _y_form(half) -> tuple[int, ...]:
-    """pi with sum_i pi_i (x + 1/x)^i = half[0] + sum_m half[m] (x^m + x^-m).
-
-    As (x + 1/x)^i = sum_t C(i, t) x^(i-2t), half[m] = sum_t pi_(m+2t) C(m+2t, t)
-    (`_x_form`); this solves for pi from the top degree down.
-    """
-    pi = list(half)
-    for i in range(len(pi) - 3, -1, -1):
-        pi[i] -= sum(pi[m] * comb(m, (m - i) // 2) for m in range(i + 2, len(pi), 2))
-    return tuple(pi)
-
-
 def _x_form(pi) -> tuple[int, ...]:
+    # half with sum_i pi_i (x + 1/x)^i = half[0] + sum_m half[m] (x^m + x^-m)
     return tuple(
         sum(pi[m] * comb(m, (m - i) // 2) for m in range(i, len(pi), 2))
         for i in range(len(pi))
     )
 
 
-@lru_cache(maxsize=None)
-def _eulerian_y(j: int) -> tuple[int, ...]:
-    # A_j(x) = x^j alpha_j(x + 1/x) with deg alpha_j = j - 1
-    return _y_form(eulerian_polynomial(j)[j:])
+def _node(i: int) -> int:
+    return (i + 1) // 2 if i % 2 else -(i // 2)  # y = 0, 1, -1, 2, -2, ...
 
 
 @lru_cache(maxsize=None)
+def _recursion_weights(family: str, k: int) -> tuple[int, ...]:
+    # s_(k,j), j = 1..k: the weight of alpha_j pi_(k-j) in pi_k (`_recursion_y`)
+    return tuple(
+        comb(2 * k - 1, 2 * j - 1) * max(2 * (k - j), 1) * (
+            comb(2 * k - 1, 2 * j - 1) * _tangent(j) if family == "fekete"
+            else comb(k, j) * comb(k - 1, j - 1) * _carlitz(j)
+        )
+        for j in range(1, k + 1)
+    )
+
+
+# (family, i) -> (V_0, V_1, ...), (alpha_1, alpha_2, ...) and (pi_0, pi_1, ...)
+# at y_i.  An entry is only replaced by a longer one, so an update lost
+# between threads costs time, never correctness.
+_node_values: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _values(family: str, i: int, k: int) -> tuple[int, ...]:
+    """pi_0(y_i), ..., pi_k(y_i) at least, by the scalar recurrence
+    pi_n(y) = sum_j s_(n,j) alpha_j(y) pi_(n-j)(y).
+
+    A_j(x) = x^j alpha_j(x + 1/x) gives alpha_j(y) = sum_m e_m V_m(y) - e_0
+    over the upper half e of A_j's coefficients, with V_m(x + 1/x) =
+    x^m + x^-m, so V_0 = 2, V_1 = y and V_(m+1) = y V_m - V_(m-1).
+    """
+    y = _node(i)
+    lucas, alphas, vals = _node_values.get((family, i), ((2, y), (), (1,)))
+    if len(vals) <= k:
+        lucas, alphas, vals = list(lucas), list(alphas), list(vals)
+        while len(lucas) < k:
+            lucas.append(y * lucas[-1] - lucas[-2])
+        for n in range(len(vals), k + 1):
+            e = eulerian_polynomial(n)[n:]
+            alphas.append(sum(map(mul, e, lucas)) - e[0])
+            vals.append(sum(map(mul, _recursion_weights(family, n), map(mul, alphas, vals[::-1]))))
+        _node_values[family, i] = tuple(lucas), tuple(alphas), tuple(vals)
+    return vals
+
+
 def _recursion_y(family: str, k: int) -> tuple[int, ...]:
     """pi_k, where (2k-1)! times the recursion polynomial is x^k pi_k(x + 1/x).
 
@@ -97,21 +127,25 @@ def _recursion_y(family: str, k: int) -> tuple[int, ...]:
     G_k = sum_j C(k, j) C(k-1, j-1) C(j)/(2j-1)! A_j G_(k-j).  Scaled by (2k-1)!,
     the weight of A_j times (2k-2j-1)! F_(2k-2j) gains the integer factor
     (2k-1)!/((2j-1)! (2k-2j-1)!) = C(2k-1, 2j-1) max(2k-2j, 1), and in
-    y = x + 1/x each term is alpha_j pi_(k-j): degree k-1 instead of 2k-1.
+    y = x + 1/x each term is alpha_j pi_(k-j).  That is linear in products of
+    polynomials, so it runs at each integer node y_i (`_values`); pi_k is
+    interpolated from the nodes y_0..y_(k-1) by Newton divided differences,
+    integers because pi_k has integer coefficients and the nodes are integers.
     """
     if k == 0:
         return (1,)
-    acc = [0] * k
-    for j in range(1, k + 1):
-        s = comb(2 * k - 1, 2 * j - 1) * max(2 * (k - j), 1)
-        if family == "fekete":
-            s *= comb(2 * k - 1, 2 * j - 1) * _tangent(j)
-        else:
-            s *= comb(k, j) * comb(k - 1, j - 1) * _carlitz(j)
-        a, p = sorted((_eulerian_y(j), _recursion_y(family, k - j)), key=len)
-        for i, av in enumerate(a):
-            acc[i:i + len(p)] = map(add, acc[i:i + len(p)], map(mul, repeat(s * av), p))
-    return tuple(acc)
+    ys = [_node(i) for i in range(k)]
+    dd = [_values(family, i, k)[k] for i in range(k)]
+    for level in range(1, k):
+        dd[level:] = [
+            (b - a) // (yb - ya)
+            for a, b, ya, yb in zip(dd[level - 1:], dd[level:], ys, ys[level:])
+        ]
+    pi = [dd[-1]]
+    for y, c in zip(ys[-2::-1], dd[-2::-1]):
+        # pi <- pi * (Y - y) + c
+        pi = [c - y * pi[0]] + [a - y * b for a, b in zip(pi, pi[1:])] + [pi[-1]]
+    return tuple(pi)
 
 
 def _coefficient(poly: tuple, m: int) -> Fraction:
@@ -242,42 +276,113 @@ def _block_scale(q: int) -> int:
     return c
 
 
-def _shifted_blocks(q: int, r: int, d: int, c: int) -> list[dict]:
-    """Blocks of the exponential formula at R = r/d, scaled by c^N d^(2N).
+def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
+    """Blocks of the exponential formula at the nodes R = r/d, r in numerators.
 
-    blocks[N][P] = (e, coeffs): coeffs[i] is the coefficient of x^(e+i) in
-    c^N d^(2N) T(N) / ((2N-1)! (2N-P)! P!) * sum_a E(2N-1, 2RD + a - 1) x^(a+N),
-    with D = N - P.  Write 2RD = f + t/d with 0 <= t < d.  The scaled values
-    W_n[m] = d^n E(n, t/d + m - 1), m = 0..n, follow the integer recurrence
-    W_n[m] = (t + m d) W_{n-1}[m] + ((n+1-m) d - t) W_{n-1}[m-1], W_0 = [1],
-    and the value at a sits at m = f + a.
+    blocks[N][P] = (e, coeffs): coeffs[i][s] is the coefficient of x^(e+i) in
+    N c^N d^(2N) T(N) / ((2N-1)! (2N-P)! P!) * sum_a E(2N-1, 2RD + a - 1) x^(a+N)
+    at R = numerators[s]/d, with D = N - P.  Write 2RD = f + t/d with
+    0 <= t < d.  The scaled values W_n[m] = d^n E(n, t/d + m - 1), m = 0..n,
+    follow the integer recurrence W_0 = [1],
+    W_n[m] = (t + m d) W_{n-1}[m] + ((n+1-m) d - t) W_{n-1}[m-1], and the
+    value at a sits at m = f + a.  Only W_n[0] can vanish, when t = 0, so the
+    nodes share e and len(coeffs) if they share f and whether t = 0 for every
+    D; otherwise they straddle a breakpoint and ValueError is raised.
     """
+    K = len(numerators)
     blocks: list[dict] = [{} for _ in range(q + 1)]
     # a block has 2N elements, P of them above q and 2N - P at most q, so
     # |D| <= min(N, q - N)
     for D in range(-(q // 2), q // 2 + 1):
-        f, t = divmod(2 * r * D, d)
-        row = [1]
+        fs, ts = zip(*[divmod(2 * r * D, d) for r in numerators])
+        f = fs[0]
+        if fs.count(f) < K or 0 < ts.count(0) < K:
+            raise ValueError("the nodes straddle a breakpoint")
+        # row[m K + s] = W_n[m] at node s, and ramp[m K + s] = t + m d there
+        ramp = [t + m * d for m in range(2 * q) for t in ts]
+        row, pad = [1] * K, [0] * K
         for n in range(1, 2 * q):
-            row.append(0)
-            row = [t * row[0]] + [
-                (t + m * d) * row[m] + ((n + 1 - m) * d - t) * row[m - 1]
-                for m in range(1, n + 1)
-            ]
+            nd = (n + 1) * d
+            row = [a * w + (nd - a) * v for a, w, v in zip(ramp, row + pad, pad + row)]
             N, odd = divmod(n + 1, 2)
             P = N - D
             if odd or abs(D) > N or not 0 <= P <= q or 2 * N - P > q:
                 continue
-            scale = d * _tangent(N) * (
+            scale = N * d * _tangent(N) * (
                 c**N // (factorial(2 * N - 1) * factorial(2 * N - P) * factorial(P))
             )
-            lo, hi = 0, len(row)
-            while row[hi - 1] == 0:
+            lo, hi = 0, n + 1
+            while row[(hi - 1) * K] == 0:
                 hi -= 1
-            while row[lo] == 0:
+            while row[lo * K] == 0:
                 lo += 1
-            blocks[N][P] = (lo - f + N, [scale * v for v in row[lo:hi]])
+            # one tuple of K node values per power of x
+            values = map(mul, repeat(scale), row[lo * K:hi * K])
+            blocks[N][P] = (lo - f + N, list(zip(*[values] * K)))
     return blocks
+
+
+def _shifted_values(q: int, numerators, d: int) -> list[Fraction]:
+    """phi_q(r/d) for every r in numerators, nodes in [0, 1/2) that share one
+    open interval between breakpoints (`_shifted_blocks`), in one pass.
+
+    With the blocks k G_k (`_shifted_blocks`), S_n = q!/n! F_n is an integer
+    series with S_0 = q! and n S_n = sum_k (k G_k) S_(n-k), so each step ends
+    in one exact division, and phi_q = (q-1)! [u^q x^(2q)] n S_n at n = q over
+    c^q d^(2q).  Each coefficient is a vector over the K nodes, stored
+    node-interleaved (entry x K + s belongs to node s), so each update is one
+    slice operation for all of them.
+    """
+    K = len(numerators)
+    c = _block_scale(q)
+    X = 2 * q
+    blocks = _shifted_blocks(q, numerators, d, c)
+    # a product of t-degree m has x-exponents in [xmin[m], xmax[m]]
+    xmin, xmax = [0] * (q + 1), [0] * (q + 1)
+    for m in range(1, q + 1):
+        spans = [
+            (e + xmin[m - k], e + len(g) - 1 + xmax[m - k])
+            for k in range(1, m + 1)
+            for e, g in blocks[k].values()
+        ]
+        xmin[m] = min(lo for lo, _ in spans)
+        xmax[m] = max(hi for _, hi in spans)
+
+    # series[n] = {u-exponent p: (lowest x-exponent, coefficients)} of S_n
+    series: list[dict] = [{0: (0, [factorial(q)] * K)}]
+    for n in range(1, q):
+        p_lo, p_hi = max(0, 2 * n - q), min(2 * n, q)
+        xlo = max(xmin[n], X - xmax[q - n])
+        width = (min(xmax[n], X - xmin[q - n]) - xlo + 1) * K
+        acc: dict[int, list] = {}
+        for k in range(1, n + 1):
+            for P, (ge, g) in blocks[k].items():
+                for p0, (fe, f) in series[n - k].items():
+                    if not p_lo <= p0 + P <= p_hi:
+                        continue
+                    h = acc.setdefault(p0 + P, [0] * width)
+                    # o: the offset in h of the product of g's x-power gv and f[0]
+                    for o, gv in zip(count((ge + fe - xlo) * K, K), g):
+                        j0, j1 = max(0, -o), min(len(f), width - o)
+                        if j0 < j1:
+                            h[o + j0:o + j1] = map(
+                                add, h[o + j0:o + j1], map(mul, cycle(gv), f[j0:j1])
+                            )
+        series.append({p: (xlo, [v // n for v in h]) for p, h in acc.items()})
+
+    totals = [0] * K
+    for k in range(1, q + 1):
+        for P, (ge, g) in blocks[k].items():
+            if q - P in series[q - k]:
+                fe, f = series[q - k][q - P]
+                # the x-power i of g meets the x-power x - i of f
+                x = X - ge - fe
+                i0, i1 = max(0, x + 1 - len(f) // K), min(len(g), x + 1)
+                for s, gs in enumerate(zip(*g[i0:i1])):
+                    fs = f[(x + 1 - i1) * K + s:(x - i0) * K + s + 1:K]
+                    totals[s] += sum(map(mul, gs, reversed(fs)))
+    scale, den = factorial(q - 1), c**q * d ** (2 * q)
+    return [Fraction(scale * t, den) for t in totals]
 
 
 def shifted_fekete_limit(q: int, R) -> Fraction:
@@ -292,64 +397,16 @@ def shifted_fekete_limit(q: int, R) -> Fraction:
     where a block of 2N elements has P of them above q.  R is first reduced
     into [0, 1/2) by the period.  With R = r/d, scaling each block by
     c^N d^(2N) (`_block_scale`) makes it integral, and F_n = n! [t^n] exp(G),
-    scaled by c^n d^(2n), follows the integer recurrence
-    F_n = sum_k k (n-1)!/(n-k)! G_k F_{n-k}.  Each F_n keeps only the u- and
-    x-exponents that can still reach u^q x^(2q), and the last step computes
-    that one coefficient.  The cost is polynomial in q, about q^6 products of
-    integers with about 2q times as many digits as d.
+    scaled by c^n d^(2n), follows F_n = sum_k k (n-1)!/(n-k)! G_k F_{n-k}
+    (`_shifted_values`, at the one node R).  Each F_n keeps only the u- and
+    x-exponents that can still reach u^q x^(2q).  The cost is polynomial in q,
+    about q^6 products of integers with about 2q times as many digits as d.
     """
     reason = shifted_limit_error(q, R)
     if reason:
         raise ValueError(reason)
     R = Fraction(R) % HALF
-    r, d = R.numerator, R.denominator
-    c = _block_scale(q)
-    X = 2 * q
-    blocks = _shifted_blocks(q, r, d, c)
-    # a product of t-degree m has x-exponents in [xmin[m], xmax[m]]
-    xmin, xmax = [0] * (q + 1), [0] * (q + 1)
-    for m in range(1, q + 1):
-        spans = [
-            (e + xmin[m - k], e + len(g) - 1 + xmax[m - k])
-            for k in range(1, m + 1)
-            for e, g in blocks[k].values()
-        ]
-        xmin[m] = min(lo for lo, _ in spans)
-        xmax[m] = max(hi for _, hi in spans)
-
-    # series[n] = {u-exponent p: (lowest x-exponent, coefficients)} of F_n
-    series: list[dict] = [{0: (0, [1])}]
-    for n in range(1, q):
-        p_lo, p_hi = max(0, 2 * n - q), min(2 * n, q)
-        xlo = max(xmin[n], X - xmax[q - n])
-        width = min(xmax[n], X - xmin[q - n]) - xlo + 1
-        acc: dict[int, list] = {}
-        for k in range(1, n + 1):
-            w = k * factorial(n - 1) // factorial(n - k)
-            for P, (ge, g) in blocks[k].items():
-                for p0, (fe, f) in series[n - k].items():
-                    if not p_lo <= p0 + P <= p_hi:
-                        continue
-                    h = acc.setdefault(p0 + P, [0] * width)
-                    for i, gv in enumerate(g, start=ge + fe - xlo):
-                        j0, j1 = max(0, -i), min(len(f), width - i)
-                        if j0 < j1 and gv:
-                            h[i + j0:i + j1] = map(
-                                add, h[i + j0:i + j1], map(mul, repeat(w * gv), f[j0:j1])
-                            )
-        series.append({p: (xlo, h) for p, h in acc.items()})
-
-    total = 0
-    for k in range(1, q + 1):
-        part = 0
-        for P, (ge, g) in blocks[k].items():
-            if q - P in series[q - k]:
-                fe, f = series[q - k][q - P]
-                for i, gv in enumerate(g, start=ge + fe):
-                    if 0 <= X - i < len(f):
-                        part += gv * f[X - i]
-        total += k * factorial(q - 1) // factorial(q - k) * part
-    return Fraction(factorial(q) * total, c**q * d ** (2 * q))
+    return _shifted_values(q, [R.numerator], R.denominator)[0]
 
 
 @lru_cache(maxsize=None)
@@ -362,11 +419,12 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     most 2q-1 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
     bounds |D| = |N-P| by min(N, q-N)).  These and 1/4 are mirrored by
     R -> 1/2 - R, under which phi_q is invariant.  On each interval [a, b]
-    between candidates in [0, 1/4], 2q exact values of `shifted_fekete_limit`
-    at interior rationals x give the piece there and, at the nodes 1/2 - x,
-    the piece on [1/2 - b, 1/2 - a]; both are checked against one more value,
-    and a mismatch raises ArithmeticError.  Equal neighbours then merge, so
-    only true breakpoints remain.
+    between candidates in [0, 1/4], 2q exact values at interior rationals x
+    give the piece there and, at the nodes 1/2 - x, the piece on
+    [1/2 - b, 1/2 - a]; both are checked against one more value, and a
+    mismatch raises ArithmeticError.  The 2q+1 values of an interval come from
+    one pass of `_shifted_values` over a common denominator.  Equal neighbours
+    then merge, so only true breakpoints remain.
     """
     from littlewood.piecewise import PiecewisePoly
     from littlewood.ratpoly import poly_eval, poly_interpolate
@@ -380,7 +438,8 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     for a, b in zip(breaks, breaks[1:breaks.index(HALF / 2) + 1]):
         # 2q interpolation nodes and the check node last, all interior
         xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
-        ys = [shifted_fekete_limit(q, x) for x in xs]
+        d = lcm(*(x.denominator for x in xs))
+        ys = _shifted_values(q, [x.numerator * (d // x.denominator) for x in xs], d)
         for nodes, out in ((xs, left), ([HALF - x for x in xs], right)):
             piece = poly_interpolate(nodes[:-1], ys[:-1])
             if poly_eval(piece, nodes[-1]) != ys[-1]:

@@ -64,6 +64,12 @@ PINNED_CSV_DIGESTS = [
      "ebb94454b932603374cf0a818e3855f7f28ad15e3e8571f1a243cac864d31d22"),
     (("phi", "--q", "8", "--eval", "-5/12"),
      "a46771d3e79a568bbaa2a2108647301c8457e73ba91dd1bee8c67e68dfceba9e"),
+    # recorded from the coefficient-form y-recursion, with its q <= 64 cap
+    # lifted, before the recursion was evaluated at integer nodes
+    (("limits", "--family", "fekete", "--qmax", "128"),
+     "f840a2175f14302f5e801fc7bbaadf6f18ae4bdcd43776daae760cdc4481e965"),
+    (("limits", "--family", "galois", "--qmax", "128"),
+     "63718f9b915eed97c7e95aaa0ec1cb775e7bf726670bdfede170f1b681a34899"),
 ]
 
 

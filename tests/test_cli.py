@@ -69,11 +69,11 @@ def test_unknown_family_is_usage_error(capsys):
 
 
 def test_limits_qmax_bound(capsys):
-    code, out = run_cli(capsys, "limits", "--family", "fekete", "--qmax", "65")
+    code, out = run_cli(capsys, "limits", "--family", "fekete", "--qmax", "129")
     record = json.loads(out)
     jsonschema.validate(record, SCHEMA)
     assert code == 1
-    assert "64" in record["error"]
+    assert "128" in record["error"]
     code, record = run_json(capsys, "limits", "--family", "fekete", "--qmax", "64")
     assert code == 0
     assert len(record["results"]) == 64
@@ -293,9 +293,9 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
         (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16"),
         (("--family", "shifted", "--q", "8", "--p", "3",
           "--shift-ratio", "1/" + "1" + "0" * 320), "exceeds 125 digits"),
-        (("--family", "fekete", "--q", "100", "--p", "3"), "q <= 64"),
-        (("--family", "fekete", "--q", "65", "--p", "3"), "q <= 64"),
-        (("--family", "galois", "--q", "92", "--k", "2"), "q <= 64"),
+        (("--family", "fekete", "--q", "200", "--p", "3"), "q <= 128"),
+        (("--family", "fekete", "--q", "129", "--p", "3"), "q <= 128"),
+        (("--family", "galois", "--q", "192", "--k", "2"), "q <= 128"),
     ]
     for argv, reason in cases:
         code, out = run_cli(capsys, "empirical", *argv)

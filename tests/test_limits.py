@@ -1,7 +1,12 @@
 """Tests for the limit recursions, direct partition sums, triangles, and phi."""
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +31,8 @@ from littlewood.limits import (
 from littlewood import limits
 from littlewood.ratpoly import poly_eval
 from littlewood.special_numbers import (
+    _carlitz,
+    _tangent,
     carlitz_numbers,
     eulerian_general,
     eulerian_polynomial,
@@ -110,6 +117,48 @@ def test_triangle_invariants():
         assert Fraction(gr[k - 1], fact) == galois_limit_recursive(k)
 
 
+# ---------------------------------------------------------------------------
+# the recursion in coefficient form (oracle only): products of polynomials
+# in y = x + 1/x, where production evaluates them at integer nodes
+
+
+def _y_form(half):
+    """pi with sum_i pi_i (x + 1/x)^i = half[0] + sum_m half[m] (x^m + x^-m).
+
+    As (x + 1/x)^i = sum_t C(i, t) x^(i-2t), half[m] = sum_t pi_(m+2t) C(m+2t, t)
+    (`limits._x_form`); this solves for pi from the top degree down.
+    """
+    pi = list(half)
+    for i in range(len(pi) - 3, -1, -1):
+        pi[i] -= sum(pi[m] * math.comb(m, (m - i) // 2) for m in range(i + 2, len(pi), 2))
+    return tuple(pi)
+
+
+@lru_cache(maxsize=None)
+def _eulerian_y(j):
+    # A_j(x) = x^j alpha_j(x + 1/x) with deg alpha_j = j - 1
+    return _y_form(eulerian_polynomial(j)[j:])
+
+
+@lru_cache(maxsize=None)
+def _coefficient_recursion(family, k):
+    # pi_k = sum_j s_(k,j) alpha_j pi_(k-j), expanded as polynomial products;
+    # called in increasing k, so the cache keeps the stack shallow
+    if k == 0:
+        return (1,)
+    acc = [0] * k
+    for j in range(1, k + 1):
+        s = math.comb(2 * k - 1, 2 * j - 1) * max(2 * (k - j), 1)
+        if family == "fekete":
+            s *= math.comb(2 * k - 1, 2 * j - 1) * _tangent(j)
+        else:
+            s *= math.comb(k, j) * math.comb(k - 1, j - 1) * _carlitz(j)
+        a, p = sorted((_eulerian_y(j), _coefficient_recursion(family, k - j)), key=len)
+        for i, av in enumerate(a):
+            acc[i:i + len(p)] = map(add, acc[i:i + len(p)], map(mul, repeat(s * av), p))
+    return tuple(acc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=30))
 @example([0])
@@ -118,7 +167,7 @@ def test_y_form_round_trip(half):
     # a palindromic x-coefficient vector, written in y = x + 1/x and back
     full = half[:0:-1] + half
     centre = full[len(full) // 2:]
-    pi = limits._y_form(centre)
+    pi = _y_form(centre)
     assert len(pi) == len(centre)
     assert limits._x_form(pi) == tuple(centre)
     # sum_i pi_i (x + 1/x)^i at x = 2, times 2^d, against the x-form at x = 2
@@ -130,9 +179,38 @@ def test_y_form_round_trip(half):
 
 def test_eulerian_y_form_expands_back():
     for j in range(1, 49):
-        alpha = limits._eulerian_y(j)
+        alpha = _eulerian_y(j)
         assert len(alpha) == j
         assert limits._x_form(alpha) == eulerian_polynomial(j)[j:], j
+        # production evaluates alpha_j at the nodes without its y-form
+        for i in range(j):
+            y = limits._node(i)
+            limits._values("galois", i, j)
+            alphas = limits._node_values["galois", i][1]
+            assert alphas[j - 1] == sum(c * y**m for m, c in enumerate(alpha)), (i, j)
+
+
+def test_value_route_matches_coefficient_recursion():
+    for family in ("fekete", "galois"):
+        for q in range(1, 73):
+            pi = _coefficient_recursion(family, q)
+            centre = sum(pi[m] * math.comb(m, m // 2) for m in range(0, q, 2))
+            assert limits._limit(family, q) == Fraction(centre, math.factorial(2 * q - 1))
+            half = limits._x_form(pi)
+            assert limits._triangle_row(family, q).values == half[:0:-1] + half, (family, q)
+
+
+def test_recursions_need_no_deep_stack():
+    # the recursion runs as loops, so its stack depth does not grow with q
+    script = (
+        "import sys\n"
+        "from littlewood.limits import fekete_limit_recursive, galois_triangle_row\n"
+        "sys.setrecursionlimit(80)\n"
+        "fekete_limit_recursive(70)\n"
+        "galois_triangle_row(70)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_triangle_rows_palindromic():
@@ -456,16 +534,19 @@ def test_phi_pieces_match_profile_oracle():
 
 
 def test_phi_piecewise_check_node_fires(monkeypatch):
-    exact = limits.shifted_fekete_limit
+    exact = limits._shifted_values
     calls = []
 
-    def perturbed(q, R):
+    def perturbed(q, rs, d):
         # one wrong interpolation value moves the piece off the check node
-        calls.append(R)
-        return exact(q, R) + (len(calls) == 3)
+        calls.append(rs)
+        ys = exact(q, rs, d)
+        if len(calls) == 1:
+            ys[2] += 1
+        return ys
 
     phi_piecewise.cache_clear()
-    monkeypatch.setattr(limits, "shifted_fekete_limit", perturbed)
+    monkeypatch.setattr(limits, "_shifted_values", perturbed)
     try:
         with pytest.raises(ArithmeticError):
             phi_piecewise(4)
@@ -473,32 +554,70 @@ def test_phi_piecewise_check_node_fires(monkeypatch):
         phi_piecewise.cache_clear()
 
 
-def _candidate_intervals_below_quarter(q):
-    breaks = sorted({Fraction(0), Fraction(1, 4)} | {
+def _candidate_breakpoints(q):
+    return sorted({Fraction(0), Fraction(1, 4), Fraction(1, 2)} | {
         Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
     })
-    return len([b for b in breaks if 0 < b <= Fraction(1, 4)])
+
+
+def _candidate_intervals_below_quarter(q):
+    return len([b for b in _candidate_breakpoints(q) if 0 < b <= Fraction(1, 4)])
 
 
 def test_phi_piecewise_evaluates_only_below_quarter(monkeypatch):
-    exact = limits.shifted_fekete_limit
-    calls = []
+    exact = limits._shifted_values
+    nodes = []
 
-    def counted(q, R):
-        assert 0 < R < Fraction(1, 4)
-        calls.append(R)
-        return exact(q, R)
+    def counted(q, rs, d):
+        for r in rs:
+            assert 0 < Fraction(r, d) < Fraction(1, 4)
+        nodes.extend(Fraction(r, d) for r in rs)
+        return exact(q, rs, d)
 
-    monkeypatch.setattr(limits, "shifted_fekete_limit", counted)
+    monkeypatch.setattr(limits, "_shifted_values", counted)
     try:
         for q in range(1, 7):
             phi_piecewise.cache_clear()
-            calls.clear()
+            nodes.clear()
             phi_piecewise(q)
-            assert len(calls) == _candidate_intervals_below_quarter(q) * (2 * q + 1), q
-        assert len(calls) == 26
+            assert len(nodes) == _candidate_intervals_below_quarter(q) * (2 * q + 1), q
+        assert len(nodes) == 26
     finally:
         phi_piecewise.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 5), data=st.data())
+def test_shifted_values_match_pointwise(q, data):
+    # random interior nodes of one interval between breakpoints, over one
+    # common denominator
+    breaks = _candidate_breakpoints(q)
+    i = data.draw(st.integers(0, len(breaks) - 2), label="interval")
+    a, b = breaks[i], breaks[i + 1]
+    d = math.lcm(a.denominator, b.denominator) * data.draw(st.integers(2, 60), label="m")
+    interior = range(int(a * d) + 1, int(b * d))
+    rs = data.draw(st.lists(st.sampled_from(interior), min_size=1, max_size=7, unique=True))
+    values = limits._shifted_values(q, rs, d)
+    assert len(values) == len(rs)
+    for r, v in zip(rs, values):
+        R = Fraction(r, d)
+        assert v == shifted_fekete_limit(q, R) == _profile_shifted_limit(q, R), (q, R)
+
+
+def test_shifted_values_refuse_straddling_nodes():
+    # 0 is a breakpoint for q >= 2 (D = 1), 1/4 for q >= 4 (D = 2)
+    for q in range(2, 6):
+        with pytest.raises(ValueError, match="straddle"):
+            limits._shifted_values(q, [0, 1], 8)
+    for q in (4, 5):
+        for rs in ([1, 3], [2, 3], [1, 2]):
+            with pytest.raises(ValueError, match="straddle"):
+                limits._shifted_values(q, rs, 8)
+    # at q = 1 no block moves with R, and at q = 3 only 0 and 1/2 are breakpoints
+    assert limits._shifted_values(1, [0, 1], 8) == [1, 1]
+    assert limits._shifted_values(3, [1, 2, 3], 8) == [
+        shifted_fekete_limit(3, Fraction(r, 8)) for r in (1, 2, 3)
+    ]
 
 
 def test_phi_pieces_mirror():

@@ -407,3 +407,28 @@ def test_convergence_table_input_order():
     rows = convergence_table("fekete", 2, [13, 5, 7])
     assert [r.n for r in rows] == [13, 5, 7]
     assert [r.exact_norm for r in rows] == [norm_2q_exact(fekete(p), 2) for p in (13, 5, 7)]
+
+
+# primes p = 1 and 3 (mod 4) from 5 to about 10^5
+BORWEIN_CHOI_PRIMES = (
+    5, 7, 11, 13, 19, 101, 103, 1009, 1019, 10007, 10039, 50021, 65519, 99991, 100003,
+)
+
+
+def _borwein_choi_l4(p):
+    # ||f_p||_4^4 = (5p^2 - 9p + 4)/3, minus 12 h(-p)^2 when p = 3 (mod 4), with
+    # the class number h(-p) = -(1/p) sum_j j (j/p) for p > 3; Legendre
+    # symbols from the set of squares, independent of the norm engine
+    squares = {j * j % p for j in range(1, p)}
+    value = (5 * p * p - 9 * p + 4) // 3
+    if p % 4 == 3:
+        h, rem = divmod(-sum(j if j in squares else -j for j in range(1, p)), p)
+        assert rem == 0 and h > 0
+        value -= 12 * h * h
+    return value
+
+
+def test_fekete_l4_closed_form():
+    for p in BORWEIN_CHOI_PRIMES:
+        assert isprime(p)
+        assert norm_2q_exact(fekete(p), 2) == _borwein_choi_l4(p), p
