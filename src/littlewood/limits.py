@@ -10,10 +10,10 @@ ratio R comes from the exponential formula over even block profiles, run as
 an integer power-series recurrence.  phi_q on [0, 1/2] is also built as an
 exact piecewise polynomial, by interpolating that evaluator between
 candidate breakpoints in [0, 1/4], where one pass of the recurrence serves
-all nodes of an interval, and mirroring by phi_q(R) = phi_q(1/2 - R); its
-minimum is certified with enclosures from Descartes root isolation.  The
-direct partition-profile sums `fekete_limit_direct` and
-`galois_limit_direct` are kept as cross-checks.
+all nodes of an interval, and mirroring by the substitution R -> 1/2 - R,
+under which phi_q is invariant; its minimum is certified on [0, 1/4] with
+enclosures from Descartes root isolation.  The direct partition-profile
+sums `fekete_limit_direct` and `galois_limit_direct` are cross-checks.
 
 The piecewise, partition-profile and root modules are imported by the
 functions that use them, so the recursions and `shifted_fekete_limit` run
@@ -419,15 +419,15 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     most 2q-1 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
     bounds |D| = |N-P| by min(N, q-N)).  These and 1/4 are mirrored by
     R -> 1/2 - R, under which phi_q is invariant.  On each interval [a, b]
-    between candidates in [0, 1/4], 2q exact values at interior rationals x
-    give the piece there and, at the nodes 1/2 - x, the piece on
-    [1/2 - b, 1/2 - a]; both are checked against one more value, and a
+    between candidates in [0, 1/4], 2q exact values at interior rationals
+    give the piece p there; it is checked against one more value, and a
     mismatch raises ArithmeticError.  The 2q+1 values of an interval come from
-    one pass of `_shifted_values` over a common denominator.  Equal neighbours
-    then merge, so only true breakpoints remain.
+    one pass of `_shifted_values` over a common denominator.  The piece on
+    [1/2 - b, 1/2 - a] is p(1/2 - R): p shifted by 1/2, odd coefficients
+    negated.  Equal neighbours then merge, so only true breakpoints remain.
     """
     from littlewood.piecewise import PiecewisePoly
-    from littlewood.ratpoly import poly_eval, poly_interpolate
+    from littlewood.ratpoly import poly_eval, poly_interpolate, poly_shift
 
     if not 1 <= q <= PHI_PIECES_QMAX:
         raise ValueError(f"symbolic construction supports 1 <= q <= {PHI_PIECES_QMAX}")
@@ -440,20 +440,21 @@ def phi_piecewise(q: int) -> PiecewisePoly:
         xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
         d = lcm(*(x.denominator for x in xs))
         ys = _shifted_values(q, [x.numerator * (d // x.denominator) for x in xs], d)
-        for nodes, out in ((xs, left), ([HALF - x for x in xs], right)):
-            piece = poly_interpolate(nodes[:-1], ys[:-1])
-            if poly_eval(piece, nodes[-1]) != ys[-1]:
-                raise ArithmeticError(f"phi_{q} near {nodes[-1]} is not of degree < {2 * q}")
-            out.append(piece)
+        piece = poly_interpolate(xs[:-1], ys[:-1])
+        if poly_eval(piece, xs[-1]) != ys[-1]:
+            raise ArithmeticError(f"phi_{q} near {xs[-1]} is not of degree < {2 * q}")
+        left.append(piece)
+        right.append(tuple(c * (-1) ** i for i, c in enumerate(poly_shift(piece, HALF))))
     return PiecewisePoly(tuple(breaks), tuple(left + right[::-1]))
 
 
 def phi_min(q: int, eps) -> PhiMinResult:
     """Certified minimum of the order-q shift-limit function on [0, 1/2].
 
-    alt_flag reports whether any other critical point's value enclosure
-    overlaps the minimum enclosure (uniqueness of the minimizer is evidence,
-    never an assumption).
+    It is taken over [0, 1/4], as phi_q(R) = phi_q(1/2 - R); the mirror of the
+    argmin is a minimizer too.  alt_flag reports whether another candidate in
+    [0, 1/4] has a value enclosure overlapping the minimum's (uniqueness of
+    the minimizer is evidence, never an assumption).
     """
     from littlewood.piecewise import pw_minimize
 
@@ -461,5 +462,5 @@ def phi_min(q: int, eps) -> PhiMinResult:
         raise ValueError(
             f"phi_min supports 2 <= q <= {PHI_PIECES_QMAX} (order 1 is constant)"
         )
-    res = pw_minimize(phi_piecewise(q), 0, HALF, eps)
+    res = pw_minimize(phi_piecewise(q), 0, HALF / 2, eps)
     return PhiMinResult(res.argmin, res.value, bool(res.competitors))

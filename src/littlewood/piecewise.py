@@ -13,7 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from littlewood.ratpoly import poly_derivative, poly_eval, poly_range, poly_trim
+from littlewood.ratpoly import poly_derivative, poly_eval, poly_shift, poly_trim
 from littlewood.sturm import isolate_roots, refine
 
 
@@ -75,9 +75,9 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
 
     Per piece, the real roots of the derivative are isolated by Descartes
     bisection and refined by sign bisection to width <= eps; candidate values
-    are compared using exact evaluation at rational points plus interval
-    bounds, with extra refinement until candidates separate or a width floor
-    is hit.
+    are compared using exact evaluation at rational points plus centred
+    bounds on each root enclosure (`_segment_bounds`), with extra refinement
+    until candidates separate or a width floor is hit.
 
     >>> cubic = PiecewisePoly((0, 2), ((0, -2, 0, 1),))   # x^3 - 2x
     >>> pw_minimize(cubic, 0, 2, Fraction(1, 8)).argmin   # holds sqrt(2/3)
@@ -140,8 +140,9 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
 
 
 def _segment_bounds(piece, a, b) -> tuple[Fraction, Fraction]:
-    """Bounds on min of the piece over [a, b]: interval Horner below,
-    best attained endpoint value above."""
-    range_lo, _ = poly_range(piece, a, b)
-    attained = min(poly_eval(piece, a), poly_eval(piece, b))
-    return range_lo, attained
+    """Bounds on min of the piece over [a, b]: with p(a + t) = sum c_i t^i and
+    t in [0, w], w = b - a, c_0 + sum_(i>=1) min(c_i w^i, 0) below, which
+    tightens with w; the better attained endpoint value above."""
+    c, w = poly_shift(piece, a), b - a
+    lower = c[0] + sum(min(ci * w**i, 0) for i, ci in enumerate(c[1:], 1))
+    return lower, min(c[0], poly_eval(piece, b))

@@ -69,15 +69,16 @@ def poly_interpolate(xs: Sequence, ys: Sequence) -> Coeffs:
     return acc
 
 
-def poly_range(a: Sequence, lo, hi) -> tuple[Fraction, Fraction]:
-    """Rational bounds [A, B] enclosing the range of p on [lo, hi].
+def poly_shift(a: Sequence, c) -> Coeffs:
+    """Coefficients of a(x + c), as many as a has; c is an int or a Fraction.
 
-    Interval-arithmetic Horner; sound but not tight.
+    >>> poly_shift((0, 0, 1), 1)                   # (x + 1)^2
+    (1, 2, 1)
+    >>> poly_shift((1, 2, 1), Fraction(-1, 2))     # (x + 1/2)^2
+    (Fraction(1, 4), Fraction(1, 1), 1)
     """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    alo = ahi = Fraction(0)
-    for c in reversed(a):
-        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + c, max(prods) + c
-    return alo, ahi
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return tuple(a)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from littlewood.ratpoly import poly_derivative, poly_eval, poly_trim
+from littlewood.ratpoly import poly_derivative, poly_eval, poly_shift, poly_trim
 
 
 def _primitive(p) -> tuple[int, ...]:
@@ -47,15 +47,6 @@ def squarefree_part(p) -> tuple[int, ...]:
     return _primitive(_divmod(p, a)[0]) if len(a) > 1 else p
 
 
-def _taylor_shift(q, c: int) -> list[int]:
-    """Coefficients of q(t + c)."""
-    q = list(q)
-    for i in range(len(q) - 1):
-        for j in range(len(q) - 2, i - 1, -1):
-            q[j] += c * q[j + 1]
-    return q
-
-
 def isolate_roots(p, lo, hi, eps):
     """Locate all real roots of p in [lo, hi].
 
@@ -77,7 +68,7 @@ def isolate_roots(p, lo, hi, eps):
     # q(t) = den^d p(lo + (hi - lo) t) in integers: its roots in (0, 1) are
     # those of p in (lo, hi), and q(0), q(1) have the signs of p(lo), p(hi)
     den = math.lcm(lo.denominator, hi.denominator)
-    q = _taylor_shift([c * den ** (d - i) for i, c in enumerate(p)], int(lo * den))
+    q = poly_shift([c * den ** (d - i) for i, c in enumerate(p)], int(lo * den))
     w = int((hi - lo) * den)
     q = [c * w**i for i, c in enumerate(q)]
     exact = [x for x, v in ((lo, q[0]), (hi, sum(q))) if v == 0]
@@ -87,7 +78,7 @@ def isolate_roots(p, lo, hi, eps):
         a, b, q = todo.pop()
         # Descartes: the sign variations of (1 + s)^d q(1 / (1 + s)) bound the
         # roots of q in (0, 1), and are exact when 0 or 1
-        signs = [c > 0 for c in _taylor_shift(q[::-1], 1) if c]
+        signs = [c > 0 for c in poly_shift(q[::-1], 1) if c]
         bound = sum(x != y for x, y in zip(signs, signs[1:]))
         if bound == 0:
             continue
@@ -98,7 +89,7 @@ def isolate_roots(p, lo, hi, eps):
         # halves: 2^d q(t / 2) on (a, mid) and 2^d q((1 + t) / 2) on (mid, b)
         mid = (a + b) / 2
         left = [c << (d - i) for i, c in enumerate(q)]
-        right = _taylor_shift(left, 1)
+        right = poly_shift(left, 1)
         if right[0] == 0:
             exact.append(mid)
         todo += [(mid, b, right), (a, mid, left)]

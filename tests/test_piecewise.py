@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from littlewood import limits
 from littlewood.limits import phi_piecewise, shifted_fekete_limit
-from littlewood.piecewise import PiecewisePoly, pw_minimize
-from littlewood.ratpoly import poly_derivative, poly_eval, poly_interpolate, poly_mul
+from littlewood.piecewise import PiecewisePoly, _segment_bounds, pw_minimize
+from littlewood.ratpoly import (
+    poly_derivative, poly_eval, poly_interpolate, poly_mul, poly_shift,
+)
 from littlewood.sturm import isolate_roots
 
 X = sympy.Symbol("x")
@@ -60,6 +62,23 @@ def test_poly_interpolate_recovers_polynomial():
     # extra nodes on a lower-degree polynomial give the same coefficients
     assert poly_interpolate(xs, [poly_eval(p[:3], x) for x in xs]) == p[:3]
     assert poly_interpolate(xs, [0] * len(xs)) == ()
+
+
+_small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-100, 100), _small_fractions), max_size=10),
+    st.integers(-50, 50),
+    _small_fractions,
+    _small_fractions,
+)
+def test_poly_shift_matches_evaluation(a, n, c, x):
+    for shift in (n, c):
+        shifted = poly_shift(a, shift)
+        assert len(shifted) == len(a)
+        assert poly_eval(shifted, x) == poly_eval(a, x + shift)
 
 
 def test_minimize_perfect_square():
@@ -159,15 +178,20 @@ def test_isolate_and_minimize_match_sympy(problem):
     exact, intervals = isolate_roots(p, lo, hi, eps)
     assert len(exact) + len(intervals) == len(roots)
     assert {_rational(x) for x in exact} <= set(roots)
+    # f' = p: the minimum of f over [lo, hi] is at an end or at a root of p,
+    # and over an isolating interval (a, b) at a, b or its one root, where
+    # _segment_bounds must enclose it
+    f = PiecewisePoly((lo, hi), ((0,) + tuple(Fraction(c, i + 1) for i, c in enumerate(p)),))
+    F = _sympy_poly(f.pieces[0])
     for a, b in intervals:
         assert lo <= a < b <= hi and b - a <= eps
         assert P.eval(_rational(a)) != 0 != P.eval(_rational(b))
-        assert len([r for r in roots if a < r < b]) == 1
+        r, = [r for r in roots if _rational(a) < r < _rational(b)]
+        candidates = [F.eval(_rational(a)), F.eval(_rational(b)), F.eval(r)]
+        lower, upper = _segment_bounds(f.pieces[0], a, b)
+        assert _rational(lower) <= min(candidates, key=lambda v: sympy.N(v, 60)) <= _rational(upper)
     assert not [x for x in exact for a, b in intervals if a < x < b]
 
-    # f' = p: the minimum of f over [lo, hi] is at an end or at a root of p
-    f = PiecewisePoly((lo, hi), ((0,) + tuple(Fraction(c, i + 1) for i, c in enumerate(p)),))
-    F = _sympy_poly(f.pieces[0])
     values = {x: F.eval(x) for x in [_rational(lo), _rational(hi), *roots]}
     true_min = min(values.values(), key=lambda v: sympy.N(v, 60))
     res = pw_minimize(f, lo, hi, eps)
@@ -197,3 +221,21 @@ def test_phi8_twin_irrational_minima(monkeypatch):
     assert max(f.evaluate(u), f.evaluate(v)) < shifted_fekete_limit(8, Fraction(1, 4))
     (c0, c1), = res.competitors
     assert (c0, c1) == (Fraction(1, 2) - v, Fraction(1, 2) - u)
+
+
+def test_phi8_min_on_quarter_is_tight(monkeypatch):
+    # on [0, 1/4] the mirror twin is out of range, so alt_flag is clear, and
+    # the centred bound pins the value once the argmin enclosure is eps wide
+    monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
+    phi_piecewise.cache_clear()
+    eps = Fraction(1, 1 << 20)
+    try:
+        res = limits.phi_min(8, eps)
+    finally:
+        phi_piecewise.cache_clear()
+    assert res.alt_flag is False
+    u, v = res.argmin
+    assert Fraction(2411, 10000) < u < v < Fraction(2412, 10000) and v - u <= eps
+    lower, upper = res.value
+    assert 0 <= upper - lower < Fraction(1, 10**6)
+    assert upper < shifted_fekete_limit(8, Fraction(1, 4))
