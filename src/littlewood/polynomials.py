@@ -7,19 +7,34 @@ the monomials), so it is an exact integer.  `littlewood.intconv` computes it
 by Kronecker substitution with the C `decimal` module.  A trigonometric
 quadrature with enough sample points serves as an independent floating-point
 oracle; it is the one function here that needs numpy, and imports it itself.
+
+`convergence_table` compares exact norms of actual polynomials with their
+limits.  Its whole admission rule is `convergence_error`: the q range, the
+sizes (primes up to MAX_PRIME, Galois exponents 2..24), the norm engine's
+capacity for each size and the shift rule.  The table refuses with its
+reason before any work starts, and the `empirical` command prints the same
+reason as its error record.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from typing import NamedTuple
 
 from littlewood.gf2k import galois
-from littlewood.intconv import power_square_sum
+from littlewood.intconv import capacity_error, power_square_sum
 from littlewood.limits import (
+    HALF,
+    MAX_Q,
     fekete_limit_recursive,
     galois_limit_recursive,
     shifted_fekete_limit,
+    shifted_limit_error,
 )
+
+# Largest prime size of the fekete and shifted families; it matches the
+# length 2^24 - 1 of the largest Galois polynomial.
+MAX_PRIME = 1 << 24
 
 # Miller-Rabin with the prime witnesses up to 41 is deterministic below
 # 3317044064679887385961981, the least strong pseudoprime to all of them.
@@ -121,6 +136,52 @@ class ConvergenceRow(NamedTuple):
     rel_err: float
 
 
+def convergence_error(
+    family: str,
+    q: int,
+    sizes,
+    shift: int | None = None,
+    shift_ratio=None,
+) -> str | None:
+    """Why `convergence_table` refuses these arguments, or None if it admits them."""
+    if family not in ("fekete", "shifted", "galois"):
+        return f"unknown family {family!r}"
+    if q < 1:
+        return "q must be >= 1"
+    if family != "shifted" and q > MAX_Q:
+        return f"family {family} supports q <= {MAX_Q}"
+    shapes = []  # (length, sum of |coefficients|) per size
+    for s in sizes:
+        if family == "galois":
+            if not 2 <= s <= 24:
+                return f"field exponent {s} out of range 2..24"
+            shapes.append(((1 << s) - 1, (1 << s) - 1))
+        elif s > MAX_PRIME:
+            return f"prime size {s} exceeds the limit {MAX_PRIME}"
+        elif not is_odd_prime(s):
+            return f"primality check failed: {s} is not an odd prime"
+        else:
+            shapes.append((s, s - 1))
+    for n, abs_sum in shapes:
+        reason = capacity_error(n, q, abs_sum, 1)
+        if reason:
+            return reason
+    if family != "shifted":
+        if shift is not None or shift_ratio is not None:
+            return "--shift/--shift-ratio apply to the shifted family only"
+        return None
+    if shift is None and shift_ratio is None:
+        return "shifted family needs --shift or --shift-ratio"
+    if shift is not None and shift_ratio is not None:
+        return "shifted family takes one of --shift and --shift-ratio, not both"
+    ratios = [shift_ratio] if shift is None else [Fraction(shift, p) for p in sizes]
+    for ratio in ratios:
+        reason = shifted_limit_error(q, ratio)
+        if reason:
+            return reason
+    return None
+
+
 def convergence_table(
     family: str,
     q: int,
@@ -130,66 +191,39 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Exact norm ratios against the theoretical limit, one row per size.
 
-    `sizes` are odd primes for the fekete/shifted families and exponents k
-    for galois.  The shifted family takes either a fixed shift r or a target
-    ratio R (then r = round(R * p), so r/p -> R).  Rows are computed and
-    returned in input order.
+    `sizes` are odd primes p <= MAX_PRIME for the fekete/shifted families and
+    exponents k in 2..24 for galois.  The shifted family takes either a fixed
+    shift r or a target ratio R (then r = round(R * p), so r/p -> R).  The
+    arguments are checked by `convergence_error` first, and ValueError with
+    its reason is raised before any polynomial is built.  Rows are computed
+    and returned in input order.
     """
+    sizes = list(sizes)
+    reason = convergence_error(family, q, sizes, shift, shift_ratio)
+    if reason:
+        raise ValueError(reason)
     if family == "fekete":
         limit = fekete_limit_recursive(q)
-
-        def row(p: int) -> ConvergenceRow:
-            norm = norm_2q_exact(fekete(p), q)
-            return _make_row(family, q, p, norm, Fraction(norm, p**q), limit)
-
-    elif family == "shifted":
-        if (shift is None) == (shift_ratio is None):
-            raise ValueError("shifted family needs exactly one of shift / shift_ratio")
-        if shift_ratio is not None:
-            ratio = Fraction(shift_ratio)
-            limit = shifted_fekete_limit(q, ratio)
-        else:
-            limit = None  # fixed r, ratio r/p varies with p
-
-        def row(p: int) -> ConvergenceRow:
-            if shift_ratio is not None:
-                r = _round_half_up(Fraction(shift_ratio) * p)
-                lim = limit
-            else:
-                r = shift
-                lim = shifted_fekete_limit(q, Fraction(r, p))
-            norm = norm_2q_exact(shifted_fekete(p, r), q)
-            return _make_row(family, q, p, norm, Fraction(norm, p**q), lim)
-
     elif family == "galois":
         limit = galois_limit_recursive(q)
-
-        def row(k: int) -> ConvergenceRow:
-            n = (1 << k) - 1
-            norm = norm_2q_exact(galois(k), q)
-            return _make_row(family, q, n, norm, Fraction(norm, n**q), limit)
-
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    return [row(s) for s in sizes]
-
-
-def _round_half_up(x: Fraction) -> int:
-    from math import floor
-
-    return floor(x + Fraction(1, 2))
-
-
-def _make_row(family, q, n, norm, ratio, limit) -> ConvergenceRow:
-    err = ratio - limit
-    return ConvergenceRow(
-        family=family,
-        q=q,
-        n=n,
-        exact_norm=norm,
-        ratio=ratio,
-        limit=limit,
-        abs_err=abs(float(err)),
-        rel_err=abs(float(err / limit)),
-    )
+    elif shift_ratio is not None:
+        limit = shifted_fekete_limit(q, shift_ratio)
+    rows = []
+    for s in sizes:
+        # the polynomial is not bound to a name, so it is freed before the next
+        if family == "fekete":
+            n, norm = s, norm_2q_exact(fekete(s), q)
+        elif family == "galois":
+            n, norm = (1 << s) - 1, norm_2q_exact(galois(s), q)
+        else:
+            if shift_ratio is None:
+                r, limit = shift, shifted_fekete_limit(q, Fraction(shift, s))
+            else:
+                r = floor(Fraction(shift_ratio) * s + HALF)  # round half up
+            n, norm = s, norm_2q_exact(shifted_fekete(s, r), q)
+        ratio = Fraction(norm, n**q)
+        err = ratio - limit
+        rows.append(ConvergenceRow(
+            family, q, n, norm, ratio, limit, abs(float(err)), abs(float(err / limit))
+        ))
+    return rows

@@ -284,25 +284,37 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
         raise AssertionError("an oversized request reached the norm engine")
 
     monkeypatch.setattr(poly_mod, "convergence_table", never)
+    # argv, a part of the error, and the same request to the library
     cases = [
-        (("--family", "galois", "--q", "2", "--k", "21"), "capacity"),
-        (("--family", "fekete", "--q", "2", "--p", "1048583"), "capacity"),
-        (("--family", "shifted", "--q", "3", "--p", "700001", "--shift", "1"), "capacity"),
-        (("--family", "fekete", "--q", "64", "--p", "7"), "coefficient bound"),
-        (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "limit"),
-        (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16"),
+        (("--family", "galois", "--q", "2", "--k", "21"), "capacity",
+         ("galois", 2, [21])),
+        (("--family", "fekete", "--q", "2", "--p", "1048583"), "capacity",
+         ("fekete", 2, [1048583])),
+        (("--family", "shifted", "--q", "3", "--p", "700001", "--shift", "1"), "capacity",
+         ("shifted", 3, [700001], 1)),
+        (("--family", "fekete", "--q", "64", "--p", "7"), "coefficient bound",
+         ("fekete", 64, [7])),
+        (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "limit",
+         ("fekete", 1, [341550071728321])),
+        (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16",
+         ("shifted", 17, [5], 1)),
         (("--family", "shifted", "--q", "8", "--p", "3",
-          "--shift-ratio", "1/" + "1" + "0" * 320), "exceeds 125 digits"),
-        (("--family", "fekete", "--q", "200", "--p", "3"), "q <= 128"),
-        (("--family", "fekete", "--q", "129", "--p", "3"), "q <= 128"),
-        (("--family", "galois", "--q", "192", "--k", "2"), "q <= 128"),
+          "--shift-ratio", "1/" + "1" + "0" * 320), "exceeds 125 digits",
+         ("shifted", 8, [3], None, Fraction(1, 10**320))),
+        (("--family", "fekete", "--q", "200", "--p", "3"), "q <= 128",
+         ("fekete", 200, [3])),
+        (("--family", "fekete", "--q", "129", "--p", "3"), "q <= 128",
+         ("fekete", 129, [3])),
+        (("--family", "galois", "--q", "192", "--k", "2"), "q <= 128",
+         ("galois", 192, [2])),
     ]
-    for argv, reason in cases:
+    for argv, reason, request in cases:
         code, out = run_cli(capsys, "empirical", *argv)
         record = json.loads(out)
         jsonschema.validate(record, SCHEMA)
         assert code == 1, argv
         assert reason in record["error"], argv
+        assert record["error"] == poly_mod.convergence_error(*request), argv
 
 
 def test_empirical_refuses_without_c_decimal(capsys, monkeypatch):

@@ -403,6 +403,29 @@ def test_convergence_table_shifted():
         convergence_table("shifted", 2, [101], shift=1, shift_ratio=Fraction(1, 4))
 
 
+def test_convergence_table_refuses_before_work(monkeypatch):
+    from littlewood import polynomials as poly_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused table built a polynomial or a norm")
+
+    for name in ("fekete", "shifted_fekete", "galois", "norm_2q_exact"):
+        monkeypatch.setattr(poly_mod, name, never)
+    for args, kwargs, reason in (
+        (("galois", 2, [14, 21]), {}, "capacity"),
+        (("fekete", 2, [101, 9]), {}, "primality"),
+        (("fekete", 1, [16777259]), {}, "exceeds the limit 16777216"),
+        (("fekete", 129, [3]), {}, "q <= 128"),
+        (("shifted", 17, [5]), {"shift": 1}, "q <= 16"),
+        (("fekete", 2, [101]), {"shift": 3}, "shifted family only"),
+        (("fekete", 2, [101]), {"shift_ratio": Fraction(1, 4)}, "shifted family only"),
+        (("galois", 2, [6]), {"shift": 1}, "shifted family only"),
+        (("galois", 2, [6]), {"shift_ratio": Fraction(1, 4)}, "shifted family only"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            convergence_table(*args, **kwargs)
+
+
 def test_convergence_table_input_order():
     rows = convergence_table("fekete", 2, [13, 5, 7])
     assert [r.n for r in rows] == [13, 5, 7]
