@@ -27,6 +27,7 @@ from littlewood.limits import (
     phi_min,
     phi_piecewise,
     shifted_fekete_limit,
+    triangle_table,
 )
 from littlewood.special_numbers import (
     carlitz_numbers,
@@ -75,6 +76,7 @@ __all__ = [
     "shifted_fekete",
     "shifted_fekete_limit",
     "tangent_numbers",
+    "triangle_table",
 ]
 
 # name -> module that defines it; resolved by __getattr__ below (PEP 562)

@@ -5,11 +5,11 @@ littlewood/schema/output.v1.json) or RFC-4180-style CSV.  Exact rationals are
 always printed as "num/den" so downstream tools can re-verify without
 rounding; decimals carry 12 significant digits.  Output is byte-identical
 across identical invocations apart from the JSON timing field (CSV carries no
-timing).  Domain errors print an error record and exit 1; malformed usage
-exits 2 via argparse.  Each command checks its input before any work starts.
-`empirical` checks only which of --p and --k it was given here; everything
-else is refused by `polynomials.convergence_error`, the rule the library's
-`convergence_table` applies too, so both state a refusal in the same words.
+timing).  Malformed usage exits 2 via argparse.  Every other refusal is the
+library's: each command calls one library function, which raises ValueError
+before any work starts if the request is outside its admission rule, and
+`main` prints that message as an error record and exits 1.  The one rule kept
+here is which of --p and --k `empirical` was given.
 """
 from __future__ import annotations
 
@@ -24,10 +24,6 @@ from fractions import Fraction
 from littlewood import limits as limits_mod
 
 SCHEMA_VERSION = "v1"
-
-
-class CommandError(Exception):
-    """Domain error reported as an error record with exit code 1."""
 
 
 def _rat(x) -> str:
@@ -133,8 +129,6 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_limits(args):
-    if args.qmax > limits_mod.MAX_Q:
-        raise CommandError(f"qmax must be at most {limits_mod.MAX_Q}")
     table = limits_mod.limit_table(args.family, args.qmax)
     params = {"family": args.family, "qmax": args.qmax, "format": args.format}
     results = [
@@ -147,30 +141,20 @@ def _cmd_limits(args):
 
 
 def _cmd_triangle(args):
-    if args.rows > 16:
-        raise CommandError("rows must be at most 16")
-    fn = (
-        limits_mod.fekete_triangle_row
-        if args.family == "fekete"
-        else limits_mod.galois_triangle_row
-    )
+    table = limits_mod.triangle_table(args.family, args.rows)
     params = {"family": args.family, "rows": args.rows, "format": args.format}
     results = []
     csv_rows = []
-    for k in range(1, args.rows + 1):
-        row = fn(k)
-        results.append({"k": k, "values": [str(v) for v in row.values]})
+    for row in table:
+        results.append({"k": row.k, "values": [str(v) for v in row.values]})
         for m, v in enumerate(row.values, start=1):
-            csv_rows.append([k, m, str(v)])
+            csv_rows.append([row.k, m, str(v)])
     return params, results, (["k", "m", "value"], csv_rows)
 
 
 def _cmd_phi(args):
     q = args.q
     if args.eval_at is not None:
-        reason = limits_mod.shifted_limit_error(q, args.eval_at)
-        if reason:
-            raise CommandError(reason)
         value = limits_mod.shifted_fekete_limit(q, args.eval_at)
         params = {"q": q, "eval": _rat(args.eval_at), "format": args.format}
         results = [
@@ -186,10 +170,6 @@ def _cmd_phi(args):
         return params, results, (header, rows)
 
     if args.minimize:
-        if not 2 <= q <= limits_mod.PHI_PIECES_QMAX:
-            raise CommandError(f"--min supports 2 <= q <= {limits_mod.PHI_PIECES_QMAX}")
-        if args.eps <= 0:
-            raise CommandError("--eps must be positive")
         res = limits_mod.phi_min(q, args.eps)
         params = {"q": q, "min": True, "eps": _rat(args.eps), "format": args.format}
         results = [
@@ -209,8 +189,6 @@ def _cmd_phi(args):
                  "true" if res.alt_flag else "false"]]
         return params, results, (header, rows)
 
-    if q > limits_mod.PHI_PIECES_QMAX:
-        raise CommandError(f"--pieces supports q <= {limits_mod.PHI_PIECES_QMAX}")
     f = limits_mod.phi_piecewise(q)
     params = {"q": q, "pieces": True, "format": args.format}
     results = []
@@ -232,21 +210,17 @@ def _cmd_empirical(args):
     family, q = args.family, args.q
     if family in ("fekete", "shifted"):
         if not args.p:
-            raise CommandError(f"family {family} requires at least one --p")
+            raise ValueError(f"family {family} requires at least one --p")
         if args.k:
-            raise CommandError(f"family {family} takes --p, not --k")
+            raise ValueError(f"family {family} takes --p, not --k")
         sizes = args.p
     else:
         if not args.k:
-            raise CommandError("family galois requires at least one --k")
+            raise ValueError("family galois requires at least one --k")
         if args.p:
-            raise CommandError("family galois takes --k, not --p")
+            raise ValueError("family galois takes --k, not --p")
         sizes = args.k
     shift, shift_ratio = args.shift, args.shift_ratio
-    reason = poly_mod.convergence_error(family, q, sizes, shift, shift_ratio)
-    if reason:
-        raise CommandError(reason)
-
     table = poly_mod.convergence_table(
         family, q, sizes, shift=shift, shift_ratio=shift_ratio
     )
@@ -292,7 +266,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         params, results, csv_spec = _HANDLERS[args.command](args)
-    except CommandError as exc:
+    except ValueError as exc:
         record = {"schema": SCHEMA_VERSION, "command": args.command, "error": str(exc)}
         print(json.dumps(record, indent=2))
         return 1

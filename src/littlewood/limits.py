@@ -15,6 +15,10 @@ under which phi_q is invariant; its minimum is certified on [0, 1/4] with
 enclosures from Descartes root isolation.  The direct partition-profile
 sums `fekete_limit_direct` and `galois_limit_direct` are cross-checks.
 
+Each public function raises ValueError before any work for input outside its
+rule (MAX_Q, `shifted_limit_error`, PHI_PIECES_QMAX); the command line prints
+that message as its error record.
+
 The piecewise, partition-profile and root modules are imported by the
 functions that use them, so the recursions and `shifted_fekete_limit` run
 without loading them.
@@ -37,8 +41,10 @@ HALF = Fraction(1, 2)
 
 FAMILIES = ("fekete", "galois")
 
-# Largest q of `limits --qmax` and of the fekete/galois `convergence_table`
-# limits.  `limit_table(family, 128)` takes about 4 s and 25 MB on a 2-vCPU
+# Largest order of the Fekete and Galois recursion: the q of their limits and
+# of `limit_table`, the k of their triangle rows and of `triangle_table`, and
+# the fekete/galois q of `convergence_table`.  `limit_table(family, 128)` and
+# `triangle_table(family, 128)` each take 3-4 s and about 25 MB on a 2-vCPU
 # machine; the work grows about as q^3 products of integers whose size grows
 # with q.
 MAX_Q = 128
@@ -154,13 +160,17 @@ def _recursion_y(family: str, k: int) -> tuple[int, ...]:
     return tuple(pi)
 
 
+def _check_order(name: str, q: int) -> None:
+    if not 1 <= q <= MAX_Q:
+        raise ValueError(f"{name} {q} out of range 1..{MAX_Q}")
+
+
 def _coefficient(poly: tuple, m: int) -> Fraction:
     return Fraction(poly[m]) if 0 <= m < len(poly) else Fraction(0)
 
 
 def _limit(family: str, q: int) -> Fraction:
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_order("q", q)
     # F(q, q) and G(q, q) are the x^0 term of pi_q(x + 1/x) over (2q-1)!
     pi = _recursion_y(family, q)
     centre = sum(pi[m] * comb(m, m // 2) for m in range(0, q, 2))
@@ -178,8 +188,7 @@ def galois_limit_recursive(q: int) -> Fraction:
 
 
 def _triangle_row(family: str, k: int) -> TriangleRow:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_order("k", k)
     half = _x_form(_recursion_y(family, k))
     return TriangleRow(k, half[:0:-1] + half)
 
@@ -195,12 +204,21 @@ def galois_triangle_row(k: int) -> TriangleRow:
 
 
 def limit_table(family: str, qmax: int) -> LimitTable:
+    """The family's limits for q = 1..qmax."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if qmax < 1:
-        raise ValueError("qmax must be >= 1")
+    _check_order("qmax", qmax)
     fn = fekete_limit_recursive if family == "fekete" else galois_limit_recursive
     return LimitTable(family, {q: fn(q) for q in range(1, qmax + 1)})
+
+
+def triangle_table(family: str, rows: int) -> list[TriangleRow]:
+    """Rows k = 1..rows of the family's triangular array."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    _check_order("rows", rows)
+    fn = fekete_triangle_row if family == "fekete" else galois_triangle_row
+    return [fn(k) for k in range(1, rows + 1)]
 
 
 def fekete_limit_direct(q: int) -> Fraction:
@@ -458,5 +476,7 @@ def phi_min(q: int, eps) -> PhiMinResult:
         raise ValueError(
             f"phi_min supports 2 <= q <= {PHI_PIECES_QMAX} (order 1 is constant)"
         )
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     res = pw_minimize(phi_piecewise(q), 0, HALF / 2, eps)
     return PhiMinResult(res.argmin, res.value, bool(res.competitors))

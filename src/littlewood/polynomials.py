@@ -144,6 +144,7 @@ def convergence_error(
     shift_ratio=None,
 ) -> str | None:
     """Why `convergence_table` refuses these arguments, or None if it admits them."""
+    sizes = list(sizes)
     if family not in ("fekete", "shifted", "galois"):
         return f"unknown family {family!r}"
     if q < 1:

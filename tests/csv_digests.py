@@ -5,9 +5,12 @@ version of the program whose route it pins.
 `tests/test_cli.py` checks both tables in-process.  Run as a script,
 `PYTHONPATH=src python tests/csv_digests.py` runs every command as
 `python -m littlewood ... --format csv` and compares the bytes, with no
-dependency beyond the standard library; it exits 1 on any mismatch.
+dependency beyond the standard library.  It also runs each of `REFUSALS`,
+which must exit 1 with a v1 error record and nothing on stderr.  It exits 1
+on any mismatch.
 """
 import hashlib
+import json
 import subprocess
 import sys
 
@@ -103,6 +106,34 @@ NORM_CSV_DIGESTS = [
 ]
 
 
+# one refused request per library rule; each is refused before any work
+REFUSALS = [
+    ("limits", "--family", "fekete", "--qmax", "129"),
+    ("triangle", "--family", "fekete", "--rows", "129"),
+    ("phi", "--q", "7", "--min"),
+    ("phi", "--q", "3", "--min", "--eps", "0"),
+    ("phi", "--q", "7", "--pieces"),
+    ("phi", "--q", "17", "--eval", "1/4"),
+    ("empirical", "--family", "galois", "--q", "2", "--k", "21"),
+]
+
+
+def _is_refusal(proc: subprocess.CompletedProcess, command: str) -> bool:
+    try:
+        record = json.loads(proc.stdout)
+    except ValueError:
+        return False
+    return (
+        proc.returncode == 1
+        and not proc.stderr
+        and isinstance(record, dict)
+        and sorted(record) == ["command", "error", "schema"]
+        and record["schema"] == "v1"
+        and record["command"] == command
+        and isinstance(record["error"], str)
+    )
+
+
 def main() -> int:
     failures = 0
     for argv, digest in PINNED_CSV_DIGESTS + NORM_CSV_DIGESTS:
@@ -115,6 +146,15 @@ def main() -> int:
         if not ok:
             failures += 1
             sys.stderr.write(proc.stderr.decode())
+    for argv in REFUSALS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "littlewood", *argv], capture_output=True
+        )
+        ok = _is_refusal(proc, argv[0])
+        print("ok  " if ok else "FAIL", " ".join(argv), "(refused)")
+        if not ok:
+            failures += 1
+            sys.stderr.write(proc.stdout.decode() + proc.stderr.decode())
     return 1 if failures else 0
 
 

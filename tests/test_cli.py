@@ -12,7 +12,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from csv_digests import NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS
+from csv_digests import NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS, REFUSALS
 from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
 from littlewood.cli import main
@@ -95,10 +95,17 @@ def test_triangle_zero_rows_is_usage_error():
 
 
 def test_triangle_rows_bound(capsys):
-    code, out = run_cli(capsys, "triangle", "--family", "fekete", "--rows", "17")
+    code, out = run_cli(capsys, "triangle", "--family", "fekete", "--rows", "129")
     record = json.loads(out)
     jsonschema.validate(record, SCHEMA)
     assert code == 1
+    assert "128" in record["error"]
+    # the former cap of 16 rows is gone; row 17 extends the 16-row table
+    code, record = run_json(capsys, "triangle", "--family", "fekete", "--rows", "17")
+    assert code == 0
+    _, shorter = run_json(capsys, "triangle", "--family", "fekete", "--rows", "16")
+    assert record["results"][:16] == shorter["results"]
+    assert record["results"][16]["k"] == 17
 
 
 def test_phi_pieces_q1_constant(capsys):
@@ -128,7 +135,7 @@ def test_phi_eval_negative_rational(capsys):
 def test_negative_rational_options(capsys):
     code, record = run_json(capsys, "phi", "--q", "3", "--min", "--eps", "-1/4")
     assert code == 1
-    assert record["error"] == "--eps must be positive"
+    assert record["error"] == "eps must be positive"
     code, record = run_json(
         capsys, "empirical", "--family", "shifted", "--q", "2", "--p", "13",
         "--shift-ratio", "-1/3",
@@ -209,7 +216,7 @@ def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused request reached the evaluator")
 
-    monkeypatch.setattr(limits_mod, "shifted_fekete_limit", never)
+    monkeypatch.setattr(limits_mod, "_shifted_values", never)
     cases = [
         (("--q", "17", "--eval", "1/4"), "1 <= q <= 16"),
         (("--q", "8", "--eval", "1/" + "1" + "0" * 320), "exceeds 125 digits at q=8"),
@@ -279,11 +286,16 @@ def test_empirical_composite_prime_is_error(capsys):
     assert "9" in record["error"]
 
 
-def test_empirical_refuses_oversized_input(capsys, monkeypatch):
+def _forbid_polynomial_work(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("an oversized request reached the norm engine")
+        raise AssertionError("a refused request built a polynomial or a norm")
 
-    monkeypatch.setattr(poly_mod, "convergence_table", never)
+    for name in ("fekete", "shifted_fekete", "galois", "norm_2q_exact"):
+        monkeypatch.setattr(poly_mod, name, never)
+
+
+def test_empirical_refuses_oversized_input(capsys, monkeypatch):
+    _forbid_polynomial_work(monkeypatch)
     # argv, a part of the error, and the same request to the library
     cases = [
         (("--family", "galois", "--q", "2", "--k", "21"), "capacity",
@@ -329,10 +341,7 @@ def test_empirical_refuses_without_c_decimal(capsys, monkeypatch):
     with pytest.raises(ValueError, match="C decimal module"):
         poly_mod.norm_2q_exact(poly_mod.fekete(5), 2)
 
-    def never(*args, **kwargs):
-        raise AssertionError("a refused request reached the norm engine")
-
-    monkeypatch.setattr(poly_mod, "convergence_table", never)
+    _forbid_polynomial_work(monkeypatch)
     for argv in (("--family", "fekete", "--q", "2", "--p", "5"),
                  ("--family", "galois", "--q", "3", "--k", "2"),
                  ("--family", "shifted", "--q", "2", "--p", "5", "--shift", "1")):
@@ -341,6 +350,70 @@ def test_empirical_refuses_without_c_decimal(capsys, monkeypatch):
         jsonschema.validate(record, SCHEMA)
         assert code == 1, argv
         assert "C decimal module" in record["error"], argv
+        assert record["error"] == poly_mod.convergence_error(
+            argv[1], int(argv[3]), [int(argv[5])], 1 if "--shift" in argv else None
+        ), argv
+
+
+# Refused requests of every command, each with the library call that makes
+# the same request: the record's error is that call's ValueError text.
+REFUSED = [
+    (("limits", "--family", "fekete", "--qmax", "129"),
+     lambda: limits_mod.limit_table("fekete", 129)),
+    (("limits", "--family", "galois", "--qmax", "1000"),
+     lambda: limits_mod.limit_table("galois", 1000)),
+    (("triangle", "--family", "fekete", "--rows", "129"),
+     lambda: limits_mod.triangle_table("fekete", 129)),
+    (("triangle", "--family", "galois", "--rows", "129"),
+     lambda: limits_mod.triangle_table("galois", 129)),
+    (("phi", "--q", "17", "--eval", "1/4"),
+     lambda: limits_mod.shifted_fekete_limit(17, Fraction(1, 4))),
+    (("phi", "--q", "16", "--eval", "1/" + "9" * 63),
+     lambda: limits_mod.shifted_fekete_limit(16, Fraction(1, 10**63 - 1))),
+    (("phi", "--q", "1", "--min"),
+     lambda: limits_mod.phi_min(1, Fraction(1, 1 << 20))),
+    (("phi", "--q", "7", "--min"),
+     lambda: limits_mod.phi_min(7, Fraction(1, 1 << 20))),
+    (("phi", "--q", "3", "--min", "--eps", "0"),
+     lambda: limits_mod.phi_min(3, 0)),
+    (("phi", "--q", "3", "--min", "--eps", "-1/4"),
+     lambda: limits_mod.phi_min(3, Fraction(-1, 4))),
+    (("phi", "--q", "7", "--pieces"),
+     lambda: limits_mod.phi_piecewise(7)),
+    (("empirical", "--family", "galois", "--q", "2", "--k", "21"),
+     lambda: poly_mod.convergence_table("galois", 2, [21])),
+    (("empirical", "--family", "fekete", "--q", "129", "--p", "3"),
+     lambda: poly_mod.convergence_table("fekete", 129, [3])),
+    (("empirical", "--family", "fekete", "--q", "2", "--p", "9"),
+     lambda: poly_mod.convergence_table("fekete", 2, [9])),
+    (("empirical", "--family", "fekete", "--q", "2", "--p", "5", "--shift", "1"),
+     lambda: poly_mod.convergence_table("fekete", 2, [5], shift=1)),
+    (("empirical", "--family", "shifted", "--q", "2", "--p", "5"),
+     lambda: poly_mod.convergence_table("shifted", 2, [5])),
+    (("empirical", "--family", "shifted", "--q", "17", "--p", "5",
+      "--shift-ratio", "1/4"),
+     lambda: poly_mod.convergence_table("shifted", 17, [5], shift_ratio=Fraction(1, 4))),
+]
+
+
+@pytest.mark.parametrize("argv, call", REFUSED, ids=[" ".join(a)[:64] for a, _ in REFUSED])
+def test_error_record_is_the_library_refusal(capsys, monkeypatch, argv, call):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused request reached the recursion")
+
+    _forbid_polynomial_work(monkeypatch)
+    monkeypatch.setattr(limits_mod, "_values", never)
+    monkeypatch.setattr(limits_mod, "_shifted_values", never)
+    with pytest.raises(ValueError) as exc:
+        call()
+    code, record = run_json(capsys, *argv)
+    assert code == 1
+    assert record == {"schema": "v1", "command": argv[0], "error": str(exc.value)}
+
+
+def test_script_refusals_are_library_refusals():
+    # `python tests/csv_digests.py` checks these without the parity test's tools
+    assert set(REFUSALS) <= {argv for argv, _ in REFUSED}
 
 
 def test_empirical_ignores_thread_env_var(capsys, monkeypatch):

@@ -27,6 +27,7 @@ from littlewood.limits import (
     phi_piecewise,
     shifted_fekete_limit,
     shifted_limit_error,
+    triangle_table,
 )
 from littlewood import limits
 from littlewood.ratpoly import poly_eval
@@ -100,6 +101,8 @@ def test_triangle_rows_published():
         assert fekete_triangle_row(k).values == row
     for k, row in GALOIS_ROWS.items():
         assert galois_triangle_row(k).values == row
+    for family, rows in (("fekete", FEKETE_ROWS), ("galois", GALOIS_ROWS)):
+        assert triangle_table(family, len(rows)) == [(k, rows[k]) for k in sorted(rows)]
 
 
 def test_triangle_invariants():
@@ -648,6 +651,27 @@ def test_phi_min():
         assert res.argmin[1] - res.argmin[0] <= eps
         assert res.value == (PHI_QUARTER[q - 1], PHI_QUARTER[q - 1])
         assert res.alt_flag is False
+
+
+def test_refusals_come_before_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused request reached the recursion or the pieces")
+
+    monkeypatch.setattr(limits, "_values", never)
+    monkeypatch.setattr(limits, "phi_piecewise", never)
+    for call, reason in (
+        (lambda: limit_table("fekete", 129), "qmax 129 out of range 1..128"),
+        (lambda: fekete_limit_recursive(129), "q 129 out of range"),
+        (lambda: galois_limit_recursive(0), "q 0 out of range"),
+        (lambda: galois_triangle_row(129), "k 129 out of range"),
+        (lambda: triangle_table("galois", 129), "rows 129 out of range"),
+        (lambda: triangle_table("fekete", 0), "rows 0 out of range"),
+        (lambda: triangle_table("both", 2), "unknown family"),
+        (lambda: phi_min(3, 0), "eps must be positive"),
+        (lambda: phi_min(3, Fraction(-1, 4)), "eps must be positive"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            call()
 
 
 def test_phi_min_preconditions():

@@ -426,6 +426,19 @@ def test_convergence_table_refuses_before_work(monkeypatch):
             convergence_table(*args, **kwargs)
 
 
+def test_convergence_error_takes_any_iterable():
+    from littlewood.polynomials import convergence_error
+
+    for sizes in ([5], (5,), iter([5]), (p for p in [5])):
+        assert convergence_error("shifted", 17, sizes, shift=1) == (
+            "shifted limits support 1 <= q <= 16"
+        )
+    assert convergence_error("fekete", 2, (p for p in [5, 9])) == (
+        "primality check failed: 9 is not an odd prime"
+    )
+    assert convergence_error("fekete", 2, (p for p in [5, 7])) is None
+
+
 def test_convergence_table_input_order():
     rows = convergence_table("fekete", 2, [13, 5, 7])
     assert [r.n for r in rows] == [13, 5, 7]
