@@ -3,7 +3,8 @@
 Every command renders either a JSON record (schema "v1", shipped in
 littlewood/schema/output.v1.json) or RFC-4180-style CSV.  Exact rationals are
 always printed as "num/den" so downstream tools can re-verify without
-rounding; decimals carry 12 significant digits.  Output is byte-identical
+rounding; decimals carry 12 significant digits.  A handler builds only the
+requested format, and JSON is streamed to stdout.  Output is byte-identical
 across identical invocations apart from the JSON timing field (CSV carries no
 timing).  Malformed usage exits 2 via argparse.  Every other refusal is the
 library's: each command calls one library function, which raises ValueError
@@ -131,76 +132,66 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 def _cmd_limits(args):
     table = limits_mod.limit_table(args.family, args.qmax)
     params = {"family": args.family, "qmax": args.qmax, "format": args.format}
-    results = [
-        {"q": q, "limit": _rat(v), "limit_decimal": _dec(v)}
-        for q, v in sorted(table.entries.items())
-    ]
-    header = ["q", "limit", "limit_decimal"]
-    rows = [[r["q"], r["limit"], r["limit_decimal"]] for r in results]
-    return params, results, (header, rows)
+    entries = sorted(table.entries.items())
+    if args.format == "json":
+        return params, [
+            {"q": q, "limit": _rat(v), "limit_decimal": _dec(v)} for q, v in entries
+        ]
+    return params, (["q", "limit", "limit_decimal"],
+                    ([q, _rat(v), _dec(v)] for q, v in entries))
 
 
 def _cmd_triangle(args):
     table = limits_mod.triangle_table(args.family, args.rows)
     params = {"family": args.family, "rows": args.rows, "format": args.format}
-    results = []
-    csv_rows = []
-    for row in table:
-        results.append({"k": row.k, "values": [str(v) for v in row.values]})
-        for m, v in enumerate(row.values, start=1):
-            csv_rows.append([row.k, m, str(v)])
-    return params, results, (["k", "m", "value"], csv_rows)
+    if args.format == "json":
+        return params, [{"k": row.k, "values": [str(v) for v in row.values]}
+                        for row in table]
+    return params, (["k", "m", "value"],
+                    ([row.k, m, str(v)] for row in table
+                     for m, v in enumerate(row.values, start=1)))
 
 
 def _cmd_phi(args):
     q = args.q
+    json_out = args.format == "json"
     if args.eval_at is not None:
         value = limits_mod.shifted_fekete_limit(q, args.eval_at)
         params = {"q": q, "eval": _rat(args.eval_at), "format": args.format}
-        results = [
-            {
-                "q": q,
-                "r": _rat(args.eval_at),
-                "value": _rat(value),
-                "value_decimal": _dec(value),
-            }
-        ]
-        header = ["q", "r", "value", "value_decimal"]
-        rows = [[q, results[0]["r"], results[0]["value"], results[0]["value_decimal"]]]
-        return params, results, (header, rows)
+        r, v, v_dec = _rat(args.eval_at), _rat(value), _dec(value)
+        if json_out:
+            return params, [{"q": q, "r": r, "value": v, "value_decimal": v_dec}]
+        return params, (["q", "r", "value", "value_decimal"], [[q, r, v, v_dec]])
 
     if args.minimize:
         res = limits_mod.phi_min(q, args.eps)
         params = {"q": q, "min": True, "eps": _rat(args.eps), "format": args.format}
-        results = [
-            {
+        a_lo, a_hi, v_lo, v_hi = (_rat(x) for x in (*res.argmin, *res.value))
+        if json_out:
+            return params, [{
                 "q": q,
-                "argmin_lo": _rat(res.argmin[0]),
-                "argmin_hi": _rat(res.argmin[1]),
-                "min_lo": _rat(res.value[0]),
-                "min_hi": _rat(res.value[1]),
+                "argmin_lo": a_lo,
+                "argmin_hi": a_hi,
+                "min_lo": v_lo,
+                "min_hi": v_hi,
                 "min_decimal": _dec(res.value[1]),
                 "alt_flag": res.alt_flag,
-            }
-        ]
+            }]
         header = ["q", "argmin_lo", "argmin_hi", "min_lo", "min_hi", "alt_flag"]
-        r = results[0]
-        rows = [[q, r["argmin_lo"], r["argmin_hi"], r["min_lo"], r["min_hi"],
-                 "true" if res.alt_flag else "false"]]
-        return params, results, (header, rows)
+        return params, (header, [[q, a_lo, a_hi, v_lo, v_hi,
+                                  "true" if res.alt_flag else "false"]])
 
     f = limits_mod.phi_piecewise(q)
     params = {"q": q, "pieces": True, "format": args.format}
-    results = []
-    csv_rows = []
-    for i, piece in enumerate(f.pieces):
-        lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
-        coeffs = [_rat(c) for c in piece]
-        results.append(
-            {"piece": i, "lo": _rat(lo), "hi": _rat(hi), "coefficients": coeffs}
-        )
-        csv_rows.append([i, _rat(lo), _rat(hi), " ".join(coeffs)])
-    return params, results, (["piece", "lo", "hi", "coefficients"], csv_rows)
+    pieces = (
+        (i, _rat(f.breakpoints[i]), _rat(f.breakpoints[i + 1]), [_rat(c) for c in piece])
+        for i, piece in enumerate(f.pieces)
+    )
+    if json_out:
+        return params, [{"piece": i, "lo": lo, "hi": hi, "coefficients": coeffs}
+                        for i, lo, hi, coeffs in pieces]
+    return params, (["piece", "lo", "hi", "coefficients"],
+                    ([i, lo, hi, " ".join(coeffs)] for i, lo, hi, coeffs in pieces))
 
 
 def _cmd_empirical(args):
@@ -229,26 +220,27 @@ def _cmd_empirical(args):
         params["shift"] = shift
     if shift_ratio is not None:
         params["shift_ratio"] = _rat(shift_ratio)
-    results = [
-        {
-            "n": row.n,
-            "exact_norm": str(row.exact_norm),
-            "ratio": _rat(row.ratio),
-            "limit": _rat(row.limit),
-            "abs_err": _dec(row.abs_err),
-            "rel_err": _dec(row.rel_err),
-        }
-        for row in table
-    ]
+    if args.format == "json":
+        return params, [
+            {
+                "n": row.n,
+                "exact_norm": str(row.exact_norm),
+                "ratio": _rat(row.ratio),
+                "limit": _rat(row.limit),
+                "abs_err": _dec(row.abs_err),
+                "rel_err": _dec(row.rel_err),
+            }
+            for row in table
+        ]
     header = ["n", "exact_norm", "ratio_num", "ratio_den", "limit_num",
               "limit_den", "rel_err"]
-    rows = [
+    rows = (
         [row.n, str(row.exact_norm), str(row.ratio.numerator),
          str(row.ratio.denominator), str(row.limit.numerator),
          str(row.limit.denominator), _dec(row.rel_err)]
         for row in table
-    ]
-    return params, results, (header, rows)
+    )
+    return params, (header, rows)
 
 
 _HANDLERS = {
@@ -265,27 +257,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     started = time.perf_counter()
     try:
-        params, results, csv_spec = _HANDLERS[args.command](args)
+        params, body = _HANDLERS[args.command](args)
     except ValueError as exc:
-        record = {"schema": SCHEMA_VERSION, "command": args.command, "error": str(exc)}
-        print(json.dumps(record, indent=2))
+        _write_json({"schema": SCHEMA_VERSION, "command": args.command, "error": str(exc)})
         return 1
     elapsed = time.perf_counter() - started
     if args.format == "json":
-        record = {
+        _write_json({
             "schema": SCHEMA_VERSION,
             "command": args.command,
             "parameters": params,
-            "results": results,
+            "results": body,
             "timing": {"seconds": elapsed},
-        }
-        print(json.dumps(record, indent=2))
+        })
     else:
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL)
-        header, rows = csv_spec
+        header, rows = body
         writer.writerow(header)
         writer.writerows(rows)
     return 0
+
+
+def _write_json(record) -> None:
+    # streamed to stdout; the same bytes as print(json.dumps(record, indent=2))
+    json.dump(record, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 if __name__ == "__main__":

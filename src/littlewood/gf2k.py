@@ -99,6 +99,11 @@ def galois(k: int, beta: int = 1) -> tuple[int, ...]:
     Coefficient j is (-1)^Tr(beta * theta^j) for the canonical primitive
     element theta; beta != 0 selects the additive character.
     """
+    return tuple(_galois_signs(k, beta))
+
+
+def _galois_signs(k: int, beta: int = 1) -> memoryview:
+    """The coefficients of `galois(k, beta)` as signed bytes."""
     if beta == 0:
         raise ValueError("beta must be nonzero (the character must be nontrivial)")
     poly = primitive_polynomial(k)
@@ -106,7 +111,7 @@ def galois(k: int, beta: int = 1) -> tuple[int, ...]:
         raise ValueError(f"{beta} is not a nonzero field element")
     n = (1 << k) - 1
     text = format(_trace_bits(k, beta, poly, n), f"0{n}b")[::-1]
-    return tuple(memoryview(text.encode().translate(_SIGN)).cast("b"))
+    return memoryview(text.encode().translate(_SIGN)).cast("b")
 
 
 def _trace_bits(k: int, beta: int, poly: int, n: int) -> int:

@@ -1,16 +1,23 @@
 """Exact sums of squared coefficients of integer polynomial powers.
 
 `power_square_sum(a, q)` returns the sum of c_j^2 over the coefficients of
-f^q = sum c_j x^j, where f has the integer coefficients `a`.  For q >= 2 it
-uses Kronecker substitution in decimal: f is evaluated at X = 10^w, where w
-digits hold 2B + 1 for the bound B = (sum |a|)^(q-1) * max |a| on |c_j|.
-The C `decimal` module (libmpdec, which multiplies large numbers with
-number-theoretic transforms) raises f(X) to the q-th power in a context that
-traps any rounding, so a result is exact or an exception.  Adding
-h = 5 * 10^(w-1) to every w-digit slot makes each slot c_j + h, in
-[0, 10^w), so no carry crosses a slot; the slots are then read back from the
-digit string a chunk at a time, which bounds the Python integers alive at
-once.
+f^q = sum c_j x^j, where f has the integer coefficients `a`.  Vectors reach
+the engine as signed bytes: a memoryview of format "b" (what the private
+builders in `littlewood.polynomials` and `littlewood.gf2k` make; the public
+builders still return tuples) is copied once with `tobytes`, and any other
+sequence is packed once into an `array("b")`.  When every byte is 0, 1 or
+-1 the counts and the packing work on those bytes; other coefficients take
+the integer route.
+
+For q >= 2 it uses Kronecker substitution in decimal: f is evaluated at
+X = 10^w, where w digits hold 2B + 1 for the bound
+B = (sum |a|)^(q-1) * max |a| on |c_j|.  The C `decimal` module (libmpdec,
+which multiplies large numbers with number-theoretic transforms) raises
+f(X) to the q-th power in a context that traps any rounding, so a result is
+exact or an exception.  Adding h = 5 * 10^(w-1) to every w-digit slot makes
+each slot c_j + h, in [0, 10^w), so no carry crosses a slot; the slots are
+then read back from the digit string _CHUNK slots at a time, so the chunk
+size bounds the decoder's live Python objects.
 
 A power longer than MAX_LEN coefficients, coefficients bounded only beyond
 _MODULUS / 2, or q >= 2 without the C `decimal` module (its pure-Python
@@ -48,7 +55,9 @@ MAX_LEN = 1 << 21
 # transform engine, kept so the inputs refused stay the same.
 _MODULUS = 998244353 * 1004535809 * 469762049 * 167772161 * 754974721
 # Slots decoded per step.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 12
+# The bytes of the coefficients 0, 1 and -1.
+_UNIT_BYTES = b"\x00\x01\xff"
 # A coefficient byte (1, 0 or -1 as 255) -> its digit in the packed positive
 # or negative part.
 _POS_DIGIT = bytes(48 + (b == 1) for b in range(256))
@@ -77,37 +86,55 @@ def capacity_error(n: int, q: int, abs_sum: int, abs_max: int) -> str | None:
 
 def power_square_sum(a, q: int) -> int:
     """Exact sum of the squared coefficients of f^q for integer coefficients a."""
-    a = tuple(a)
-    nonzero = len(a) - a.count(0)
-    unit = set(a) <= {-1, 0, 1}
-    if q == 1 or not nonzero:
-        return nonzero if unit else sum(map(mul, a, a))
-    abs_sum, abs_max = (nonzero, 1) if unit else (sum(map(abs, a)), max(map(abs, a)))
+    if not (isinstance(a, memoryview) and a.format == "b"):
+        a = tuple(a)
+    signs = _signs(a)
+    if signs is None:
+        if q == 1:
+            return sum(map(mul, a, a))
+        abs_sum, abs_max = sum(map(abs, a)), max(map(abs, a))
+    else:
+        abs_sum, abs_max = len(signs) - signs.count(0), 1
+        if q == 1 or not abs_sum:
+            return abs_sum
     reason = capacity_error(len(a), q, abs_sum, abs_max)
     if reason:
         raise ValueError(reason)
     w = len(str(2 * abs_sum ** (q - 1) * abs_max + 1))
     out_len = q * (len(a) - 1) + 1
     with localcontext(_EXACT):
-        power = _pack(a, w, unit) ** q
+        power = (_pack_ints(a, w) if signs is None else _pack_signs(signs, w)) ** q
         # the leading 1 fixes the length of the digit string
         digits = str(power + Decimal("1" + ("5" + "0" * (w - 1)) * out_len))
     del power
     return _centred_square_sum(digits, w, out_len)
 
 
-def _pack(a: tuple[int, ...], w: int, unit: bool) -> Decimal:
-    """f(10^w) for the coefficients a, exactly, in the current context."""
-    if unit:
-        coeffs = array("b", reversed(a)).tobytes()
-        slots = bytearray(b"0") * (len(a) * w)
-        slots[w - 1 :: w] = coeffs.translate(_POS_DIGIT)
-        pos = slots.decode()
-        slots[w - 1 :: w] = coeffs.translate(_NEG_DIGIT)
-        neg = slots.decode()
-    else:
-        pos = "".join(str(max(c, 0)).zfill(w) for c in reversed(a))
-        neg = "".join(str(max(-c, 0)).zfill(w) for c in reversed(a))
+def _signs(a) -> bytes | None:
+    """The coefficients a as signed bytes, or None unless each is 0, 1 or -1."""
+    try:
+        raw = a.tobytes() if isinstance(a, memoryview) else array("b", a).tobytes()
+    except OverflowError:
+        return None
+    return None if raw.translate(None, _UNIT_BYTES) else raw
+
+
+def _pack_signs(signs: bytes, w: int) -> Decimal:
+    """f(10^w) for coefficients given as signed bytes 0, 1 and -1 (255)."""
+    coeffs = signs[::-1]
+    slots = bytearray(b"0") * (len(signs) * w)
+    slots[w - 1 :: w] = coeffs.translate(_POS_DIGIT)
+    pos = slots.decode()
+    slots[w - 1 :: w] = coeffs.translate(_NEG_DIGIT)
+    neg = slots.decode()
+    del slots
+    return Decimal(pos) - Decimal(neg)
+
+
+def _pack_ints(a, w: int) -> Decimal:
+    """f(10^w) for any integer coefficients a."""
+    pos = "".join(str(max(c, 0)).zfill(w) for c in reversed(a))
+    neg = "".join(str(max(-c, 0)).zfill(w) for c in reversed(a))
     return Decimal(pos) - Decimal(neg)
 
 

@@ -1,6 +1,9 @@
 """Fekete and shifted Fekete polynomials and exact norms on the unit circle.
 
-A coefficient vector is a tuple of integers, constant term first.  For a
+A coefficient vector is a tuple of integers, constant term first.  The
+public builders return tuples; each has a private twin returning the same
+coefficients as signed bytes (a memoryview of format "b"), which is what
+`convergence_table` hands the norm engine.  For a
 real-coefficient polynomial f and even exponent 2q, the 2q-th power of the
 L^2q norm equals the sum of squared coefficients of f^q (orthonormality of
 the monomials), so it is an exact integer.  `littlewood.intconv` computes it
@@ -21,7 +24,8 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
-from littlewood.gf2k import galois
+# `galois` stays importable from here, beside the other public builders
+from littlewood.gf2k import _galois_signs, galois  # noqa: F401
 from littlewood.intconv import capacity_error, power_square_sum
 from littlewood.limits import (
     HALF,
@@ -80,6 +84,11 @@ def legendre(a: int, p: int) -> int:
 
 def fekete(p: int) -> tuple[int, ...]:
     """Fekete polynomial of degree p-1: coefficient j is the Legendre symbol (j/p)."""
+    return tuple(_fekete_signs(p))
+
+
+def _fekete_signs(p: int) -> memoryview:
+    """The coefficients of `fekete(p)` as signed bytes."""
     if not is_odd_prime(p):
         raise ValueError(f"primality check failed: {p} is not an odd prime")
     squares = bytearray(p)
@@ -87,7 +96,7 @@ def fekete(p: int) -> tuple[int, ...]:
         squares[j * j % p] = 1
     signs = squares.translate(_LEGENDRE)
     signs[0] = 0
-    return tuple(memoryview(signs).cast("b"))
+    return memoryview(signs).cast("b")
 
 
 def shifted_fekete(p: int, r: int) -> tuple[int, ...]:
@@ -96,8 +105,16 @@ def shifted_fekete(p: int, r: int) -> tuple[int, ...]:
     Exactly one of the p coefficients is zero (at j with j + r = 0 mod p);
     it is kept as 0 to match the definition.
     """
-    base = fekete(p)
-    return base[r % p :] + base[: r % p]
+    return tuple(_shifted_signs(p, r))
+
+
+def _shifted_signs(p: int, r: int) -> memoryview:
+    """The coefficients of `shifted_fekete(p, r)` as signed bytes."""
+    base = _fekete_signs(p)
+    r %= p
+    signs = bytearray(base[r:])
+    signs += base[:r]
+    return memoryview(signs).cast("b")
 
 
 def norm_2q_exact(f, q: int) -> int:
@@ -213,15 +230,15 @@ def convergence_table(
     for s in sizes:
         # the polynomial is not bound to a name, so it is freed before the next
         if family == "fekete":
-            n, norm = s, norm_2q_exact(fekete(s), q)
+            n, norm = s, norm_2q_exact(_fekete_signs(s), q)
         elif family == "galois":
-            n, norm = (1 << s) - 1, norm_2q_exact(galois(s), q)
+            n, norm = (1 << s) - 1, norm_2q_exact(_galois_signs(s), q)
         else:
             if shift_ratio is None:
                 r, limit = shift, shifted_fekete_limit(q, Fraction(shift, s))
             else:
                 r = floor(Fraction(shift_ratio) * s + HALF)  # round half up
-            n, norm = s, norm_2q_exact(shifted_fekete(s, r), q)
+            n, norm = s, norm_2q_exact(_shifted_signs(s, r), q)
         ratio = Fraction(norm, n**q)
         err = ratio - limit
         rows.append(ConvergenceRow(

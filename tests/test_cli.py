@@ -62,6 +62,16 @@ def test_limits_csv(capsys):
     assert '"5/3"' in out
 
 
+def test_json_bytes_are_indented_dumps(capsys):
+    # records stream to stdout as exactly json.dumps(record, indent=2) + "\n"
+    for argv in (("limits", "--family", "galois", "--qmax", "3"),
+                 ("phi", "--q", "3", "--min"),
+                 ("empirical", "--family", "fekete", "--q", "2", "--p", "13"),
+                 ("limits", "--family", "fekete", "--qmax", "129")):
+        _, out = run_cli(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 def test_unknown_family_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["limits", "--family", "both", "--qmax", "2"])
@@ -290,7 +300,8 @@ def _forbid_polynomial_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused request built a polynomial or a norm")
 
-    for name in ("fekete", "shifted_fekete", "galois", "norm_2q_exact"):
+    for name in ("fekete", "shifted_fekete", "galois", "_fekete_signs",
+                 "_shifted_signs", "_galois_signs", "norm_2q_exact"):
         monkeypatch.setattr(poly_mod, name, never)
 
 

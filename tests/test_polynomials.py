@@ -1,6 +1,8 @@
 """Tests for polynomial construction, fields, exact norms, and convergence."""
 import hashlib
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +13,20 @@ from sympy import isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from littlewood.gf2k import _gf2_mulmod, galois, primitive_polynomial
-from littlewood.intconv import _MODULUS, MAX_LEN, capacity_error, power_square_sum
+from littlewood.gf2k import _galois_signs, _gf2_mulmod, galois, primitive_polynomial
+from littlewood.intconv import (
+    _CHUNK,
+    _MODULUS,
+    MAX_LEN,
+    _centred_square_sum,
+    _signs,
+    capacity_error,
+    power_square_sum,
+)
+from littlewood.limits import fekete_limit_recursive, galois_limit_recursive
 from littlewood.polynomials import (
+    _fekete_signs,
+    _shifted_signs,
     convergence_table,
     fekete,
     is_odd_prime,
@@ -368,6 +381,97 @@ def test_power_square_sum_beyond_capacity():
     assert power_square_sum([], 3) == 0
 
 
+def test_builders_return_tuples_of_their_signs():
+    for public, signs in ((fekete(101), _fekete_signs(101)),
+                          (shifted_fekete(101, 37), _shifted_signs(101, 37)),
+                          (shifted_fekete(101, -5), _shifted_signs(101, -5)),
+                          (galois(7, 5), _galois_signs(7, 5))):
+        assert type(public) is tuple
+        assert signs.format == "b"
+        assert public == tuple(signs)
+
+
+def _as_routes(coeffs):
+    """The same vector as a tuple, a list, a generator and, when each value
+    fits a signed byte, a "b" memoryview."""
+    routes = [tuple(coeffs), list(coeffs), (c for c in coeffs)]
+    if all(-128 <= c < 128 for c in coeffs):
+        routes.append(memoryview(array("b", coeffs)))
+    return routes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((-1, 0, 1)), max_size=300), st.integers(1, 4))
+@example([], 2)
+@example([0, 0, 0], 3)
+@example([-1], 4)
+def test_power_square_sum_same_on_every_input_type(coeffs, q):
+    assert _signs(coeffs) is not None
+    expected = (sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
+                if coeffs else 0)
+    for a in _as_routes(coeffs):
+        assert power_square_sum(a, q) == expected, type(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=200),
+       st.sampled_from((2, -3, 127, 128, -129, 10**30)),
+       st.integers(0, 199), st.integers(1, 4))
+def test_power_square_sum_integer_route(units, odd, where, q):
+    coeffs = list(units)
+    coeffs.insert(where % (len(coeffs) + 1), odd)
+    routes = _as_routes(coeffs)
+    assert all(_signs(a) is None for a in routes if not hasattr(a, "__next__"))
+    abs_sum = sum(map(abs, coeffs))
+    if capacity_error(len(coeffs), q, abs_sum, abs(odd)):
+        with pytest.raises(ValueError, match="coefficient bound"):
+            power_square_sum(coeffs, q)
+        return
+    expected = sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
+    for a in routes:
+        assert power_square_sum(a, q) == expected, type(a)
+
+
+@pytest.mark.parametrize("w", [1, 6, 19, 44])
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_centred_square_sum_across_chunks(count, w):
+    rng = random.Random(count * 100 + w)
+    slots = [rng.randrange(10**w) for _ in range(count)]
+    slots[-1] = 10**w - 1  # the last slot of the last chunk is read too
+    digits = "1" + "".join(str(s).zfill(w) for s in slots)
+    h = 5 * 10 ** (w - 1)
+    assert _centred_square_sum(digits, w, count) == sum((s - h) ** 2 for s in slots)
+
+
+def _traced_peak(call) -> int:
+    """Bytes allocated by `call` at its peak, beyond what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    call()
+    peak = tracemalloc.get_traced_memory()[1] - before
+    if not tracing:
+        tracemalloc.stop()
+    return peak
+
+
+def test_convergence_table_memory():
+    # the signed bytes of the vector, the packed number, its power and one
+    # chunk of slots; a tuple of Python ints would be 8 bytes per coefficient
+    # before the ints themselves
+    for k in (16, 20):
+        primitive_polynomial(k)
+    for q in (1, 2):
+        fekete_limit_recursive(q), galois_limit_recursive(q)
+    for args, limit_mb in ((("galois", 1, [20]), 4),
+                           (("galois", 2, [16]), 4),
+                           (("fekete", 2, [31601]), 2)):
+        peak = _traced_peak(lambda: convergence_table(*args))
+        assert peak <= limit_mb * 2**20, (args, peak / 2**20)
+
+
 def test_convergence_table_fekete():
     rows = convergence_table("fekete", 2, [5, 13])
     assert rows[0].n == 5
@@ -409,7 +513,8 @@ def test_convergence_table_refuses_before_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused table built a polynomial or a norm")
 
-    for name in ("fekete", "shifted_fekete", "galois", "norm_2q_exact"):
+    for name in ("fekete", "shifted_fekete", "galois", "_fekete_signs",
+                 "_shifted_signs", "_galois_signs", "norm_2q_exact"):
         monkeypatch.setattr(poly_mod, name, never)
     for args, kwargs, reason in (
         (("galois", 2, [14, 21]), {}, "capacity"),
