@@ -110,8 +110,8 @@ def _galois_signs(k: int, beta: int = 1) -> memoryview:
     if not 0 < beta < 1 << k:
         raise ValueError(f"{beta} is not a nonzero field element")
     n = (1 << k) - 1
-    text = format(_trace_bits(k, beta, poly, n), f"0{n}b")[::-1]
-    return memoryview(text.encode().translate(_SIGN)).cast("b")
+    signs = format(_trace_bits(k, beta, poly, n), f"0{n}b").encode()[::-1].translate(_SIGN)
+    return memoryview(signs).cast("b")
 
 
 def _trace_bits(k: int, beta: int, poly: int, n: int) -> int:

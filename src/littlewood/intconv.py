@@ -19,8 +19,8 @@ each slot c_j + h, in [0, 10^w), so no carry crosses a slot; the slots are
 then read back from the digit string _CHUNK slots at a time, so the chunk
 size bounds the decoder's live Python objects.
 
-A power longer than MAX_LEN coefficients, coefficients bounded only beyond
-_MODULUS / 2, or q >= 2 without the C `decimal` module (its pure-Python
+A power longer than MAX_LEN coefficients, a bound B with 2B + 1 of more than
+MAX_DIGITS digits, or q >= 2 without the C `decimal` module (its pure-Python
 fallback multiplies in quadratic time) raise ValueError: there is no slower
 fallback route.
 """
@@ -50,10 +50,8 @@ except ImportError:
 # job takes a few seconds and a few hundred MB (shifted Fekete at q = 8,
 # p = 262139, has 2^21 - 47 coefficients of 39 digits).
 MAX_LEN = 1 << 21
-# |c_j| must stay below _MODULUS / 2, about 2^144.4, so a slot has at most 44
-# digits.  The bound is the product of the five 30-bit primes of the earlier
-# transform engine, kept so the inputs refused stay the same.
-_MODULUS = 998244353 * 1004535809 * 469762049 * 167772161 * 754974721
+# Digits of a slot: 2B + 1 must stay below 10^MAX_DIGITS.
+MAX_DIGITS = 44
 # Slots decoded per step.
 _CHUNK = 1 << 12
 # The bytes of the coefficients 0, 1 and -1.
@@ -77,10 +75,10 @@ def capacity_error(n: int, q: int, abs_sum: int, abs_max: int) -> str | None:
     if out_len > MAX_LEN:
         return (f"f^{q} of a length-{n} polynomial has {out_len} coefficients, "
                 f"beyond the exact-norm capacity {MAX_LEN}")
-    if 2 * abs_sum ** (q - 1) * abs_max >= _MODULUS:
+    if 2 * abs_sum ** (q - 1) * abs_max + 1 >= 10**MAX_DIGITS:
         return (f"the coefficients of f^{q} are bounded only by {abs_sum}^{q - 1}"
-                f"*{abs_max}, beyond the exact-norm coefficient bound "
-                f"{(_MODULUS + 1) // 2}")
+                f"*{abs_max}, beyond the exact-norm coefficient bound: twice it "
+                f"plus one must have at most {MAX_DIGITS} digits")
     return None
 
 

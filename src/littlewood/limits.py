@@ -10,18 +10,19 @@ ratio R comes from the exponential formula over even block profiles, run as
 an integer power-series recurrence.  phi_q on [0, 1/2] is also built as an
 exact piecewise polynomial, by interpolating that evaluator between
 candidate breakpoints in [0, 1/4], where one pass of the recurrence serves
-all nodes of an interval, and mirroring by the substitution R -> 1/2 - R,
-under which phi_q is invariant; its minimum is certified on [0, 1/4] with
-enclosures from Descartes root isolation.  The direct partition-profile
-sums `fekete_limit_direct` and `galois_limit_direct` are cross-checks.
+all 2q+1 nodes of an interval and their 2q-th divided difference must
+vanish, and mirroring by the substitution R -> 1/2 - R, under which phi_q
+is invariant; its minimum is certified on [0, 1/4] with enclosures from
+Descartes root isolation.  The direct partition-profile sums
+`fekete_limit_direct` and `galois_limit_direct` are cross-checks.
 
 Each public function raises ValueError before any work for input outside its
 rule (MAX_Q, `shifted_limit_error`, PHI_PIECES_QMAX); the command line prints
 that message as its error record.
 
-The piecewise, partition-profile and root modules are imported by the
-functions that use them, so the recursions and `shifted_fekete_limit` run
-without loading them.
+The piecewise, rational-polynomial, partition-profile and root modules are
+imported by the functions that use them, so the recursions and
+`shifted_fekete_limit` run without loading them.
 """
 from __future__ import annotations
 
@@ -105,8 +106,7 @@ def _recursion_weights(family: str, k: int) -> tuple[int, ...]:
 
 
 # (family, i) -> (V_0, V_1, ...), (alpha_1, alpha_2, ...) and (pi_0, pi_1, ...)
-# at y_i.  An entry is only replaced by a longer one, so an update lost
-# between threads costs time, never correctness.
+# at y_i.  An entry is only ever replaced by a longer one.
 _node_values: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
 
 
@@ -141,23 +141,35 @@ def _recursion_y(family: str, k: int) -> tuple[int, ...]:
     (2k-1)!/((2j-1)! (2k-2j-1)!) = C(2k-1, 2j-1) max(2k-2j, 1), and in
     y = x + 1/x each term is alpha_j pi_(k-j).  That is linear in products of
     polynomials, so it runs at each integer node y_i (`_values`); pi_k is
-    interpolated from the nodes y_0..y_(k-1) by Newton divided differences,
-    integers because pi_k has integer coefficients and the nodes are integers.
+    interpolated from the nodes y_0..y_(k-1) by Newton divided differences
+    (`_newton`), integers because pi_k has integer coefficients and the
+    nodes are integers.
     """
     if k == 0:
         return (1,)
-    ys = [_node(i) for i in range(k)]
-    dd = [_values(family, i, k)[k] for i in range(k)]
-    for level in range(1, k):
+    return _newton([_node(i) for i in range(k)], [_values(family, i, k)[k] for i in range(k)])
+
+
+def _newton(xs, ys) -> tuple[int, ...]:
+    """Coefficients of the polynomial of degree < len(xs) through the points
+    (xs[i], ys[i]), all integers, by Newton divided differences and Horner.
+
+    Each divided difference is divided with exact //, so the caller
+    guarantees they are integers: integer coefficients at integer nodes, or
+    values scaled by (m-1)! s^(m-1) at m nodes s apart.  The top coefficient
+    is the highest divided difference, even when it is zero.
+    """
+    dd = list(ys)
+    for level in range(1, len(xs)):
         dd[level:] = [
-            (b - a) // (yb - ya)
-            for a, b, ya, yb in zip(dd[level - 1:], dd[level:], ys, ys[level:])
+            (b - a) // (xb - xa)
+            for a, b, xa, xb in zip(dd[level - 1:], dd[level:], xs, xs[level:])
         ]
-    pi = [dd[-1]]
-    for y, c in zip(ys[-2::-1], dd[-2::-1]):
-        # pi <- pi * (Y - y) + c
-        pi = [c - y * pi[0]] + [a - y * b for a, b in zip(pi, pi[1:])] + [pi[-1]]
-    return tuple(pi)
+    poly = [dd[-1]]
+    for x, c in zip(xs[-2::-1], dd[-2::-1]):
+        # poly <- poly * (X - x) + c
+        poly = [c - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+    return tuple(poly)
 
 
 def _check_order(name: str, q: int) -> None:
@@ -433,15 +445,18 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     most 2q-1 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
     bounds |D| = |N-P| by min(N, q-N)).  These and 1/4 are mirrored by
     R -> 1/2 - R, under which phi_q is invariant.  On each interval [a, b]
-    between candidates in [0, 1/4], 2q exact values at interior rationals
-    give the piece p there; it is checked against one more value, and a
-    mismatch raises ArithmeticError.  The 2q+1 values of an interval come from
-    one pass of `_shifted_values` over a common denominator.  The piece on
-    [1/2 - b, 1/2 - a] is p(1/2 - R): p shifted by 1/2, odd coefficients
-    negated.  Equal neighbours then merge, so only true breakpoints remain.
+    between candidates in [0, 1/4], 2q+1 exact values at equally spaced
+    interior rationals r/d, s apart, come from one pass of `_shifted_values`
+    over the common denominator d.  Scaled by the lcm L of their denominators
+    times (2q)! s^(2q), they are interpolated in r by integer divided
+    differences (`_newton`); the 2q-th divided difference must vanish, or
+    ArithmeticError is raised, and the rest, with r = R d, give the piece p
+    there.  The piece on [1/2 - b, 1/2 - a] is p(1/2 - R): p shifted by 1/2,
+    odd coefficients negated.  Equal neighbours then merge, so only true
+    breakpoints remain.
     """
     from littlewood.piecewise import PiecewisePoly
-    from littlewood.ratpoly import poly_eval, poly_interpolate, poly_shift
+    from littlewood.ratpoly import poly_shift
 
     if not 1 <= q <= PHI_PIECES_QMAX:
         raise ValueError(f"symbolic construction supports 1 <= q <= {PHI_PIECES_QMAX}")
@@ -450,13 +465,19 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     })
     left, right = [], []
     for a, b in zip(breaks, breaks[1:breaks.index(HALF / 2) + 1]):
-        # 2q interpolation nodes and the check node last, all interior
+        # 2q+1 equally spaced interior nodes r/d, s apart
         xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
         d = lcm(*(x.denominator for x in xs))
-        ys = _shifted_values(q, [x.numerator * (d // x.denominator) for x in xs], d)
-        piece = poly_interpolate(xs[:-1], ys[:-1])
-        if poly_eval(piece, xs[-1]) != ys[-1]:
+        rs = [x.numerator * (d // x.denominator) for x in xs]
+        ys = _shifted_values(q, rs, d)
+        # scaled so that every divided difference of order <= 2q is an integer
+        s = rs[1] - rs[0]
+        scale = lcm(*(y.denominator for y in ys)) * factorial(2 * q) * s ** (2 * q)
+        coeffs = _newton(rs, [y.numerator * (scale // y.denominator) for y in ys])
+        if coeffs[-1]:
             raise ArithmeticError(f"phi_{q} near {xs[-1]} is not of degree < {2 * q}")
+        # scale * phi_q(R) = sum_i coeffs[i] (R d)^i
+        piece = tuple(Fraction(c * d**i, scale) for i, c in enumerate(coeffs[:-1]))
         left.append(piece)
         right.append(tuple(c * (-1) ** i for i, c in enumerate(poly_shift(piece, HALF))))
     return PiecewisePoly(tuple(breaks), tuple(left + right[::-1]))

@@ -2,7 +2,7 @@
 
 A polynomial is a tuple of coefficients, constant term first; the zero
 polynomial is the empty tuple.  Coefficients may be `int` or `Fraction`;
-results stay exact.
+results stay exact.  Interpolation is on integers, in `limits._newton`.
 """
 from __future__ import annotations
 
@@ -18,15 +18,6 @@ def poly_trim(c: Sequence) -> Coeffs:
     while n and c[n - 1] == 0:
         n -= 1
     return tuple(c[:n])
-
-
-def poly_add(a: Sequence, b: Sequence) -> Coeffs:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, cb in enumerate(b):
-        out[i] += cb
-    return poly_trim(out)
 
 
 def poly_mul(a: Sequence, b: Sequence) -> Coeffs:
@@ -50,23 +41,6 @@ def poly_eval(a: Sequence, x) -> Fraction:
 
 def poly_derivative(a: Sequence) -> Coeffs:
     return tuple(i * c for i, c in enumerate(a))[1:]
-
-
-def poly_interpolate(xs: Sequence, ys: Sequence) -> Coeffs:
-    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]).
-
-    Newton divided differences, expanded from the Newton form by Horner; the
-    xs must be distinct.
-    """
-    xs = [Fraction(x) for x in xs]
-    dd = [Fraction(y) for y in ys]
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    acc: Coeffs = ()
-    for x, c in zip(reversed(xs), reversed(dd)):
-        acc = poly_add(poly_mul(acc, (-x, 1)), (c,))
-    return acc
 
 
 def poly_shift(a: Sequence, c) -> Coeffs:

@@ -99,8 +99,8 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
 # The newest row E(n, 0..n-1) of the Eulerian triangle built so far (n = its
 # length).  The limit recursions ask for rows in increasing order, so each
 # row is built once.  Only the newest is kept: the odd rows up to n = 999
-# together hold about 165 MB.  It saves work only; any row is a correct start,
-# so an update lost between threads costs time, never a wrong value.
+# together hold about 165 MB.  It saves work only, as any row is a correct
+# start; the entry is only ever replaced by a longer one.
 _eulerian_row: list[tuple[int, ...]] = [(1,)]
 
 

@@ -489,11 +489,11 @@ import sys
 import littlewood.cli
 from littlewood.cli import main
 assert "numpy" not in sys.modules, "import littlewood.cli"
-# limits, triangle, phi --eval and empirical also skip the piecewise, profile
-# and Sturm modules and dataclasses; phi --min and --pieces skip the profiles
-# and dataclasses
-LEAN = ("dataclasses", "littlewood.piecewise", "littlewood.partitions",
-        "littlewood.sturm", "numpy")
+# limits, triangle, phi --eval and empirical also skip the piecewise,
+# rational-polynomial, profile and Sturm modules and dataclasses; phi --min
+# and --pieces skip the profiles and dataclasses
+LEAN = ("dataclasses", "littlewood.piecewise", "littlewood.ratpoly",
+        "littlewood.partitions", "littlewood.sturm", "numpy")
 SYMBOLIC = ("dataclasses", "littlewood.partitions", "numpy")
 for argv, skipped in (
     (["limits", "--family", "fekete", "--qmax", "8"], LEAN),

@@ -1,6 +1,7 @@
 """Tests for exact piecewise polynomials and their minimization."""
 from bisect import bisect_right
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
@@ -8,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlewood import limits
-from littlewood.limits import phi_piecewise, shifted_fekete_limit
+from littlewood.limits import _newton, phi_piecewise, shifted_fekete_limit
 from littlewood.piecewise import PiecewisePoly, _segment_bounds, pw_minimize
-from littlewood.ratpoly import (
-    poly_derivative, poly_eval, poly_interpolate, poly_mul, poly_shift,
-)
+from littlewood.ratpoly import poly_derivative, poly_eval, poly_mul, poly_shift
 from littlewood.sturm import isolate_roots
 
 X = sympy.Symbol("x")
@@ -55,13 +54,33 @@ def test_invalid_construction():
         PiecewisePoly((0, 1), ((1,), (2,)))
 
 
-def test_poly_interpolate_recovers_polynomial():
-    p = (Fraction(-3, 7), 0, 5, Fraction(1, 2), 0, -2)
-    xs = [Fraction(-2), Fraction(-1, 3), 0, Fraction(1, 5), 1, Fraction(7, 2)]
-    assert poly_interpolate(xs, [poly_eval(p, x) for x in xs]) == p
-    # extra nodes on a lower-degree polynomial give the same coefficients
-    assert poly_interpolate(xs, [poly_eval(p[:3], x) for x in xs]) == p[:3]
-    assert poly_interpolate(xs, [0] * len(xs)) == ()
+def test_newton_recovers_integer_polynomial():
+    # the recursion's nodes 0, 1, -1, 2, -2, 3 are not monotone
+    p = (-3, 0, 5, 7, 0, -2)
+    xs = [0, 1, -1, 2, -2, 3]
+    assert _newton(xs, [poly_eval(p, x) for x in xs]) == p
+    # extra nodes on a lower-degree polynomial give zero top coefficients
+    assert _newton(xs, [poly_eval(p[:3], x) for x in xs]) == p[:3] + (0, 0, 0)
+    assert _newton(xs, [0] * len(xs)) == (0,) * len(xs)
+    assert _newton([4], [9]) == (9,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-50, 50),
+    st.integers(-7, 7).filter(bool),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+)
+def test_newton_scaled_equally_spaced_data(x0, s, data):
+    # any integer data at m nodes s apart, scaled by (m-1)! s^(m-1), has
+    # integer divided differences, so it is reproduced exactly
+    m = len(data)
+    xs = [x0 + s * i for i in range(m)]
+    scale = factorial(m - 1) * s ** (m - 1)
+    ys = [scale * y for y in data]
+    coeffs = _newton(xs, ys)
+    assert len(coeffs) == m
+    assert [poly_eval(coeffs, x) for x in xs] == ys
 
 
 _small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=30)
@@ -221,6 +240,20 @@ def test_phi8_twin_irrational_minima(monkeypatch):
     assert max(f.evaluate(u), f.evaluate(v)) < shifted_fekete_limit(8, Fraction(1, 4))
     (c0, c1), = res.competitors
     assert (c0, c1) == (Fraction(1, 2) - v, Fraction(1, 2) - u)
+
+
+def test_phi8_pieces_match_evaluator_off_nodes(monkeypatch):
+    # one rational per piece that is none of its interpolation nodes
+    # a + (b - a) k / 18, checked against the pointwise evaluator
+    monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
+    phi_piecewise.cache_clear()
+    try:
+        f = phi_piecewise(8)
+    finally:
+        phi_piecewise.cache_clear()
+    for lo, hi, piece in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        x = lo + (hi - lo) * Fraction(500, 1009)
+        assert poly_eval(piece, x) == shifted_fekete_limit(8, x), x
 
 
 def test_phi8_min_on_quarter_is_tight(monkeypatch):

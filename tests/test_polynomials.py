@@ -16,7 +16,7 @@ from sympy.polys.galoistools import gf_irreducible_p
 from littlewood.gf2k import _galois_signs, _gf2_mulmod, galois, primitive_polynomial
 from littlewood.intconv import (
     _CHUNK,
-    _MODULUS,
+    MAX_DIGITS,
     MAX_LEN,
     _centred_square_sum,
     _signs,
@@ -317,19 +317,19 @@ def _kronecker_power_coefficients(a, q):
 @st.composite
 def _powers(draw):
     """(coefficients, q) with q <= 6, length <= 400 and |coefficients| up to
-    10^20, within the bound the primes can recover."""
+    10^20, within the coefficient bound: 2B + 1 below 10^MAX_DIGITS."""
     q = draw(st.integers(1, 6))
     n = draw(st.integers(1, 400))
     digits = [e for e in range(21)
-              if q == 1 or 2 * (n * 10**e) ** (q - 1) * 10**e < _MODULUS]
+              if q == 1 or 2 * (n * 10**e) ** (q - 1) * 10**e + 1 < 10**MAX_DIGITS]
     top = 10 ** draw(st.sampled_from(digits))
     return draw(st.lists(st.integers(-top, top), min_size=n, max_size=n)), q
 
 
 @settings(max_examples=150, deadline=None)
 @given(_powers())
-@example(([10**20, -(10**20), 3] * 100, 2))   # five primes, Python-int sum
-@example(([1, -1] * 200, 6))                   # one prime, int64 sum
+@example(([10**20, -(10**20), 3] * 100, 2))   # integer route, 43-digit slots
+@example(([1, -1] * 200, 6))                   # byte route, 14-digit slots
 @example(([0, 0, 0], 4))
 def test_power_square_sum_matches_oracle(case):
     coeffs, q = case
@@ -339,8 +339,8 @@ def test_power_square_sum_matches_oracle(case):
 
 
 def test_convolution_routes_agree():
-    # the engine's int64 and Python-int sums and its q = 1 shortcut agree
-    # with the big-integer oracle
+    # the integer route at slot widths from a few digits to about 30, and
+    # the q = 1 shortcut, agree with the big-integer oracle
     rng = random.Random(5)
     for _ in range(10):
         n = rng.randrange(1, 300)
@@ -354,7 +354,7 @@ def test_convolution_routes_agree():
 
 
 def test_convolution_large_coefficients():
-    # within multi-modulus capacity the transform route must stay exact
+    # 20-digit coefficients give slots of about 43 digits, near the bound
     rng = random.Random(6)
     a = [rng.randrange(-(10**20), 10**20) for _ in range(200)]
     expected = sum(c * c for c in _kronecker_power_coefficients(a, 2))
@@ -372,7 +372,7 @@ def test_power_square_sum_beyond_capacity():
     assert capacity_error((1 << 20) - 1, 2, (1 << 20) - 1, 1) is None   # Galois k = 20
     assert capacity_error((1 << 21) - 1, 2, (1 << 21) - 1, 1) is not None
     assert capacity_error(1 << 24, 1, 1 << 24, 1) is None
-    # for fekete(5) the bound 2 * 4^(q-1) passes the prime product at q = 74
+    # for fekete(5), 2 * 4^(q-1) + 1 first reaches 10^MAX_DIGITS at q = 74
     assert capacity_error(5, 74, 4, 1) is not None
     with pytest.raises(ValueError, match="coefficient bound"):
         power_square_sum(fekete(5), 74)
@@ -470,6 +470,14 @@ def test_convergence_table_memory():
                            (("fekete", 2, [31601]), 2)):
         peak = _traced_peak(lambda: convergence_table(*args))
         assert peak <= limit_mb * 2**20, (args, peak / 2**20)
+
+
+def test_galois_signs_memory():
+    # n = 2^20 - 1 signs: the bit string's bytes and their reversal, then the
+    # reversal and its translation, about 2n bytes at the peak
+    primitive_polynomial(20)
+    peak = _traced_peak(lambda: _galois_signs(20))
+    assert peak <= 2.5 * 2**20, peak / 2**20
 
 
 def test_convergence_table_fekete():
