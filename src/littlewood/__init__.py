@@ -3,106 +3,45 @@ polynomials, with the machinery behind them: exact special numbers, exact
 piecewise polynomials with certified minimization, set-partition profiles,
 and exact integer norms of the actual polynomials at finite sizes.
 
-The limit recursions and the special numbers are imported with the package.
-Every other name (partition profiles, piecewise polynomials, the Galois
-polynomials, polynomial construction and exact norms) is imported on first
-access, so the `limits`, `triangle`, `phi --eval` and `empirical` commands
-skip the piecewise, profile and root modules, and no command loads the
-profile module.  Nothing here imports numpy; only the
-quadrature oracle `norm_2q_quadrature` loads it, when called.
+Every public name, and every module in `_EXPORTS`, is imported on first
+access (PEP 562), so a bare `import littlewood` loads no submodule and each
+command loads only the modules it runs.  Nothing here imports numpy; only
+the quadrature oracle `norm_2q_quadrature` loads it, when called.
 """
 from importlib import import_module
 
-from littlewood.limits import (
-    LimitTable,
-    PhiMinResult,
-    TriangleRow,
-    fekete_limit_direct,
-    fekete_limit_recursive,
-    fekete_triangle_row,
-    galois_limit_direct,
-    galois_limit_recursive,
-    galois_triangle_row,
-    limit_table,
-    phi_min,
-    phi_piecewise,
-    shifted_fekete_limit,
-    triangle_table,
-)
-from littlewood.special_numbers import (
-    carlitz_numbers,
-    composition_count,
-    eulerian_general,
-    eulerian_polynomial,
-    tangent_numbers,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceRow",
-    "EvenBlockProfile",
-    "LimitTable",
-    "MinimizeResult",
-    "PhiMinResult",
-    "PiecewisePoly",
-    "SizeProfile",
-    "TriangleRow",
-    "carlitz_numbers",
-    "composition_count",
-    "convergence_table",
-    "enumerate_set_partitions",
-    "eulerian_general",
-    "eulerian_polynomial",
-    "even_block_profiles",
-    "even_size_profiles",
-    "fekete",
-    "fekete_limit_direct",
-    "fekete_limit_recursive",
-    "fekete_triangle_row",
-    "galois",
-    "galois_limit_direct",
-    "galois_limit_recursive",
-    "galois_size_profiles",
-    "galois_triangle_row",
-    "legendre",
-    "limit_table",
-    "norm_2q_exact",
-    "norm_2q_quadrature",
-    "phi_min",
-    "phi_piecewise",
-    "primitive_polynomial",
-    "pw_minimize",
-    "shifted_fekete",
-    "shifted_fekete_limit",
-    "tangent_numbers",
-    "triangle_table",
-]
-
-# name -> module that defines it; resolved by __getattr__ below (PEP 562)
-_LAZY = {
-    "EvenBlockProfile": "partitions",
-    "SizeProfile": "partitions",
-    "enumerate_set_partitions": "partitions",
-    "even_block_profiles": "partitions",
-    "even_size_profiles": "partitions",
-    "galois_size_profiles": "partitions",
-    "MinimizeResult": "piecewise",
-    "PiecewisePoly": "piecewise",
-    "pw_minimize": "piecewise",
-    "galois": "gf2k",
-    "primitive_polynomial": "gf2k",
-    "ConvergenceRow": "polynomials",
-    "convergence_table": "polynomials",
-    "fekete": "polynomials",
-    "legendre": "polynomials",
-    "norm_2q_exact": "polynomials",
-    "norm_2q_quadrature": "polynomials",
-    "shifted_fekete": "polynomials",
+# module -> the public names it defines
+_EXPORTS = {
+    "gf2k": ("galois", "primitive_polynomial"),
+    "limits": (
+        "LimitTable", "PhiMinResult", "TriangleRow", "fekete_limit_direct",
+        "fekete_limit_recursive", "fekete_triangle_row", "galois_limit_direct",
+        "galois_limit_recursive", "galois_triangle_row", "limit_table",
+        "phi_min", "phi_piecewise", "shifted_fekete_limit", "triangle_table",
+    ),
+    "partitions": (
+        "EvenBlockProfile", "SizeProfile", "enumerate_set_partitions",
+        "even_block_profiles", "even_size_profiles", "galois_size_profiles",
+    ),
+    "piecewise": ("MinimizeResult", "PiecewisePoly", "pw_minimize"),
+    "polynomials": (
+        "ConvergenceRow", "convergence_table", "fekete", "legendre",
+        "norm_2q_exact", "norm_2q_quadrature", "shifted_fekete",
+    ),
+    "special_numbers": (
+        "carlitz_numbers", "composition_count", "eulerian_general",
+        "eulerian_polynomial", "tangent_numbers",
+    ),
 }
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(import_module(f"littlewood.{_LAZY[name]}"), name)
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,13 +36,6 @@ def _dec(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be a positive integer")
-    return value
-
-
 def _rational(text: str) -> Fraction:
     # Fraction expands an exponent in full, before any cost rule can refuse it
     if "e" in text.lower():
@@ -81,16 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_limits = sub.add_parser("limits", help="published limiting values per family")
     p_limits.add_argument("--family", choices=("fekete", "galois"), required=True)
-    p_limits.add_argument("--qmax", type=_positive_int, required=True)
+    p_limits.add_argument("--qmax", type=int, required=True)
     _add_format(p_limits)
 
     p_tri = sub.add_parser("triangle", help="triangular integer arrays per family")
     p_tri.add_argument("--family", choices=("fekete", "galois"), required=True)
-    p_tri.add_argument("--rows", type=_positive_int, required=True)
+    p_tri.add_argument("--rows", type=int, required=True)
     _add_format(p_tri)
 
     p_phi = sub.add_parser("phi", help="shift-ratio limit functions")
-    p_phi.add_argument("--q", type=_positive_int, required=True)
+    p_phi.add_argument("--q", type=int, required=True)
     mode = p_phi.add_mutually_exclusive_group(required=True)
     mode.add_argument("--eval", type=_rational, metavar="R", dest="eval_at")
     mode.add_argument("--min", action="store_true", dest="minimize")
@@ -105,13 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_emp = sub.add_parser("empirical", help="exact norms of actual polynomials")
     p_emp.add_argument("--family", choices=("fekete", "shifted", "galois"), required=True)
-    p_emp.add_argument("--q", type=_positive_int, required=True)
+    p_emp.add_argument("--q", type=int, required=True)
     p_emp.add_argument(
-        "--p", type=_positive_int, action="append", default=None,
+        "--p", type=int, action="append", default=None,
         help="odd prime size (repeatable; fekete/shifted families)",
     )
     p_emp.add_argument(
-        "--k", type=_positive_int, action="append", default=None,
+        "--k", type=int, action="append", default=None,
         help="field exponent (repeatable; galois family)",
     )
     shift = p_emp.add_mutually_exclusive_group()

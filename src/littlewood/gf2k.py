@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+# Largest field exponent k of GF(2^k).
+MAX_K = 24
 # bit '0' -> 1 and bit '1' -> -1, as signed bytes
 _SIGN = bytes.maketrans(b"01", b"\x01\xff")
 
@@ -56,15 +58,15 @@ def _prime_factors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def primitive_polynomial(k: int) -> int:
-    """Lexicographically smallest primitive polynomial of degree k, 2 <= k <= 24.
+    """Lexicographically smallest primitive polynomial of degree k, 2 <= k <= MAX_K.
 
     A degree-k polynomial with nonzero constant term is primitive exactly when
     x has multiplicative order 2^k - 1 modulo it (Lidl & Niederreiter,
     Thm 3.16): x^(2^k - 1) = 1 and x^((2^k - 1)/r) != 1 for each prime r
     dividing 2^k - 1.
     """
-    if not 2 <= k <= 24:
-        raise ValueError("k must satisfy 2 <= k <= 24")
+    if not 2 <= k <= MAX_K:
+        raise ValueError(f"k must satisfy 2 <= k <= {MAX_K}")
     order = (1 << k) - 1
     cofactors = [order // r for r in _prime_factors(order)]
     return next(

@@ -19,10 +19,10 @@ each slot c_j + h, in [0, 10^w), so no carry crosses a slot; the slots are
 then read back from the digit string _CHUNK slots at a time, so the chunk
 size bounds the decoder's live Python objects.
 
-A power longer than MAX_LEN coefficients, a bound B with 2B + 1 of more than
-MAX_DIGITS digits, or q >= 2 without the C `decimal` module (its pure-Python
-fallback multiplies in quadratic time) raise ValueError: there is no slower
-fallback route.
+q < 1, a power longer than MAX_LEN coefficients, a bound B with 2B + 1 of
+more than MAX_DIGITS digits, or q >= 2 without the C `decimal` module (its
+pure-Python fallback multiplies in quadratic time) raise ValueError before
+any big number is built: there is no slower fallback route.
 """
 from __future__ import annotations
 
@@ -52,6 +52,8 @@ except ImportError:
 MAX_LEN = 1 << 21
 # Digits of a slot: 2B + 1 must stay below 10^MAX_DIGITS.
 MAX_DIGITS = 44
+# 2^_BOUND_BITS > 10^MAX_DIGITS
+_BOUND_BITS = (10**MAX_DIGITS).bit_length()
 # Slots decoded per step.
 _CHUNK = 1 << 12
 # The bytes of the coefficients 0, 1 and -1.
@@ -66,7 +68,9 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 def capacity_error(n: int, q: int, abs_sum: int, abs_max: int) -> str | None:
     """Why f^q is beyond this engine, or None if it is not, for f of length n
     with sum |a| = abs_sum and max |a| = abs_max."""
-    if q < 2:
+    if q < 1:
+        return "q must be >= 1"
+    if q < 2 or not abs_sum:
         return None
     if not C_DECIMAL:
         return ("exact norms at q >= 2 need the C decimal module (_decimal); "
@@ -75,7 +79,10 @@ def capacity_error(n: int, q: int, abs_sum: int, abs_max: int) -> str | None:
     if out_len > MAX_LEN:
         return (f"f^{q} of a length-{n} polynomial has {out_len} coefficients, "
                 f"beyond the exact-norm capacity {MAX_LEN}")
-    if 2 * abs_sum ** (q - 1) * abs_max + 1 >= 10**MAX_DIGITS:
+    # B >= 2^low, so bit lengths alone refuse a large B; when they do not,
+    # B has at most a few hundred bits (or abs_sum is 1) and is cheap to build
+    low = (q - 1) * (abs_sum.bit_length() - 1) + abs_max.bit_length() - 1
+    if low >= _BOUND_BITS or 2 * abs_sum ** (q - 1) * abs_max + 1 >= 10**MAX_DIGITS:
         return (f"the coefficients of f^{q} are bounded only by {abs_sum}^{q - 1}"
                 f"*{abs_max}, beyond the exact-norm coefficient bound: twice it "
                 f"plus one must have at most {MAX_DIGITS} digits")
@@ -88,16 +95,16 @@ def power_square_sum(a, q: int) -> int:
         a = tuple(a)
     signs = _signs(a)
     if signs is None:
-        if q == 1:
-            return sum(map(mul, a, a))
         abs_sum, abs_max = sum(map(abs, a)), max(map(abs, a))
     else:
         abs_sum, abs_max = len(signs) - signs.count(0), 1
-        if q == 1 or not abs_sum:
-            return abs_sum
     reason = capacity_error(len(a), q, abs_sum, abs_max)
     if reason:
         raise ValueError(reason)
+    if q == 1:
+        return abs_sum if signs is not None else sum(map(mul, a, a))
+    if not abs_sum:
+        return 0
     w = len(str(2 * abs_sum ** (q - 1) * abs_max + 1))
     out_len = q * (len(a) - 1) + 1
     with localcontext(_EXACT):

@@ -13,7 +13,7 @@ oracle; it is the one function here that needs numpy, and imports it itself.
 
 `convergence_table` compares exact norms of actual polynomials with their
 limits.  Its whole admission rule is `convergence_error`: the q range, the
-sizes (primes up to MAX_PRIME, Galois exponents 2..24), the norm engine's
+sizes (primes up to MAX_PRIME, Galois exponents 2..MAX_K), the norm engine's
 capacity for each size and the shift rule.  The table refuses with its
 reason before any work starts, and the `empirical` command prints the same
 reason as its error record.
@@ -25,7 +25,7 @@ from math import floor
 from typing import NamedTuple
 
 # `galois` stays importable from here, beside the other public builders
-from littlewood.gf2k import _galois_signs, galois  # noqa: F401
+from littlewood.gf2k import MAX_K, _galois_signs, galois  # noqa: F401
 from littlewood.intconv import capacity_error, power_square_sum
 from littlewood.limits import (
     HALF,
@@ -37,8 +37,8 @@ from littlewood.limits import (
 )
 
 # Largest prime size of the fekete and shifted families; it matches the
-# length 2^24 - 1 of the largest Galois polynomial.
-MAX_PRIME = 1 << 24
+# length 2^MAX_K - 1 of the largest Galois polynomial.
+MAX_PRIME = 1 << MAX_K
 
 # Miller-Rabin with the prime witnesses up to 41 is deterministic below
 # 3317044064679887385961981, the least strong pseudoprime to all of them.
@@ -119,8 +119,6 @@ def _shifted_signs(p: int, r: int) -> memoryview:
 
 def norm_2q_exact(f, q: int) -> int:
     """Exact integer value of the 2q-th power of the L^2q norm of f."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
     return power_square_sum(f, q)
 
 
@@ -171,8 +169,8 @@ def convergence_error(
     shapes = []  # (length, sum of |coefficients|) per size
     for s in sizes:
         if family == "galois":
-            if not 2 <= s <= 24:
-                return f"field exponent {s} out of range 2..24"
+            if not 2 <= s <= MAX_K:
+                return f"field exponent {s} out of range 2..{MAX_K}"
             shapes.append(((1 << s) - 1, (1 << s) - 1))
         elif s > MAX_PRIME:
             return f"prime size {s} exceeds the limit {MAX_PRIME}"
@@ -210,7 +208,7 @@ def convergence_table(
     """Exact norm ratios against the theoretical limit, one row per size.
 
     `sizes` are odd primes p <= MAX_PRIME for the fekete/shifted families and
-    exponents k in 2..24 for galois.  The shifted family takes either a fixed
+    exponents k in 2..MAX_K for galois.  The shifted family takes either a fixed
     shift r or a target ratio R (then r = round(R * p), so r/p -> R).  The
     arguments are checked by `convergence_error` first, and ValueError with
     its reason is raised before any polynomial is built.  Rows are computed

@@ -98,9 +98,13 @@ def test_triangle(capsys):
     assert record["results"][1]["values"] == ["-1", "8", "-1"]
 
 
-def test_triangle_zero_rows_is_usage_error():
+def test_triangle_zero_rows_is_error_record(capsys):
+    # positivity is the library's rule; only text that is no integer is usage
+    code, record = run_json(capsys, "triangle", "--family", "fekete", "--rows", "0")
+    assert code == 1
+    assert record["error"] == "rows 0 out of range 1..128"
     with pytest.raises(SystemExit) as exc:
-        main(["triangle", "--family", "fekete", "--rows", "0"])
+        main(["triangle", "--family", "fekete", "--rows", "2.5"])
     assert exc.value.code == 2
 
 
@@ -377,6 +381,10 @@ REFUSED = [
      lambda: limits_mod.triangle_table("fekete", 129)),
     (("triangle", "--family", "galois", "--rows", "129"),
      lambda: limits_mod.triangle_table("galois", 129)),
+    (("triangle", "--family", "fekete", "--rows", "0"),
+     lambda: limits_mod.triangle_table("fekete", 0)),
+    (("limits", "--family", "galois", "--qmax", "-1"),
+     lambda: limits_mod.limit_table("galois", -1)),
     (("phi", "--q", "17", "--eval", "1/4"),
      lambda: limits_mod.shifted_fekete_limit(17, Fraction(1, 4))),
     (("phi", "--q", "16", "--eval", "1/" + "9" * 63),
@@ -391,12 +399,22 @@ REFUSED = [
      lambda: limits_mod.phi_min(3, Fraction(-1, 4))),
     (("phi", "--q", "7", "--pieces"),
      lambda: limits_mod.phi_piecewise(7)),
+    (("phi", "--q", "0", "--eval", "1/4"),
+     lambda: limits_mod.shifted_fekete_limit(0, Fraction(1, 4))),
+    (("phi", "--q", "0", "--pieces"),
+     lambda: limits_mod.phi_piecewise(0)),
     (("empirical", "--family", "galois", "--q", "2", "--k", "21"),
      lambda: poly_mod.convergence_table("galois", 2, [21])),
     (("empirical", "--family", "fekete", "--q", "129", "--p", "3"),
      lambda: poly_mod.convergence_table("fekete", 129, [3])),
     (("empirical", "--family", "fekete", "--q", "2", "--p", "9"),
      lambda: poly_mod.convergence_table("fekete", 2, [9])),
+    (("empirical", "--family", "fekete", "--q", "0", "--p", "5"),
+     lambda: poly_mod.convergence_table("fekete", 0, [5])),
+    (("empirical", "--family", "fekete", "--q", "2", "--p", "0"),
+     lambda: poly_mod.convergence_table("fekete", 2, [0])),
+    (("empirical", "--family", "galois", "--q", "2", "--k", "0"),
+     lambda: poly_mod.convergence_table("galois", 2, [0])),
     (("empirical", "--family", "fekete", "--q", "2", "--p", "5", "--shift", "1"),
      lambda: poly_mod.convergence_table("fekete", 2, [5], shift=1)),
     (("empirical", "--family", "shifted", "--q", "2", "--p", "5"),
@@ -527,6 +545,44 @@ assert galois(3) and fekete(5) == (0, 1, -1, -1, 1)
 def test_exact_commands_do_not_load_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+EXPORTS_SCRIPT = """
+import sys
+import littlewood
+loaded = [name for name in sys.modules if name.startswith("littlewood.")]
+assert not loaded, loaded
+assert littlewood.limits.MAX_Q == 128
+assert sorted(littlewood.__all__) == littlewood.__all__ == sorted(set(sys.argv[1:]))
+for name in littlewood.__all__:
+    obj = getattr(littlewood, name)
+    assert obj.__module__.startswith("littlewood."), name
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+"""
+
+# the package's public names: `__all__` lists exactly these
+PUBLIC_NAMES = """
+ConvergenceRow EvenBlockProfile LimitTable MinimizeResult PhiMinResult
+PiecewisePoly SizeProfile TriangleRow carlitz_numbers composition_count
+convergence_table enumerate_set_partitions eulerian_general eulerian_polynomial
+even_block_profiles even_size_profiles fekete fekete_limit_direct
+fekete_limit_recursive fekete_triangle_row galois galois_limit_direct
+galois_limit_recursive galois_size_profiles galois_triangle_row legendre
+limit_table norm_2q_exact norm_2q_quadrature phi_min phi_piecewise
+primitive_polynomial pw_minimize shifted_fekete shifted_fekete_limit
+tangent_numbers triangle_table
+""".split()
+
+
+def test_package_exports_load_on_first_use():
+    # a fresh interpreter: a bare import loads no submodule, and each public
+    # name is the object its defining module holds
+    proc = subprocess.run(
+        [sys.executable, "-c", EXPORTS_SCRIPT, *PUBLIC_NAMES],
         capture_output=True,
         text=True,
     )

@@ -1,6 +1,7 @@
 """Tests for polynomial construction, fields, exact norms, and convergence."""
 import hashlib
 import random
+import time
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -379,6 +380,30 @@ def test_power_square_sum_beyond_capacity():
     expected = sum(c * c for c in _kronecker_power_coefficients(fekete(5), 73))
     assert power_square_sum(fekete(5), 73) == expected
     assert power_square_sum([], 3) == 0
+
+
+def test_admission_refuses_in_bounded_time():
+    # the coefficient bound is decided before its power is built, and q < 1
+    # is refused before any arithmetic with q
+    cases = [
+        (lambda: norm_2q_exact((3,), 10**7), "coefficient bound"),
+        (lambda: norm_2q_exact((3,), 10**9), "coefficient bound"),
+        (lambda: power_square_sum((2, 1), (1 << 21) - 1), "coefficient bound"),
+        (lambda: power_square_sum((1, 1), -1), "q must be >= 1"),
+        (lambda: power_square_sum((1, 1), 0), "q must be >= 1"),
+        (lambda: power_square_sum((), 0), "q must be >= 1"),
+        (lambda: norm_2q_exact((1,), 0), "q must be >= 1"),
+    ]
+    for call, reason in cases:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=reason):
+            call()
+        assert time.perf_counter() - start < 0.05, reason
+    start = time.perf_counter()
+    assert capacity_error(2, (1 << 21) - 1, 6, 3) is not None
+    assert time.perf_counter() - start < 0.05
+    # a unit vector of length one is admitted at any q
+    assert power_square_sum((-1,), 10**9 + 1) == 1
 
 
 def test_builders_return_tuples_of_their_signs():
