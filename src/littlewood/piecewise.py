@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from littlewood.ratpoly import poly_derivative, poly_eval, poly_shift, poly_trim
-from littlewood.sturm import isolate_roots, refine
+from littlewood.sturm import isolate_roots
 
 
 class _Pieces(NamedTuple):
@@ -73,11 +73,12 @@ class MinimizeResult(NamedTuple):
 def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
     """Minimize f over [lo, hi] with exact certificates.
 
-    Per piece, the real roots of the derivative are isolated by Descartes
-    bisection and refined by sign bisection to width <= eps; candidate values
-    are compared using exact evaluation at rational points plus centred
-    bounds on each root enclosure (`_segment_bounds`), with extra refinement
-    until candidates separate or a width floor is hit.
+    Per piece, the real roots of the derivative are isolated and refined to
+    width <= eps by one integer Descartes bisection (`isolate_roots`);
+    candidate values are compared using exact evaluation at rational points
+    plus centred bounds on each root enclosure (`_segment_bounds`), and
+    overlapping enclosures are halved by the same bisection until candidates
+    separate or a width floor is hit.
 
     >>> cubic = PiecewisePoly((0, 2), ((0, -2, 0, 1),))   # x^3 - 2x
     >>> pw_minimize(cubic, 0, 2, Fraction(1, 8)).argmin   # holds sqrt(2/3)
@@ -121,13 +122,10 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
         if len(overlapping) <= 1 or not movable:
             break
         for c in movable:
-            root = refine(c[5], c[0], c[1], (c[1] - c[0]) / 2)
-            if isinstance(root, Fraction):
-                val = poly_eval(c[4], root)
-                c[:] = [root, root, val, val, None, None]
-            else:
-                c[:2] = root
-                c[2], c[3] = _segment_bounds(c[4], *root)
+            # one halving: the root met at the midpoint, or the half holding it
+            roots, intervals = isolate_roots(c[5], c[0], c[1], (c[1] - c[0]) / 2)
+            (a, b), = [(x, x) for x in roots] + intervals
+            c[:4] = a, b, *_segment_bounds(c[4], a, b)
 
     best = min(cands, key=lambda c: (c[3], c[0]))
     overlapping = [c for c in cands if c[2] <= best[3]]

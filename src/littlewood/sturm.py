@@ -2,16 +2,17 @@
 
 Polynomials use the dense tuple representation from `ratpoly`.  Roots are
 isolated by Descartes' rule of signs under bisection (Collins & Akritas,
-1976), in integer arithmetic, and then refined by sign bisection.  The module
-kept its name from the Sturm chains it used to build, because the benchmark
-tracer probes `littlewood.sturm.isolate_roots`.
+1976), in integer arithmetic, and the same integer halving refines each
+isolating interval to the requested width.  The module kept its name from
+the Sturm chains it used to build, because the benchmark tracer probes
+`littlewood.sturm.isolate_roots`.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from littlewood.ratpoly import poly_derivative, poly_eval, poly_shift, poly_trim
+from littlewood.ratpoly import poly_derivative, poly_shift, poly_trim
 
 
 def _primitive(p) -> tuple[int, ...]:
@@ -82,9 +83,9 @@ def isolate_roots(p, lo, hi, eps):
         bound = sum(x != y for x, y in zip(signs, signs[1:]))
         if bound == 0:
             continue
-        if bound == 1 and q[0] and sum(q):
-            root = refine(p, a, b, eps)
-            (exact if isinstance(root, Fraction) else intervals).append(root)
+        # one root, none at the ends: final once eps wide, else halved again
+        if bound == 1 and q[0] and sum(q) and b - a <= eps:
+            intervals.append((a, b))
             continue
         # halves: 2^d q(t / 2) on (a, mid) and 2^d q((1 + t) / 2) on (mid, b)
         mid = (a + b) / 2
@@ -94,22 +95,3 @@ def isolate_roots(p, lo, hi, eps):
             exact.append(mid)
         todo += [(mid, b, right), (a, mid, left)]
     return sorted(exact), sorted(intervals)
-
-
-def refine(p, a, b, width):
-    """Bisect (a, b), where p changes sign once, down to width <= `width`.
-
-    Returns the root as a Fraction when a midpoint hits it exactly,
-    otherwise the final open interval.
-    """
-    fa = poly_eval(p, a)
-    while b - a > width:
-        mid = (a + b) / 2
-        fm = poly_eval(p, mid)
-        if fm == 0:
-            return mid
-        if (fa > 0) != (fm > 0):
-            b = mid
-        else:
-            a, fa = mid, fm
-    return (a, b)

@@ -1,18 +1,19 @@
 """Tests for exact piecewise polynomials and their minimization."""
+import hashlib
 from bisect import bisect_right
 from fractions import Fraction
 from math import factorial
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littlewood import limits
 from littlewood.limits import _newton, phi_piecewise, shifted_fekete_limit
 from littlewood.piecewise import PiecewisePoly, _segment_bounds, pw_minimize
 from littlewood.ratpoly import poly_derivative, poly_eval, poly_mul, poly_shift
-from littlewood.sturm import isolate_roots
+from littlewood.sturm import isolate_roots, squarefree_part
 
 X = sympy.Symbol("x")
 
@@ -188,8 +189,45 @@ def _root_problems(draw):
     return p, lo, hi, eps
 
 
+def _sign_bisection(p, a, b, width):
+    """Test oracle: bisect (a, b), where p changes sign once, by Fraction
+    evaluation down to width <= `width`; the root as a Fraction when a
+    midpoint hits it, else the final open interval."""
+    fa = poly_eval(p, a)
+    while b - a > width:
+        mid = (a + b) / 2
+        fm = poly_eval(p, mid)
+        if fm == 0:
+            return mid
+        if (fa > 0) != (fm > 0):
+            b = mid
+        else:
+            a, fa = mid, fm
+    return (a, b)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_root_problems())
+def test_isolate_refines_like_sign_bisection(problem):
+    # the integer halving down to eps gives what sign bisection of the
+    # squarefree part gives on the coarsest isolating intervals
+    p, lo, hi, eps = problem
+    exact, intervals = isolate_roots(p, lo, hi, hi - lo)
+    refined = [_sign_bisection(squarefree_part(p), a, b, eps) for a, b in intervals]
+    exact += [r for r in refined if isinstance(r, Fraction)]
+    intervals = [r for r in refined if not isinstance(r, Fraction)]
+    assert isolate_roots(p, lo, hi, eps) == (sorted(exact), sorted(intervals))
+
+
+# f' = (5x - 27)^3 (4x^2 - 4x - 11)^2 on [1/4, 9/4]: f decreases, and the
+# double root of f' near 2.232 has no sign change for a sign bisection to follow
+_DOUBLE_ROOT = poly_mul(poly_mul(poly_mul((-27, 5), (-27, 5)), (-27, 5)),
+                        poly_mul((-11, -4, 4), (-11, -4, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_problems())
+@example((_DOUBLE_ROOT, Fraction(1, 4), Fraction(9, 4), Fraction(1, 32)))
 def test_isolate_and_minimize_match_sympy(problem):
     p, lo, hi, eps = problem
     P = _sympy_poly(p)
@@ -218,6 +256,9 @@ def test_isolate_and_minimize_match_sympy(problem):
     minimizers = [x for x, v in values.items() if abs(sympy.N(v - true_min, 60)) < 1e-40]
     assert any(_rational(u) <= x <= _rational(v)
                for u, v in (res.argmin, *res.competitors) for x in minimizers)
+    # every enclosure that is not a point holds a critical point
+    for u, v in (res.argmin, *res.competitors):
+        assert u == v or P.count_roots(_rational(u), _rational(v)) >= 1, (u, v)
 
 
 def test_phi8_twin_irrational_minima(monkeypatch):
@@ -272,3 +313,26 @@ def test_phi8_min_on_quarter_is_tight(monkeypatch):
     lower, upper = res.value
     assert 0 <= upper - lower < Fraction(1, 10**6)
     assert upper < shifted_fekete_limit(8, Fraction(1, 4))
+
+
+def test_phi_refinement_digests(monkeypatch):
+    # sha256 of repr of results the CLI digests never reach: phi_min past the
+    # cap at a coarse and a deep eps, and the q = 8 twin minimisation
+    monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
+    phi_piecewise.cache_clear()
+    try:
+        results = {
+            (q, e): limits.phi_min(q, Fraction(1, 2**e)) for q in (7, 8) for e in (20, 200)
+        }
+        results["twin"] = pw_minimize(phi_piecewise(8), 0, Fraction(1, 2), Fraction(1, 2**20))
+    finally:
+        phi_piecewise.cache_clear()
+    digests = {key: hashlib.sha256(repr(r).encode()).hexdigest() for key, r in results.items()}
+    q7 = "41c13cd83a2f68679c5d0d084756a89a50541f8ecb31bf93ec4a39fc523befe7"
+    assert digests == {
+        (7, 20): q7,
+        (7, 200): q7,
+        (8, 20): "201af65a9179e9c04604b2b1f56dec2bfaef0360db7863f398e3660e5e117a84",
+        (8, 200): "6cc615fcb31cb18f4a63ab6fbc4a14646912986fc12b2902cd022369fc076a8c",
+        "twin": "752673cf5f6dfc2187b0d1e041f20472d86a82094b32e15ea70cda8f6c1538e3",
+    }
