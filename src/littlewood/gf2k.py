@@ -17,8 +17,8 @@ from functools import lru_cache
 
 # Largest field exponent k of GF(2^k).
 MAX_K = 24
-# bit '0' -> 1 and bit '1' -> -1, as signed bytes
-_SIGN = bytes.maketrans(b"01", b"\x01\xff")
+# _BIT_SIGNS[b] maps a byte to the sign of its bit b: 1 when clear, -1 (255) when set
+_BIT_SIGNS = [bytes((x >> b & 1) * 254 + 1 for x in range(256)) for b in range(8)]
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, k: int) -> int:
@@ -96,8 +96,13 @@ def _galois_signs(k: int, beta: int = 1) -> memoryview:
     if not 0 < beta < 1 << k:
         raise ValueError(f"{beta} is not a nonzero field element")
     n = (1 << k) - 1
-    signs = format(_trace_bits(k, beta, poly, n), f"0{n}b").encode()[::-1].translate(_SIGN)
-    return memoryview(signs).cast("b")
+    # byte i of the trace bits holds s_(8i+b) at bit b, so the bytes expand
+    # into signs one bit plane at a time, straight into their slots
+    raw = _trace_bits(k, beta, poly, n).to_bytes((n + 7) // 8, "little")
+    signs = bytearray(8 * len(raw))
+    for b, table in enumerate(_BIT_SIGNS):
+        signs[b::8] = raw.translate(table)
+    return memoryview(signs)[:n].cast("b")
 
 
 def _trace_bits(k: int, beta: int, poly: int, n: int) -> int:

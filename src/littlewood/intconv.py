@@ -3,12 +3,11 @@
 `norm_2q_exact(a, q)`, the exact-norm engine, returns the 2q-th power of the
 L^2q norm on the unit circle of f with the integer coefficients `a`: the sum
 of c_j^2 over the coefficients of f^q = sum c_j x^j.  Vectors reach the
-engine as signed bytes: a memoryview of format "b" (what the private
-builders in `littlewood.polynomials` and `littlewood.gf2k` make; the public
-builders still return tuples) is copied once with `tobytes`, and any other
-sequence is packed once into an `array("b")`.  When every byte is 0, 1 or
--1 the counts and the packing work on those bytes; other coefficients take
-the integer route.
+engine as signed bytes: a memoryview of format "b", as the private builders
+in `littlewood.polynomials` and `littlewood.gf2k` make, is copied once with
+`tobytes`, and any other sequence is packed once into an `array("b")`.  When
+every byte is 0, 1 or -1 the counts and the packing work on those bytes;
+other coefficients take the integer route.
 
 For q >= 2 it uses Kronecker substitution in decimal: f is evaluated at
 X = 10^w, where w digits hold 2B + 1 for the bound
@@ -20,14 +19,18 @@ each slot c_j + h, in [0, 10^w), so no carry crosses a slot; the slots are
 then read back from the digit string _CHUNK slots at a time, so the chunk
 size bounds the decoder's live Python objects.
 
-q < 1, a power longer than MAX_LEN coefficients, a bound B with 2B + 1 of
-more than MAX_DIGITS digits, or q >= 2 without the C `decimal` module (its
-pure-Python fallback multiplies in quadratic time) raise ValueError before
-any big number is built: there is no slower fallback route.
+One rule admits a power: f^q packs into q(n - 1) + 1 slots of w digits, and
+slots * w may be at most MAX_POWER_DIGITS, at 0.10-0.26 us and 2.9-4.0 bytes
+of peak RSS per digit (2-vCPU x86-64, Python 3.11.7; at the budget the worst
+took 25.5 s and 352 MB).  int() parses a slot of at most 4300 digits,
+CPython's default int/str limit, so 2B + 1 may have no more.  These, q < 1,
+and q >= 2 without the C `decimal` module (its pure-Python fallback is
+quadratic) raise ValueError before any big number is built.
 """
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from decimal import (
     MAX_EMAX,
@@ -47,14 +50,8 @@ try:
 except ImportError:
     C_DECIMAL = False
 
-# Cost budget: f^q may have at most MAX_LEN coefficients.  At the budget one
-# job takes a few seconds and a few hundred MB (shifted Fekete at q = 8,
-# p = 262139, has 2^21 - 47 coefficients of 39 digits).
-MAX_LEN = 1 << 21
-# Digits of a slot: 2B + 1 must stay below 10^MAX_DIGITS.
-MAX_DIGITS = 44
-# 2^_BOUND_BITS > 10^MAX_DIGITS
-_BOUND_BITS = (10**MAX_DIGITS).bit_length()
+# Cost budget in digits of the packed power, slots * w (worst seen: 25.5 s, 352 MB).
+MAX_POWER_DIGITS = 10**8
 # Slots decoded per step.
 _CHUNK = 1 << 12
 # The bytes of the coefficients 0, 1 and -1.
@@ -67,27 +64,37 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 
 
 def capacity_error(n: int, q: int, abs_sum: int, abs_max: int) -> str | None:
-    """Why f^q is beyond this engine, or None if it is not, for f of length n
-    with sum |a| = abs_sum and max |a| = abs_max."""
+    """Why f^q is refused, or None, for f of length n, sum |a| = abs_sum, max |a| = abs_max."""
+    try:
+        _layout(n, q, abs_sum, abs_max)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _layout(n: int, q: int, abs_sum: int, abs_max: int) -> tuple[int, int]:
+    """(slots, w) of f^q packed at 10^w, or (0, 0) with no power to take."""
     if q < 1:
-        return "q must be >= 1"
+        raise ValueError("q must be >= 1")
     if q < 2 or not abs_sum:
-        return None
+        return 0, 0
     if not C_DECIMAL:
-        return ("exact norms at q >= 2 need the C decimal module (_decimal); "
-                "its pure-Python fallback multiplies in quadratic time")
-    out_len = q * (n - 1) + 1
-    if out_len > MAX_LEN:
-        return (f"f^{q} of a length-{n} polynomial has {out_len} coefficients, "
-                f"beyond the exact-norm capacity {MAX_LEN}")
-    # B >= 2^low, so bit lengths alone refuse a large B; when they do not,
-    # B has at most a few hundred bits (or abs_sum is 1) and is cheap to build
+        raise ValueError("exact norms at q >= 2 need the C decimal module (_decimal); "
+                         "its pure-Python fallback multiplies in quadratic time")
+    # int() parses at most `limit` digits.  B >= 2^low, so bit lengths alone
+    # refuse B >= 2^(4 limit) > 10^limit; a smaller B is cheap to build
+    limit = sys.int_info.default_max_str_digits
     low = (q - 1) * (abs_sum.bit_length() - 1) + abs_max.bit_length() - 1
-    if low >= _BOUND_BITS or 2 * abs_sum ** (q - 1) * abs_max + 1 >= 10**MAX_DIGITS:
-        return (f"the coefficients of f^{q} are bounded only by {abs_sum}^{q - 1}"
-                f"*{abs_max}, beyond the exact-norm coefficient bound: twice it "
-                f"plus one must have at most {MAX_DIGITS} digits")
-    return None
+    w = limit + 1 if low >= 4 * limit else 1 + Decimal(
+        2 * abs_sum ** (q - 1) * abs_max + 1).adjusted()
+    if w > limit:
+        raise ValueError(f"the coefficients of f^{q} are bounded only by {abs_sum}^{q - 1}"
+                         f"*{abs_max}, beyond the exact-norm coefficient bound: twice it "
+                         f"plus one must have at most {limit} digits")
+    slots = q * (n - 1) + 1
+    if slots * w > MAX_POWER_DIGITS:
+        raise ValueError(f"f^{q} of a length-{n} polynomial packs into {slots} slots of {w} "
+                         f"digits, beyond the exact-norm capacity of {MAX_POWER_DIGITS} digits")
+    return slots, w
 
 
 def norm_2q_exact(a, q: int) -> int:
@@ -99,21 +106,17 @@ def norm_2q_exact(a, q: int) -> int:
         abs_sum, abs_max = sum(map(abs, a)), max(map(abs, a))
     else:
         abs_sum, abs_max = len(signs) - signs.count(0), 1
-    reason = capacity_error(len(a), q, abs_sum, abs_max)
-    if reason:
-        raise ValueError(reason)
+    slots, w = _layout(len(a), q, abs_sum, abs_max)
     if q == 1:
         return abs_sum if signs is not None else sum(map(mul, a, a))
     if not abs_sum:
         return 0
-    w = len(str(2 * abs_sum ** (q - 1) * abs_max + 1))
-    out_len = q * (len(a) - 1) + 1
     with localcontext(_EXACT):
         power = (_pack_ints(a, w) if signs is None else _pack_signs(signs, w)) ** q
         # the leading 1 fixes the length of the digit string
-        digits = str(power + Decimal("1" + ("5" + "0" * (w - 1)) * out_len))
+        digits = str(power + Decimal("1" + ("5" + "0" * (w - 1)) * slots))
     del power
-    return _centred_square_sum(digits, w, out_len)
+    return _centred_square_sum(digits, w, slots)
 
 
 def _signs(a) -> bytes | None:
@@ -145,12 +148,9 @@ def _pack_ints(a, w: int) -> Decimal:
 
 
 def _centred_square_sum(digits: str, w: int, count: int) -> int:
-    """Sum of (s - h)^2 over the `count` w-digit slots s that follow the
-    leading digit of `digits`, for h = 5 * 10^(w-1).
-
-    It is computed as sum s^2 - 2h sum s + count h^2, one chunk of slots at
-    a time.
-    """
+    """Sum of (s - h)^2, h = 5 * 10^(w-1), over the `count` w-digit slots s
+    after the leading digit of `digits`: sum s^2 - 2h sum s + count h^2, one
+    chunk of slots at a time."""
     squares = total = 0
     step = _CHUNK * w
     for start in range(1, len(digits), step):

@@ -114,7 +114,7 @@ REFUSALS = [
     ("phi", "--q", "3", "--min", "--eps", "0"),
     ("phi", "--q", "7", "--pieces"),
     ("phi", "--q", "17", "--eval", "1/4"),
-    ("empirical", "--family", "galois", "--q", "2", "--k", "21"),
+    ("empirical", "--family", "galois", "--q", "2", "--k", "23"),
 ]
 
 

@@ -313,14 +313,15 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
     _forbid_polynomial_work(monkeypatch)
     # argv, a part of the error, and the same request to the library
     cases = [
-        (("--family", "galois", "--q", "2", "--k", "21"), "capacity",
-         ("galois", 2, [21])),
-        (("--family", "fekete", "--q", "2", "--p", "1048583"), "capacity",
-         ("fekete", 2, [1048583])),
-        (("--family", "shifted", "--q", "3", "--p", "700001", "--shift", "1"), "capacity",
-         ("shifted", 3, [700001], 1)),
-        (("--family", "fekete", "--q", "64", "--p", "7"), "coefficient bound",
-         ("fekete", 64, [7])),
+        # the smallest Galois field, and primes, whose powers pass the digit budget
+        (("--family", "galois", "--q", "2", "--k", "23"), "capacity",
+         ("galois", 2, [23])),
+        (("--family", "fekete", "--q", "2", "--p", "6250009"), "capacity",
+         ("fekete", 2, [6250009])),
+        (("--family", "shifted", "--q", "3", "--p", "2380957", "--shift", "1"), "capacity",
+         ("shifted", 3, [2380957], 1)),
+        (("--family", "fekete", "--q", "128", "--p", "1877"), "capacity",
+         ("fekete", 128, [1877])),
         (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "limit",
          ("fekete", 1, [341550071728321])),
         (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16",
@@ -423,8 +424,8 @@ REFUSED = [
      lambda: limits_mod.shifted_fekete_limit(0, Fraction(1, 4))),
     (("phi", "--q", "0", "--pieces"),
      lambda: limits_mod.phi_piecewise(0)),
-    (("empirical", "--family", "galois", "--q", "2", "--k", "21"),
-     lambda: poly_mod.convergence_table("galois", 2, [21])),
+    (("empirical", "--family", "galois", "--q", "2", "--k", "23"),
+     lambda: poly_mod.convergence_table("galois", 2, [23])),
     (("empirical", "--family", "fekete", "--q", "129", "--p", "3"),
      lambda: poly_mod.convergence_table("fekete", 129, [3])),
     (("empirical", "--family", "fekete", "--q", "2", "--p", "9"),

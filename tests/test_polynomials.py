@@ -23,8 +23,7 @@ from littlewood.gf2k import (
 )
 from littlewood.intconv import (
     _CHUNK,
-    MAX_DIGITS,
-    MAX_LEN,
+    MAX_POWER_DIGITS,
     _centred_square_sum,
     _signs,
     capacity_error,
@@ -245,6 +244,17 @@ def test_galois_seed_bits_match_trace_definition():
             assert [bits >> j & 1 for j in range(k)] == expected, (k, beta)
 
 
+def test_galois_signs_match_bit_string():
+    # the bit-plane expansion against the bit string of the trace bits,
+    # reversed and translated into signs
+    sign = bytes.maketrans(b"01", b"\x01\xff")
+    for k in range(2, 25):
+        poly, n = primitive_polynomial(k), (1 << k) - 1
+        for beta in (1, n):
+            bits = format(_trace_bits(k, beta, poly, n), f"0{n}b").encode()
+            assert _galois_signs(k, beta).tobytes() == bits[::-1].translate(sign), (k, beta)
+
+
 def test_galois_small():
     assert galois(2) == (1, -1, -1)
     for k in range(2, 11):
@@ -346,18 +356,17 @@ def _kronecker_power_coefficients(a, q):
 @st.composite
 def _powers(draw):
     """(coefficients, q) with q <= 6, length <= 400 and |coefficients| up to
-    10^20, within the coefficient bound: 2B + 1 below 10^MAX_DIGITS."""
+    10^20, so slots reach about 135 digits, well within both rules."""
     q = draw(st.integers(1, 6))
     n = draw(st.integers(1, 400))
-    digits = [e for e in range(21)
-              if q == 1 or 2 * (n * 10**e) ** (q - 1) * 10**e + 1 < 10**MAX_DIGITS]
-    top = 10 ** draw(st.sampled_from(digits))
+    top = 10 ** draw(st.integers(0, 20))
     return draw(st.lists(st.integers(-top, top), min_size=n, max_size=n)), q
 
 
 @settings(max_examples=150, deadline=None)
 @given(_powers())
 @example(([10**20, -(10**20), 3] * 100, 2))   # integer route, 43-digit slots
+@example(([10**20, -(10**20), 3] * 100, 6))   # integer route, 132-digit slots
 @example(([1, -1] * 200, 6))                   # byte route, 14-digit slots
 @example(([0, 0, 0], 4))
 def test_power_square_sum_matches_oracle(case):
@@ -392,22 +401,42 @@ def test_convolution_large_coefficients():
 
 def test_power_square_sum_beyond_capacity():
     rng = random.Random(7)
-    big = [rng.randrange(-(10**30), 10**30) for _ in range(150)]
+    big = [rng.randrange(-(10**2200), 10**2200) for _ in range(150)]
     with pytest.raises(ValueError, match="coefficient bound"):
         norm_2q_exact(big, 2)
+    # f^128 of fekete(1877) packs into 240129 slots of 417 digits
     with pytest.raises(ValueError, match="capacity"):
-        norm_2q_exact([1] * (MAX_LEN // 2 + 1), 2)
-    assert norm_2q_exact([1] * (MAX_LEN // 2), 1) == MAX_LEN // 2
-    assert capacity_error((1 << 20) - 1, 2, (1 << 20) - 1, 1) is None   # Galois k = 20
-    assert capacity_error((1 << 21) - 1, 2, (1 << 21) - 1, 1) is not None
+        norm_2q_exact(fekete(1877), 128)
+    assert norm_2q_exact([1] * (1 << 20), 1) == 1 << 20
     assert capacity_error(1 << 24, 1, 1 << 24, 1) is None
-    # for fekete(5), 2 * 4^(q-1) + 1 first reaches 10^MAX_DIGITS at q = 74
-    assert capacity_error(5, 74, 4, 1) is not None
-    with pytest.raises(ValueError, match="coefficient bound"):
-        norm_2q_exact(fekete(5), 74)
-    expected = sum(c * c for c in _kronecker_power_coefficients(fekete(5), 73))
-    assert norm_2q_exact(fekete(5), 73) == expected
+    # Galois at q = 2: 2^(k+1) - 3 slots of 7 digits at k = 21 and 22, of 8 at 23
+    for k, admitted in ((20, True), (21, True), (22, True), (23, False)):
+        n = (1 << k) - 1
+        assert (capacity_error(n, 2, n, 1) is None) == admitted, k
     assert norm_2q_exact([], 3) == 0
+
+
+def test_budget_admits_every_power_the_length_and_slot_caps_admitted():
+    # the caps this budget replaced: 2^21 slots of at most 44 digits
+    assert (1 << 21) * 44 <= MAX_POWER_DIGITS
+    # the largest such power among the CLI's inputs: 2096875 slots of 44
+    # digits for `empirical --family fekete --q 9 --p 232987`
+    assert capacity_error(232987, 9, 232986, 1) is None
+
+
+@pytest.mark.parametrize("p, q", [(5, 73), (5, 74), (101, 60)])
+def test_wide_slots_match_oracle(p, q):
+    # 2 * 4^73 + 1 has 45 digits, and 2 * 100^59 + 1 has 119
+    expected = sum(c * c for c in _kronecker_power_coefficients(fekete(p), q))
+    assert norm_2q_exact(fekete(p), q) == expected
+    assert norm_2q_exact(_fekete_signs(p), q) == expected
+
+
+def test_slot_rule_at_the_int_parse_limit():
+    # 2 * 2^14283 + 1 has 4300 digits, the most int() parses by default
+    assert norm_2q_exact((2,), 14283) == 4**14283
+    assert norm_2q_exact((-2,), 14283) == 4**14283
+    assert "at most 4300 digits" in capacity_error(1, 14284, 2, 2)
 
 
 def test_admission_refuses_in_bounded_time():
@@ -417,6 +446,7 @@ def test_admission_refuses_in_bounded_time():
         (lambda: norm_2q_exact((3,), 10**7), "coefficient bound"),
         (lambda: norm_2q_exact((3,), 10**9), "coefficient bound"),
         (lambda: norm_2q_exact((2, 1), (1 << 21) - 1), "coefficient bound"),
+        (lambda: convergence_table("galois", 2, [23]), "capacity"),
         (lambda: norm_2q_exact((1, 1), -1), "q must be >= 1"),
         (lambda: norm_2q_exact((1, 1), 0), "q must be >= 1"),
         (lambda: norm_2q_exact((), 0), "q must be >= 1"),
@@ -468,7 +498,7 @@ def test_power_square_sum_same_on_every_input_type(coeffs, q):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=200),
-       st.sampled_from((2, -3, 127, 128, -129, 10**30)),
+       st.sampled_from((2, -3, 127, 128, -129, 10**30, 10**1500)),
        st.integers(0, 199), st.integers(1, 4))
 def test_power_square_sum_integer_route(units, odd, where, q):
     coeffs = list(units)
@@ -485,7 +515,7 @@ def test_power_square_sum_integer_route(units, odd, where, q):
         assert norm_2q_exact(a, q) == expected, type(a)
 
 
-@pytest.mark.parametrize("w", [1, 6, 19, 44])
+@pytest.mark.parametrize("w", [1, 6, 19, 44, 45, 400])
 @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_centred_square_sum_across_chunks(count, w):
     rng = random.Random(count * 100 + w)
@@ -526,11 +556,11 @@ def test_convergence_table_memory():
 
 
 def test_galois_signs_memory():
-    # n = 2^20 - 1 signs: the bit string's bytes and their reversal, then the
-    # reversal and its translation, about 2n bytes at the peak
+    # n = 2^20 - 1 signs: the n bytes of signs, and n/8 bytes each for the
+    # trace bits, their bytes and one translated bit plane
     primitive_polynomial(20)
     peak = _traced_peak(lambda: _galois_signs(20))
-    assert peak <= 2.5 * 2**20, peak / 2**20
+    assert peak <= 1.5 * 2**20, peak / 2**20
 
 
 def test_convergence_table_fekete():
@@ -578,7 +608,7 @@ def test_convergence_table_refuses_before_work(monkeypatch):
                  "_shifted_signs", "_galois_signs", "norm_2q_exact"):
         monkeypatch.setattr(poly_mod, name, never)
     for args, kwargs, reason in (
-        (("galois", 2, [14, 21]), {}, "capacity"),
+        (("galois", 2, [14, 23]), {}, "capacity"),
         (("fekete", 2, [101, 9]), {}, "primality"),
         (("fekete", 1, [16777259]), {}, "exceeds the limit 16777216"),
         (("fekete", 129, [3]), {}, "q <= 128"),
