@@ -19,13 +19,14 @@ each slot c_j + h, in [0, 10^w), so no carry crosses a slot; the slots are
 then read back from the digit string _CHUNK slots at a time, so the chunk
 size bounds the decoder's live Python objects.
 
-One rule admits a power: f^q packs into q(n - 1) + 1 slots of w digits, and
-slots * w may be at most MAX_POWER_DIGITS, at 0.10-0.26 us and 2.9-4.0 bytes
-of peak RSS per digit (2-vCPU x86-64, Python 3.11.7; at the budget the worst
-took 25.5 s and 352 MB).  int() parses a slot of at most 4300 digits,
-CPython's default int/str limit, so 2B + 1 may have no more.  These, q < 1,
-and q >= 2 without the C `decimal` module (its pure-Python fallback is
-quadratic) raise ValueError before any big number is built.
+One rule, `power_layout`, admits a power: f^q packs into q(n - 1) + 1 slots
+of w digits, and slots * w may be at most MAX_POWER_DIGITS, at 0.10-0.26 us
+and 2.9-4.0 bytes of peak RSS per digit (2-vCPU x86-64, Python 3.11.7; at the
+budget the worst took 25.5 s and 352 MB).  int() parses each slot, so 2B + 1
+may have at most as many digits as the running int/str limit allows
+(`sys.get_int_max_str_digits()`, 4300 by default, and 4300 when unlimited).
+These, q < 1, and q >= 2 without the C `decimal` module (its pure-Python
+fallback is quadratic) raise ValueError before any big number is built.
 """
 from __future__ import annotations
 
@@ -63,16 +64,9 @@ _NEG_DIGIT = bytes(48 + (b == 255) for b in range(256))
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
-def capacity_error(n: int, q: int, abs_sum: int, abs_max: int) -> str | None:
-    """Why f^q is refused, or None, for f of length n, sum |a| = abs_sum, max |a| = abs_max."""
-    try:
-        _layout(n, q, abs_sum, abs_max)
-    except ValueError as exc:
-        return str(exc)
-
-
-def _layout(n: int, q: int, abs_sum: int, abs_max: int) -> tuple[int, int]:
-    """(slots, w) of f^q packed at 10^w, or (0, 0) with no power to take."""
+def power_layout(n: int, q: int, abs_sum: int, abs_max: int) -> tuple[int, int]:
+    """(slots, w) of f^q packed at 10^w, or (0, 0) with no power to take, for
+    f of length n, sum |a| = abs_sum and max |a| = abs_max, or ValueError."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if q < 2 or not abs_sum:
@@ -80,9 +74,10 @@ def _layout(n: int, q: int, abs_sum: int, abs_max: int) -> tuple[int, int]:
     if not C_DECIMAL:
         raise ValueError("exact norms at q >= 2 need the C decimal module (_decimal); "
                          "its pure-Python fallback multiplies in quadratic time")
-    # int() parses at most `limit` digits.  B >= 2^low, so bit lengths alone
-    # refuse B >= 2^(4 limit) > 10^limit; a smaller B is cheap to build
-    limit = sys.int_info.default_max_str_digits
+    # int() parses at most `limit` digits, and 0 (no limit) keeps the default,
+    # as int() of a longer string is quadratic.  B >= 2^low, so bit lengths
+    # alone refuse B >= 2^(4 limit) > 10^limit; a smaller B is cheap to build
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     low = (q - 1) * (abs_sum.bit_length() - 1) + abs_max.bit_length() - 1
     w = limit + 1 if low >= 4 * limit else 1 + Decimal(
         2 * abs_sum ** (q - 1) * abs_max + 1).adjusted()
@@ -106,7 +101,7 @@ def norm_2q_exact(a, q: int) -> int:
         abs_sum, abs_max = sum(map(abs, a)), max(map(abs, a))
     else:
         abs_sum, abs_max = len(signs) - signs.count(0), 1
-    slots, w = _layout(len(a), q, abs_sum, abs_max)
+    slots, w = power_layout(len(a), q, abs_sum, abs_max)
     if q == 1:
         return abs_sum if signs is not None else sum(map(mul, a, a))
     if not abs_sum:

@@ -17,7 +17,7 @@ Descartes root isolation.  The direct partition-profile sums
 `fekete_limit_direct` and `galois_limit_direct` are cross-checks.
 
 Each public function raises ValueError before any work for input outside its
-rule (MAX_Q, `shifted_limit_error`, PHI_PIECES_QMAX); the command line prints
+rule (MAX_Q, `check_shift`, PHI_PIECES_QMAX); the command line prints
 that message as its error record.
 
 The piecewise, rational-polynomial, partition-profile and root modules are
@@ -26,6 +26,7 @@ imported by the functions that use them, so the recursions and
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, cycle, repeat
@@ -50,11 +51,9 @@ FAMILIES = ("fekete", "galois")
 # with q.
 MAX_Q = 128
 
-# Admission rule of `shifted_fekete_limit`: q <= SHIFTED_QMAX and
-# q * (decimal digits of R's denominator) <= SHIFTED_DIGITS.  Its cost grows
-# with q and with the size of its integers, about 2q times the digits of the
-# denominator; the printed value has about that many digits too, well below
-# Python's 4300-digit limit on int-to-str conversion.
+# Bounds of `check_shift`, the admission rule of `shifted_fekete_limit`, whose
+# cost grows with q and with the size of its integers, about 2q times the
+# digits of R's denominator.
 SHIFTED_QMAX = 16
 SHIFTED_DIGITS = 1000
 
@@ -275,17 +274,31 @@ def galois_limit_direct(q: int) -> Fraction:
     return total
 
 
-def shifted_limit_error(q: int, R) -> str | None:
-    """Why `shifted_fekete_limit(q, R)` is refused, or None if it is admitted."""
+def check_shift(q: int, R) -> None:
+    """Raise ValueError unless `shifted_fekete_limit(q, R)` is admitted:
+    1 <= q <= SHIFTED_QMAX, R's denominator below 10^(SHIFTED_DIGITS // q),
+    and a value that prints within the int/str limit (0 for none).  With R
+    reduced to r/d in [0, 1/2), the value's denominator divides c^q d^(2q)
+    (`_shifted_values`), and phi_q(R) < (2q)!/q!, as phi_q is the 2q-th
+    moment of a Rademacher sum with complex weights of square sum 1, whose
+    real and imaginary parts Khintchine's inequality bounds by (2q-1)!! each.
+    The product, at most 2219 digits where the first two clauses admit,
+    bounds both printed integers.
+    """
     if not 1 <= q <= SHIFTED_QMAX:
-        return f"shifted limits support 1 <= q <= {SHIFTED_QMAX}"
+        raise ValueError(f"shifted limits support 1 <= q <= {SHIFTED_QMAX}")
     digits = SHIFTED_DIGITS // q
     if Fraction(R).denominator >= 10**digits:
-        return (
+        raise ValueError(
             f"shift ratio denominator exceeds {digits} digits at q={q} "
             f"(q * digits must be at most {SHIFTED_DIGITS})"
         )
-    return None
+    limit = sys.get_int_max_str_digits()
+    d = (Fraction(R) % HALF).denominator
+    bound = factorial(2 * q) // factorial(q) * _block_scale(q) ** q * d ** (2 * q)
+    if limit and bound >= 10**limit:
+        raise ValueError(f"phi_{q} at this shift ratio may have more than {limit} digits, "
+                         "the int/str conversion limit")
 
 
 def _factorial_valuation(n: int, p: int) -> int:
@@ -411,7 +424,7 @@ def _shifted_values(q: int, numerators, d: int) -> list[Fraction]:
 def shifted_fekete_limit(q: int, R) -> Fraction:
     """Limit of the normalized 2q-th power norm of shifted Fekete polynomials
     whose shift ratio tends to R; exact for any rational R admitted by
-    `shifted_limit_error` (q <= 16, q * digits of R's denominator <= 1000).
+    `check_shift` (q <= 16, q * digits of R's denominator <= 1000).
 
     The profile sum over even block profiles is an exponential-formula
     coefficient: phi_q(R) = q!^2 [t^q u^q x^(2q)] exp(G), with
@@ -425,9 +438,7 @@ def shifted_fekete_limit(q: int, R) -> Fraction:
     x-exponents that can still reach u^q x^(2q).  The cost is polynomial in q,
     about q^6 products of integers with about 2q times as many digits as d.
     """
-    reason = shifted_limit_error(q, R)
-    if reason:
-        raise ValueError(reason)
+    check_shift(q, R)
     R = Fraction(R) % HALF
     return _shifted_values(q, [R.numerator], R.denominator)[0]
 

@@ -13,11 +13,11 @@ serves as an independent floating-point oracle; it is the one function here
 that needs numpy, and imports it itself.
 
 `convergence_table` compares exact norms of actual polynomials with their
-limits.  Its whole admission rule is `convergence_error`: the q range, the
+limits.  Its whole admission rule is `check_convergence`: the q range, the
 sizes (primes up to MAX_PRIME, Galois exponents 2..MAX_K), the norm engine's
-capacity for each size and the shift rule.  The table refuses with its
-reason before any work starts, and the `empirical` command prints the same
-reason as its error record.
+`power_layout` for each size and the shift rule `check_shift`.  Each raises
+ValueError before any work starts (so do the Fekete builders for p above
+MAX_PRIME), and the `empirical` command prints it as its error record.
 """
 from __future__ import annotations
 
@@ -27,14 +27,14 @@ from typing import NamedTuple
 
 # `galois` stays importable from here, beside the other public builders
 from littlewood.gf2k import MAX_K, _galois_signs, galois  # noqa: F401
-from littlewood.intconv import capacity_error, norm_2q_exact
+from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
     HALF,
     MAX_Q,
+    check_shift,
     fekete_limit_recursive,
     galois_limit_recursive,
     shifted_fekete_limit,
-    shifted_limit_error,
 )
 
 # Largest prime size of the fekete and shifted families; it matches the
@@ -88,10 +88,18 @@ def fekete(p: int) -> tuple[int, ...]:
     return tuple(_fekete_signs(p))
 
 
-def _fekete_signs(p: int) -> memoryview:
-    """The coefficients of `fekete(p)` as signed bytes."""
+def _check_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime of at most MAX_PRIME."""
+    if p > MAX_PRIME:
+        raise ValueError(f"prime size {p} exceeds the limit {MAX_PRIME}")
     if not is_odd_prime(p):
         raise ValueError(f"primality check failed: {p} is not an odd prime")
+
+
+def _fekete_signs(p: int) -> memoryview:
+    """The coefficients of `fekete(p)` as signed bytes; ValueError unless p is
+    an odd prime of at most MAX_PRIME, before any allocation."""
+    _check_prime(p)
     squares = bytearray(p)
     for j in range(1, (p + 1) // 2):  # j and p - j have the same square
         squares[j * j % p] = 1
@@ -147,51 +155,37 @@ class ConvergenceRow(NamedTuple):
     rel_err: float
 
 
-def convergence_error(
-    family: str,
-    q: int,
-    sizes,
-    shift: int | None = None,
-    shift_ratio=None,
-) -> str | None:
-    """Why `convergence_table` refuses these arguments, or None if it admits them."""
+def check_convergence(family: str, q: int, sizes, shift: int | None = None,
+                      shift_ratio=None) -> None:
+    """Raise ValueError unless `convergence_table` admits these arguments."""
     sizes = list(sizes)
     if family not in ("fekete", "shifted", "galois"):
-        return f"unknown family {family!r}"
+        raise ValueError(f"unknown family {family!r}")
     if q < 1:
-        return "q must be >= 1"
+        raise ValueError("q must be >= 1")
     if family != "shifted" and q > MAX_Q:
-        return f"family {family} supports q <= {MAX_Q}"
+        raise ValueError(f"family {family} supports q <= {MAX_Q}")
     shapes = []  # (length, sum of |coefficients|) per size
     for s in sizes:
-        if family == "galois":
-            if not 2 <= s <= MAX_K:
-                return f"field exponent {s} out of range 2..{MAX_K}"
-            shapes.append(((1 << s) - 1, (1 << s) - 1))
-        elif s > MAX_PRIME:
-            return f"prime size {s} exceeds the limit {MAX_PRIME}"
-        elif not is_odd_prime(s):
-            return f"primality check failed: {s} is not an odd prime"
-        else:
+        if family != "galois":
+            _check_prime(s)
             shapes.append((s, s - 1))
+        elif 2 <= s <= MAX_K:
+            shapes.append(((1 << s) - 1, (1 << s) - 1))
+        else:
+            raise ValueError(f"field exponent {s} out of range 2..{MAX_K}")
     for n, abs_sum in shapes:
-        reason = capacity_error(n, q, abs_sum, 1)
-        if reason:
-            return reason
+        power_layout(n, q, abs_sum, 1)
     if family != "shifted":
         if shift is not None or shift_ratio is not None:
-            return "--shift/--shift-ratio apply to the shifted family only"
-        return None
+            raise ValueError("--shift/--shift-ratio apply to the shifted family only")
+        return
     if shift is None and shift_ratio is None:
-        return "shifted family needs --shift or --shift-ratio"
+        raise ValueError("shifted family needs --shift or --shift-ratio")
     if shift is not None and shift_ratio is not None:
-        return "shifted family takes one of --shift and --shift-ratio, not both"
-    ratios = [shift_ratio] if shift is None else [Fraction(shift, p) for p in sizes]
-    for ratio in ratios:
-        reason = shifted_limit_error(q, ratio)
-        if reason:
-            return reason
-    return None
+        raise ValueError("shifted family takes one of --shift and --shift-ratio, not both")
+    for ratio in [shift_ratio] if shift is None else [Fraction(shift, p) for p in sizes]:
+        check_shift(q, ratio)
 
 
 def convergence_table(
@@ -206,14 +200,12 @@ def convergence_table(
     `sizes` are odd primes p <= MAX_PRIME for the fekete/shifted families and
     exponents k in 2..MAX_K for galois.  The shifted family takes either a fixed
     shift r or a target ratio R (then r = round(R * p), so r/p -> R).  The
-    arguments are checked by `convergence_error` first, and ValueError with
-    its reason is raised before any polynomial is built.  Rows are computed
-    and returned in input order.
+    arguments are checked by `check_convergence` first, so ValueError is
+    raised before any polynomial is built.  Rows are computed and returned in
+    input order.
     """
     sizes = list(sizes)
-    reason = convergence_error(family, q, sizes, shift, shift_ratio)
-    if reason:
-        raise ValueError(reason)
+    check_convergence(family, q, sizes, shift, shift_ratio)
     if family == "fekete":
         limit = fekete_limit_recursive(q)
     elif family == "galois":

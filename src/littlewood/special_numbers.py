@@ -96,37 +96,35 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     return _eulerian_general(n, Fraction(x))
 
 
-# The newest row E(n, 0..n-1) of the Eulerian triangle built so far (n = its
-# length).  The limit recursions ask for rows in increasing order, so each
-# row is built once.  Only the newest is kept: the odd rows up to n = 999
-# together hold about 165 MB.  It saves work only, as any row is a correct
-# start; the entry is only ever replaced by a longer one.
-_eulerian_row: list[tuple[int, ...]] = [(1,)]
+# N -> A_N for N = 1, 2, ... as built so far, each from the one before.  The
+# limit recursions ask for them in increasing order; `limit_table(family, 128)`
+# leaves 128 of them, 2.4 MB, and A_1..A_500 hold 163 MB.  Keyed by N, a row
+# two threads build at once is stored twice, the same both times.
+_eulerian_rows: dict[int, tuple[int, ...]] = {1: (0, 1)}
 
 
-@lru_cache(maxsize=None)
 def eulerian_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients (constant term first) of A_N(x) = sum_a E(2N-1, a-1) x^a.
 
     A_N has degree 2N-1, zero constant term, and nonnegative integer
     coefficients given by row 2N-1 of the Eulerian-number triangle.  The
-    rows come from the integer recurrence, in a loop that extends the newest
-    row built so far (from row 1 only when an earlier row is asked for).
+    rows come from the integer recurrence, two steps from each A_N to the
+    next, and every A_N built is kept.
 
     >>> eulerian_polynomial(2)
     (0, 1, 4, 1)
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    row = _eulerian_row[0]
-    if len(row) >= 2 * N:
-        row = (1,)  # E(1, 0)
-    for n in range(len(row) + 1, 2 * N):
-        # E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), zero outside 0..n-2
-        prev = (0,) + row + (0,)
-        row = tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n))
-    _eulerian_row[0] = max(row, _eulerian_row[0], key=len)
-    return (0,) + row
+    while N not in _eulerian_rows:
+        k = len(_eulerian_rows)
+        row = _eulerian_rows[k][1:]
+        for n in (2 * k, 2 * k + 1):
+            # E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), zero outside 0..n-2
+            prev = (0,) + row + (0,)
+            row = tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n))
+        _eulerian_rows[k + 1] = (0,) + row
+    return _eulerian_rows[N]
 
 
 def composition_count(N: int, n: int, m: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from littlewood.ratpoly import poly_derivative, poly_shift, poly_trim
 
@@ -39,8 +40,10 @@ def _divmod(a, b):
     return poly_trim(quot), poly_trim(rem[:db])
 
 
-def squarefree_part(p) -> tuple[int, ...]:
-    """Primitive squarefree polynomial with the same real roots as p."""
+@lru_cache(maxsize=128)
+def squarefree_part(p: tuple) -> tuple[int, ...]:
+    """Primitive squarefree polynomial with the same real roots as p, kept for
+    the last 128 tuples p, as refinement isolates in one p again and again."""
     p = _primitive(p)
     a, b = p, _primitive(poly_derivative(p))
     while b:
@@ -62,7 +65,7 @@ def isolate_roots(p, lo, hi, eps):
     ([Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)], [])
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    p = squarefree_part(p)
+    p = squarefree_part(tuple(p))
     d = len(p) - 1
     if d < 1:
         return [], []

@@ -246,6 +246,45 @@ def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
         assert reason in record["error"], argv
 
 
+# Runs the command line once per argv of its JSON argument, and prints the
+# exit code, the time and the record of each.
+TIMED_CLI_SCRIPT = """
+import contextlib, io, json, sys, time
+from littlewood.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, time.perf_counter() - start, json.loads(out.getvalue())])
+print(json.dumps(results))
+"""
+
+
+def test_phi_eval_refuses_past_the_running_int_str_limit():
+    # at 1/(10^62 - 1) the value of phi_16 has 1889 digits, which a limit of
+    # 640 cannot print; it is refused before the work, and 1/3 still runs
+    argvs = [["phi", "--q", "16", "--eval", f"1/{10**62 - 1}"],
+             ["phi", "--q", "16", "--eval", "1/3"]]
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", TIMED_CLI_SCRIPT,
+         json.dumps(argvs)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (code, seconds, record), (admitted, _, value) = json.loads(proc.stdout)
+    for rec in (record, value):
+        jsonschema.validate(rec, SCHEMA)
+    assert code == 1
+    assert record["error"] == ("phi_16 at this shift ratio may have more than 640 digits, "
+                               "the int/str conversion limit")
+    assert seconds < 0.5
+    assert admitted == 0
+    assert Fraction(value["results"][0]["value"]) == limits_mod.shifted_fekete_limit(
+        16, Fraction(1, 3))
+
+
 def test_phi_eval_beyond_the_former_cap(capsys):
     code, record = run_json(capsys, "phi", "--q", "12", "--eval", "1/4")
     assert code == 0
@@ -309,6 +348,12 @@ def _forbid_polynomial_work(monkeypatch):
         monkeypatch.setattr(poly_mod, name, never)
 
 
+def _library_refusal(*request) -> str:
+    with pytest.raises(ValueError) as refused:
+        poly_mod.check_convergence(*request)
+    return str(refused.value)
+
+
 def test_empirical_refuses_oversized_input(capsys, monkeypatch):
     _forbid_polynomial_work(monkeypatch)
     # argv, a part of the error, and the same request to the library
@@ -342,7 +387,7 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
         jsonschema.validate(record, SCHEMA)
         assert code == 1, argv
         assert reason in record["error"], argv
-        assert record["error"] == poly_mod.convergence_error(*request), argv
+        assert record["error"] == _library_refusal(*request), argv
 
 
 def test_empirical_refuses_without_c_decimal(capsys, monkeypatch):
@@ -366,7 +411,7 @@ def test_empirical_refuses_without_c_decimal(capsys, monkeypatch):
         jsonschema.validate(record, SCHEMA)
         assert code == 1, argv
         assert "C decimal module" in record["error"], argv
-        assert record["error"] == poly_mod.convergence_error(
+        assert record["error"] == _library_refusal(
             argv[1], int(argv[3]), [int(argv[5])], 1 if "--shift" in argv else None
         ), argv
 

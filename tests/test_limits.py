@@ -16,6 +16,7 @@ from littlewood.partitions import enumerate_set_partitions, even_block_profiles
 from littlewood.limits import (
     SHIFTED_DIGITS,
     SHIFTED_QMAX,
+    check_shift,
     fekete_limit_direct,
     fekete_limit_recursive,
     fekete_triangle_row,
@@ -26,7 +27,6 @@ from littlewood.limits import (
     phi_min,
     phi_piecewise,
     shifted_fekete_limit,
-    shifted_limit_error,
     triangle_table,
 )
 from littlewood import limits
@@ -414,9 +414,46 @@ def test_shifted_preconditions():
     # q * (digits of the denominator) <= SHIFTED_DIGITS
     for q in (1, 8, SHIFTED_QMAX):
         digits = SHIFTED_DIGITS // q
-        assert shifted_limit_error(q, Fraction(1, 10**digits - 1)) is None
+        assert check_shift(q, Fraction(1, 10**digits - 1)) is None
         with pytest.raises(ValueError, match=f"exceeds {digits} digits"):
             shifted_fekete_limit(q, Fraction(-3, 10**digits))
+
+
+def test_shifted_rule_admits_the_largest_reduced_denominators():
+    # R = (d - 1)/d reduces to (d - 2)/(2d) in [0, 1/2): the largest
+    # denominator the evaluator meets, and its value prints within the
+    # default int/str limit at every q
+    for q in range(1, SHIFTED_QMAX + 1):
+        d = 10 ** (SHIFTED_DIGITS // q) - 1
+        assert (Fraction(d - 1, d) % Fraction(1, 2)).denominator == 2 * d
+        assert check_shift(q, Fraction(d - 1, d)) is None
+
+
+def test_phi_below_the_bound_of_the_print_rule():
+    # `check_shift` bounds phi_q(R) by (2q)!/q!; phi_q is largest at R = 0
+    for q in range(1, SHIFTED_QMAX + 1):
+        bound = math.factorial(2 * q) // math.factorial(q)
+        assert fekete_limit_recursive(q) < bound, q
+        if q <= 12:
+            for R in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)):
+                assert shifted_fekete_limit(q, R) < bound, (q, R)
+
+
+def test_shifted_rule_follows_the_running_int_str_limit():
+    # the value at 1/(10^62 - 1) has 1889 digits; within the default limit,
+    # beyond 640, and within no limit at all
+    R = Fraction(1, 10**62 - 1)
+    assert check_shift(16, R) is None
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError, match="phi_16 at this shift ratio may have more than 640"):
+            check_shift(16, R)
+        assert check_shift(16, Fraction(1, 3)) is None
+        sys.set_int_max_str_digits(0)
+        assert check_shift(16, R) is None
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_shifted_large_denominators():

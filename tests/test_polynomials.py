@@ -1,6 +1,8 @@
 """Tests for polynomial construction, fields, exact norms, and convergence."""
 import hashlib
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from array import array
@@ -26,7 +28,7 @@ from littlewood.intconv import (
     MAX_POWER_DIGITS,
     _centred_square_sum,
     _signs,
-    capacity_error,
+    power_layout,
 )
 from littlewood.limits import fekete_limit_recursive, galois_limit_recursive
 from littlewood.polynomials import (
@@ -335,22 +337,22 @@ def test_galois_beta_multiset():
 
 
 def _kronecker_power_coefficients(a, q):
-    """Coefficients of f^q by one big-integer power: f is evaluated at 2^bits
-    with room for every signed coefficient of f^q, and the result is read
-    back digit by digit."""
+    """Coefficients of f^q by one big-integer power: f is evaluated at 256^m
+    with m bytes of room for every signed coefficient of f^q, and adding
+    2^(8m-1) to every slot makes them all nonnegative, so the bytes of the
+    result split into the slots in linear time."""
     bound = sum(map(abs, a)) ** (q - 1) * max(map(abs, a))
-    bits = bound.bit_length() + 2
-    value = sum(c << (bits * i) for i, c in enumerate(a)) ** q
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    out = []
-    for _ in range(q * (len(a) - 1) + 1):
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << bits
-        out.append(digit)
-        value = (value - digit) >> bits
-    assert value == 0
-    return out
+    m = (bound.bit_length() + 2 + 7) // 8
+    slots = q * (len(a) - 1) + 1
+
+    def at_x(coeffs):
+        return int.from_bytes(b"".join(c.to_bytes(m, "little") for c in coeffs), "little")
+
+    value = (at_x(max(c, 0) for c in a) - at_x(max(-c, 0) for c in a)) ** q
+    half = 1 << (8 * m - 1)
+    # to_bytes raises OverflowError unless every centred slot fits in m bytes
+    raw = (value + at_x([half] * slots)).to_bytes(slots * m, "little")
+    return [int.from_bytes(raw[i : i + m], "little") - half for i in range(0, len(raw), m)]
 
 
 @st.composite
@@ -408,11 +410,13 @@ def test_power_square_sum_beyond_capacity():
     with pytest.raises(ValueError, match="capacity"):
         norm_2q_exact(fekete(1877), 128)
     assert norm_2q_exact([1] * (1 << 20), 1) == 1 << 20
-    assert capacity_error(1 << 24, 1, 1 << 24, 1) is None
-    # Galois at q = 2: 2^(k+1) - 3 slots of 7 digits at k = 21 and 22, of 8 at 23
-    for k, admitted in ((20, True), (21, True), (22, True), (23, False)):
+    assert power_layout(1 << 24, 1, 1 << 24, 1) == (0, 0)
+    # Galois at q = 2: 2^(k+1) - 3 slots of 7 digits at k = 20, 21 and 22, of 8 at 23
+    for k in (20, 21, 22):
         n = (1 << k) - 1
-        assert (capacity_error(n, 2, n, 1) is None) == admitted, k
+        assert power_layout(n, 2, n, 1) == ((1 << (k + 1)) - 3, 7), k
+    with pytest.raises(ValueError, match="16777213 slots of 8 digits"):
+        power_layout((1 << 23) - 1, 2, (1 << 23) - 1, 1)
     assert norm_2q_exact([], 3) == 0
 
 
@@ -421,7 +425,7 @@ def test_budget_admits_every_power_the_length_and_slot_caps_admitted():
     assert (1 << 21) * 44 <= MAX_POWER_DIGITS
     # the largest such power among the CLI's inputs: 2096875 slots of 44
     # digits for `empirical --family fekete --q 9 --p 232987`
-    assert capacity_error(232987, 9, 232986, 1) is None
+    assert power_layout(232987, 9, 232986, 1) == (2096875, 44)
 
 
 @pytest.mark.parametrize("p, q", [(5, 73), (5, 74), (101, 60)])
@@ -436,7 +440,56 @@ def test_slot_rule_at_the_int_parse_limit():
     # 2 * 2^14283 + 1 has 4300 digits, the most int() parses by default
     assert norm_2q_exact((2,), 14283) == 4**14283
     assert norm_2q_exact((-2,), 14283) == 4**14283
-    assert "at most 4300 digits" in capacity_error(1, 14284, 2, 2)
+    with pytest.raises(ValueError, match="at most 4300 digits"):
+        power_layout(1, 14284, 2, 2)
+
+
+LOWERED_LIMIT_NORMS = """
+import time
+from math import comb
+from littlewood.intconv import norm_2q_exact
+# 2 * 2 * 3^999 + 1 has 478 digits, within the limit of 640
+assert norm_2q_exact((2, 1), 1000) == sum(
+    (comb(1000, k) * 2 ** (1000 - k)) ** 2 for k in range(1001))
+start = time.perf_counter()
+try:
+    norm_2q_exact((2, 1), 1500)
+except ValueError as exc:
+    print(time.perf_counter() - start, exc)
+"""
+
+
+def test_slot_rule_follows_the_running_int_str_limit():
+    # 2 * 2 * 3^1499 + 1 has 716 digits: admitted under the default limit,
+    # refused by the rule under a limit of 640, and by the default slot
+    # limit when there is no limit
+    assert power_layout(2, 1500, 3, 2) == (1501, 716)
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", LOWERED_LIMIT_NORMS],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, message = proc.stdout.split(" ", 1)
+    assert "twice it plus one must have at most 640 digits" in message
+    assert float(seconds) < 0.05
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(ValueError, match="at most 4300 digits"):
+            power_layout(1, 14284, 2, 2)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_fekete_builders_refuse_beyond_max_prime():
+    # 16777259 is the least prime above MAX_PRIME = 2^24; 2^31 - 1 is prime
+    for call in (lambda: fekete(16777259), lambda: _fekete_signs(16777259),
+                 lambda: shifted_fekete(16777259, 1), lambda: _shifted_signs(16777259, 1),
+                 lambda: fekete(2**31 - 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="prime size .* exceeds the limit 16777216"):
+            call()
+        assert time.perf_counter() - start < 0.05
 
 
 def test_admission_refuses_in_bounded_time():
@@ -458,7 +511,8 @@ def test_admission_refuses_in_bounded_time():
             call()
         assert time.perf_counter() - start < 0.05, reason
     start = time.perf_counter()
-    assert capacity_error(2, (1 << 21) - 1, 6, 3) is not None
+    with pytest.raises(ValueError, match="coefficient bound"):
+        power_layout(2, (1 << 21) - 1, 6, 3)
     assert time.perf_counter() - start < 0.05
     # a unit vector of length one is admitted at any q
     assert norm_2q_exact((-1,), 10**9 + 1) == 1
@@ -506,7 +560,9 @@ def test_power_square_sum_integer_route(units, odd, where, q):
     routes = _as_routes(coeffs)
     assert all(_signs(a) is None for a in routes if not hasattr(a, "__next__"))
     abs_sum = sum(map(abs, coeffs))
-    if capacity_error(len(coeffs), q, abs_sum, abs(odd)):
+    try:
+        power_layout(len(coeffs), q, abs_sum, abs(odd))
+    except ValueError:
         with pytest.raises(ValueError, match="coefficient bound"):
             norm_2q_exact(coeffs, q)
         return
@@ -622,17 +678,17 @@ def test_convergence_table_refuses_before_work(monkeypatch):
             convergence_table(*args, **kwargs)
 
 
-def test_convergence_error_takes_any_iterable():
-    from littlewood.polynomials import convergence_error
+def test_check_convergence_takes_any_iterable():
+    from littlewood.polynomials import check_convergence
 
     for sizes in ([5], (5,), iter([5]), (p for p in [5])):
-        assert convergence_error("shifted", 17, sizes, shift=1) == (
-            "shifted limits support 1 <= q <= 16"
-        )
-    assert convergence_error("fekete", 2, (p for p in [5, 9])) == (
-        "primality check failed: 9 is not an odd prime"
-    )
-    assert convergence_error("fekete", 2, (p for p in [5, 7])) is None
+        with pytest.raises(ValueError) as refused:
+            check_convergence("shifted", 17, sizes, shift=1)
+        assert str(refused.value) == "shifted limits support 1 <= q <= 16"
+    with pytest.raises(ValueError) as refused:
+        check_convergence("fekete", 2, (p for p in [5, 9]))
+    assert str(refused.value) == "primality check failed: 9 is not an odd prime"
+    assert check_convergence("fekete", 2, (p for p in [5, 7])) is None
 
 
 def test_convergence_table_input_order():

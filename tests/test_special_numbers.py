@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from littlewood import special_numbers
 from littlewood.special_numbers import (
     carlitz_numbers,
     composition_count,
@@ -159,20 +160,22 @@ def test_eulerian_polynomial_matches_alternating_sum():
         assert sum(coeffs) == math.factorial(n), N
 
 
-def test_eulerian_polynomial_large_row():
+def test_eulerian_polynomial_large_row(monkeypatch):
     # built without recursion, so a row past the interpreter's recursion
-    # limit works; E(n, 1) = 2^n - n - 1
+    # limit works; E(n, 1) = 2^n - n - 1.  The 163 MB of rows it keeps go
+    # with the fresh table after the test
+    monkeypatch.setattr(special_numbers, "_eulerian_rows", {1: (0, 1)})
     coeffs = eulerian_polynomial(500)
     assert sum(coeffs) == math.factorial(999)
     assert coeffs[1:3] == (1, 2**999 - 1000)
 
 
-def test_eulerian_polynomial_any_order():
-    # rows are extended from the newest one built, and rebuilt from row 1 when
-    # an earlier row is asked for; the uncached function sees both cases
-    build = eulerian_polynomial.__wrapped__
+def test_eulerian_polynomial_any_order(monkeypatch):
+    # rows are extended from the last one kept, and an earlier row is read
+    # back; from a fresh table both cases give the same rows
+    monkeypatch.setattr(special_numbers, "_eulerian_rows", {1: (0, 1)})
     for N in (9, 3, 12, 1, 12, 2, 5):
-        coeffs = build(N)
+        coeffs = eulerian_polynomial(N)
         assert coeffs[1:] == tuple(eulerian_general(2 * N - 1, a - 1) for a in range(1, 2 * N))
 
 
