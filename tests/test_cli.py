@@ -12,7 +12,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from csv_digests import NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS, REFUSALS
+from csv_digests import FIRST_REFUSED, NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS, REFUSALS
 from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
 from littlewood.cli import main
@@ -233,10 +233,11 @@ def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
     monkeypatch.setattr(limits_mod, "_shifted_values", never)
     cases = [
         (("--q", "17", "--eval", "1/4"), "1 <= q <= 16"),
-        (("--q", "8", "--eval", "1/" + "1" + "0" * 320), "exceeds 125 digits at q=8"),
-        (("--q", "8", "--eval", "-1/" + "1" + "0" * 3000), "exceeds 125 digits"),
-        (("--q", "16", "--eval", "1/" + "9" * 63), "exceeds 62 digits at q=16"),
-        (("--q", "1", "--eval", "1/" + "1" + "0" * 1000), "exceeds 1000 digits"),
+        (("--q", "8", "--eval", "-1/" + "1" + "0" * 3000), "more than 4300 digits"),
+    ] + [
+        (("--q", str(q), "--eval", f"1/{d}"),
+         f"phi_{q} at this shift ratio may have more than 4300 digits")
+        for q, d in FIRST_REFUSED.items()
     ]
     for argv, reason in cases:
         code, out = run_cli(capsys, "phi", *argv)
@@ -244,6 +245,12 @@ def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
         jsonschema.validate(record, SCHEMA)
         assert code == 1, argv
         assert reason in record["error"], argv
+    # one below the edge, the request reaches the evaluator with its denominator
+    monkeypatch.setattr(limits_mod, "_shifted_values", lambda q, rs, d: [Fraction(1, d)])
+    for q, d in FIRST_REFUSED.items():
+        code, record = run_json(capsys, "phi", "--q", str(q), "--eval", f"1/{d - 1}")
+        assert code == 0, q
+        assert record["results"][0]["value"] == f"1/{d - 1}"
 
 
 # Runs the command line once per argv of its JSON argument, and prints the
@@ -291,9 +298,12 @@ def test_phi_eval_beyond_the_former_cap(capsys):
     value = Fraction(record["results"][0]["value"])
     assert value == limits_mod.shifted_fekete_limit(12, Fraction(-1, 4))
     # the largest denominator admitted at q = 8 prints in full
-    code, record = run_json(capsys, "phi", "--q", "8", "--eval", "1/" + "9" * 125)
+    d = FIRST_REFUSED[8] - 1
+    code, record = run_json(capsys, "phi", "--q", "8", "--eval", f"1/{d}")
     assert code == 0
-    assert len(record["results"][0]["value"]) > 15 * 125
+    value = record["results"][0]["value"]
+    assert Fraction(value) == limits_mod.shifted_fekete_limit(8, Fraction(1, d))
+    assert len(value) > 2 * 3700
 
 
 def test_empirical_fekete(capsys):
@@ -372,7 +382,7 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
         (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16",
          ("shifted", 17, [5], 1)),
         (("--family", "shifted", "--q", "8", "--p", "3",
-          "--shift-ratio", "1/" + "1" + "0" * 320), "exceeds 125 digits",
+          "--shift-ratio", "1/" + "1" + "0" * 320), "more than 4300 digits",
          ("shifted", 8, [3], None, Fraction(1, 10**320))),
         (("--family", "fekete", "--q", "200", "--p", "3"), "q <= 128",
          ("fekete", 200, [3])),
@@ -453,8 +463,10 @@ REFUSED = [
      lambda: limits_mod.limit_table("galois", -1)),
     (("phi", "--q", "17", "--eval", "1/4"),
      lambda: limits_mod.shifted_fekete_limit(17, Fraction(1, 4))),
-    (("phi", "--q", "16", "--eval", "1/" + "9" * 63),
-     lambda: limits_mod.shifted_fekete_limit(16, Fraction(1, 10**63 - 1))),
+    (("phi", "--q", "16", "--eval", "1/" + "9" * 4000),
+     lambda: limits_mod.shifted_fekete_limit(16, Fraction(1, 10**4000 - 1))),
+    (("phi", "--q", "16", "--eval", f"1/{FIRST_REFUSED[16]}"),
+     lambda: limits_mod.shifted_fekete_limit(16, Fraction(1, FIRST_REFUSED[16]))),
     (("phi", "--q", "1", "--min"),
      lambda: limits_mod.phi_min(1, Fraction(1, 1 << 20))),
     (("phi", "--q", "7", "--min"),

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from csv_digests import FIRST_REFUSED
 from littlewood.partitions import enumerate_set_partitions, even_block_profiles
 from littlewood.limits import (
-    SHIFTED_DIGITS,
     SHIFTED_QMAX,
     check_shift,
     fekete_limit_direct,
@@ -407,26 +408,59 @@ def test_shifted_symmetries_property(q, R):
     assert shifted_fekete_limit(q, R + Fraction(1, 2)) == v
 
 
+def _first_refused(q: int, limit: int = 4300) -> int:
+    # the least d with (2q)!/q! c^q d^(2q) >= 10^limit, by bisection
+    scale = math.factorial(2 * q) // math.factorial(q) * limits._block_scale(q) ** q
+    lo, hi = 1, 10 ** (limit // (2 * q) + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if scale * mid ** (2 * q) >= 10**limit:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def test_shifted_preconditions():
     for q in (0, SHIFTED_QMAX + 1):
         with pytest.raises(ValueError, match="1 <= q <= 16"):
             shifted_fekete_limit(q, 0)
-    # q * (digits of the denominator) <= SHIFTED_DIGITS
-    for q in (1, 8, SHIFTED_QMAX):
-        digits = SHIFTED_DIGITS // q
-        assert check_shift(q, Fraction(1, 10**digits - 1)) is None
-        with pytest.raises(ValueError, match=f"exceeds {digits} digits"):
-            shifted_fekete_limit(q, Fraction(-3, 10**digits))
+    # the edge of the print clause under the default int/str limit, met
+    # directly and through the period 1/2
+    for q, d in FIRST_REFUSED.items():
+        assert d == _first_refused(q)
+        assert check_shift(q, Fraction(1, d - 1)) is None
+        assert check_shift(q, Fraction(d, d - 1)) is None
+        with pytest.raises(ValueError, match=f"phi_{q} at this shift ratio may have more "
+                                             "than 4300 digits"):
+            check_shift(q, Fraction(1, d))
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            shifted_fekete_limit(q, Fraction(d + 1, d))
 
 
 def test_shifted_rule_admits_the_largest_reduced_denominators():
-    # R = (d - 1)/d reduces to (d - 2)/(2d) in [0, 1/2): the largest
-    # denominator the evaluator meets, and its value prints within the
-    # default int/str limit at every q
+    # every input the former cap of 1000 // q digits on the denominator
+    # admitted is still admitted: 1/(10^k - 1), and (d - 1)/d, which reduces
+    # to (d - 2)/(2d) in [0, 1/2), the largest denominator the evaluator met
     for q in range(1, SHIFTED_QMAX + 1):
-        d = 10 ** (SHIFTED_DIGITS // q) - 1
+        d = 10 ** (1000 // q) - 1
         assert (Fraction(d - 1, d) % Fraction(1, 2)).denominator == 2 * d
+        assert check_shift(q, Fraction(1, d)) is None
         assert check_shift(q, Fraction(d - 1, d)) is None
+
+
+def test_shifted_rule_refuses_a_long_denominator_before_the_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused request reached the evaluator")
+
+    monkeypatch.setattr(limits, "_shifted_values", never)
+    # a denominator the command line parses, and one only a caller can build,
+    # whose 32nd power alone would take seconds
+    for R in (Fraction(1, 10**4000 - 1), Fraction(1, 10**100000 + 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            shifted_fekete_limit(16, R)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_phi_below_the_bound_of_the_print_rule():
@@ -444,22 +478,30 @@ def test_shifted_rule_follows_the_running_int_str_limit():
     # beyond 640, and within no limit at all
     R = Fraction(1, 10**62 - 1)
     assert check_shift(16, R) is None
+    edge = Fraction(1, FIRST_REFUSED[16])
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
         with pytest.raises(ValueError, match="phi_16 at this shift ratio may have more than 640"):
             check_shift(16, R)
         assert check_shift(16, Fraction(1, 3)) is None
-        sys.set_int_max_str_digits(0)
-        assert check_shift(16, R) is None
+        assert check_shift(16, Fraction(1, _first_refused(16, 640) - 1)) is None
+        with pytest.raises(ValueError, match="more than 640 digits"):
+            check_shift(16, Fraction(1, _first_refused(16, 640)))
+        # no limit, or one above the default, reads as the default of 4300
+        for limit in (0, 10**5):
+            sys.set_int_max_str_digits(limit)
+            assert check_shift(16, R) is None
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                check_shift(16, edge)
     finally:
         sys.set_int_max_str_digits(old)
 
 
 def test_shifted_large_denominators():
-    # the largest denominator the rule admits at q = 8: the period and the
-    # reflection reach R through different reductions into [0, 1/2)
-    d = 10 ** (SHIFTED_DIGITS // 8) - 1
+    # a 125-digit denominator at q = 8: the period and the reflection reach R
+    # through different reductions into [0, 1/2)
+    d = 10**125 - 1
     R = Fraction(d // 3 - 1, d)
     v = shifted_fekete_limit(8, R)
     assert shifted_fekete_limit(8, -R) == v

@@ -1,5 +1,6 @@
 """Tests for exact piecewise polynomials and their minimization."""
 import hashlib
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from math import factorial
@@ -315,9 +316,36 @@ def test_phi8_min_on_quarter_is_tight(monkeypatch):
     assert upper < shifted_fekete_limit(8, Fraction(1, 4))
 
 
+def test_phi_min_value_prints_and_contains_the_exact_enclosure(monkeypatch):
+    # at eps = 2^-1200 the centred bound is evaluated at 1200-bit ends, and
+    # pw_minimize's exact value enclosure has numerators past 4300 digits;
+    # phi_min's, rounded outward to multiples of 2^-(2e + 32), prints
+    monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
+    phi_piecewise.cache_clear()
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        for e in (20, 200, 1200):
+            eps = Fraction(1, 2**e)
+            res = limits.phi_min(8, eps)
+            exact = pw_minimize(phi_piecewise(8), 0, Fraction(1, 4), eps)
+            repr(res)
+            assert res.argmin == exact.argmin
+            (lower, upper), (exact_lower, exact_upper) = res.value, exact.value
+            assert lower <= exact_lower <= exact_upper <= upper
+            assert (upper - lower) - (exact_upper - exact_lower) <= Fraction(1, 2 ** (2 * e))
+            assert all(2 ** (2 * e + 32) % end.denominator == 0 for end in res.value)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            repr(exact)
+    finally:
+        sys.set_int_max_str_digits(old)
+        phi_piecewise.cache_clear()
+
+
 def test_phi_refinement_digests(monkeypatch):
     # sha256 of repr of results the CLI digests never reach: phi_min past the
-    # cap at a coarse and a deep eps, and the q = 8 twin minimisation
+    # cap at a coarse and a deep eps, and the q = 8 twin minimisation; the
+    # q = 8 entries pin phi_min's outward-rounded value enclosures
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
     phi_piecewise.cache_clear()
     try:
@@ -332,7 +360,7 @@ def test_phi_refinement_digests(monkeypatch):
     assert digests == {
         (7, 20): q7,
         (7, 200): q7,
-        (8, 20): "201af65a9179e9c04604b2b1f56dec2bfaef0360db7863f398e3660e5e117a84",
-        (8, 200): "6cc615fcb31cb18f4a63ab6fbc4a14646912986fc12b2902cd022369fc076a8c",
+        (8, 20): "5fd0dbf5a8b67d0f4941ca19c9784a498b5585433ddb976f18eb2d6960cdf925",
+        (8, 200): "342e20a28333def914cf0f9526d5fd16c71f4dc7b681158c2c54c6846bca9a42",
         "twin": "752673cf5f6dfc2187b0d1e041f20472d86a82094b32e15ea70cda8f6c1538e3",
     }
