@@ -8,6 +8,7 @@ access (PEP 562), so a bare `import littlewood` loads no submodule and each
 command loads only the modules it runs.  Nothing here imports numpy; only
 the quadrature oracle `norm_2q_quadrature` loads it, when called.
 """
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -46,3 +47,10 @@ def __getattr__(name: str):
     if name in _HOME:
         return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _digit_limit() -> int:
+    """L, the digits an exact rule lets an integer parse or print with: the running
+    int/str limit (`sys.get_int_max_str_digits()`), or CPython's default of 4300
+    when that is 0 (off) or above 4300, past which int() and str() are quadratic."""
+    return min(sys.get_int_max_str_digits() or sys.maxsize, sys.int_info.default_max_str_digits)

@@ -22,16 +22,14 @@ size bounds the decoder's live Python objects.
 One rule, `power_layout`, admits a power: f^q packs into q(n - 1) + 1 slots
 of w digits, and slots * w may be at most MAX_POWER_DIGITS, at 0.10-0.26 us
 and 2.9-4.0 bytes of peak RSS per digit (2-vCPU x86-64, Python 3.11.7; at the
-budget the worst took 25.5 s and 352 MB).  int() parses each slot, so 2B + 1
-may have at most as many digits as the running int/str limit allows
-(`sys.get_int_max_str_digits()`, 4300 by default, and 4300 when unlimited).
-These, q < 1, and q >= 2 without the C `decimal` module (its pure-Python
-fallback is quadratic) raise ValueError before any big number is built.
+budget the worst took 25.5 s and 352 MB).  int() parses each slot, so w may
+be at most L (`littlewood._digit_limit`).  These, q < 1, and q >= 2 without
+the C `decimal` module (its pure-Python fallback is quadratic) raise
+ValueError before any big number is built.
 """
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from decimal import (
     MAX_EMAX,
@@ -44,6 +42,8 @@ from decimal import (
     localcontext,
 )
 from operator import mul
+
+from littlewood import _digit_limit
 
 try:
     import _decimal  # noqa: F401  (the C implementation behind `decimal`)
@@ -65,26 +65,25 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 
 
 def power_layout(n: int, q: int, abs_sum: int, abs_max: int) -> tuple[int, int]:
-    """(slots, w) of f^q packed at 10^w, or (0, 0) with no power to take, for
+    """(slots, w <= L) of f^q packed at 10^w, or (0, 0) if q = 1 or f is 0 or +-x^k, for
     f of length n, sum |a| = abs_sum and max |a| = abs_max, or ValueError."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q < 2 or not abs_sum:
+    if q < 2 or abs_sum < 2:
         return 0, 0
     if not C_DECIMAL:
         raise ValueError("exact norms at q >= 2 need the C decimal module (_decimal); "
                          "its pure-Python fallback multiplies in quadratic time")
-    # int() parses at most `limit` digits, and 0 (no limit) keeps the default,
-    # as int() of a longer string is quadratic.  B >= 2^low, so bit lengths
-    # alone refuse B >= 2^(4 limit) > 10^limit; a smaller B is cheap to build
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # B >= 2^low: bit lengths alone refuse B >= 2^(4 limit) > 10^limit
+    limit = _digit_limit()
     low = (q - 1) * (abs_sum.bit_length() - 1) + abs_max.bit_length() - 1
     w = limit + 1 if low >= 4 * limit else 1 + Decimal(
         2 * abs_sum ** (q - 1) * abs_max + 1).adjusted()
     if w > limit:
-        raise ValueError(f"the coefficients of f^{q} are bounded only by {abs_sum}^{q - 1}"
-                         f"*{abs_max}, beyond the exact-norm coefficient bound: twice it "
-                         f"plus one must have at most {limit} digits")
+        raise ValueError(f"the coefficients of f^q, q of {q.bit_length()} bits, are bounded only "
+                         f"by S^(q-1)*M, S = sum |a| of {abs_sum.bit_length()} bits and M = max "
+                         f"|a| of {abs_max.bit_length()} bits, beyond the exact-norm coefficient "
+                         f"bound: twice it plus one must have at most {limit} digits")
     slots = q * (n - 1) + 1
     if slots * w > MAX_POWER_DIGITS:
         raise ValueError(f"f^{q} of a length-{n} polynomial packs into {slots} slots of {w} "
@@ -104,8 +103,8 @@ def norm_2q_exact(a, q: int) -> int:
     slots, w = power_layout(len(a), q, abs_sum, abs_max)
     if q == 1:
         return abs_sum if signs is not None else sum(map(mul, a, a))
-    if not abs_sum:
-        return 0
+    if abs_sum < 2:
+        return abs_sum
     with localcontext(_EXACT):
         power = (_pack_ints(a, w) if signs is None else _pack_signs(signs, w)) ** q
         # the leading 1 fixes the length of the digit string

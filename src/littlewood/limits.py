@@ -26,7 +26,6 @@ imported by the functions that use them, so the recursions and
 """
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, cycle, repeat
@@ -34,6 +33,7 @@ from math import ceil, comb, factorial, floor, lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
+from littlewood import _digit_limit
 from littlewood.special_numbers import _carlitz, _tangent, eulerian_polynomial
 
 if TYPE_CHECKING:
@@ -141,8 +141,6 @@ def _recursion_y(family: str, k: int) -> tuple[int, ...]:
     (`_newton`), integers because pi_k has integer coefficients and the
     nodes are integers.
     """
-    if k == 0:
-        return (1,)
     return _newton([_node(i) for i in range(k)], [_values(family, i, k)[k] for i in range(k)])
 
 
@@ -274,18 +272,17 @@ def galois_limit_direct(q: int) -> Fraction:
 def check_shift(q: int, R) -> None:
     """Raise ValueError unless `shifted_fekete_limit(q, R)` is admitted:
     1 <= q <= SHIFTED_QMAX and, with R reduced to r/d in [0, 1/2),
-    (2q)!/q! c^q d^(2q) < 10^L, L the running int/str limit (4300 when it is 0
-    or above that).  That product bounds both printed integers: the value's
-    denominator divides c^q d^(2q) (`_shifted_values`), and phi_q(R) < (2q)!/q!
-    as the 2q-th moment of a Rademacher sum with complex weights of square sum
-    1, whose real and imaginary parts Khintchine's inequality bounds by
-    (2q-1)!! each.  The slowest admitted input, q = 16 at the largest d (128
-    digits), took 6.8-9.6 s and 18-22 MB (2-vCPU x86-64, Python 3.11.7).
+    (2q)!/q! c^q d^(2q) < 10^L (L: `littlewood._digit_limit`).  That product
+    bounds both printed integers: the value's denominator divides c^q d^(2q)
+    (`_shifted_values`), and phi_q(R) < (2q)!/q! as the 2q-th moment of a
+    Rademacher sum with complex weights of square sum 1, whose real and
+    imaginary parts Khintchine's inequality bounds by (2q-1)!! each.  The
+    slowest admitted input, q = 16 at the largest d (128 digits), took
+    6.8-9.6 s and 18-22 MB (2-vCPU x86-64, Python 3.11.7).
     """
     if not 1 <= q <= SHIFTED_QMAX:
         raise ValueError(f"shifted limits support 1 <= q <= {SHIFTED_QMAX}")
-    default = sys.int_info.default_max_str_digits
-    limit = min(sys.get_int_max_str_digits() or default, default)
+    limit = _digit_limit()
     d = (Fraction(R) % HALF).denominator
     # bit lengths alone refuse d^(2q) >= 2^(4 limit) > 10^limit before it is built
     if 2 * q * (d.bit_length() - 1) >= 4 * limit or (

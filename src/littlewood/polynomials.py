@@ -25,8 +25,7 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
-# `galois` stays importable from here, beside the other public builders
-from littlewood.gf2k import MAX_K, _galois_signs, galois  # noqa: F401
+from littlewood.gf2k import MAX_K, _galois_signs
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
     HALF,

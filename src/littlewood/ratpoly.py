@@ -21,8 +21,6 @@ def poly_trim(c: Sequence) -> Coeffs:
 
 
 def poly_mul(a: Sequence, b: Sequence) -> Coeffs:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:

@@ -98,8 +98,7 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
 
 # N -> A_N for N = 1, 2, ... as built so far, each from the one before.  The
 # limit recursions ask for them in increasing order; `limit_table(family, 128)`
-# leaves 128 of them, 2.4 MB, and A_1..A_500 hold 163 MB.  Keyed by N, a row
-# two threads build at once is stored twice, the same both times.
+# leaves 128 of them, 2.4 MB, and A_1..A_500 hold 163 MB.
 _eulerian_rows: dict[int, tuple[int, ...]] = {1: (0, 1)}
 
 

@@ -353,8 +353,8 @@ def _forbid_polynomial_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused request built a polynomial or a norm")
 
-    for name in ("fekete", "shifted_fekete", "galois", "_fekete_signs",
-                 "_shifted_signs", "_galois_signs", "norm_2q_exact"):
+    for name in ("fekete", "shifted_fekete", "_fekete_signs", "_shifted_signs",
+                 "_galois_signs", "norm_2q_exact"):
         monkeypatch.setattr(poly_mod, name, never)
 
 

@@ -474,9 +474,45 @@ def test_slot_rule_follows_the_running_int_str_limit():
     assert float(seconds) < 0.05
     old = sys.get_int_max_str_digits()
     try:
-        sys.set_int_max_str_digits(0)
-        with pytest.raises(ValueError, match="at most 4300 digits"):
-            power_layout(1, 14284, 2, 2)
+        # no limit, or one above the default, reads as the default of 4300
+        for limit in (0, 10**5):
+            sys.set_int_max_str_digits(limit)
+            assert power_layout(1, 14283, 2, 2) == (1, 4300)
+            with pytest.raises(ValueError, match="at most 4300 digits"):
+                power_layout(1, 14284, 2, 2)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_raised_limit_keeps_slots_within_the_stated_cost():
+    # each power is inside the digit budget, with 4999, 1999 and 999 slots of
+    # 19984, 49984 and 99984 digits, which int() and str() parse and print in
+    # quadratic time: a raised limit that admitted them took 38-127 s each
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(10**5)
+        for c, n in ((10**9990, 2500), (10**24990, 1000), (10**49990, 500)):
+            a = [c] * n
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="twice it plus one must have at most 4300 digits"):
+                norm_2q_exact(a, 2)
+            assert time.perf_counter() - start < 0.05, n
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_coefficient_refusal_states_sizes_not_values():
+    # q, sum |a| or max |a| has more digits than the limit, so a message
+    # that printed them would raise the int/str conversion error instead
+    old = sys.get_int_max_str_digits()
+    try:
+        for call, limit in ((lambda: norm_2q_exact((3, 3), 10**5000), 4300),
+                            (lambda: norm_2q_exact([10**5000, 1], 2), 4300),
+                            (lambda: power_layout(3, 2, 3 * 10**700, 10**700), 640)):
+            sys.set_int_max_str_digits(limit)
+            with pytest.raises(ValueError, match="coefficient bound: twice it plus one must "
+                                                 f"have at most {limit} digits"):
+                call()
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -514,8 +550,12 @@ def test_admission_refuses_in_bounded_time():
     with pytest.raises(ValueError, match="coefficient bound"):
         power_layout(2, (1 << 21) - 1, 6, 3)
     assert time.perf_counter() - start < 0.05
-    # a unit vector of length one is admitted at any q
+    # a unit vector, +-x^k, is admitted at any q, even one too long to print
     assert norm_2q_exact((-1,), 10**9 + 1) == 1
+    start = time.perf_counter()
+    assert norm_2q_exact((0, -1, 0), 10**5000) == 1
+    assert power_layout(3, 10**5000, 1, 1) == (0, 0)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_builders_return_tuples_of_their_signs():
@@ -660,8 +700,8 @@ def test_convergence_table_refuses_before_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused table built a polynomial or a norm")
 
-    for name in ("fekete", "shifted_fekete", "galois", "_fekete_signs",
-                 "_shifted_signs", "_galois_signs", "norm_2q_exact"):
+    for name in ("fekete", "shifted_fekete", "_fekete_signs", "_shifted_signs",
+                 "_galois_signs", "norm_2q_exact"):
         monkeypatch.setattr(poly_mod, name, never)
     for args, kwargs, reason in (
         (("galois", 2, [14, 23]), {}, "capacity"),
