@@ -15,7 +15,6 @@ here is which of --p and --k `empirical` was given.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -258,6 +257,8 @@ def main(argv=None) -> int:
             "timing": {"seconds": elapsed},
         })
     else:
+        import csv  # only CSV output needs it
+
         writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL)
         header, rows = body
         writer.writerow(header)

@@ -11,19 +11,24 @@ other coefficients take the integer route.
 
 For q >= 2 it uses Kronecker substitution in decimal: f is evaluated at
 X = 10^w, where w digits hold 2B + 1 for the bound
-B = (sum |a|)^(q-1) * max |a| on |c_j|.  The C `decimal` module (libmpdec,
-which multiplies large numbers with number-theoretic transforms) raises
-f(X) to the q-th power in a context that traps any rounding, so a result is
-exact or an exception.  Adding h = 5 * 10^(w-1) to every w-digit slot makes
-each slot c_j + h, in [0, 10^w), so no carry crosses a slot; the slots are
-then read back from the digit string _CHUNK slots at a time, so the chunk
-size bounds the decoder's live Python objects.
+B = (sum |a|)^(q-1) * max |a| on |c_j|.  f(X) is parsed from one digit
+string whose w-digit slots hold a_j + m, m = max |a|, and m * sum_j X^j is
+subtracted.  The C `decimal` module (libmpdec, which multiplies large
+numbers with number-theoretic transforms) raises f(X) to the q-th power in a
+context that traps any rounding, so a result is exact or an exception.
+Adding h = 5 * 10^(w-1) to every w-digit slot makes each slot c_j + h, in
+[0, 10^w), so no carry crosses a slot; the slots are then read back from the
+digit string _CHUNK slots at a time, so the chunk size bounds the decoder's
+live Python objects.  Both runs of equal slots, m and h, are built in
+libmpdec arithmetic (`_fill`), and each stage replaces the one big number
+before it: f(X), its power, the power plus the offset, then its digits.
 
 One rule, `power_layout`, admits a power: f^q packs into q(n - 1) + 1 slots
-of w digits, and slots * w may be at most MAX_POWER_DIGITS, at 0.10-0.26 us
-and 2.9-4.0 bytes of peak RSS per digit (2-vCPU x86-64, Python 3.11.7; at the
-budget the worst took 25.5 s and 352 MB).  int() parses each slot, so w may
-be at most L (`littlewood._digit_limit`).  These, q < 1, and q >= 2 without
+of w digits, and slots * w may be at most MAX_POWER_DIGITS, at 0.07-0.26 us
+and, above the process's size before the call, 2.5-2.9 bytes of peak RSS per
+digit at q = 2 and 2.7-3.2 at q >= 3 (2-vCPU x86-64, Python 3.11.7; at the
+budget the worst took 25.5 s and 311 MB).  int() parses each slot, so w may be
+at most L (`littlewood._digit_limit`).  These, q < 1, and q >= 2 without
 the C `decimal` module (its pure-Python fallback is quadratic) raise
 ValueError before any big number is built.
 """
@@ -51,16 +56,14 @@ try:
 except ImportError:
     C_DECIMAL = False
 
-# Cost budget in digits of the packed power, slots * w (worst seen: 25.5 s, 352 MB).
+# Cost budget in digits of the packed power, slots * w (worst seen: 25.5 s, 311 MB).
 MAX_POWER_DIGITS = 10**8
 # Slots decoded per step.
 _CHUNK = 1 << 12
 # The bytes of the coefficients 0, 1 and -1.
 _UNIT_BYTES = b"\x00\x01\xff"
-# A coefficient byte (1, 0 or -1 as 255) -> its digit in the packed positive
-# or negative part.
-_POS_DIGIT = bytes(48 + (b == 1) for b in range(256))
-_NEG_DIGIT = bytes(48 + (b == 255) for b in range(256))
+# A coefficient byte (1, 0 or -1 as 255) -> the digit of its value plus 1.
+_SHIFTED_DIGIT = bytes(49 + (b == 1) - (b == 255) for b in range(256))
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
@@ -106,9 +109,13 @@ def norm_2q_exact(a, q: int) -> int:
     if abs_sum < 2:
         return abs_sum
     with localcontext(_EXACT):
-        power = (_pack_ints(a, w) if signs is None else _pack_signs(signs, w)) ** q
-        # the leading 1 fixes the length of the digit string
-        digits = str(power + Decimal("1" + ("5" + "0" * (w - 1)) * slots))
+        # f(10^w) from one digit string whose slots hold a_j + m, m = max |a|
+        power = Decimal(_pack_ints(a, w, abs_max) if signs is None else _pack_signs(signs, w))
+        power -= _fill(w, len(a), abs_max)
+        power **= q
+        # each slot gains h = 5 * 10^(w-1); the leading 1 fixes the string's length
+        power += _fill(w, slots, 5 * 10 ** (w - 1), 1)
+        digits = str(power)
     del power
     return _centred_square_sum(digits, w, slots)
 
@@ -122,23 +129,31 @@ def _signs(a) -> bytes | None:
     return None if raw.translate(None, _UNIT_BYTES) else raw
 
 
-def _pack_signs(signs: bytes, w: int) -> Decimal:
-    """f(10^w) for coefficients given as signed bytes 0, 1 and -1 (255)."""
-    coeffs = signs[::-1]
+def _pack_signs(signs: bytes, w: int) -> str:
+    """The w-digit slots of a_j + 1, highest first, for coefficients a given
+    as signed bytes 0, 1 and -1 (255)."""
     slots = bytearray(b"0") * (len(signs) * w)
-    slots[w - 1 :: w] = coeffs.translate(_POS_DIGIT)
-    pos = slots.decode()
-    slots[w - 1 :: w] = coeffs.translate(_NEG_DIGIT)
-    neg = slots.decode()
-    del slots
-    return Decimal(pos) - Decimal(neg)
+    slots[w - 1 :: w] = signs[::-1].translate(_SHIFTED_DIGIT)
+    return slots.decode()
 
 
-def _pack_ints(a, w: int) -> Decimal:
-    """f(10^w) for any integer coefficients a."""
-    pos = "".join(str(max(c, 0)).zfill(w) for c in reversed(a))
-    neg = "".join(str(max(-c, 0)).zfill(w) for c in reversed(a))
-    return Decimal(pos) - Decimal(neg)
+def _pack_ints(a, w: int, m: int) -> str:
+    """The w-digit slots of a_j + m for integer coefficients a, highest first."""
+    return "".join(str(c + m).zfill(w) for c in reversed(a))
+
+
+def _fill(w: int, count: int, c: int, top: int = 0) -> Decimal:
+    """top * 10^(w count) + c * sum 10^(w j) over j < count, for c < 10^w, by
+    doubling: the slots filled so far are shifted past themselves and added.
+    One exact division by 10^w - 1 did the same at a higher peak RSS."""
+    fill, filled = Decimal(c), 1
+    for bit in bin(count)[3:]:
+        fill += fill.scaleb(w * filled)
+        filled *= 2
+        if bit == "1":
+            fill = fill.scaleb(w) + c
+            filled += 1
+    return fill + Decimal(top).scaleb(w * count) if top else fill
 
 
 def _centred_square_sum(digits: str, w: int, count: int) -> int:

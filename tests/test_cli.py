@@ -585,12 +585,12 @@ import sys
 import littlewood.cli
 from littlewood.cli import main
 assert "numpy" not in sys.modules, "import littlewood.cli"
-# limits, triangle, phi --eval and empirical also skip the piecewise,
-# rational-polynomial, profile and Sturm modules and dataclasses; phi --min
-# and --pieces skip the profiles and dataclasses
-LEAN = ("dataclasses", "littlewood.piecewise", "littlewood.ratpoly",
+# JSON output skips csv; limits, triangle, phi --eval and empirical also skip
+# the piecewise, rational-polynomial, profile and Sturm modules and
+# dataclasses; phi --min and --pieces skip the profiles and dataclasses
+LEAN = ("csv", "dataclasses", "littlewood.piecewise", "littlewood.ratpoly",
         "littlewood.partitions", "littlewood.sturm", "numpy")
-SYMBOLIC = ("dataclasses", "littlewood.partitions", "numpy")
+SYMBOLIC = ("csv", "dataclasses", "littlewood.partitions", "numpy")
 for argv, skipped in (
     (["limits", "--family", "fekete", "--qmax", "8"], LEAN),
     (["triangle", "--family", "galois", "--rows", "4"], LEAN),

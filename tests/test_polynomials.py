@@ -369,6 +369,9 @@ def _powers(draw):
 @given(_powers())
 @example(([10**20, -(10**20), 3] * 100, 2))   # integer route, 43-digit slots
 @example(([10**20, -(10**20), 3] * 100, 6))   # integer route, 132-digit slots
+@example(([10**8, -(10**8), 3] * 50, 2))       # 19-digit slots: one libmpdec word
+@example(([5 * 10**8, -(5 * 10**8), 3] * 50, 2))  # 20-digit slots: past one word
+@example(([10**100, -(10**100), 1] * 20, 4))   # 406-digit slots
 @example(([1, -1] * 200, 6))                   # byte route, 14-digit slots
 @example(([0, 0, 0], 4))
 def test_power_square_sum_matches_oracle(case):
@@ -649,6 +652,15 @@ def test_convergence_table_memory():
                            (("fekete", 2, [31601]), 2)):
         peak = _traced_peak(lambda: convergence_table(*args))
         assert peak <= limit_mb * 2**20, (args, peak / 2**20)
+
+
+def test_norm_memory_per_digit():
+    # at q = 2 the peak is the power, libmpdec's digit buffer and the str
+    # made from it: about 2.5 bytes per packed digit
+    signs = _galois_signs(16)
+    slots, w = power_layout(len(signs), 2, len(signs), 1)
+    peak = _traced_peak(lambda: norm_2q_exact(signs, 2))
+    assert peak <= 2.75 * slots * w, peak / (slots * w)
 
 
 def test_galois_signs_memory():
