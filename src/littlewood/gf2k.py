@@ -13,8 +13,6 @@ one big integer holding the bits so far.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 # Largest field exponent k of GF(2^k).
 MAX_K = 24
 # _BIT_SIGNS[b] maps a byte to the sign of its bit b: 1 when clear, -1 (255) when set
@@ -58,7 +56,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def primitive_polynomial(k: int) -> int:
     """Lexicographically smallest primitive polynomial of degree k, 2 <= k <= MAX_K.
 

@@ -299,7 +299,6 @@ def _factorial_valuation(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
 def _block_scale(q: int) -> int:
     """Least c such that (2N-1)! (2N)! divides c^N for every N <= q.
 
@@ -433,7 +432,6 @@ def shifted_fekete_limit(q: int, R) -> Fraction:
     return _shifted_values(q, [R.numerator], R.denominator)[0]
 
 
-@lru_cache(maxsize=None)
 def phi_piecewise(q: int) -> PiecewisePoly:
     """The shift-ratio limit function of order q on [0, 1/2], exactly.
 

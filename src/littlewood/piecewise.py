@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from littlewood.ratpoly import poly_derivative, poly_eval, poly_shift, poly_trim
-from littlewood.sturm import isolate_roots
+from littlewood.sturm import _isolate, squarefree_part
 
 
 class _Pieces(NamedTuple):
@@ -74,11 +74,11 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
     """Minimize f over [lo, hi] with exact certificates.
 
     Per piece, the real roots of the derivative are isolated and refined to
-    width <= eps by one integer Descartes bisection (`isolate_roots`);
-    candidate values are compared using exact evaluation at rational points
-    plus centred bounds on each root enclosure (`_segment_bounds`), and
-    overlapping enclosures are halved by the same bisection until candidates
-    separate or a width floor is hit.
+    width <= eps by one integer Descartes bisection (`sturm._isolate`) on its
+    squarefree part, computed once; candidate values are compared using exact
+    evaluation at rational points plus centred bounds on each root enclosure
+    (`_segment_bounds`), and overlapping enclosures are halved by the same
+    bisection until candidates separate or a width floor is hit.
 
     >>> cubic = PiecewisePoly((0, 2), ((0, -2, 0, 1),))   # x^3 - 2x
     >>> pw_minimize(cubic, 0, 2, Fraction(1, 8)).argmin   # holds sqrt(2/3)
@@ -98,15 +98,15 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
         raise ValueError("minimization interval misses the piece domains")
 
     exact_xs = set()
-    # candidate records: [x_lo, x_hi, val_lo, val_hi, piece, derivative]
+    # candidate records: [x_lo, x_hi, val_lo, val_hi, piece, squarefree f']
     cands: list[list] = []
     for i, piece in enumerate(f.pieces):
         u, v = max(lo, bps[i]), min(hi, bps[i + 1])
         if u >= v:
             continue
         exact_xs.update((u, v))
-        deriv = poly_derivative(piece)
-        roots, intervals = isolate_roots(deriv, u, v, eps)
+        deriv = squarefree_part(poly_derivative(piece))
+        roots, intervals = _isolate(deriv, u, v, eps)
         exact_xs.update(roots)
         for a, b in intervals:
             cands.append([a, b, *_segment_bounds(piece, a, b), piece, deriv])
@@ -123,7 +123,7 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
             break
         for c in movable:
             # one halving: the root met at the midpoint, or the half holding it
-            roots, intervals = isolate_roots(c[5], c[0], c[1], (c[1] - c[0]) / 2)
+            roots, intervals = _isolate(c[5], c[0], c[1], (c[1] - c[0]) / 2)
             (a, b), = [(x, x) for x in roots] + intervals
             c[:4] = a, b, *_segment_bounds(c[4], a, b)
 

@@ -2,16 +2,15 @@
 
 Polynomials use the dense tuple representation from `ratpoly`.  Roots are
 isolated by Descartes' rule of signs under bisection (Collins & Akritas,
-1976), in integer arithmetic, and the same integer halving refines each
-isolating interval to the requested width.  The module kept its name from
-the Sturm chains it used to build, because the benchmark tracer probes
-`littlewood.sturm.isolate_roots`.
+1976) in integer arithmetic on the primitive squarefree part, and the same
+halving refines each isolating interval to the requested width.  The module
+kept its name from the Sturm chains it used to build, because the benchmark
+tracer probes `littlewood.sturm.isolate_roots`.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from littlewood.ratpoly import poly_derivative, poly_shift, poly_trim
 
@@ -40,10 +39,8 @@ def _divmod(a, b):
     return poly_trim(quot), poly_trim(rem[:db])
 
 
-@lru_cache(maxsize=128)
-def squarefree_part(p: tuple) -> tuple[int, ...]:
-    """Primitive squarefree polynomial with the same real roots as p, kept for
-    the last 128 tuples p, as refinement isolates in one p again and again."""
+def squarefree_part(p) -> tuple[int, ...]:
+    """Primitive squarefree polynomial with the same real roots as p."""
     p = _primitive(p)
     a, b = p, _primitive(poly_derivative(p))
     while b:
@@ -65,7 +62,15 @@ def isolate_roots(p, lo, hi, eps):
     ([Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)], [])
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    p = squarefree_part(tuple(p))
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if not lo < hi:
+        raise ValueError("empty isolation interval")
+    return _isolate(squarefree_part(p), lo, hi, eps)
+
+
+def _isolate(p, lo, hi, eps):
+    """`isolate_roots` for a primitive squarefree p and Fractions lo < hi, eps > 0."""
     d = len(p) - 1
     if d < 1:
         return [], []

@@ -30,7 +30,7 @@ from littlewood.limits import (
     shifted_fekete_limit,
     triangle_table,
 )
-from littlewood import limits
+from littlewood import gf2k, limits
 from littlewood.ratpoly import poly_eval
 from littlewood.special_numbers import (
     _carlitz,
@@ -627,13 +627,9 @@ def test_phi_piecewise_check_node_fires(monkeypatch):
             ys[2] += 1
         return ys
 
-    phi_piecewise.cache_clear()
     monkeypatch.setattr(limits, "_shifted_values", perturbed)
-    try:
-        with pytest.raises(ArithmeticError):
-            phi_piecewise(4)
-    finally:
-        phi_piecewise.cache_clear()
+    with pytest.raises(ArithmeticError):
+        phi_piecewise(4)
 
 
 def _candidate_breakpoints(q):
@@ -657,15 +653,11 @@ def test_phi_piecewise_evaluates_only_below_quarter(monkeypatch):
         return exact(q, rs, d)
 
     monkeypatch.setattr(limits, "_shifted_values", counted)
-    try:
-        for q in range(1, 7):
-            phi_piecewise.cache_clear()
-            nodes.clear()
-            phi_piecewise(q)
-            assert len(nodes) == _candidate_intervals_below_quarter(q) * (2 * q + 1), q
-        assert len(nodes) == 26
-    finally:
-        phi_piecewise.cache_clear()
+    for q in range(1, 7):
+        nodes.clear()
+        phi_piecewise(q)
+        assert len(nodes) == _candidate_intervals_below_quarter(q) * (2 * q + 1), q
+    assert len(nodes) == 26
 
 
 @settings(max_examples=40, deadline=None)
@@ -782,3 +774,16 @@ def test_phi_min_preconditions():
         phi_min(1, Fraction(1, 16))
     with pytest.raises(ValueError):
         phi_piecewise(7)
+
+
+def test_admitted_answer_does_not_outlive_its_cap(monkeypatch):
+    # an answer built under a raised cap is refused once the cap is back
+    with monkeypatch.context() as raised:
+        raised.setattr(limits, "PHI_PIECES_QMAX", 8)
+        raised.setattr(gf2k, "MAX_K", 25)
+        assert len(phi_piecewise(8).pieces) == 6
+        assert gf2k.primitive_polynomial(25) == 0x2000009
+    with pytest.raises(ValueError, match="1 <= q <= 6"):
+        phi_piecewise(8)
+    with pytest.raises(ValueError, match="2 <= k <= 24"):
+        gf2k.primitive_polynomial(25)

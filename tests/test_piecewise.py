@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from littlewood import limits
+from littlewood import limits, piecewise, sturm
 from littlewood.limits import _newton, phi_piecewise, shifted_fekete_limit
 from littlewood.piecewise import PiecewisePoly, _segment_bounds, pw_minimize
 from littlewood.ratpoly import poly_derivative, poly_eval, poly_mul, poly_shift
@@ -220,6 +220,17 @@ def test_isolate_refines_like_sign_bisection(problem):
     assert isolate_roots(p, lo, hi, eps) == (sorted(exact), sorted(intervals))
 
 
+def test_isolate_refuses_empty_interval_and_nonpositive_eps():
+    # the bisection needs lo < hi and eps > 0: otherwise it returns a reversed
+    # "interval" or a root twice, or halves x^2 - 2 forever
+    for args, reason in ((((-1, 1), 2, 0, 1), "empty isolation interval"),
+                         (((-1, 1), 1, 1, 1), "empty isolation interval"),
+                         (((-1, 1), 0, 2, -1), "eps must be positive"),
+                         (((-2, 0, 1), 0, 2, 0), "eps must be positive")):
+        with pytest.raises(ValueError, match=reason):
+            isolate_roots(*args)
+
+
 # f' = (5x - 27)^3 (4x^2 - 4x - 11)^2 on [1/4, 9/4]: f decreases, and the
 # double root of f' near 2.232 has no sign change for a sign bisection to follow
 _DOUBLE_ROOT = poly_mul(poly_mul(poly_mul((-27, 5), (-27, 5)), (-27, 5)),
@@ -266,11 +277,7 @@ def test_phi8_twin_irrational_minima(monkeypatch):
     # phi_8 has its minimum off 1/4, at an irrational R near 0.24113 and at
     # its mirror 1/2 - R
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
-    phi_piecewise.cache_clear()
-    try:
-        f = phi_piecewise(8)
-    finally:
-        phi_piecewise.cache_clear()
+    f = phi_piecewise(8)
     eps = Fraction(1, 1 << 20)
     res = pw_minimize(f, 0, Fraction(1, 2), eps)
     u, v = res.argmin
@@ -284,15 +291,31 @@ def test_phi8_twin_irrational_minima(monkeypatch):
     assert (c0, c1) == (Fraction(1, 2) - v, Fraction(1, 2) - u)
 
 
+def test_minimize_takes_one_squarefree_part_per_piece(monkeypatch):
+    # the overlap halvings of the q = 8 twin minima reuse each piece's
+    # squarefree derivative instead of recomputing it
+    monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
+    f = phi_piecewise(8)
+    lo, hi = Fraction(0), Fraction(1, 2)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return squarefree_part(p)
+
+    monkeypatch.setattr(piecewise, "squarefree_part", counted)
+    monkeypatch.setattr(sturm, "squarefree_part", counted)
+    res = pw_minimize(f, lo, hi, Fraction(1, 2**20))
+    assert res.competitors
+    bps = f.breakpoints
+    assert len(calls) == sum(max(lo, a) < min(hi, b) for a, b in zip(bps, bps[1:])) == 6
+
+
 def test_phi8_pieces_match_evaluator_off_nodes(monkeypatch):
     # one rational per piece that is none of its interpolation nodes
     # a + (b - a) k / 18, checked against the pointwise evaluator
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
-    phi_piecewise.cache_clear()
-    try:
-        f = phi_piecewise(8)
-    finally:
-        phi_piecewise.cache_clear()
+    f = phi_piecewise(8)
     for lo, hi, piece in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
         x = lo + (hi - lo) * Fraction(500, 1009)
         assert poly_eval(piece, x) == shifted_fekete_limit(8, x), x
@@ -302,12 +325,8 @@ def test_phi8_min_on_quarter_is_tight(monkeypatch):
     # on [0, 1/4] the mirror twin is out of range, so alt_flag is clear, and
     # the centred bound pins the value once the argmin enclosure is eps wide
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
-    phi_piecewise.cache_clear()
     eps = Fraction(1, 1 << 20)
-    try:
-        res = limits.phi_min(8, eps)
-    finally:
-        phi_piecewise.cache_clear()
+    res = limits.phi_min(8, eps)
     assert res.alt_flag is False
     u, v = res.argmin
     assert Fraction(2411, 10000) < u < v < Fraction(2412, 10000) and v - u <= eps
@@ -321,14 +340,14 @@ def test_phi_min_value_prints_and_contains_the_exact_enclosure(monkeypatch):
     # pw_minimize's exact value enclosure has numerators past 4300 digits;
     # phi_min's, rounded outward to multiples of 2^-(2e + 32), prints
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
-    phi_piecewise.cache_clear()
+    f = phi_piecewise(8)
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         for e in (20, 200, 1200):
             eps = Fraction(1, 2**e)
             res = limits.phi_min(8, eps)
-            exact = pw_minimize(phi_piecewise(8), 0, Fraction(1, 4), eps)
+            exact = pw_minimize(f, 0, Fraction(1, 4), eps)
             repr(res)
             assert res.argmin == exact.argmin
             (lower, upper), (exact_lower, exact_upper) = res.value, exact.value
@@ -339,7 +358,6 @@ def test_phi_min_value_prints_and_contains_the_exact_enclosure(monkeypatch):
             repr(exact)
     finally:
         sys.set_int_max_str_digits(old)
-        phi_piecewise.cache_clear()
 
 
 def test_phi_refinement_digests(monkeypatch):
@@ -347,14 +365,10 @@ def test_phi_refinement_digests(monkeypatch):
     # cap at a coarse and a deep eps, and the q = 8 twin minimisation; the
     # q = 8 entries pin phi_min's outward-rounded value enclosures
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
-    phi_piecewise.cache_clear()
-    try:
-        results = {
-            (q, e): limits.phi_min(q, Fraction(1, 2**e)) for q in (7, 8) for e in (20, 200)
-        }
-        results["twin"] = pw_minimize(phi_piecewise(8), 0, Fraction(1, 2), Fraction(1, 2**20))
-    finally:
-        phi_piecewise.cache_clear()
+    results = {
+        (q, e): limits.phi_min(q, Fraction(1, 2**e)) for q in (7, 8) for e in (20, 200)
+    }
+    results["twin"] = pw_minimize(phi_piecewise(8), 0, Fraction(1, 2), Fraction(1, 2**20))
     digests = {key: hashlib.sha256(repr(r).encode()).hexdigest() for key, r in results.items()}
     q7 = "41c13cd83a2f68679c5d0d084756a89a50541f8ecb31bf93ec4a39fc523befe7"
     assert digests == {

@@ -643,8 +643,6 @@ def test_convergence_table_memory():
     # the signed bytes of the vector, the packed number, its power and one
     # chunk of slots; a tuple of Python ints would be 8 bytes per coefficient
     # before the ints themselves
-    for k in (16, 20):
-        primitive_polynomial(k)
     for q in (1, 2):
         fekete_limit_recursive(q), galois_limit_recursive(q)
     for args, limit_mb in ((("galois", 1, [20]), 4),
@@ -666,7 +664,6 @@ def test_norm_memory_per_digit():
 def test_galois_signs_memory():
     # n = 2^20 - 1 signs: the n bytes of signs, and n/8 bytes each for the
     # trace bits, their bytes and one translated bit plane
-    primitive_polynomial(20)
     peak = _traced_peak(lambda: _galois_signs(20))
     assert peak <= 1.5 * 2**20, peak / 2**20
 
