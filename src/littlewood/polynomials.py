@@ -1,13 +1,14 @@
 """Fekete and shifted Fekete polynomials and exact norms on the unit circle.
 
-A coefficient vector is a tuple of integers, constant term first.  The
-public builders return tuples; each has a private twin returning the same
-coefficients as signed bytes (a memoryview of format "b"), which is what
-`convergence_table` hands the norm engine.  For a
-real-coefficient polynomial f and even exponent 2q, the 2q-th power of the
-L^2q norm equals the sum of squared coefficients of f^q (orthonormality of
-the monomials), so it is an exact integer.  `norm_2q_exact`, imported from
-`littlewood.intconv`, computes it by Kronecker substitution with the C
+Their size rule, shared by `legendre`: p is an odd prime <= MAX_PRIME, by the
+trial division of `gf2k._prime_factors`.  A coefficient vector is a tuple of
+integers, constant term first.  The public builders return tuples; each has
+a private twin returning the same coefficients as signed bytes (a memoryview
+of format "b"), which is what `convergence_table` hands the norm engine.
+For a real-coefficient polynomial f and even exponent 2q, the 2q-th power of
+the L^2q norm equals the sum of squared coefficients of f^q (orthonormality
+of the monomials), so it is an exact integer.  `norm_2q_exact`, imported
+from `littlewood.intconv`, computes it by Kronecker substitution with the C
 `decimal` module.  A trigonometric quadrature with enough sample points
 serves as an independent floating-point oracle; it is the one function here
 that needs numpy, and imports it itself.
@@ -16,8 +17,8 @@ that needs numpy, and imports it itself.
 limits.  Its whole admission rule is `check_convergence`: the q range, the
 sizes (primes up to MAX_PRIME, Galois exponents 2..MAX_K), the norm engine's
 `power_layout` for each size and the shift rule `check_shift`.  Each raises
-ValueError before any work starts (so do the Fekete builders for p above
-MAX_PRIME), and the `empirical` command prints it as its error record.
+ValueError before any work starts, and the `empirical` command prints it as
+its error record.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
-from littlewood.gf2k import MAX_K, _galois_signs
+from littlewood.gf2k import MAX_K, _galois_signs, _prime_factors
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
     HALF,
@@ -40,44 +41,21 @@ from littlewood.limits import (
 # length 2^MAX_K - 1 of the largest Galois polynomial.
 MAX_PRIME = 1 << MAX_K
 
-# Miller-Rabin with the prime witnesses up to 41 is deterministic below
-# 3317044064679887385961981, the least strong pseudoprime to all of them.
-# The witnesses up to 37 alone are fooled by 318665857834031151167461.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_980
 # a byte of the square marks (1 for a nonzero square mod p, else 0) -> the
 # Legendre symbol as a signed byte (1 or -1 as 255)
 _LEGENDRE = bytes.maketrans(b"\x00\x01", b"\xff\x01")
 
 
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    if p > _MR_LIMIT:
-        raise ValueError(f"{p} exceeds the deterministic primality range")
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        if a % p == 0:
-            continue
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether p is an odd prime, by trial division; ValueError above MAX_PRIME."""
+    if p > MAX_PRIME:
+        raise ValueError(f"prime size {p} exceeds the limit {MAX_PRIME}")
+    return p > 2 and _prime_factors(p) == [p]
 
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a / p) via Euler's criterion."""
-    if not is_odd_prime(p):
-        raise ValueError(f"primality check failed: {p} is not an odd prime")
+    _check_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -89,8 +67,6 @@ def fekete(p: int) -> tuple[int, ...]:
 
 def _check_prime(p: int) -> None:
     """Raise ValueError unless p is an odd prime of at most MAX_PRIME."""
-    if p > MAX_PRIME:
-        raise ValueError(f"prime size {p} exceeds the limit {MAX_PRIME}")
     if not is_odd_prime(p):
         raise ValueError(f"primality check failed: {p} is not an odd prime")
 

@@ -5,7 +5,7 @@ isolated by Descartes' rule of signs under bisection (Collins & Akritas,
 1976) in integer arithmetic on the primitive squarefree part, and the same
 halving refines each isolating interval to the requested width.  The module
 kept its name from the Sturm chains it used to build, because the benchmark
-tracer probes `littlewood.sturm.isolate_roots`.
+tracer imports `littlewood.sturm`.
 """
 from __future__ import annotations
 
@@ -48,29 +48,18 @@ def squarefree_part(p) -> tuple[int, ...]:
     return _primitive(_divmod(p, a)[0]) if len(a) > 1 else p
 
 
-def isolate_roots(p, lo, hi, eps):
-    """Locate all real roots of p in [lo, hi].
+def _isolate(p, lo, hi, eps):
+    """Real roots of a primitive squarefree p in [lo, hi], for Fractions
+    lo < hi and eps > 0, as (exact, intervals), both sorted: `exact` are the
+    rational roots met at lo, hi or a bisection point, and `intervals` open
+    intervals (a, b) of width <= eps with p(a), p(b) nonzero, each holding
+    exactly one other root.
 
-    Returns (exact, intervals), both sorted: `exact` are the rational roots
-    met at lo, hi or a bisection point, and `intervals` are open intervals
-    (a, b) of width <= eps, each holding exactly one other root, with
-    p(a) and p(b) nonzero.
-
-    >>> isolate_roots((-2, 0, 1), 0, 2, Fraction(1, 8))   # x^2 - 2
+    >>> _isolate((-2, 0, 1), Fraction(0), Fraction(2), Fraction(1, 8))   # x^2 - 2
     ([], [(Fraction(11, 8), Fraction(3, 2))])
-    >>> isolate_roots((0, -1, 0, 1), -1, 1, 1)            # x^3 - x
+    >>> _isolate((0, -1, 0, 1), Fraction(-1), Fraction(1), Fraction(1))  # x^3 - x
     ([Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)], [])
     """
-    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not lo < hi:
-        raise ValueError("empty isolation interval")
-    return _isolate(squarefree_part(p), lo, hi, eps)
-
-
-def _isolate(p, lo, hi, eps):
-    """`isolate_roots` for a primitive squarefree p and Fractions lo < hi, eps > 0."""
     d = len(p) - 1
     if d < 1:
         return [], []

@@ -487,6 +487,10 @@ REFUSED = [
      lambda: poly_mod.convergence_table("fekete", 129, [3])),
     (("empirical", "--family", "fekete", "--q", "2", "--p", "9"),
      lambda: poly_mod.convergence_table("fekete", 2, [9])),
+    (("empirical", "--family", "fekete", "--q", "1", "--p", "9"),
+     lambda: poly_mod.convergence_table("fekete", 1, [9])),
+    (("empirical", "--family", "fekete", "--q", "1", "--p", "16777259"),
+     lambda: poly_mod.convergence_table("fekete", 1, [16777259])),
     (("empirical", "--family", "fekete", "--q", "0", "--p", "5"),
      lambda: poly_mod.convergence_table("fekete", 0, [5])),
     (("empirical", "--family", "fekete", "--q", "2", "--p", "0"),
@@ -521,15 +525,6 @@ def test_error_record_is_the_library_refusal(capsys, monkeypatch, argv, call):
 def test_script_refusals_are_library_refusals():
     # `python tests/csv_digests.py` checks these without the parity test's tools
     assert set(REFUSALS) <= {argv for argv, _ in REFUSED}
-
-
-def test_empirical_ignores_thread_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("LITTLEWOOD_THREADS", "abc")
-    code, record = run_json(
-        capsys, "empirical", "--family", "fekete", "--q", "2", "--p", "5", "--p", "7"
-    )
-    assert code == 0
-    assert [r["exact_norm"] for r in record["results"]] == ["28", "50"]
 
 
 def test_json_deterministic_apart_from_timing(capsys):

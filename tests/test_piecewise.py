@@ -14,7 +14,7 @@ from littlewood import limits, piecewise, sturm
 from littlewood.limits import _newton, phi_piecewise, shifted_fekete_limit
 from littlewood.piecewise import PiecewisePoly, _segment_bounds, pw_minimize
 from littlewood.ratpoly import poly_derivative, poly_eval, poly_mul, poly_shift
-from littlewood.sturm import isolate_roots, squarefree_part
+from littlewood.sturm import _isolate, squarefree_part
 
 X = sympy.Symbol("x")
 
@@ -213,22 +213,12 @@ def test_isolate_refines_like_sign_bisection(problem):
     # the integer halving down to eps gives what sign bisection of the
     # squarefree part gives on the coarsest isolating intervals
     p, lo, hi, eps = problem
-    exact, intervals = isolate_roots(p, lo, hi, hi - lo)
-    refined = [_sign_bisection(squarefree_part(p), a, b, eps) for a, b in intervals]
+    p = squarefree_part(p)
+    exact, intervals = _isolate(p, lo, hi, hi - lo)
+    refined = [_sign_bisection(p, a, b, eps) for a, b in intervals]
     exact += [r for r in refined if isinstance(r, Fraction)]
     intervals = [r for r in refined if not isinstance(r, Fraction)]
-    assert isolate_roots(p, lo, hi, eps) == (sorted(exact), sorted(intervals))
-
-
-def test_isolate_refuses_empty_interval_and_nonpositive_eps():
-    # the bisection needs lo < hi and eps > 0: otherwise it returns a reversed
-    # "interval" or a root twice, or halves x^2 - 2 forever
-    for args, reason in ((((-1, 1), 2, 0, 1), "empty isolation interval"),
-                         (((-1, 1), 1, 1, 1), "empty isolation interval"),
-                         (((-1, 1), 0, 2, -1), "eps must be positive"),
-                         (((-2, 0, 1), 0, 2, 0), "eps must be positive")):
-        with pytest.raises(ValueError, match=reason):
-            isolate_roots(*args)
+    assert _isolate(p, lo, hi, eps) == (sorted(exact), sorted(intervals))
 
 
 # f' = (5x - 27)^3 (4x^2 - 4x - 11)^2 on [1/4, 9/4]: f decreases, and the
@@ -244,7 +234,7 @@ def test_isolate_and_minimize_match_sympy(problem):
     p, lo, hi, eps = problem
     P = _sympy_poly(p)
     roots = [r for r in dict.fromkeys(sympy.real_roots(P)) if lo <= r <= hi]
-    exact, intervals = isolate_roots(p, lo, hi, eps)
+    exact, intervals = _isolate(squarefree_part(p), lo, hi, eps)
     assert len(exact) + len(intervals) == len(roots)
     assert {_rational(x) for x in exact} <= set(roots)
     # f' = p: the minimum of f over [lo, hi] is at an end or at a root of p,

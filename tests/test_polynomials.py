@@ -32,6 +32,7 @@ from littlewood.intconv import (
 )
 from littlewood.limits import fekete_limit_recursive, galois_limit_recursive
 from littlewood.polynomials import (
+    MAX_PRIME,
     _fekete_signs,
     _shifted_signs,
     convergence_table,
@@ -45,27 +46,28 @@ from littlewood.polynomials import (
 
 
 def test_is_odd_prime():
-    primes = {3, 5, 7, 11, 101, 10007, 16127}
+    primes = {3, 5, 7, 11, 101, 10007, 16127, 16777213}  # the last is the largest <= 2^24
     for n in range(3, 120, 2):
         expected = all(n % d for d in range(2, n)) and n > 2
         assert is_odd_prime(n) == expected, n
     assert all(is_odd_prime(p) for p in primes)
     assert not is_odd_prime(2)
     assert not is_odd_prime(9)
-    # strong pseudoprimes to the witnesses 2..17, 2..23 and 2..37 respectively
-    assert not is_odd_prime(341550071728321)  # 10670053 * 32010157
-    assert not is_odd_prime(3825123056546413051)  # 149491 * 747451 * 34233211
-    assert not is_odd_prime(318665857834031151167461)  # 399165290221 * 798330580441
-    with pytest.raises(ValueError):
-        is_odd_prime(3317044064679887385961981)
+    # past MAX_PRIME nothing is tested, so the strong pseudoprimes to the
+    # witnesses 2..17, 2..23, 2..37 and 2..41 are refused like the next prime
+    for n in (16777259, 341550071728321, 3825123056546413051,
+              318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError, match=f"prime size {n} exceeds the limit 16777216"):
+            is_odd_prime(n)
 
 
 def test_is_odd_prime_matches_sympy():
     rng = random.Random(41)
-    samples = [rng.randrange(3, 10**digits) for digits in (4, 8, 12, 16, 20, 24)
-               for _ in range(200)]
+    samples = list(range(-3, 10**4))
+    samples += [rng.randrange(10**4, MAX_PRIME + 1) for _ in range(1000)]
     small_primes = [n for n in range(3, 2000) if isprime(n)]
-    samples += [rng.choice(small_primes) * rng.randrange(3, 10**12) for _ in range(200)]
+    samples += [p * rng.randrange(3, MAX_PRIME // p + 1)
+                for p in rng.choices(small_primes, k=200)]
     for n in samples:
         assert is_odd_prime(n) == (n % 2 == 1 and isprime(n)), n
 
