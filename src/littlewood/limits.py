@@ -3,18 +3,19 @@
 Each quantity has one production route.  The Fekete and Galois limits and
 their triangular arrays come from a polynomial recursion in y = x + 1/x on
 the palindromic polynomials x^k pi_k(y).  It is linear in products of
-polynomials, so it runs as a scalar recurrence at each integer node
-y = 0, 1, -1, 2, ..., and pi_k is interpolated from k node values for a
-limit or a triangle row.  The shifted limit phi_q(R) at a rational shift
-ratio R comes from the exponential formula over even block profiles, run as
-an integer power-series recurrence.  phi_q on [0, 1/2] is also built as an
-exact piecewise polynomial, by interpolating that evaluator between
-candidate breakpoints in [0, 1/4], where one pass of the recurrence serves
-all 2q+1 nodes of an interval and their 2q-th divided difference must
-vanish, and mirroring by the substitution R -> 1/2 - R, under which phi_q
-is invariant; its minimum is certified on [0, 1/4] with enclosures from
-Descartes root isolation.  The direct partition-profile sums
-`fekete_limit_direct` and `galois_limit_direct` are cross-checks.
+polynomials, so one pass per call runs it as a scalar recurrence at the
+integer nodes y = 0, 1, -1, 2, ..., and each pi_k is interpolated from k
+node values of that table; a call keeps nothing, so its cost depends only on
+its arguments.  The shifted limit phi_q(R) at a rational shift ratio R comes
+from the exponential formula over even block profiles, run as an integer
+power-series recurrence.  phi_q on [0, 1/2] is also built as an exact
+piecewise polynomial, by interpolating that evaluator between candidate
+breakpoints in [0, 1/4], where one pass of the recurrence serves all 2q+1
+nodes of an interval and their 2q-th divided difference must vanish, and
+mirroring by the substitution R -> 1/2 - R, under which phi_q is invariant;
+its minimum is certified on [0, 1/4] with enclosures from Descartes root
+isolation.  The direct partition-profile sums `fekete_limit_direct` and
+`galois_limit_direct` are cross-checks.
 
 Each public function raises ValueError before any work for input outside its
 rule (MAX_Q, `check_shift`, PHI_PIECES_QMAX); the command line prints
@@ -27,14 +28,13 @@ imported by the functions that use them, so the recursions and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count, cycle, repeat
 from math import ceil, comb, factorial, floor, lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from littlewood import _digit_limit
-from littlewood.special_numbers import _carlitz, _tangent, eulerian_polynomial
+from littlewood.special_numbers import _carlitz, _eulerian_polynomials, _tangent, eulerian_polynomial
 
 if TYPE_CHECKING:
     from littlewood.piecewise import PiecewisePoly
@@ -46,7 +46,7 @@ FAMILIES = ("fekete", "galois")
 # Largest order of the Fekete and Galois recursion: the q of their limits and
 # of `limit_table`, the k of their triangle rows and of `triangle_table`, and
 # the fekete/galois q of `convergence_table`.  `limit_table(family, 128)` and
-# `triangle_table(family, 128)` each take 3-4 s and about 25 MB on a 2-vCPU
+# `triangle_table(family, 128)` each take 3-4 s and about 20 MB on a 2-vCPU
 # machine; the work grows about as q^3 products of integers whose size grows
 # with q.
 MAX_Q = 128
@@ -89,59 +89,56 @@ def _node(i: int) -> int:
     return (i + 1) // 2 if i % 2 else -(i // 2)  # y = 0, 1, -1, 2, -2, ...
 
 
-@lru_cache(maxsize=None)
-def _recursion_weights(family: str, k: int) -> tuple[int, ...]:
-    # s_(k,j), j = 1..k: the weight of alpha_j pi_(k-j) in pi_k (`_recursion_y`)
-    return tuple(
-        comb(2 * k - 1, 2 * j - 1) * max(2 * (k - j), 1) * (
-            comb(2 * k - 1, 2 * j - 1) * _tangent(j) if family == "fekete"
-            else comb(k, j) * comb(k - 1, j - 1) * _carlitz(j)
-        )
-        for j in range(1, k + 1)
-    )
-
-
-# (family, i) -> (V_0, V_1, ...), (alpha_1, alpha_2, ...) and (pi_0, pi_1, ...)
-# at y_i.  An entry is only ever replaced by a longer one.
-_node_values: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _values(family: str, i: int, k: int) -> tuple[int, ...]:
-    """pi_0(y_i), ..., pi_k(y_i) at least, by the scalar recurrence
-    pi_n(y) = sum_j s_(n,j) alpha_j(y) pi_(n-j)(y).
+def _alphas(k: int) -> list[list[int]]:
+    """alpha_1(y_i), ..., alpha_k(y_i) at each node y_i, i = 0..k-1.
 
     A_j(x) = x^j alpha_j(x + 1/x) gives alpha_j(y) = sum_m e_m V_m(y) - e_0
     over the upper half e of A_j's coefficients, with V_m(x + 1/x) =
     x^m + x^-m, so V_0 = 2, V_1 = y and V_(m+1) = y V_m - V_(m-1).
     """
-    y = _node(i)
-    lucas, alphas, vals = _node_values.get((family, i), ((2, y), (), (1,)))
-    if len(vals) <= k:
-        lucas, alphas, vals = list(lucas), list(alphas), list(vals)
-        while len(lucas) < k:
-            lucas.append(y * lucas[-1] - lucas[-2])
-        for n in range(len(vals), k + 1):
-            e = eulerian_polynomial(n)[n:]
-            alphas.append(sum(map(mul, e, lucas)) - e[0])
-            vals.append(sum(map(mul, _recursion_weights(family, n), map(mul, alphas, vals[::-1]))))
-        _node_values[family, i] = tuple(lucas), tuple(alphas), tuple(vals)
-    return vals
+    lucas = [[2, _node(i)] for i in range(k)]
+    for v in lucas:
+        while len(v) < k:
+            v.append(v[1] * v[-1] - v[-2])
+    alphas: list[list[int]] = [[] for _ in lucas]
+    for j, A in zip(range(1, k + 1), _eulerian_polynomials()):
+        e = A[j:]
+        for v, a in zip(lucas, alphas):
+            a.append(sum(map(mul, e, v)) - e[0])
+    return alphas
 
 
-def _recursion_y(family: str, k: int) -> tuple[int, ...]:
-    """pi_k, where (2k-1)! times the recursion polynomial is x^k pi_k(x + 1/x).
+def _node_table(family: str, k: int) -> list[list[int]]:
+    """pi_0(y_i), ..., pi_k(y_i) at each node y_i, i = 0..k-1, in one pass of
+    the scalar recurrence pi_n(y) = sum_j s_(n,j) alpha_j(y) pi_(n-j)(y), each
+    order's weights s_(n,j) computed once for all nodes."""
+    numbers = _tangent(k) if family == "fekete" else _carlitz(k)
+    alphas = _alphas(k)
+    table = [[1] for _ in alphas]
+    for n in range(1, k + 1):
+        # s_(n,j), j = 1..n: the weight of alpha_j pi_(n-j) in pi_n (`_recursion_y`)
+        weights = [comb(2 * n - 1, 2 * j - 1) * max(2 * (n - j), 1) * t * (
+            comb(2 * n - 1, 2 * j - 1) if family == "fekete" else comb(n, j) * comb(n - 1, j - 1)
+        ) for j, t in enumerate(numbers[:n], 1)]
+        for a, vals in zip(alphas, table):
+            vals.append(sum(map(mul, weights, map(mul, a, reversed(vals)))))
+    return table
+
+
+def _recursion_y(table: list[list[int]], k: int) -> tuple[int, ...]:
+    """pi_k, where (2k-1)! times the recursion polynomial is x^k pi_k(x + 1/x),
+    from a node table (`_node_table`) of order at least k.
 
     F_0 = G_0 = 1;  F_2k = sum_j C(2k-1, 2j-1) T(j)/(2j-1)! A_j F_(2k-2j)  and
     G_k = sum_j C(k, j) C(k-1, j-1) C(j)/(2j-1)! A_j G_(k-j).  Scaled by (2k-1)!,
     the weight of A_j times (2k-2j-1)! F_(2k-2j) gains the integer factor
     (2k-1)!/((2j-1)! (2k-2j-1)!) = C(2k-1, 2j-1) max(2k-2j, 1), and in
     y = x + 1/x each term is alpha_j pi_(k-j).  That is linear in products of
-    polynomials, so it runs at each integer node y_i (`_values`); pi_k is
-    interpolated from the nodes y_0..y_(k-1) by Newton divided differences
-    (`_newton`), integers because pi_k has integer coefficients and the
-    nodes are integers.
+    polynomials, so it runs at each integer node y_i; pi_k is interpolated
+    from the nodes y_0..y_(k-1) by Newton divided differences (`_newton`),
+    integers because pi_k has integer coefficients and the nodes are integers.
     """
-    return _newton([_node(i) for i in range(k)], [_values(family, i, k)[k] for i in range(k)])
+    return _newton([_node(i) for i in range(k)], [vals[k] for vals in table[:k]])
 
 
 def _newton(xs, ys) -> tuple[int, ...]:
@@ -171,60 +168,58 @@ def _check_order(name: str, q: int) -> None:
         raise ValueError(f"{name} {q} out of range 1..{MAX_Q}")
 
 
-def _coefficient(poly: tuple, m: int) -> Fraction:
-    return Fraction(poly[m]) if 0 <= m < len(poly) else Fraction(0)
-
-
-def _limit(family: str, q: int) -> Fraction:
-    _check_order("q", q)
+def _limit(pi: tuple[int, ...]) -> Fraction:
     # F(q, q) and G(q, q) are the x^0 term of pi_q(x + 1/x) over (2q-1)!
-    pi = _recursion_y(family, q)
+    q = len(pi)
     centre = sum(pi[m] * comb(m, m // 2) for m in range(0, q, 2))
     return Fraction(centre, factorial(2 * q - 1))
 
 
+def _triangle_row(pi: tuple[int, ...]) -> TriangleRow:
+    half = _x_form(pi)
+    return TriangleRow(len(pi), half[:0:-1] + half)
+
+
 def fekete_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Fekete polynomials, F(q, q)."""
-    return _limit("fekete", q)
+    _check_order("q", q)
+    return _limit(_recursion_y(_node_table("fekete", q), q))
 
 
 def galois_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Galois polynomials, G(q, q)."""
-    return _limit("galois", q)
-
-
-def _triangle_row(family: str, k: int) -> TriangleRow:
-    _check_order("k", k)
-    half = _x_form(_recursion_y(family, k))
-    return TriangleRow(k, half[:0:-1] + half)
+    _check_order("q", q)
+    return _limit(_recursion_y(_node_table("galois", q), q))
 
 
 def fekete_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! F(k, m) for m = 1..2k-1."""
-    return _triangle_row("fekete", k)
+    _check_order("k", k)
+    return _triangle_row(_recursion_y(_node_table("fekete", k), k))
 
 
 def galois_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! G(k, m) for m = 1..2k-1."""
-    return _triangle_row("galois", k)
+    _check_order("k", k)
+    return _triangle_row(_recursion_y(_node_table("galois", k), k))
 
 
 def limit_table(family: str, qmax: int) -> LimitTable:
-    """The family's limits for q = 1..qmax."""
+    """The family's limits for q = 1..qmax, from one node table."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     _check_order("qmax", qmax)
-    fn = fekete_limit_recursive if family == "fekete" else galois_limit_recursive
-    return LimitTable(family, {q: fn(q) for q in range(1, qmax + 1)})
+    table = _node_table(family, qmax)
+    return LimitTable(family, {q: _limit(_recursion_y(table, q)) for q in range(1, qmax + 1)})
 
 
 def triangle_table(family: str, rows: int) -> list[TriangleRow]:
-    """Rows k = 1..rows of the family's triangular array."""
+    """Rows k = 1..rows of the family's triangular array, from one node table."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     _check_order("rows", rows)
-    fn = fekete_triangle_row if family == "fekete" else galois_triangle_row
-    return [fn(k) for k in range(1, rows + 1)]
+    table = _node_table(family, rows)
+    return [_triangle_row(_recursion_y(table, k)) for k in range(1, rows + 1)]
 
 
 def fekete_limit_direct(q: int) -> Fraction:
@@ -238,15 +233,16 @@ def fekete_limit_direct(q: int) -> Fraction:
 
     if not 1 <= q <= 10:
         raise ValueError("direct evaluation supports 1 <= q <= 10")
+    tangents = _tangent(q)
     total = Fraction(0)
     for prof in even_size_profiles(q):
         weight = Fraction(prof.count)
         gen: tuple = (Fraction(1),)
         for size in prof.sizes:
             N = size // 2
-            weight *= Fraction(_tangent(N), factorial(2 * N - 1))
+            weight *= Fraction(tangents[N - 1], factorial(2 * N - 1))
             gen = poly_mul(gen, eulerian_polynomial(N))
-        total += weight * _coefficient(gen, q)
+        total += weight * gen[q]  # gen has degree 2q - len(prof.sizes) >= q
     return total
 
 
@@ -258,14 +254,15 @@ def galois_limit_direct(q: int) -> Fraction:
 
     if not 1 <= q <= 10:
         raise ValueError("direct evaluation supports 1 <= q <= 10")
+    carlitzs = _carlitz(q)
     total = Fraction(0)
     for prof in galois_size_profiles(q):
         weight = Fraction(prof.count * factorial(q))
         gen: tuple = (Fraction(1),)
         for N in prof.sizes:
-            weight *= Fraction(_carlitz(N), factorial(N) * factorial(2 * N - 1))
+            weight *= Fraction(carlitzs[N - 1], factorial(N) * factorial(2 * N - 1))
             gen = poly_mul(gen, eulerian_polynomial(N))
-        total += weight * _coefficient(gen, q)
+        total += weight * gen[q]
     return total
 
 
@@ -328,6 +325,7 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
     D; otherwise they straddle a breakpoint and ValueError is raised.
     """
     K = len(numerators)
+    tangents = _tangent(q)
     blocks: list[dict] = [{} for _ in range(q + 1)]
     # a block has 2N elements, P of them above q and 2N - P at most q, so
     # |D| <= min(N, q - N)
@@ -346,7 +344,7 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
             P = N - D
             if odd or abs(D) > N or not 0 <= P <= q or 2 * N - P > q:
                 continue
-            scale = N * d * _tangent(N) * (
+            scale = N * d * tangents[N - 1] * (
                 c**N // (factorial(2 * N - 1) * factorial(2 * N - P) * factorial(P))
             )
             # W_n[n] = (d - t) W_(n-1)[n-1] > 0 and W_n[0] = t^n; one tuple

@@ -6,13 +6,14 @@ counts.  Everything is exact: integers are unbounded and non-integer
 values are `fractions.Fraction`.  Eulerian polynomials come from the
 integer recurrence E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1); the
 alternating binomial sum serves rational arguments only.  All functions
-are pure; several memoize with `functools.lru_cache`.
+are pure; only the test oracle `eulerian_general` keeps a memo.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 
 
 def _binom(a: int, b: int) -> int:
@@ -22,10 +23,12 @@ def _binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@lru_cache(maxsize=None)
-def _tangent(k: int) -> int:
+def _tangent(kmax: int) -> tuple[int, ...]:
     # T(k) = 1 - sum_{j=1}^{k-1} C(2k-1, 2j-1) T(j)
-    return 1 - sum(math.comb(2 * k - 1, 2 * j - 1) * _tangent(j) for j in range(1, k))
+    ts: list[int] = []
+    for k in range(1, kmax + 1):
+        ts.append(1 - sum(math.comb(2 * k - 1, 2 * j - 1) * t for j, t in enumerate(ts, 1)))
+    return tuple(ts)
 
 
 def tangent_numbers(kmax: int) -> tuple[int, ...]:
@@ -40,15 +43,16 @@ def tangent_numbers(kmax: int) -> tuple[int, ...]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return tuple(_tangent(k) for k in range(1, kmax + 1))
+    return _tangent(kmax)
 
 
-@lru_cache(maxsize=None)
-def _carlitz(k: int) -> int:
+def _carlitz(kmax: int) -> tuple[int, ...]:
     # C(k) = 1 - sum_{j=1}^{k-1} C(k, j) C(k-1, j-1) C(j)
-    return 1 - sum(
-        math.comb(k, j) * math.comb(k - 1, j - 1) * _carlitz(j) for j in range(1, k)
-    )
+    cs: list[int] = []
+    for k in range(1, kmax + 1):
+        cs.append(1 - sum(math.comb(k, j) * math.comb(k - 1, j - 1) * c
+                          for j, c in enumerate(cs, 1)))
+    return tuple(cs)
 
 
 def carlitz_numbers(kmax: int) -> tuple[int, ...]:
@@ -63,7 +67,7 @@ def carlitz_numbers(kmax: int) -> tuple[int, ...]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return tuple(_carlitz(k) for k in range(1, kmax + 1))
+    return _carlitz(kmax)
 
 
 @lru_cache(maxsize=None)
@@ -96,10 +100,15 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     return _eulerian_general(n, Fraction(x))
 
 
-# N -> A_N for N = 1, 2, ... as built so far, each from the one before.  The
-# limit recursions ask for them in increasing order; `limit_table(family, 128)`
-# leaves 128 of them, 2.4 MB, and A_1..A_500 hold 163 MB.
-_eulerian_rows: dict[int, tuple[int, ...]] = {1: (0, 1)}
+def _eulerian_polynomials():
+    """Yield A_1, A_2, ..., each built from the one before and then dropped."""
+    row = (1,)  # E(2N-1, m) for m = 0..2N-2
+    for k in count(1):
+        yield (0,) + row
+        for n in (2 * k, 2 * k + 1):
+            # E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), zero outside 0..n-2
+            prev = (0,) + row + (0,)
+            row = tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n))
 
 
 def eulerian_polynomial(N: int) -> tuple[int, ...]:
@@ -108,22 +117,14 @@ def eulerian_polynomial(N: int) -> tuple[int, ...]:
     A_N has degree 2N-1, zero constant term, and nonnegative integer
     coefficients given by row 2N-1 of the Eulerian-number triangle.  The
     rows come from the integer recurrence, two steps from each A_N to the
-    next, and every A_N built is kept.
+    next, and only the row being extended is kept.
 
     >>> eulerian_polynomial(2)
     (0, 1, 4, 1)
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    while N not in _eulerian_rows:
-        k = len(_eulerian_rows)
-        row = _eulerian_rows[k][1:]
-        for n in (2 * k, 2 * k + 1):
-            # E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), zero outside 0..n-2
-            prev = (0,) + row + (0,)
-            row = tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n))
-        _eulerian_rows[k + 1] = (0,) + row
-    return _eulerian_rows[N]
+    return next(islice(_eulerian_polynomials(), N - 1, None))
 
 
 def composition_count(N: int, n: int, m: int) -> int:

@@ -513,7 +513,7 @@ def test_error_record_is_the_library_refusal(capsys, monkeypatch, argv, call):
         raise AssertionError("a refused request reached the recursion")
 
     _forbid_polynomial_work(monkeypatch)
-    monkeypatch.setattr(limits_mod, "_values", never)
+    monkeypatch.setattr(limits_mod, "_node_table", never)
     monkeypatch.setattr(limits_mod, "_shifted_values", never)
     with pytest.raises(ValueError) as exc:
         call()

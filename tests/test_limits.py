@@ -1,4 +1,5 @@
 """Tests for the limit recursions, direct partition sums, triangles, and phi."""
+import json
 import math
 import random
 import subprocess
@@ -33,8 +34,6 @@ from littlewood.limits import (
 from littlewood import gf2k, limits
 from littlewood.ratpoly import poly_eval
 from littlewood.special_numbers import (
-    _carlitz,
-    _tangent,
     carlitz_numbers,
     eulerian_general,
     eulerian_polynomial,
@@ -151,12 +150,13 @@ def _coefficient_recursion(family, k):
     if k == 0:
         return (1,)
     acc = [0] * k
+    numbers = tangent_numbers(k) if family == "fekete" else carlitz_numbers(k)
     for j in range(1, k + 1):
-        s = math.comb(2 * k - 1, 2 * j - 1) * max(2 * (k - j), 1)
+        s = math.comb(2 * k - 1, 2 * j - 1) * max(2 * (k - j), 1) * numbers[j - 1]
         if family == "fekete":
-            s *= math.comb(2 * k - 1, 2 * j - 1) * _tangent(j)
+            s *= math.comb(2 * k - 1, 2 * j - 1)
         else:
-            s *= math.comb(k, j) * math.comb(k - 1, j - 1) * _carlitz(j)
+            s *= math.comb(k, j) * math.comb(k - 1, j - 1)
         a, p = sorted((_eulerian_y(j), _coefficient_recursion(family, k - j)), key=len)
         for i, av in enumerate(a):
             acc[i:i + len(p)] = map(add, acc[i:i + len(p)], map(mul, repeat(s * av), p))
@@ -182,26 +182,55 @@ def test_y_form_round_trip(half):
 
 
 def test_eulerian_y_form_expands_back():
+    # production evaluates alpha_j at the nodes without its y-form
+    node_alphas = limits._alphas(48)
+    assert len(node_alphas) == 48
     for j in range(1, 49):
         alpha = _eulerian_y(j)
         assert len(alpha) == j
         assert limits._x_form(alpha) == eulerian_polynomial(j)[j:], j
-        # production evaluates alpha_j at the nodes without its y-form
         for i in range(j):
             y = limits._node(i)
-            limits._values("galois", i, j)
-            alphas = limits._node_values["galois", i][1]
-            assert alphas[j - 1] == sum(c * y**m for m, c in enumerate(alpha)), (i, j)
+            assert node_alphas[i][j - 1] == sum(c * y**m for m, c in enumerate(alpha)), (i, j)
 
 
 def test_value_route_matches_coefficient_recursion():
     for family in ("fekete", "galois"):
+        table = limit_table(family, 72).entries
+        rows = triangle_table(family, 72)
         for q in range(1, 73):
             pi = _coefficient_recursion(family, q)
             centre = sum(pi[m] * math.comb(m, m // 2) for m in range(0, q, 2))
-            assert limits._limit(family, q) == Fraction(centre, math.factorial(2 * q - 1))
+            assert table[q] == Fraction(centre, math.factorial(2 * q - 1))
             half = limits._x_form(pi)
-            assert limits._triangle_row(family, q).values == half[:0:-1] + half, (family, q)
+            assert rows[q - 1] == (q, half[:0:-1] + half), (family, q)
+
+
+def test_no_state_outlives_a_call():
+    # in a fresh process: after these calls neither module holds a mutable
+    # container or a cache except the oracle `_eulerian_general`'s, and
+    # limit_table("fekete", 64) leaves only its 64 values, about 21 KB (a
+    # table kept per node would hold more than 800 KB)
+    script = (
+        "import json, tracemalloc\n"
+        "from fractions import Fraction\n"
+        "from littlewood import limits, special_numbers\n"
+        "limits.limit_table('fekete', 48)\n"
+        "limits.triangle_table('galois', 8)\n"
+        "limits.shifted_fekete_limit(4, Fraction(1, 3))\n"
+        "kept = sorted(\n"
+        "    f'{mod.__name__}.{name}' for mod in (limits, special_numbers)\n"
+        "    for name, value in vars(mod).items() if not name.startswith('__')\n"
+        "    and (isinstance(value, (dict, list, set, bytearray)) or hasattr(value, 'cache_info')))\n"
+        "tracemalloc.start()\n"
+        "table = limits.limit_table('fekete', 64)\n"
+        "print(json.dumps([kept, tracemalloc.get_traced_memory()[0]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    kept, held = json.loads(proc.stdout)
+    assert kept == ["littlewood.special_numbers._eulerian_general"]
+    assert held < 128 * 1024, held
 
 
 def test_recursions_need_no_deep_stack():
@@ -752,7 +781,7 @@ def test_refusals_come_before_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused request reached the recursion or the pieces")
 
-    monkeypatch.setattr(limits, "_values", never)
+    monkeypatch.setattr(limits, "_node_table", never)
     monkeypatch.setattr(limits, "phi_piecewise", never)
     for call, reason in (
         (lambda: limit_table("fekete", 129), "qmax 129 out of range 1..128"),
