@@ -9,9 +9,12 @@ c(x)^(2^t) = c(x^(2^t)) over GF(2), also s_(j+k*2^t) = XOR of s_(j+i*2^t).
 The first k bits come from Newton's identities on c: Tr(theta^i) is the i-th
 power sum of the roots of c, and s_j is the XOR of Tr(theta^(i+j)) over the
 bits i of beta.  The rest are filled 2^t at a time by shifting and XORing
-one big integer holding the bits so far.
+one big integer holding the bits so far.  `_check_exponent` is the one rule
+for k, 2 <= k <= MAX_K, which `polynomials.check_convergence` calls too.
 """
 from __future__ import annotations
+
+from littlewood.special_numbers import _prime_factors
 
 # Largest field exponent k of GF(2^k).
 MAX_K = 24
@@ -42,18 +45,10 @@ def _gf2_powmod(a: int, e: int, poly: int, k: int) -> int:
     return r
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _check_exponent(k: int) -> None:
+    """Raise ValueError unless 2 <= k <= MAX_K: the one rule for field exponents."""
+    if not 2 <= k <= MAX_K:
+        raise ValueError(f"field exponent k = {k} is not in 2 <= k <= {MAX_K}")
 
 
 def primitive_polynomial(k: int) -> int:
@@ -64,8 +59,7 @@ def primitive_polynomial(k: int) -> int:
     Thm 3.16): x^(2^k - 1) = 1 and x^((2^k - 1)/r) != 1 for each prime r
     dividing 2^k - 1.
     """
-    if not 2 <= k <= MAX_K:
-        raise ValueError(f"k must satisfy 2 <= k <= {MAX_K}")
+    _check_exponent(k)
     order = (1 << k) - 1
     cofactors = [order // r for r in _prime_factors(order)]
     return next(

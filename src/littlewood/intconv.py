@@ -104,10 +104,8 @@ def norm_2q_exact(a, q: int) -> int:
     else:
         abs_sum, abs_max = len(signs) - signs.count(0), 1
     slots, w = power_layout(len(a), q, abs_sum, abs_max)
-    if q == 1:
+    if not slots:  # q = 1, or f is 0 or +-x^k: the sum of a_j^2
         return abs_sum if signs is not None else sum(map(mul, a, a))
-    if abs_sum < 2:
-        return abs_sum
     with localcontext(_EXACT):
         # f(10^w) from one digit string whose slots hold a_j + m, m = max |a|
         power = Decimal(_pack_ints(a, w, abs_max) if signs is None else _pack_signs(signs, w))

@@ -15,11 +15,12 @@ nodes of an interval and their 2q-th divided difference must vanish, and
 mirroring by the substitution R -> 1/2 - R, under which phi_q is invariant;
 its minimum is certified on [0, 1/4] with enclosures from Descartes root
 isolation.  The direct partition-profile sums `fekete_limit_direct` and
-`galois_limit_direct` are cross-checks.
+`galois_limit_direct` are cross-checks.  T(k), C(k) and the primes of
+`_block_scale` come from `special_numbers`.
 
 Each public function raises ValueError before any work for input outside its
-rule (MAX_Q, `check_shift`, PHI_PIECES_QMAX); the command line prints
-that message as its error record.
+rule (`_check_order` for FAMILIES and MAX_Q, `check_shift`, PHI_PIECES_QMAX);
+the command line prints that message as its error record.
 
 The piecewise, rational-polynomial, partition-profile and root modules are
 imported by the functions that use them, so the recursions and
@@ -34,7 +35,8 @@ from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from littlewood import _digit_limit
-from littlewood.special_numbers import _carlitz, _eulerian_polynomials, _tangent, eulerian_polynomial
+from littlewood.special_numbers import (_eulerian_polynomials, _prime_factors, carlitz_numbers,
+                                        eulerian_polynomial, tangent_numbers)
 
 if TYPE_CHECKING:
     from littlewood.piecewise import PiecewisePoly
@@ -112,7 +114,7 @@ def _node_table(family: str, k: int) -> list[list[int]]:
     """pi_0(y_i), ..., pi_k(y_i) at each node y_i, i = 0..k-1, in one pass of
     the scalar recurrence pi_n(y) = sum_j s_(n,j) alpha_j(y) pi_(n-j)(y), each
     order's weights s_(n,j) computed once for all nodes."""
-    numbers = _tangent(k) if family == "fekete" else _carlitz(k)
+    numbers = tangent_numbers(k) if family == "fekete" else carlitz_numbers(k)
     alphas = _alphas(k)
     table = [[1] for _ in alphas]
     for n in range(1, k + 1):
@@ -163,9 +165,12 @@ def _newton(xs, ys) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _check_order(name: str, q: int) -> None:
-    if not 1 <= q <= MAX_Q:
-        raise ValueError(f"{name} {q} out of range 1..{MAX_Q}")
+def _check_order(family: str, name: str, n: int) -> None:
+    # the rule of the recursion and its tables: family in FAMILIES, 1 <= n <= MAX_Q
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if not 1 <= n <= MAX_Q:
+        raise ValueError(f"{name} {n} out of range 1..{MAX_Q}")
 
 
 def _limit(pi: tuple[int, ...]) -> Fraction:
@@ -182,42 +187,38 @@ def _triangle_row(pi: tuple[int, ...]) -> TriangleRow:
 
 def fekete_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Fekete polynomials, F(q, q)."""
-    _check_order("q", q)
+    _check_order("fekete", "q", q)
     return _limit(_recursion_y(_node_table("fekete", q), q))
 
 
 def galois_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Galois polynomials, G(q, q)."""
-    _check_order("q", q)
+    _check_order("galois", "q", q)
     return _limit(_recursion_y(_node_table("galois", q), q))
 
 
 def fekete_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! F(k, m) for m = 1..2k-1."""
-    _check_order("k", k)
+    _check_order("fekete", "k", k)
     return _triangle_row(_recursion_y(_node_table("fekete", k), k))
 
 
 def galois_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! G(k, m) for m = 1..2k-1."""
-    _check_order("k", k)
+    _check_order("galois", "k", k)
     return _triangle_row(_recursion_y(_node_table("galois", k), k))
 
 
 def limit_table(family: str, qmax: int) -> LimitTable:
     """The family's limits for q = 1..qmax, from one node table."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    _check_order("qmax", qmax)
+    _check_order(family, "qmax", qmax)
     table = _node_table(family, qmax)
     return LimitTable(family, {q: _limit(_recursion_y(table, q)) for q in range(1, qmax + 1)})
 
 
 def triangle_table(family: str, rows: int) -> list[TriangleRow]:
     """Rows k = 1..rows of the family's triangular array, from one node table."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    _check_order("rows", rows)
+    _check_order(family, "rows", rows)
     table = _node_table(family, rows)
     return [_triangle_row(_recursion_y(table, k)) for k in range(1, rows + 1)]
 
@@ -233,7 +234,7 @@ def fekete_limit_direct(q: int) -> Fraction:
 
     if not 1 <= q <= 10:
         raise ValueError("direct evaluation supports 1 <= q <= 10")
-    tangents = _tangent(q)
+    tangents = tangent_numbers(q)
     total = Fraction(0)
     for prof in even_size_profiles(q):
         weight = Fraction(prof.count)
@@ -254,7 +255,7 @@ def galois_limit_direct(q: int) -> Fraction:
 
     if not 1 <= q <= 10:
         raise ValueError("direct evaluation supports 1 <= q <= 10")
-    carlitzs = _carlitz(q)
+    carlitzs = carlitz_numbers(q)
     total = Fraction(0)
     for prof in galois_size_profiles(q):
         weight = Fraction(prof.count * factorial(q))
@@ -303,7 +304,7 @@ def _block_scale(q: int) -> int:
     """
     c = 1
     for p in range(2, 2 * q + 1):
-        if all(p % f for f in range(2, p)):
+        if _prime_factors(p) == [p]:
             c *= p ** max(
                 -(-(_factorial_valuation(2 * N - 1, p) + _factorial_valuation(2 * N, p)) // N)
                 for N in range(1, q + 1)
@@ -325,7 +326,7 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
     D; otherwise they straddle a breakpoint and ValueError is raised.
     """
     K = len(numerators)
-    tangents = _tangent(q)
+    tangents = tangent_numbers(q)
     blocks: list[dict] = [{} for _ in range(q + 1)]
     # a block has 2N elements, P of them above q and 2N - P at most q, so
     # |D| <= min(N, q - N)

@@ -1,10 +1,11 @@
 """Fekete and shifted Fekete polynomials and exact norms on the unit circle.
 
 Their size rule, shared by `legendre`: p is an odd prime <= MAX_PRIME, by the
-trial division of `gf2k._prime_factors`.  A coefficient vector is a tuple of
-integers, constant term first.  The public builders return tuples; each has
-a private twin returning the same coefficients as signed bytes (a memoryview
-of format "b"), which is what `convergence_table` hands the norm engine.
+package's one trial division, `special_numbers._prime_factors`.  A vector of
+coefficients is a tuple of integers, constant term first, as the public
+builders return it; each has a private twin returning the same coefficients
+as signed bytes (a memoryview of format "b"), which is what
+`convergence_table` hands the norm engine.
 For a real-coefficient polynomial f and even exponent 2q, the 2q-th power of
 the L^2q norm equals the sum of squared coefficients of f^q (orthonormality
 of the monomials), so it is an exact integer.  `norm_2q_exact`, imported
@@ -15,10 +16,10 @@ that needs numpy, and imports it itself.
 
 `convergence_table` compares exact norms of actual polynomials with their
 limits.  Its whole admission rule is `check_convergence`: the q range, the
-sizes (primes up to MAX_PRIME, Galois exponents 2..MAX_K), the norm engine's
-`power_layout` for each size and the shift rule `check_shift`.  Each raises
-ValueError before any work starts, and the `empirical` command prints it as
-its error record.
+sizes (primes up to MAX_PRIME, Galois exponents by `gf2k._check_exponent`),
+the norm engine's `power_layout` for each size and the shift rule
+`check_shift`.  Each raises ValueError before any work starts, and the
+`empirical` command prints it as its error record.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
-from littlewood.gf2k import MAX_K, _galois_signs, _prime_factors
+from littlewood.gf2k import MAX_K, _check_exponent, _galois_signs
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
     HALF,
@@ -36,6 +37,7 @@ from littlewood.limits import (
     galois_limit_recursive,
     shifted_fekete_limit,
 )
+from littlewood.special_numbers import _prime_factors
 
 # Largest prime size of the fekete and shifted families; it matches the
 # length 2^MAX_K - 1 of the largest Galois polynomial.
@@ -145,10 +147,9 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         if family != "galois":
             _check_prime(s)
             shapes.append((s, s - 1))
-        elif 2 <= s <= MAX_K:
-            shapes.append(((1 << s) - 1, (1 << s) - 1))
         else:
-            raise ValueError(f"field exponent {s} out of range 2..{MAX_K}")
+            _check_exponent(s)
+            shapes.append(((1 << s) - 1, (1 << s) - 1))
     for n, abs_sum in shapes:
         power_layout(n, q, abs_sum, 1)
     if family != "shifted":

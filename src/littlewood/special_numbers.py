@@ -1,12 +1,12 @@
 """Exact special numbers and counting primitives.
 
-Signed tangent numbers, signed Carlitz numbers, Eulerian numbers at
-rational arguments, Eulerian polynomials, and restricted-composition
-counts.  Everything is exact: integers are unbounded and non-integer
-values are `fractions.Fraction`.  Eulerian polynomials come from the
-integer recurrence E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1); the
-alternating binomial sum serves rational arguments only.  All functions
-are pure; only the test oracle `eulerian_general` keeps a memo.
+Signed tangent numbers T(k) and Carlitz numbers C(k), defined only here;
+Eulerian numbers at rational arguments and Eulerian polynomials;
+restricted-composition counts; and `_prime_factors`, the one trial division
+in the package.  All are exact (`int` or `fractions.Fraction`) and pure; only
+the test oracle `eulerian_general` keeps a memo.  Eulerian polynomials come
+from the integer recurrence E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1);
+the alternating binomial sum serves rational arguments only.
 """
 from __future__ import annotations
 
@@ -23,16 +23,8 @@ def _binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _tangent(kmax: int) -> tuple[int, ...]:
-    # T(k) = 1 - sum_{j=1}^{k-1} C(2k-1, 2j-1) T(j)
-    ts: list[int] = []
-    for k in range(1, kmax + 1):
-        ts.append(1 - sum(math.comb(2 * k - 1, 2 * j - 1) * t for j, t in enumerate(ts, 1)))
-    return tuple(ts)
-
-
 def tangent_numbers(kmax: int) -> tuple[int, ...]:
-    """Signed tangent numbers T(1..kmax).
+    """Signed tangent numbers T(1..kmax), by T(k) = 1 - sum_{j<k} C(2k-1, 2j-1) T(j).
 
     Defined by log cosh(z) = sum_{k>=1} T(k) z^{2k} / (2k)!.  The unsigned
     values |T(k)| = (-1)^{k+1} T(k) are the classical tangent (zag) numbers
@@ -43,20 +35,14 @@ def tangent_numbers(kmax: int) -> tuple[int, ...]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return _tangent(kmax)
-
-
-def _carlitz(kmax: int) -> tuple[int, ...]:
-    # C(k) = 1 - sum_{j=1}^{k-1} C(k, j) C(k-1, j-1) C(j)
-    cs: list[int] = []
+    ts: list[int] = []
     for k in range(1, kmax + 1):
-        cs.append(1 - sum(math.comb(k, j) * math.comb(k - 1, j - 1) * c
-                          for j, c in enumerate(cs, 1)))
-    return tuple(cs)
+        ts.append(1 - sum(math.comb(2 * k - 1, 2 * j - 1) * t for j, t in enumerate(ts, 1)))
+    return tuple(ts)
 
 
 def carlitz_numbers(kmax: int) -> tuple[int, ...]:
-    """Signed Carlitz numbers C(1..kmax).
+    """Signed Carlitz numbers C(1..kmax), by C(k) = 1 - sum_{j<k} C(k, j) C(k-1, j-1) C(j).
 
     Defined by log J_0(2 sqrt(z)) = sum_{k>=1} (-1)^k C(k) z^k / (k!)^2 with
     J_0 the zeroth Bessel function of the first kind.  The unsigned values
@@ -67,7 +53,11 @@ def carlitz_numbers(kmax: int) -> tuple[int, ...]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return _carlitz(kmax)
+    cs: list[int] = []
+    for k in range(1, kmax + 1):
+        cs.append(1 - sum(math.comb(k, j) * math.comb(k - 1, j - 1) * c
+                          for j, c in enumerate(cs, 1)))
+    return tuple(cs)
 
 
 @lru_cache(maxsize=None)
@@ -140,3 +130,18 @@ def composition_count(N: int, n: int, m: int) -> int:
         term = math.comb(N, j) * _binom(N + m - n * j - 1, N - 1)
         total += -term if j % 2 else term
     return total
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1 in increasing order, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out

@@ -134,6 +134,7 @@ REFUSALS = [
     ("phi", "--q", "17", "--eval", "1/4"),
     ("phi", "--q", "16", "--eval", f"1/{FIRST_REFUSED[16]}"),
     ("empirical", "--family", "galois", "--q", "2", "--k", "23"),
+    ("empirical", "--family", "galois", "--q", "2", "--k", "0"),
     ("empirical", "--family", "fekete", "--q", "1", "--p", "16777259"),
     ("empirical", "--family", "fekete", "--q", "1", "--p", "9"),
 ]

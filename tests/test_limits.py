@@ -13,6 +13,7 @@ from operator import add, mul
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from csv_digests import FIRST_REFUSED
 from littlewood.partitions import enumerate_set_partitions, even_block_profiles
@@ -448,6 +449,17 @@ def _first_refused(q: int, limit: int = 4300) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def test_block_scale_is_least():
+    # c^N must be a multiple of (2N-1)! (2N)! for every N <= q, and dividing c
+    # by any of its primes, read off sympy's factorisation, breaks that
+    for q in range(1, 17):
+        c = limits._block_scale(q)
+        blocks = [math.factorial(2 * N - 1) * math.factorial(2 * N) for N in range(1, q + 1)]
+        assert all(c**N % m == 0 for N, m in enumerate(blocks, 1)), q
+        for p in factorint(c):
+            assert any((c // p) ** N % m for N, m in enumerate(blocks, 1)), (q, p)
 
 
 def test_shifted_preconditions():

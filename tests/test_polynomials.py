@@ -35,6 +35,7 @@ from littlewood.polynomials import (
     MAX_PRIME,
     _fekete_signs,
     _shifted_signs,
+    check_convergence,
     convergence_table,
     fekete,
     is_odd_prime,
@@ -134,6 +135,16 @@ def test_primitive_polynomial_small():
         primitive_polynomial(1)
     with pytest.raises(ValueError):
         primitive_polynomial(25)
+
+
+@pytest.mark.parametrize("k", [0, 1, 25])
+def test_galois_exponent_refusal_is_one_message(k):
+    messages = set()
+    for call in (galois, primitive_polynomial, lambda k: check_convergence("galois", 2, [k])):
+        with pytest.raises(ValueError) as exc:
+            call(k)
+        messages.add(str(exc.value))
+    assert messages == {f"field exponent k = {k} is not in 2 <= k <= 24"}
 
 
 def test_primitive_polynomial_is_least_primitive():
@@ -376,6 +387,8 @@ def _powers(draw):
 @example(([10**100, -(10**100), 1] * 20, 4))   # 406-digit slots
 @example(([1, -1] * 200, 6))                   # byte route, 14-digit slots
 @example(([0, 0, 0], 4))
+@example(([3, 0, -2], 1))                      # integer route, q = 1
+@example(([0, 0, -1, 0], 5))                   # byte route, -x^2 at q >= 2
 def test_power_square_sum_matches_oracle(case):
     coeffs, q = case
     expected = sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
