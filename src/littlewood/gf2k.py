@@ -10,7 +10,9 @@ The first k bits come from Newton's identities on c: Tr(theta^i) is the i-th
 power sum of the roots of c, and s_j is the XOR of Tr(theta^(i+j)) over the
 bits i of beta.  The rest are filled 2^t at a time by shifting and XORing
 one big integer holding the bits so far.  `_check_exponent` is the one rule
-for k, 2 <= k <= MAX_K, which `polynomials.check_convergence` calls too.
+for k, 2 <= k <= MAX_K, which `polynomials.check_convergence` calls too;
+`_galois_signs` checks it and then beta, 0 < beta < 2^k (the character is
+nontrivial exactly for a nonzero field element), before it builds the field.
 """
 from __future__ import annotations
 
@@ -74,18 +76,18 @@ def galois(k: int, beta: int = 1) -> tuple[int, ...]:
     """Coefficients of the Galois polynomial of length 2^k - 1.
 
     Coefficient j is (-1)^Tr(beta * theta^j) for the canonical primitive
-    element theta; beta != 0 selects the additive character.
+    element theta; a field element 0 < beta < 2^k selects the character.
     """
     return tuple(_galois_signs(k, beta))
 
 
 def _galois_signs(k: int, beta: int = 1) -> memoryview:
-    """The coefficients of `galois(k, beta)` as signed bytes."""
-    if beta == 0:
-        raise ValueError("beta must be nonzero (the character must be nontrivial)")
-    poly = primitive_polynomial(k)
+    """The coefficients of `galois(k, beta)` as signed bytes; ValueError
+    unless 2 <= k <= MAX_K and 0 < beta < 2^k, before any allocation."""
+    _check_exponent(k)
     if not 0 < beta < 1 << k:
-        raise ValueError(f"{beta} is not a nonzero field element")
+        raise ValueError(f"beta = {beta} is not a nonzero element of GF(2^{k})")
+    poly = primitive_polynomial(k)
     n = (1 << k) - 1
     # byte i of the trace bits holds s_(8i+b) at bit b, so the bytes expand
     # into signs one bit plane at a time, straight into their slots

@@ -3,9 +3,10 @@
 Their size rule, shared by `legendre`: p is an odd prime <= MAX_PRIME, by the
 package's one trial division, `special_numbers._prime_factors`.  A vector of
 coefficients is a tuple of integers, constant term first, as the public
-builders return it; each has a private twin returning the same coefficients
-as signed bytes (a memoryview of format "b"), which is what
-`convergence_table` hands the norm engine.
+builders return it.  One private builder per character gives the same
+coefficients as signed bytes (a memoryview of format "b") for the norm
+engine: `_fekete_signs(p, r)`, the Legendre symbol shifted by r (r = 0 is
+Fekete), and `gf2k._galois_signs(k, beta)`, the additive characters.
 For a real-coefficient polynomial f and even exponent 2q, the 2q-th power of
 the L^2q norm equals the sum of squared coefficients of f^q (orthonormality
 of the monomials), so it is an exact integer.  `norm_2q_exact`, imported
@@ -31,7 +32,7 @@ from littlewood.gf2k import MAX_K, _check_exponent, _galois_signs
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
     HALF,
-    MAX_Q,
+    _check_order,
     check_shift,
     fekete_limit_recursive,
     galois_limit_recursive,
@@ -67,39 +68,33 @@ def fekete(p: int) -> tuple[int, ...]:
     return tuple(_fekete_signs(p))
 
 
-def _check_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime of at most MAX_PRIME."""
-    if not is_odd_prime(p):
-        raise ValueError(f"primality check failed: {p} is not an odd prime")
-
-
-def _fekete_signs(p: int) -> memoryview:
-    """The coefficients of `fekete(p)` as signed bytes; ValueError unless p is
-    an odd prime of at most MAX_PRIME, before any allocation."""
-    _check_prime(p)
-    squares = bytearray(p)
-    for j in range(1, (p + 1) // 2):  # j and p - j have the same square
-        squares[j * j % p] = 1
-    signs = squares.translate(_LEGENDRE)
-    signs[0] = 0
-    return memoryview(signs).cast("b")
-
-
 def shifted_fekete(p: int, r: int) -> tuple[int, ...]:
     """Cyclic shift of the Fekete coefficients: coefficient j is ((j+r)/p).
 
     Exactly one of the p coefficients is zero (at j with j + r = 0 mod p);
     it is kept as 0 to match the definition.
     """
-    return tuple(_shifted_signs(p, r))
+    return tuple(_fekete_signs(p, r))
 
 
-def _shifted_signs(p: int, r: int) -> memoryview:
-    """The coefficients of `shifted_fekete(p, r)` as signed bytes."""
-    base = _fekete_signs(p)
+def _check_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime of at most MAX_PRIME."""
+    if not is_odd_prime(p):
+        raise ValueError(f"primality check failed: {p} is not an odd prime")
+
+
+def _fekete_signs(p: int, r: int = 0) -> memoryview:
+    """`shifted_fekete(p, r)`, r = 0 being `fekete(p)`, as signed bytes;
+    ValueError unless p is an odd prime <= MAX_PRIME, before any allocation."""
+    _check_prime(p)
+    squares = bytearray(p)
+    for j in range(1, (p + 1) // 2):  # j and p - j have the same square
+        squares[j * j % p] = 1
+    signs = squares.translate(_LEGENDRE)
+    signs[0] = 0
     r %= p
-    signs = bytearray(base[r:])
-    signs += base[:r]
+    if r:
+        signs = signs[r:] + signs[:r]
     return memoryview(signs).cast("b")
 
 
@@ -140,8 +135,8 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         raise ValueError(f"unknown family {family!r}")
     if q < 1:
         raise ValueError("q must be >= 1")
-    if family != "shifted" and q > MAX_Q:
-        raise ValueError(f"family {family} supports q <= {MAX_Q}")
+    if family != "shifted":
+        _check_order(family, "q", q)
     shapes = []  # (length, sum of |coefficients|) per size
     for s in sizes:
         if family != "galois":
@@ -191,16 +186,16 @@ def convergence_table(
     rows = []
     for s in sizes:
         # the polynomial is not bound to a name, so it is freed before the next
-        if family == "fekete":
-            n, norm = s, norm_2q_exact(_fekete_signs(s), q)
-        elif family == "galois":
+        if family == "galois":
             n, norm = (1 << s) - 1, norm_2q_exact(_galois_signs(s), q)
         else:
-            if shift_ratio is None:
+            if family == "fekete":
+                r = 0
+            elif shift_ratio is None:
                 r, limit = shift, shifted_fekete_limit(q, Fraction(shift, s))
             else:
                 r = floor(Fraction(shift_ratio) * s + HALF)  # round half up
-            n, norm = s, norm_2q_exact(_shifted_signs(s, r), q)
+            n, norm = s, norm_2q_exact(_fekete_signs(s, r), q)
         ratio = Fraction(norm, n**q)
         err = ratio - limit
         rows.append(ConvergenceRow(

@@ -103,6 +103,12 @@ NORM_CSV_DIGESTS = [
                     59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109,
                     113, 127)),
      "6553256e3094f7f4e23828b2fcf4876b31acf6d4da8ccb6657be319bbd09cee7"),
+    # a negative shift, larger than p at p = 5; recorded from shifted vectors
+    # built by Euler's criterion, legendre(j + r, p), and matched by the
+    # rotation of the Fekete vector that the program used then
+    (_sweep("empirical", "--family", "shifted", "--q", "3", "--shift", "-7",
+            primes=(5, 101, 1009)),
+     "ae156aea4bfd0468b42ee11bcf61196f563b523dffe4071211ce1f206136731a"),
 ]
 
 
@@ -137,6 +143,8 @@ REFUSALS = [
     ("empirical", "--family", "galois", "--q", "2", "--k", "0"),
     ("empirical", "--family", "fekete", "--q", "1", "--p", "16777259"),
     ("empirical", "--family", "fekete", "--q", "1", "--p", "9"),
+    ("empirical", "--family", "fekete", "--q", "129", "--p", "3"),
+    ("empirical", "--family", "shifted", "--q", "17", "--p", "5", "--shift-ratio", "1/4"),
 ]
 
 

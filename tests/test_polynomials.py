@@ -34,7 +34,6 @@ from littlewood.limits import fekete_limit_recursive, galois_limit_recursive
 from littlewood.polynomials import (
     MAX_PRIME,
     _fekete_signs,
-    _shifted_signs,
     check_convergence,
     convergence_table,
     fekete,
@@ -108,6 +107,11 @@ def test_shifted_fekete():
         assert sorted(coeffs) == sorted(base)  # cyclic shift
         assert coeffs.count(0) == 1
         assert coeffs == tuple(base[(j + r) % 11] for j in range(11))
+    # shifts of either sign and beyond p, against Euler's criterion
+    for p in (3, 101, 1009):
+        for r in (-2 * p - 1, -1, 0, 1, p, 3 * p + 2):
+            expected = tuple(legendre(j + r, p) for j in range(p))
+            assert shifted_fekete(p, r) == expected, (p, r)
 
 
 def _times_x(a: int, poly: int) -> int:
@@ -278,11 +282,29 @@ def test_galois_small():
         assert all(c in (-1, 1) for c in coeffs)
         # character sum over the nonzero elements
         assert sum(coeffs) == -1
-    with pytest.raises(ValueError, match="must be nonzero"):
-        galois(3, beta=0)
-    for beta in (8, 9, -1, -5):
-        with pytest.raises(ValueError, match="not a nonzero field element"):
+    for beta in (0, 8, 9, -1, -5):
+        with pytest.raises(ValueError,
+                           match=rf"^beta = {beta} is not a nonzero element of GF\(2\^3\)$"):
             galois(3, beta)
+
+
+def test_galois_refuses_before_the_field(monkeypatch):
+    # k is checked first, then beta, and both before the primitive polynomial
+    from littlewood import gf2k
+
+    def never(k):
+        raise AssertionError("a refused Galois polynomial built its field")
+
+    monkeypatch.setattr(gf2k, "primitive_polynomial", never)
+    cases = [((k, beta), rf"beta = {beta} is not a nonzero element of GF\(2\^{k}\)")
+             for k in (3, 24) for beta in (0, -1, 1 << k, (1 << k) + 1)]
+    cases += [((0, 0), "field exponent k = 0 is not in 2 <= k <= 24"),
+              ((10**9, 1), "field exponent k = 1000000000 is not in")]
+    for args, reason in cases:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=reason):
+            galois(*args)
+        assert time.perf_counter() - start < 0.05, args
 
 
 def test_one_exact_norm_function():
@@ -538,7 +560,7 @@ def test_coefficient_refusal_states_sizes_not_values():
 def test_fekete_builders_refuse_beyond_max_prime():
     # 16777259 is the least prime above MAX_PRIME = 2^24; 2^31 - 1 is prime
     for call in (lambda: fekete(16777259), lambda: _fekete_signs(16777259),
-                 lambda: shifted_fekete(16777259, 1), lambda: _shifted_signs(16777259, 1),
+                 lambda: shifted_fekete(16777259, 1), lambda: _fekete_signs(16777259, 1),
                  lambda: fekete(2**31 - 1)):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="prime size .* exceeds the limit 16777216"):
@@ -578,8 +600,9 @@ def test_admission_refuses_in_bounded_time():
 
 def test_builders_return_tuples_of_their_signs():
     for public, signs in ((fekete(101), _fekete_signs(101)),
-                          (shifted_fekete(101, 37), _shifted_signs(101, 37)),
-                          (shifted_fekete(101, -5), _shifted_signs(101, -5)),
+                          (fekete(101), _fekete_signs(101, 0)),
+                          (shifted_fekete(101, 37), _fekete_signs(101, 37)),
+                          (shifted_fekete(101, -5), _fekete_signs(101, -5)),
                           (galois(7, 5), _galois_signs(7, 5))):
         assert type(public) is tuple
         assert signs.format == "b"
@@ -724,14 +747,14 @@ def test_convergence_table_refuses_before_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused table built a polynomial or a norm")
 
-    for name in ("fekete", "shifted_fekete", "_fekete_signs", "_shifted_signs",
-                 "_galois_signs", "norm_2q_exact"):
+    for name in ("fekete", "shifted_fekete", "_fekete_signs", "_galois_signs",
+                 "norm_2q_exact"):
         monkeypatch.setattr(poly_mod, name, never)
     for args, kwargs, reason in (
         (("galois", 2, [14, 23]), {}, "capacity"),
         (("fekete", 2, [101, 9]), {}, "primality"),
         (("fekete", 1, [16777259]), {}, "exceeds the limit 16777216"),
-        (("fekete", 129, [3]), {}, "q <= 128"),
+        (("fekete", 129, [3]), {}, "q 129 out of range 1..128"),
         (("shifted", 17, [5]), {"shift": 1}, "q <= 16"),
         (("fekete", 2, [101]), {"shift": 3}, "shifted family only"),
         (("fekete", 2, [101]), {"shift_ratio": Fraction(1, 4)}, "shifted family only"),
