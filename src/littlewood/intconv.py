@@ -1,36 +1,36 @@
-"""Exact sums of squared coefficients of integer polynomial powers.
+"""Exact sums of squared coefficients of powers of polynomials with coefficients in {-1, 0, 1}.
 
 `norm_2q_exact(a, q)`, the exact-norm engine, returns the 2q-th power of the
-L^2q norm on the unit circle of f with the integer coefficients `a`: the sum
-of c_j^2 over the coefficients of f^q = sum c_j x^j.  Vectors reach the
-engine as signed bytes: a memoryview of format "b", as the private builders
-in `littlewood.polynomials` and `littlewood.gf2k` make, is copied once with
-`tobytes`, and any other sequence is packed once into an `array("b")`.  When
-every byte is 0, 1 or -1 the counts and the packing work on those bytes;
-other coefficients take the integer route.
+L^2q norm on the unit circle of f with the coefficients `a`: the sum of c_j^2
+over the coefficients of f^q = sum c_j x^j.  Every polynomial the package
+studies has coefficients 0, 1 and -1, and the engine takes exactly those, as
+signed bytes: a memoryview of format "b", as the private builders in
+`littlewood.polynomials` and `littlewood.gf2k` make, is copied once with
+`tobytes`, and any other iterable is packed once into an `array("b")`.  Any
+other coefficient raises ValueError before the power is packed.
 
 For q >= 2 it uses Kronecker substitution in decimal: f is evaluated at
-X = 10^w, where w digits hold 2B + 1 for the bound
-B = (sum |a|)^(q-1) * max |a| on |c_j|.  f(X) is parsed from one digit
-string whose w-digit slots hold a_j + m, m = max |a|, and m * sum_j X^j is
-subtracted.  The C `decimal` module (libmpdec, which multiplies large
-numbers with number-theoretic transforms) raises f(X) to the q-th power in a
-context that traps any rounding, so a result is exact or an exception.
-Adding h = 5 * 10^(w-1) to every w-digit slot makes each slot c_j + h, in
-[0, 10^w), so no carry crosses a slot; the slots are then read back from the
-digit string _CHUNK slots at a time, so the chunk size bounds the decoder's
-live Python objects.  Both runs of equal slots, m and h, are built in
-libmpdec arithmetic (`_fill`), and each stage replaces the one big number
-before it: f(X), its power, the power plus the offset, then its digits.
+X = 10^w, where w digits hold 2B + 1 for the bound B = S^(q-1) on |c_j|, S
+the number of nonzero coefficients.  f(X) is parsed from one digit string
+whose w-digit slots hold a_j + 1, and sum_j X^j is subtracted.  The C
+`decimal` module (libmpdec, which multiplies large numbers with
+number-theoretic transforms) raises f(X) to the q-th power in a context that
+traps any rounding, so a result is exact or an exception.  Adding
+h = 5 * 10^(w-1) to every w-digit slot makes each slot c_j + h, in [0, 10^w),
+so no carry crosses a slot; the slots are then read back from the digit
+string _CHUNK slots at a time, so the chunk size bounds the decoder's live
+Python objects.  Both runs of equal slots, 1 and h, are built in libmpdec
+arithmetic (`_fill`), and each stage replaces the one big number before it:
+f(X), its power, the power plus the offset, then its digits.
 
 One rule, `power_layout`, admits a power: f^q packs into q(n - 1) + 1 slots
 of w digits, and slots * w may be at most MAX_POWER_DIGITS, at 0.07-0.26 us
 and, above the process's size before the call, 2.5-2.9 bytes of peak RSS per
 digit at q = 2 and 2.7-3.2 at q >= 3 (2-vCPU x86-64, Python 3.11.7; at the
 budget the worst took 25.5 s and 311 MB).  int() parses each slot, so w may be
-at most L (`littlewood._digit_limit`).  These, q < 1, and q >= 2 without
-the C `decimal` module (its pure-Python fallback is quadratic) raise
-ValueError before any big number is built.
+at most L (`littlewood._digit_limit`).  These, a q that is not an integer
+>= 1, and q >= 2 without the C `decimal` module (its pure-Python fallback is
+quadratic) raise ValueError before any big number is built.
 """
 from __future__ import annotations
 
@@ -67,26 +67,25 @@ _SHIFTED_DIGIT = bytes(49 + (b == 1) - (b == 255) for b in range(256))
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
-def power_layout(n: int, q: int, abs_sum: int, abs_max: int) -> tuple[int, int]:
+def power_layout(n: int, q: int, nonzeros: int) -> tuple[int, int]:
     """(slots, w <= L) of f^q packed at 10^w, or (0, 0) if q = 1 or f is 0 or +-x^k, for
-    f of length n, sum |a| = abs_sum and max |a| = abs_max, or ValueError."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q < 2 or abs_sum < 2:
+    f of length n with `nonzeros` coefficients +-1 and the others 0, or ValueError."""
+    if not isinstance(q, int) or q < 1:
+        raise ValueError("q must be an integer >= 1")
+    if q < 2 or nonzeros < 2:
         return 0, 0
     if not C_DECIMAL:
         raise ValueError("exact norms at q >= 2 need the C decimal module (_decimal); "
                          "its pure-Python fallback multiplies in quadratic time")
     # B >= 2^low: bit lengths alone refuse B >= 2^(4 limit) > 10^limit
     limit = _digit_limit()
-    low = (q - 1) * (abs_sum.bit_length() - 1) + abs_max.bit_length() - 1
-    w = limit + 1 if low >= 4 * limit else 1 + Decimal(
-        2 * abs_sum ** (q - 1) * abs_max + 1).adjusted()
+    low = (q - 1) * (nonzeros.bit_length() - 1)
+    w = limit + 1 if low >= 4 * limit else 1 + Decimal(2 * nonzeros ** (q - 1) + 1).adjusted()
     if w > limit:
         raise ValueError(f"the coefficients of f^q, q of {q.bit_length()} bits, are bounded only "
-                         f"by S^(q-1)*M, S = sum |a| of {abs_sum.bit_length()} bits and M = max "
-                         f"|a| of {abs_max.bit_length()} bits, beyond the exact-norm coefficient "
-                         f"bound: twice it plus one must have at most {limit} digits")
+                         f"by S^(q-1), S = sum |a| of {nonzeros.bit_length()} bits, beyond the "
+                         f"exact-norm coefficient bound: twice it plus one must have at most "
+                         f"{limit} digits")
     slots = q * (n - 1) + 1
     if slots * w > MAX_POWER_DIGITS:
         raise ValueError(f"f^{q} of a length-{n} polynomial packs into {slots} slots of {w} "
@@ -95,21 +94,16 @@ def power_layout(n: int, q: int, abs_sum: int, abs_max: int) -> tuple[int, int]:
 
 
 def norm_2q_exact(a, q: int) -> int:
-    """Exact 2q-th power of the L^2q norm of f with integer coefficients a."""
-    if not (isinstance(a, memoryview) and a.format == "b"):
-        a = tuple(a)
+    """Exact 2q-th power of the L^2q norm of f with coefficients a, each 0, 1 or -1."""
     signs = _signs(a)
-    if signs is None:
-        abs_sum, abs_max = sum(map(abs, a)), max(map(abs, a))
-    else:
-        abs_sum, abs_max = len(signs) - signs.count(0), 1
-    slots, w = power_layout(len(a), q, abs_sum, abs_max)
+    nonzeros = len(signs) - signs.count(0)
+    slots, w = power_layout(len(signs), q, nonzeros)
     if not slots:  # q = 1, or f is 0 or +-x^k: the sum of a_j^2
-        return abs_sum if signs is not None else sum(map(mul, a, a))
+        return nonzeros
     with localcontext(_EXACT):
-        # f(10^w) from one digit string whose slots hold a_j + m, m = max |a|
-        power = Decimal(_pack_ints(a, w, abs_max) if signs is None else _pack_signs(signs, w))
-        power -= _fill(w, len(a), abs_max)
+        # f(10^w) from one digit string whose slots hold a_j + 1
+        power = Decimal(_pack_signs(signs, w))
+        power -= _fill(w, len(signs), 1)
         power **= q
         # each slot gains h = 5 * 10^(w-1); the leading 1 fixes the string's length
         power += _fill(w, slots, 5 * 10 ** (w - 1), 1)
@@ -118,13 +112,16 @@ def norm_2q_exact(a, q: int) -> int:
     return _centred_square_sum(digits, w, slots)
 
 
-def _signs(a) -> bytes | None:
-    """The coefficients a as signed bytes, or None unless each is 0, 1 or -1."""
+def _signs(a) -> bytes:
+    """The coefficients a as signed bytes, or ValueError unless each is 0, 1 or -1."""
     try:
-        raw = a.tobytes() if isinstance(a, memoryview) else array("b", a).tobytes()
-    except OverflowError:
-        return None
-    return None if raw.translate(None, _UNIT_BYTES) else raw
+        raw = (a.tobytes() if isinstance(a, memoryview) and a.format == "b"
+               else array("b", a).tobytes())
+        if not raw.translate(None, _UNIT_BYTES):
+            return raw
+    except (OverflowError, TypeError):
+        pass
+    raise ValueError("exact norms take polynomials whose coefficients are 0, 1 and -1")
 
 
 def _pack_signs(signs: bytes, w: int) -> str:
@@ -133,11 +130,6 @@ def _pack_signs(signs: bytes, w: int) -> str:
     slots = bytearray(b"0") * (len(signs) * w)
     slots[w - 1 :: w] = signs[::-1].translate(_SHIFTED_DIGIT)
     return slots.decode()
-
-
-def _pack_ints(a, w: int, m: int) -> str:
-    """The w-digit slots of a_j + m for integer coefficients a, highest first."""
-    return "".join(str(c + m).zfill(w) for c in reversed(a))
 
 
 def _fill(w: int, count: int, c: int, top: int = 0) -> Decimal:

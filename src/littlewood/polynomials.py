@@ -137,7 +137,7 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         raise ValueError("q must be >= 1")
     if family != "shifted":
         _check_order(family, "q", q)
-    shapes = []  # (length, sum of |coefficients|) per size
+    shapes = []  # (length, nonzero coefficients) per size
     for s in sizes:
         if family != "galois":
             _check_prime(s)
@@ -145,8 +145,8 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         else:
             _check_exponent(s)
             shapes.append(((1 << s) - 1, (1 << s) - 1))
-    for n, abs_sum in shapes:
-        power_layout(n, q, abs_sum, 1)
+    for n, nonzeros in shapes:
+        power_layout(n, q, nonzeros)
     if family != "shifted":
         if shift is not None or shift_ratio is not None:
             raise ValueError("--shift/--shift-ratio apply to the shifted family only")

@@ -1,7 +1,8 @@
-"""Run the doctests of every `littlewood` module."""
+"""Run the doctests of every `littlewood` module and of the README."""
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +29,10 @@ def test_doctests(name):
 def test_special_numbers_doctests_run():
     result = doctest.testmod(importlib.import_module("littlewood.special_numbers"))
     assert result.attempted >= 5
+
+
+def test_readme_quickstart():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False,
+                              optionflags=doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE)
+    assert result.failed == 0 and result.attempted >= 8

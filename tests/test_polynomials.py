@@ -390,73 +390,51 @@ def _kronecker_power_coefficients(a, q):
     return [int.from_bytes(raw[i : i + m], "little") - half for i in range(0, len(raw), m)]
 
 
-@st.composite
-def _powers(draw):
-    """(coefficients, q) with q <= 6, length <= 400 and |coefficients| up to
-    10^20, so slots reach about 135 digits, well within both rules."""
-    q = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 400))
-    top = 10 ** draw(st.integers(0, 20))
-    return draw(st.lists(st.integers(-top, top), min_size=n, max_size=n)), q
-
-
-@settings(max_examples=150, deadline=None)
-@given(_powers())
-@example(([10**20, -(10**20), 3] * 100, 2))   # integer route, 43-digit slots
-@example(([10**20, -(10**20), 3] * 100, 6))   # integer route, 132-digit slots
-@example(([10**8, -(10**8), 3] * 50, 2))       # 19-digit slots: one libmpdec word
-@example(([5 * 10**8, -(5 * 10**8), 3] * 50, 2))  # 20-digit slots: past one word
-@example(([10**100, -(10**100), 1] * 20, 4))   # 406-digit slots
-@example(([1, -1] * 200, 6))                   # byte route, 14-digit slots
-@example(([0, 0, 0], 4))
-@example(([3, 0, -2], 1))                      # integer route, q = 1
-@example(([0, 0, -1, 0], 5))                   # byte route, -x^2 at q >= 2
-def test_power_square_sum_matches_oracle(case):
-    coeffs, q = case
-    expected = sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((-1, 0, 1)), max_size=400), st.integers(1, 6))
+@example(list(fekete(5)), 32)                  # 19-digit slots: one libmpdec word
+@example(list(fekete(5)), 33)                  # 20-digit slots: past one word
+@example(list(fekete(5)), 74)                  # 45-digit slots
+@example(list(fekete(101)), 60)                # 119-digit slots
+@example([1, -1] * 200, 6)                     # 14-digit slots
+@example([1, 0, -1] * 1400, 2)                 # a length past _CHUNK
+@example([0, 0, 0], 4)
+@example([0, 0, -1, 0], 5)                     # -x^2 at q >= 2
+@example([], 3)
+def test_power_square_sum_matches_oracle(coeffs, q):
+    expected = (sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
+                if coeffs else 0)
     assert norm_2q_exact(coeffs, q) == expected
     assert norm_2q_exact(tuple(coeffs), q) == expected
 
 
 def test_convolution_routes_agree():
-    # the integer route at slot widths from a few digits to about 30, and
-    # the q = 1 shortcut, agree with the big-integer oracle
+    # the q = 1 count and the packed power at q = 2 and 3 agree with the
+    # big-integer oracle on sign vectors from nearly all zeros to no zeros
     rng = random.Random(5)
-    for _ in range(10):
+    for density in (0.01, 0.1, 0.5, 0.9, 1.0):
         n = rng.randrange(1, 300)
-        bound = 10 ** rng.randrange(1, 8)
-        a = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+        a = [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
         for q in (1, 2, 3):
-            expected = sum(c * c for c in _kronecker_power_coefficients(a, q))
-            assert norm_2q_exact(a, q) == expected
+            expected = (sum(c * c for c in _kronecker_power_coefficients(a, q))
+                        if any(a) else 0)
+            assert norm_2q_exact(a, q) == expected, (density, q)
     assert norm_2q_exact([], 2) == 0
-    assert norm_2q_exact([3], 2) == 81
-
-
-def test_convolution_large_coefficients():
-    # 20-digit coefficients give slots of about 43 digits, near the bound
-    rng = random.Random(6)
-    a = [rng.randrange(-(10**20), 10**20) for _ in range(200)]
-    expected = sum(c * c for c in _kronecker_power_coefficients(a, 2))
-    assert norm_2q_exact(a, 2) == expected
+    assert norm_2q_exact([-1], 2) == 1
 
 
 def test_power_square_sum_beyond_capacity():
-    rng = random.Random(7)
-    big = [rng.randrange(-(10**2200), 10**2200) for _ in range(150)]
-    with pytest.raises(ValueError, match="coefficient bound"):
-        norm_2q_exact(big, 2)
     # f^128 of fekete(1877) packs into 240129 slots of 417 digits
     with pytest.raises(ValueError, match="capacity"):
         norm_2q_exact(fekete(1877), 128)
     assert norm_2q_exact([1] * (1 << 20), 1) == 1 << 20
-    assert power_layout(1 << 24, 1, 1 << 24, 1) == (0, 0)
+    assert power_layout(1 << 24, 1, 1 << 24) == (0, 0)
     # Galois at q = 2: 2^(k+1) - 3 slots of 7 digits at k = 20, 21 and 22, of 8 at 23
     for k in (20, 21, 22):
         n = (1 << k) - 1
-        assert power_layout(n, 2, n, 1) == ((1 << (k + 1)) - 3, 7), k
+        assert power_layout(n, 2, n) == ((1 << (k + 1)) - 3, 7), k
     with pytest.raises(ValueError, match="16777213 slots of 8 digits"):
-        power_layout((1 << 23) - 1, 2, (1 << 23) - 1, 1)
+        power_layout((1 << 23) - 1, 2, (1 << 23) - 1)
     assert norm_2q_exact([], 3) == 0
 
 
@@ -465,7 +443,7 @@ def test_budget_admits_every_power_the_length_and_slot_caps_admitted():
     assert (1 << 21) * 44 <= MAX_POWER_DIGITS
     # the largest such power among the CLI's inputs: 2096875 slots of 44
     # digits for `empirical --family fekete --q 9 --p 232987`
-    assert power_layout(232987, 9, 232986, 1) == (2096875, 44)
+    assert power_layout(232987, 9, 232986) == (2096875, 44)
 
 
 @pytest.mark.parametrize("p, q", [(5, 73), (5, 74), (101, 60)])
@@ -477,33 +455,35 @@ def test_wide_slots_match_oracle(p, q):
 
 
 def test_slot_rule_at_the_int_parse_limit():
-    # 2 * 2^14283 + 1 has 4300 digits, the most int() parses by default
-    assert norm_2q_exact((2,), 14283) == 4**14283
-    assert norm_2q_exact((-2,), 14283) == 4**14283
+    # 2 * 2^14283 + 1 has 4300 digits, the most int() parses by default, and
+    # 2 * 2^14284 + 1 has 4301
+    assert power_layout(2, 14284, 2) == (14285, 4300)
     with pytest.raises(ValueError, match="at most 4300 digits"):
-        power_layout(1, 14284, 2, 2)
+        power_layout(2, 14285, 2)
+    # the decoder parses a slot of 4300 digits
+    h = 5 * 10**4299
+    assert _centred_square_sum("1" + "9" * 4300, 4300, 1) == (10**4300 - 1 - h) ** 2
 
 
 LOWERED_LIMIT_NORMS = """
 import time
 from math import comb
 from littlewood.intconv import norm_2q_exact
-# 2 * 2 * 3^999 + 1 has 478 digits, within the limit of 640
-assert norm_2q_exact((2, 1), 1000) == sum(
-    (comb(1000, k) * 2 ** (1000 - k)) ** 2 for k in range(1001))
+# 2 * 2^999 + 1 has 302 digits, within the limit of 640
+assert norm_2q_exact((1, 1), 1000) == comb(2000, 1000)
 start = time.perf_counter()
 try:
-    norm_2q_exact((2, 1), 1500)
+    norm_2q_exact((1, -1), 2200)
 except ValueError as exc:
     print(time.perf_counter() - start, exc)
 """
 
 
 def test_slot_rule_follows_the_running_int_str_limit():
-    # 2 * 2 * 3^1499 + 1 has 716 digits: admitted under the default limit,
+    # 2 * 2^2199 + 1 has 663 digits: admitted under the default limit,
     # refused by the rule under a limit of 640, and by the default slot
     # limit when there is no limit
-    assert power_layout(2, 1500, 3, 2) == (1501, 716)
+    assert power_layout(2, 2200, 2) == (2201, 663)
     proc = subprocess.run(
         [sys.executable, "-X", "int_max_str_digits=640", "-c", LOWERED_LIMIT_NORMS],
         capture_output=True, text=True,
@@ -517,42 +497,47 @@ def test_slot_rule_follows_the_running_int_str_limit():
         # no limit, or one above the default, reads as the default of 4300
         for limit in (0, 10**5):
             sys.set_int_max_str_digits(limit)
-            assert power_layout(1, 14283, 2, 2) == (1, 4300)
+            assert power_layout(2, 14284, 2) == (14285, 4300)
             with pytest.raises(ValueError, match="at most 4300 digits"):
-                power_layout(1, 14284, 2, 2)
+                power_layout(2, 14285, 2)
     finally:
         sys.set_int_max_str_digits(old)
 
 
 def test_raised_limit_keeps_slots_within_the_stated_cost():
-    # each power is inside the digit budget, with 4999, 1999 and 999 slots of
-    # 19984, 49984 and 99984 digits, which int() and str() parse and print in
-    # quadratic time: a raised limit that admitted them took 38-127 s each
+    # each power is inside the digit budget, with 14501, 16001 and 18001
+    # slots of 4365, 4817 and 5419 digits, which int() and str() parse and
+    # print in quadratic time; a raised limit does not admit them
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(10**5)
-        for c, n in ((10**9990, 2500), (10**24990, 1000), (10**49990, 500)):
-            a = [c] * n
+        for a, q, w in (((1, 1), 14500, 4365), ((1, -1), 16000, 4817), ((-1, 1), 18000, 5419)):
+            assert len(str(2 * 2 ** (q - 1) + 1)) == w
+            assert (q + 1) * w <= MAX_POWER_DIGITS
             start = time.perf_counter()
             with pytest.raises(ValueError, match="twice it plus one must have at most 4300 digits"):
-                norm_2q_exact(a, 2)
-            assert time.perf_counter() - start < 0.05, n
+                norm_2q_exact(a, q)
+            assert time.perf_counter() - start < 0.05, q
     finally:
         sys.set_int_max_str_digits(old)
 
 
 def test_coefficient_refusal_states_sizes_not_values():
-    # q, sum |a| or max |a| has more digits than the limit, so a message
-    # that printed them would raise the int/str conversion error instead
+    # q, or n and the number of nonzero coefficients, has more digits than
+    # the limit, so a message that printed them would raise the int/str
+    # conversion error instead
     old = sys.get_int_max_str_digits()
     try:
-        for call, limit in ((lambda: norm_2q_exact((3, 3), 10**5000), 4300),
-                            (lambda: norm_2q_exact([10**5000, 1], 2), 4300),
-                            (lambda: power_layout(3, 2, 3 * 10**700, 10**700), 640)):
+        for call, limit in ((lambda: norm_2q_exact((1, 1), 10**5000), 4300),
+                            (lambda: power_layout(3 * 10**700, 2, 3 * 10**700), 640)):
             sys.set_int_max_str_digits(limit)
             with pytest.raises(ValueError, match="coefficient bound: twice it plus one must "
                                                  f"have at most {limit} digits"):
                 call()
+        # a coefficient beyond the limit is refused without printing it
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match="coefficients are 0, 1 and -1$"):
+            norm_2q_exact([10**5000, 1], 2)
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -569,17 +554,20 @@ def test_fekete_builders_refuse_beyond_max_prime():
 
 
 def test_admission_refuses_in_bounded_time():
-    # the coefficient bound is decided before its power is built, and q < 1
-    # is refused before any arithmetic with q
+    # the coefficient bound is decided before its power is built, and a q
+    # that is not an integer >= 1 before any arithmetic with q
     cases = [
-        (lambda: norm_2q_exact((3,), 10**7), "coefficient bound"),
-        (lambda: norm_2q_exact((3,), 10**9), "coefficient bound"),
-        (lambda: norm_2q_exact((2, 1), (1 << 21) - 1), "coefficient bound"),
+        (lambda: norm_2q_exact((1, 1), 10**7), "coefficient bound"),
+        (lambda: norm_2q_exact((1, -1), 10**9), "coefficient bound"),
+        (lambda: norm_2q_exact((1, 0, 1), (1 << 21) - 1), "coefficient bound"),
         (lambda: convergence_table("galois", 2, [23]), "capacity"),
-        (lambda: norm_2q_exact((1, 1), -1), "q must be >= 1"),
-        (lambda: norm_2q_exact((1, 1), 0), "q must be >= 1"),
-        (lambda: norm_2q_exact((), 0), "q must be >= 1"),
-        (lambda: norm_2q_exact((1,), 0), "q must be >= 1"),
+        (lambda: norm_2q_exact((1, 1), -1), "q must be an integer >= 1"),
+        (lambda: norm_2q_exact((1, 1), 0), "q must be an integer >= 1"),
+        (lambda: norm_2q_exact((), 0), "q must be an integer >= 1"),
+        (lambda: norm_2q_exact((1,), 0), "q must be an integer >= 1"),
+        (lambda: norm_2q_exact(fekete(5), 2.0), "q must be an integer >= 1"),
+        (lambda: norm_2q_exact(fekete(5), Fraction(2)), "q must be an integer >= 1"),
+        (lambda: power_layout(5, 2.0, 4), "q must be an integer >= 1"),
     ]
     for call, reason in cases:
         start = time.perf_counter()
@@ -588,13 +576,13 @@ def test_admission_refuses_in_bounded_time():
         assert time.perf_counter() - start < 0.05, reason
     start = time.perf_counter()
     with pytest.raises(ValueError, match="coefficient bound"):
-        power_layout(2, (1 << 21) - 1, 6, 3)
+        power_layout(2, (1 << 21) - 1, 2)
     assert time.perf_counter() - start < 0.05
     # a unit vector, +-x^k, is admitted at any q, even one too long to print
     assert norm_2q_exact((-1,), 10**9 + 1) == 1
     start = time.perf_counter()
     assert norm_2q_exact((0, -1, 0), 10**5000) == 1
-    assert power_layout(3, 10**5000, 1, 1) == (0, 0)
+    assert power_layout(3, 10**5000, 1) == (0, 0)
     assert time.perf_counter() - start < 0.05
 
 
@@ -610,12 +598,8 @@ def test_builders_return_tuples_of_their_signs():
 
 
 def _as_routes(coeffs):
-    """The same vector as a tuple, a list, a generator and, when each value
-    fits a signed byte, a "b" memoryview."""
-    routes = [tuple(coeffs), list(coeffs), (c for c in coeffs)]
-    if all(-128 <= c < 128 for c in coeffs):
-        routes.append(memoryview(array("b", coeffs)))
-    return routes
+    """The same vector as a tuple, a list, a generator and a "b" memoryview."""
+    return [tuple(coeffs), list(coeffs), (c for c in coeffs), memoryview(array("b", coeffs))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -624,32 +608,35 @@ def _as_routes(coeffs):
 @example([0, 0, 0], 3)
 @example([-1], 4)
 def test_power_square_sum_same_on_every_input_type(coeffs, q):
-    assert _signs(coeffs) is not None
+    assert len(_signs(coeffs)) == len(coeffs)
     expected = (sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
                 if coeffs else 0)
     for a in _as_routes(coeffs):
         assert norm_2q_exact(a, q) == expected, type(a)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=200),
-       st.sampled_from((2, -3, 127, 128, -129, 10**30, 10**1500)),
-       st.integers(0, 199), st.integers(1, 4))
-def test_power_square_sum_integer_route(units, odd, where, q):
-    coeffs = list(units)
-    coeffs.insert(where % (len(coeffs) + 1), odd)
-    routes = _as_routes(coeffs)
-    assert all(_signs(a) is None for a in routes if not hasattr(a, "__next__"))
-    abs_sum = sum(map(abs, coeffs))
-    try:
-        power_layout(len(coeffs), q, abs_sum, abs(odd))
-    except ValueError:
-        with pytest.raises(ValueError, match="coefficient bound"):
-            norm_2q_exact(coeffs, q)
-        return
-    expected = sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
-    for a in routes:
-        assert norm_2q_exact(a, q) == expected, type(a)
+def test_power_square_sum_integer_route(monkeypatch):
+    # a vector with any coefficient other than 0, 1 and -1 takes no route: it
+    # is refused up front, as a list, a tuple or a generator, before the
+    # engine builds any Decimal
+    from littlewood import intconv
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused vector reached the packed power")
+
+    monkeypatch.setattr(intconv, "Decimal", never)
+    units = [1, 0, -1] * 1000
+    for odd in (2, -2, 127, 128, -129, 10**20, 1.5, "1", None):
+        coeffs = units[:1234] + [odd] + units[1234:]
+        for q in (1, 2):
+            for a in (coeffs, tuple(coeffs), (c for c in coeffs)):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match="coefficients are 0, 1 and -1$"):
+                    norm_2q_exact(a, q)
+                assert time.perf_counter() - start < 0.05, (odd, type(a))
+    for other in (5, "101", memoryview(array("h", [2, 0, 1]))):
+        with pytest.raises(ValueError, match="coefficients are 0, 1 and -1$"):
+            norm_2q_exact(other, 2)
 
 
 @pytest.mark.parametrize("w", [1, 6, 19, 44, 45, 400])
@@ -694,7 +681,7 @@ def test_norm_memory_per_digit():
     # at q = 2 the peak is the power, libmpdec's digit buffer and the str
     # made from it: about 2.5 bytes per packed digit
     signs = _galois_signs(16)
-    slots, w = power_layout(len(signs), 2, len(signs), 1)
+    slots, w = power_layout(len(signs), 2, len(signs))
     peak = _traced_peak(lambda: norm_2q_exact(signs, 2))
     assert peak <= 2.75 * slots * w, peak / (slots * w)
 
