@@ -15,8 +15,8 @@ nodes of an interval and their 2q-th divided difference must vanish, and
 mirroring by the substitution R -> 1/2 - R, under which phi_q is invariant;
 its minimum is certified on [0, 1/4] with enclosures from Descartes root
 isolation.  The direct partition-profile sums `fekete_limit_direct` and
-`galois_limit_direct` are cross-checks.  T(k), C(k) and the primes of
-`_block_scale` come from `special_numbers`.
+`galois_limit_direct` are cross-checks.  T(k), C(k) with their binomials,
+the Eulerian rows and the primes of `_block_scale` come from `special_numbers`.
 
 Each public function raises ValueError before any work for input outside its
 rule (`_check_order` for FAMILIES and MAX_Q, `check_shift`, PHI_PIECES_QMAX);
@@ -35,8 +35,9 @@ from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from littlewood import _digit_limit
-from littlewood.special_numbers import (_eulerian_polynomials, _prime_factors, carlitz_numbers,
-                                        eulerian_polynomial, tangent_numbers)
+from littlewood.special_numbers import (_carlitz_binomial, _prime_factors, _spline_rows,
+                                        _tangent_binomial, carlitz_numbers, eulerian_polynomial,
+                                        tangent_numbers)
 
 if TYPE_CHECKING:
     from littlewood.piecewise import PiecewisePoly
@@ -103,7 +104,7 @@ def _alphas(k: int) -> list[list[int]]:
         while len(v) < k:
             v.append(v[1] * v[-1] - v[-2])
     alphas: list[list[int]] = [[] for _ in lucas]
-    for j, A in zip(range(1, k + 1), _eulerian_polynomials()):
+    for j, A in zip(range(1, k + 1), _spline_rows((0,), 1)):
         e = A[j:]
         for v, a in zip(lucas, alphas):
             a.append(sum(map(mul, e, v)) - e[0])
@@ -114,14 +115,14 @@ def _node_table(family: str, k: int) -> list[list[int]]:
     """pi_0(y_i), ..., pi_k(y_i) at each node y_i, i = 0..k-1, in one pass of
     the scalar recurrence pi_n(y) = sum_j s_(n,j) alpha_j(y) pi_(n-j)(y), each
     order's weights s_(n,j) computed once for all nodes."""
-    numbers = tangent_numbers(k) if family == "fekete" else carlitz_numbers(k)
+    numbers, b = ((tangent_numbers(k), _tangent_binomial) if family == "fekete"
+                  else (carlitz_numbers(k), _carlitz_binomial))
     alphas = _alphas(k)
     table = [[1] for _ in alphas]
     for n in range(1, k + 1):
         # s_(n,j), j = 1..n: the weight of alpha_j pi_(n-j) in pi_n (`_recursion_y`)
-        weights = [comb(2 * n - 1, 2 * j - 1) * max(2 * (n - j), 1) * t * (
-            comb(2 * n - 1, 2 * j - 1) if family == "fekete" else comb(n, j) * comb(n - 1, j - 1)
-        ) for j, t in enumerate(numbers[:n], 1)]
+        weights = [comb(2 * n - 1, 2 * j - 1) * max(2 * (n - j), 1) * b(n, j) * t
+                   for j, t in enumerate(numbers[:n], 1)]
         for a, vals in zip(alphas, table):
             vals.append(sum(map(mul, weights, map(mul, a, reversed(vals)))))
     return table
@@ -169,7 +170,7 @@ def _check_order(family: str, name: str, n: int) -> None:
     # the rule of the recursion and its tables: family in FAMILIES, 1 <= n <= MAX_Q
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not 1 <= n <= MAX_Q:
+    if not isinstance(n, int) or not 1 <= n <= MAX_Q:
         raise ValueError(f"{name} {n} out of range 1..{MAX_Q}")
 
 
@@ -278,7 +279,7 @@ def check_shift(q: int, R) -> None:
     slowest admitted input, q = 16 at the largest d (128 digits), took
     6.8-9.6 s and 18-22 MB (2-vCPU x86-64, Python 3.11.7).
     """
-    if not 1 <= q <= SHIFTED_QMAX:
+    if not isinstance(q, int) or not 1 <= q <= SHIFTED_QMAX:
         raise ValueError(f"shifted limits support 1 <= q <= {SHIFTED_QMAX}")
     limit = _digit_limit()
     d = (Fraction(R) % HALF).denominator
@@ -319,9 +320,8 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
     N c^N d^(2N) T(N) / ((2N-1)! (2N-P)! P!) * sum_a E(2N-1, 2RD + a - 1) x^(a+N)
     at R = numerators[s]/d, with D = N - P.  Write 2RD = f + t/d with
     0 <= t < d.  The scaled values W_n[m] = d^n E(n, t/d + m - 1), m = 0..n,
-    follow the integer recurrence W_0 = [1],
-    W_n[m] = (t + m d) W_{n-1}[m] + ((n+1-m) d - t) W_{n-1}[m-1], and the
-    value at a sits at m = f + a.  Only W_n[0] can vanish, when t = 0, so the
+    come from the recurrence of `_spline_rows`, run for all nodes at once, and
+    the value at a sits at m = f + a.  Only W_n[0] can vanish, when t = 0, so the
     nodes share e and len(coeffs) if they share f and whether t = 0 for every
     D; otherwise they straddle a breakpoint and ValueError is raised.
     """
@@ -335,15 +335,9 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
         f = fs[0]
         if fs.count(f) < K or 0 < ts.count(0) < K:
             raise ValueError("the nodes straddle a breakpoint")
-        # row[m K + s] = W_n[m] at node s, and ramp[m K + s] = t + m d there
-        ramp = [t + m * d for m in range(2 * q) for t in ts]
-        row, pad = [1] * K, [0] * K
-        for n in range(1, 2 * q):
-            nd = (n + 1) * d
-            row = [a * w + (nd - a) * v for a, w, v in zip(ramp, row + pad, pad + row)]
-            N, odd = divmod(n + 1, 2)
+        for N, row in zip(range(1, q + 1), _spline_rows(ts, d)):
             P = N - D
-            if odd or abs(D) > N or not 0 <= P <= q or 2 * N - P > q:
+            if abs(D) > N or not 0 <= P <= q or 2 * N - P > q:
                 continue
             scale = N * d * tangents[N - 1] * (
                 c**N // (factorial(2 * N - 1) * factorial(2 * N - P) * factorial(P))
@@ -453,7 +447,7 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     from littlewood.piecewise import PiecewisePoly
     from littlewood.ratpoly import poly_shift
 
-    if not 1 <= q <= PHI_PIECES_QMAX:
+    if not isinstance(q, int) or not 1 <= q <= PHI_PIECES_QMAX:
         raise ValueError(f"symbolic construction supports 1 <= q <= {PHI_PIECES_QMAX}")
     breaks = sorted({Fraction(0), HALF / 2, HALF} | {
         Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
@@ -490,7 +484,7 @@ def phi_min(q: int, eps) -> PhiMinResult:
     """
     from littlewood.piecewise import pw_minimize
 
-    if not 2 <= q <= PHI_PIECES_QMAX:
+    if not isinstance(q, int) or not 2 <= q <= PHI_PIECES_QMAX:
         raise ValueError(
             f"phi_min supports 2 <= q <= {PHI_PIECES_QMAX} (order 1 is constant)"
         )

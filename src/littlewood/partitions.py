@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 MAX_ENUMERATION = 13
 
@@ -79,6 +79,19 @@ def _exact_quotient(num: int, den: int) -> int:
     return num // den
 
 
+def _size_profiles(q: int, multiple: int):
+    # sizes multiple * N_i, sum N_i = q, counted among partitions of a (multiple q)-set
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    profiles = []
+    for parts in _integer_partitions(q):
+        sizes = tuple(sorted(multiple * p for p in parts))
+        den = prod(map(factorial, sizes + tuple(Counter(sizes).values())))
+        profiles.append(SizeProfile(sizes, _exact_quotient(factorial(multiple * q), den)))
+    profiles.sort(key=lambda p: p.sizes)
+    yield from profiles
+
+
 def even_size_profiles(q: int):
     """Size multisets {2N_1, ..., 2N_l} of even partitions of a 2q-set.
 
@@ -86,19 +99,7 @@ def even_size_profiles(q: int):
     number of set partitions realizing the multiset.  Profiles stream in
     lexicographic order of their ascending-sorted entries.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    profiles = []
-    for parts in _integer_partitions(q):
-        sizes = tuple(sorted(2 * p for p in parts))
-        den = 1
-        for s in sizes:
-            den *= factorial(s)
-        for mult in Counter(sizes).values():
-            den *= factorial(mult)
-        profiles.append(SizeProfile(sizes, _exact_quotient(factorial(2 * q), den)))
-    profiles.sort(key=lambda p: p.sizes)
-    yield from profiles
+    yield from _size_profiles(q, 2)
 
 
 def galois_size_profiles(q: int):
@@ -107,19 +108,7 @@ def galois_size_profiles(q: int):
     count = q! / (prod N_i! * prod mult_s!); the multinomial factor the limit
     evaluation applies per partition is *not* folded in here.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    profiles = []
-    for parts in _integer_partitions(q):
-        sizes = tuple(sorted(parts))
-        den = 1
-        for s in sizes:
-            den *= factorial(s)
-        for mult in Counter(sizes).values():
-            den *= factorial(mult)
-        profiles.append(SizeProfile(sizes, _exact_quotient(factorial(q), den)))
-    profiles.sort(key=lambda p: p.sizes)
-    yield from profiles
+    yield from _size_profiles(q, 1)
 
 
 def even_block_profiles(q: int):

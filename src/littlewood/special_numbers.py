@@ -1,12 +1,12 @@
 """Exact special numbers and counting primitives.
 
-Signed tangent numbers T(k) and Carlitz numbers C(k), defined only here;
-Eulerian numbers at rational arguments and Eulerian polynomials;
-restricted-composition counts; and `_prime_factors`, the one trial division
-in the package.  All are exact (`int` or `fractions.Fraction`) and pure; only
-the test oracle `eulerian_general` keeps a memo.  Eulerian polynomials come
-from the integer recurrence E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1);
-the alternating binomial sum serves rational arguments only.
+Signed tangent numbers T(k) and Carlitz numbers C(k), defined only here, by
+one recurrence with a binomial per family; Eulerian numbers at rational
+arguments and Eulerian polynomials; restricted-composition counts; and
+`_prime_factors`, the one trial division in the package.  All are exact and
+pure; only the test oracle `eulerian_general` keeps a memo.  The Eulerian
+polynomials and the shifted evaluator's scaled Eulerian values come from one
+integer recurrence, `_spline_rows`; the alternating binomial sum is its oracle.
 """
 from __future__ import annotations
 
@@ -23,6 +23,24 @@ def _binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _tangent_binomial(k: int, j: int) -> int:
+    return math.comb(2 * k - 1, 2 * j - 1)
+
+
+def _carlitz_binomial(k: int, j: int) -> int:
+    return math.comb(k, j) * math.comb(k - 1, j - 1)
+
+
+def _binomial_recurrence(kmax: int, b) -> tuple[int, ...]:
+    """x(1..kmax) by x(k) = 1 - sum_{j<k} b(k, j) x(j), the rule of T(k) and C(k)."""
+    if not isinstance(kmax, int) or kmax < 1:
+        raise ValueError("kmax must be an integer >= 1")
+    xs: list[int] = []
+    for k in range(1, kmax + 1):
+        xs.append(1 - sum(b(k, j) * x for j, x in enumerate(xs, 1)))
+    return tuple(xs)
+
+
 def tangent_numbers(kmax: int) -> tuple[int, ...]:
     """Signed tangent numbers T(1..kmax), by T(k) = 1 - sum_{j<k} C(2k-1, 2j-1) T(j).
 
@@ -33,12 +51,7 @@ def tangent_numbers(kmax: int) -> tuple[int, ...]:
     >>> tangent_numbers(4)
     (1, -2, 16, -272)
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    ts: list[int] = []
-    for k in range(1, kmax + 1):
-        ts.append(1 - sum(math.comb(2 * k - 1, 2 * j - 1) * t for j, t in enumerate(ts, 1)))
-    return tuple(ts)
+    return _binomial_recurrence(kmax, _tangent_binomial)
 
 
 def carlitz_numbers(kmax: int) -> tuple[int, ...]:
@@ -51,13 +64,7 @@ def carlitz_numbers(kmax: int) -> tuple[int, ...]:
     >>> carlitz_numbers(4)
     (1, -1, 4, -33)
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    cs: list[int] = []
-    for k in range(1, kmax + 1):
-        cs.append(1 - sum(math.comb(k, j) * math.comb(k - 1, j - 1) * c
-                          for j, c in enumerate(cs, 1)))
-    return tuple(cs)
+    return _binomial_recurrence(kmax, _carlitz_binomial)
 
 
 @lru_cache(maxsize=None)
@@ -90,31 +97,40 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     return _eulerian_general(n, Fraction(x))
 
 
-def _eulerian_polynomials():
-    """Yield A_1, A_2, ..., each built from the one before and then dropped."""
-    row = (1,)  # E(2N-1, m) for m = 0..2N-2
-    for k in count(1):
-        yield (0,) + row
-        for n in (2 * k, 2 * k + 1):
-            # E(n, m) = (m+1) E(n-1, m) + (n-m) E(n-1, m-1), zero outside 0..n-2
-            prev = (0,) + row + (0,)
-            row = tuple((m + 1) * prev[m + 1] + (n - m) * prev[m] for m in range(n))
+def _spline_rows(ts, d: int):
+    """Yield W_1, W_3, W_5, ...: W_n[m K + s] = d^n E(n, ts[s]/d + m - 1), m = 0..n,
+    for the K = len(ts) offsets 0 <= t < d, by the integer recurrence W_0 = [1] K,
+    W_n[m] = (t + m d) W_(n-1)[m] + ((n+1-m) d - t) W_(n-1)[m-1], keeping only
+    the row being extended.  At ts = (0,), d = 1, W_n[m] = E(n, m-1).
+
+    >>> rows = _spline_rows((0,), 1)
+    >>> next(rows), next(rows)
+    ([0, 1], [0, 1, 4, 1])
+    >>> next(_spline_rows((1, 2), 3))  # 3 E(1, x) at x = -2/3, -1/3, 1/3, 2/3
+    [1, 2, 2, 1]
+    """
+    row, pad, ramp = [1] * len(ts), [0] * len(ts), list(ts)
+    for n in count(1):
+        ramp += [t + n * d for t in ts]
+        nd = (n + 1) * d
+        row = [a * w + (nd - a) * v for a, w, v in zip(ramp, row + pad, pad + row)]
+        if n % 2:
+            yield row
 
 
 def eulerian_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients (constant term first) of A_N(x) = sum_a E(2N-1, a-1) x^a.
 
     A_N has degree 2N-1, zero constant term, and nonnegative integer
-    coefficients given by row 2N-1 of the Eulerian-number triangle.  The
-    rows come from the integer recurrence, two steps from each A_N to the
-    next, and only the row being extended is kept.
+    coefficients given by row 2N-1 of the Eulerian-number triangle, the row
+    W_(2N-1) of `_spline_rows` at ts = (0,), d = 1.
 
     >>> eulerian_polynomial(2)
     (0, 1, 4, 1)
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return next(islice(_eulerian_polynomials(), N - 1, None))
+    return tuple(next(islice(_spline_rows((0,), 1), N - 1, None)))
 
 
 def composition_count(N: int, n: int, m: int) -> int:

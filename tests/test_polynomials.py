@@ -335,17 +335,6 @@ def test_norm_quadrature_agreement():
     assert abs(quad - exact) / exact < 1e-8
 
 
-def test_norm_quadrature_random_littlewood():
-    rng = random.Random(33)
-    for _ in range(20):
-        degree = rng.randrange(1, 512)
-        coeffs = [rng.choice((-1, 1)) for _ in range(degree + 1)]
-        q = rng.randrange(1, 5)
-        exact = norm_2q_exact(coeffs, q)
-        quad = norm_2q_quadrature(coeffs, q)
-        assert abs(quad - exact) / exact < 1e-9
-
-
 def test_l2_shift_invariant_l4_not():
     p = 11
     l2 = {norm_2q_exact(shifted_fekete(p, r), 1) for r in range(p)}
@@ -390,22 +379,28 @@ def _kronecker_power_coefficients(a, q):
     return [int.from_bytes(raw[i : i + m], "little") - half for i in range(0, len(raw), m)]
 
 
+def _as_routes(coeffs):
+    """The same vector as a tuple, a list, a generator and a "b" memoryview."""
+    return [tuple(coeffs), list(coeffs), (c for c in coeffs), memoryview(array("b", coeffs))]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from((-1, 0, 1)), max_size=400), st.integers(1, 6))
 @example(list(fekete(5)), 32)                  # 19-digit slots: one libmpdec word
 @example(list(fekete(5)), 33)                  # 20-digit slots: past one word
 @example(list(fekete(5)), 74)                  # 45-digit slots
-@example(list(fekete(101)), 60)                # 119-digit slots
 @example([1, -1] * 200, 6)                     # 14-digit slots
 @example([1, 0, -1] * 1400, 2)                 # a length past _CHUNK
 @example([0, 0, 0], 4)
 @example([0, 0, -1, 0], 5)                     # -x^2 at q >= 2
+@example([-1], 4)
 @example([], 3)
 def test_power_square_sum_matches_oracle(coeffs, q):
+    assert len(_signs(coeffs)) == len(coeffs)
     expected = (sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
                 if coeffs else 0)
-    assert norm_2q_exact(coeffs, q) == expected
-    assert norm_2q_exact(tuple(coeffs), q) == expected
+    for a in _as_routes(coeffs):
+        assert norm_2q_exact(a, q) == expected, type(a)
 
 
 def test_convolution_routes_agree():
@@ -595,24 +590,6 @@ def test_builders_return_tuples_of_their_signs():
         assert type(public) is tuple
         assert signs.format == "b"
         assert public == tuple(signs)
-
-
-def _as_routes(coeffs):
-    """The same vector as a tuple, a list, a generator and a "b" memoryview."""
-    return [tuple(coeffs), list(coeffs), (c for c in coeffs), memoryview(array("b", coeffs))]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from((-1, 0, 1)), max_size=300), st.integers(1, 4))
-@example([], 2)
-@example([0, 0, 0], 3)
-@example([-1], 4)
-def test_power_square_sum_same_on_every_input_type(coeffs, q):
-    assert len(_signs(coeffs)) == len(coeffs)
-    expected = (sum(c * c for c in _kronecker_power_coefficients(coeffs, q))
-                if coeffs else 0)
-    for a in _as_routes(coeffs):
-        assert norm_2q_exact(a, q) == expected, type(a)
 
 
 def test_power_square_sum_integer_route(monkeypatch):
