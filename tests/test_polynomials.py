@@ -592,6 +592,23 @@ def test_builders_return_tuples_of_their_signs():
         assert public == tuple(signs)
 
 
+def test_power_square_sum_same_on_every_input_type():
+    # the "b" memoryviews that the random vectors of the oracle test never
+    # are: a builder's cast bytearray, a read-only view of bytes and a strided
+    # slice; and an "h" view, packed like any other iterable
+    for public in (fekete(101), galois(7, 5)):
+        wide = array("b", bytes(2 * len(public)))
+        wide[::2] = array("b", public)
+        views = (_fekete_signs(101) if len(public) == 101 else _galois_signs(7, 5),
+                 memoryview(array("b", public).tobytes()).cast("b"),
+                 memoryview(wide)[::2],
+                 memoryview(array("h", public)))
+        for q in (1, 2, 5):
+            expected = sum(c * c for c in _kronecker_power_coefficients(public, q))
+            for a in views:
+                assert norm_2q_exact(a, q) == expected, (len(public), q, a.format, a.strides)
+
+
 def test_power_square_sum_integer_route(monkeypatch):
     # a vector with any coefficient other than 0, 1 and -1 takes no route: it
     # is refused up front, as a list, a tuple or a generator, before the
