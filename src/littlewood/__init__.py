@@ -54,3 +54,10 @@ def _digit_limit() -> int:
     int/str limit (`sys.get_int_max_str_digits()`), or CPython's default of 4300
     when that is 0 (off) or above 4300, past which int() and str() are quadratic."""
     return min(sys.get_int_max_str_digits() or sys.maxsize, sys.int_info.default_max_str_digits)
+
+
+def _check_int(name: str, n, lo: int, hi: int | None = None) -> None:
+    """Raise ValueError unless n is an int with lo <= n (<= hi): the one integer rule,
+    with the one message "{name} {n!r} out of range {lo}..{hi}" ("{lo}.." if no hi)."""
+    if not isinstance(n, int) or n < lo or hi is not None and n > hi:
+        raise ValueError(f"{name} {n!r} out of range {lo}..{'' if hi is None else hi}")

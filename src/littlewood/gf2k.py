@@ -11,11 +11,12 @@ power sum of the roots of c, and s_j is the XOR of Tr(theta^(i+j)) over the
 bits i of beta.  The rest are filled 2^t at a time by shifting and XORing
 one big integer holding the bits so far.  `_check_exponent` is the one rule
 for k, 2 <= k <= MAX_K, which `polynomials.check_convergence` calls too;
-`_galois_signs` checks it and then beta, 0 < beta < 2^k (the character is
-nontrivial exactly for a nonzero field element), before it builds the field.
+`_galois_signs` checks it and beta, 1 <= beta < 2^k (the nontrivial characters),
+both by `littlewood._check_int`, before it builds the field.
 """
 from __future__ import annotations
 
+from littlewood import _check_int
 from littlewood.special_numbers import _prime_factors
 
 # Largest field exponent k of GF(2^k).
@@ -48,9 +49,8 @@ def _gf2_powmod(a: int, e: int, poly: int, k: int) -> int:
 
 
 def _check_exponent(k: int) -> None:
-    """Raise ValueError unless 2 <= k <= MAX_K: the one rule for field exponents."""
-    if not 2 <= k <= MAX_K:
-        raise ValueError(f"field exponent k = {k} is not in 2 <= k <= {MAX_K}")
+    """Raise ValueError unless k is an int in 2..MAX_K: the one rule for field exponents."""
+    _check_int("k", k, 2, MAX_K)
 
 
 def primitive_polynomial(k: int) -> int:
@@ -83,10 +83,9 @@ def galois(k: int, beta: int = 1) -> tuple[int, ...]:
 
 def _galois_signs(k: int, beta: int = 1) -> memoryview:
     """The coefficients of `galois(k, beta)` as signed bytes; ValueError
-    unless 2 <= k <= MAX_K and 0 < beta < 2^k, before any allocation."""
+    unless 2 <= k <= MAX_K and 1 <= beta < 2^k, before any allocation."""
     _check_exponent(k)
-    if not 0 < beta < 1 << k:
-        raise ValueError(f"beta = {beta} is not a nonzero element of GF(2^{k})")
+    _check_int("beta", beta, 1, (1 << k) - 1)
     poly = primitive_polynomial(k)
     n = (1 << k) - 1
     # byte i of the trace bits holds s_(8i+b) at bit b, so the bytes expand

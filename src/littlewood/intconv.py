@@ -28,9 +28,9 @@ of w digits, and slots * w may be at most MAX_POWER_DIGITS, at 0.07-0.26 us
 and, above the process's size before the call, 2.5-2.9 bytes of peak RSS per
 digit at q = 2 and 2.7-3.2 at q >= 3 (2-vCPU x86-64, Python 3.11.7; at the
 budget the worst took 25.5 s and 311 MB).  int() parses each slot, so w may be
-at most L (`littlewood._digit_limit`).  These, a q that is not an integer
->= 1, and q >= 2 without the C `decimal` module (its pure-Python fallback is
-quadratic) raise ValueError before any big number is built.
+at most L (`littlewood._digit_limit`).  These, a q that `littlewood._check_int`
+refuses (not an int >= 1), and q >= 2 without the C `decimal` module (its
+pure-Python fallback is quadratic) raise ValueError before any big number is built.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from decimal import (
 )
 from operator import mul
 
-from littlewood import _digit_limit
+from littlewood import _check_int, _digit_limit
 
 try:
     import _decimal  # noqa: F401  (the C implementation behind `decimal`)
@@ -70,8 +70,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 def power_layout(n: int, q: int, nonzeros: int) -> tuple[int, int]:
     """(slots, w <= L) of f^q packed at 10^w, or (0, 0) if q = 1 or f is 0 or +-x^k, for
     f of length n with `nonzeros` coefficients +-1 and the others 0, or ValueError."""
-    if not isinstance(q, int) or q < 1:
-        raise ValueError("q must be an integer >= 1")
+    _check_int("q", q, 1)
     if q < 2 or nonzeros < 2:
         return 0, 0
     if not C_DECIMAL:

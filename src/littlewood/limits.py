@@ -19,8 +19,8 @@ isolation.  The direct partition-profile sums `fekete_limit_direct` and
 the Eulerian rows and the primes of `_block_scale` come from `special_numbers`.
 
 Each public function raises ValueError before any work for input outside its
-rule (`_check_order` for FAMILIES and MAX_Q, `check_shift`, PHI_PIECES_QMAX);
-the command line prints that message as its error record.
+rule (`_check_order`, `check_shift`, the *_QMAX bounds; each order by
+`littlewood._check_int`); the command line prints that message as its error record.
 
 The piecewise, rational-polynomial, partition-profile and root modules are
 imported by the functions that use them, so the recursions and
@@ -34,7 +34,7 @@ from math import ceil, comb, factorial, floor, lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from littlewood import _digit_limit
+from littlewood import _check_int, _digit_limit
 from littlewood.special_numbers import (_carlitz_binomial, _prime_factors, _spline_rows,
                                         _tangent_binomial, carlitz_numbers, eulerian_polynomial,
                                         tangent_numbers)
@@ -56,6 +56,8 @@ MAX_Q = 128
 
 # Largest order of `check_shift`, the admission rule of `shifted_fekete_limit`.
 SHIFTED_QMAX = 16
+
+DIRECT_QMAX = 10  # largest order of the direct sums, the recursion's oracles
 
 # Largest order of the symbolic phi constructions, `phi_piecewise` and
 # `phi_min`, and of the `phi --pieces` and `phi --min` commands.
@@ -170,8 +172,7 @@ def _check_order(family: str, name: str, n: int) -> None:
     # the rule of the recursion and its tables: family in FAMILIES, 1 <= n <= MAX_Q
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not isinstance(n, int) or not 1 <= n <= MAX_Q:
-        raise ValueError(f"{name} {n} out of range 1..{MAX_Q}")
+    _check_int(name, n, 1, MAX_Q)
 
 
 def _limit(pi: tuple[int, ...]) -> Fraction:
@@ -233,8 +234,7 @@ def fekete_limit_direct(q: int) -> Fraction:
     from littlewood.partitions import even_size_profiles
     from littlewood.ratpoly import poly_mul
 
-    if not 1 <= q <= 10:
-        raise ValueError("direct evaluation supports 1 <= q <= 10")
+    _check_int("q", q, 1, DIRECT_QMAX)
     tangents = tangent_numbers(q)
     total = Fraction(0)
     for prof in even_size_profiles(q):
@@ -254,8 +254,7 @@ def galois_limit_direct(q: int) -> Fraction:
     from littlewood.partitions import galois_size_profiles
     from littlewood.ratpoly import poly_mul
 
-    if not 1 <= q <= 10:
-        raise ValueError("direct evaluation supports 1 <= q <= 10")
+    _check_int("q", q, 1, DIRECT_QMAX)
     carlitzs = carlitz_numbers(q)
     total = Fraction(0)
     for prof in galois_size_profiles(q):
@@ -279,8 +278,7 @@ def check_shift(q: int, R) -> None:
     slowest admitted input, q = 16 at the largest d (128 digits), took
     6.8-9.6 s and 18-22 MB (2-vCPU x86-64, Python 3.11.7).
     """
-    if not isinstance(q, int) or not 1 <= q <= SHIFTED_QMAX:
-        raise ValueError(f"shifted limits support 1 <= q <= {SHIFTED_QMAX}")
+    _check_int("q", q, 1, SHIFTED_QMAX)
     limit = _digit_limit()
     d = (Fraction(R) % HALF).denominator
     # bit lengths alone refuse d^(2q) >= 2^(4 limit) > 10^limit before it is built
@@ -447,8 +445,7 @@ def phi_piecewise(q: int) -> PiecewisePoly:
     from littlewood.piecewise import PiecewisePoly
     from littlewood.ratpoly import poly_shift
 
-    if not isinstance(q, int) or not 1 <= q <= PHI_PIECES_QMAX:
-        raise ValueError(f"symbolic construction supports 1 <= q <= {PHI_PIECES_QMAX}")
+    _check_int("q", q, 1, PHI_PIECES_QMAX)
     breaks = sorted({Fraction(0), HALF / 2, HALF} | {
         Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
     })
@@ -484,15 +481,13 @@ def phi_min(q: int, eps) -> PhiMinResult:
     """
     from littlewood.piecewise import pw_minimize
 
-    if not isinstance(q, int) or not 2 <= q <= PHI_PIECES_QMAX:
-        raise ValueError(
-            f"phi_min supports 2 <= q <= {PHI_PIECES_QMAX} (order 1 is constant)"
-        )
+    _check_int("q", q, 2, PHI_PIECES_QMAX)  # phi_1 is constant
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     res = pw_minimize(phi_piecewise(q), 0, HALF / 2, eps)
     lower, upper = res.value
     if lower < upper:
-        k = 2 * (ceil(1 / Fraction(eps)) - 1).bit_length() + 32
+        k = 2 * (ceil(1 / eps) - 1).bit_length() + 32
         lower, upper = Fraction(floor(lower * 2**k), 2**k), Fraction(ceil(upper * 2**k), 2**k)
     return PhiMinResult(res.argmin, (lower, upper), bool(res.competitors))

@@ -5,13 +5,16 @@ tuple of ascending integers, blocks ordered by smallest element.  The raw
 enumerator is an oracle for tests only.  The profile streams compress the
 partition sums to a few dozen multiplicity-weighted terms; they serve the
 direct routes `fekete_limit_direct` and `galois_limit_direct` and the test
-oracles of the shifted limit, and no command loads this module.
+oracles of the shifted limit, and no command loads this module.  Each size is
+checked by `littlewood._check_int`, with its one message.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, prod
+
+from littlewood import _check_int
 
 MAX_ENUMERATION = 13
 
@@ -37,14 +40,9 @@ class EvenBlockProfile:
 def enumerate_set_partitions(m: int):
     """Yield every set partition of {1..m} exactly once (Bell(m) in total).
 
-    Guarded at m <= 13: this is a brute-force oracle, not a production path.
+    Guarded at m <= MAX_ENUMERATION = 13: a brute-force oracle, not a production path.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > MAX_ENUMERATION:
-        raise ValueError(
-            f"refusing set-partition enumeration for m={m} > {MAX_ENUMERATION}"
-        )
+    _check_int("m", m, 1, MAX_ENUMERATION)
     # Restricted growth strings: element i joins block a[i] <= 1 + max(a[:i]).
     assignment = [0] * m
 
@@ -81,8 +79,7 @@ def _exact_quotient(num: int, den: int) -> int:
 
 def _size_profiles(q: int, multiple: int):
     # sizes multiple * N_i, sum N_i = q, counted among partitions of a (multiple q)-set
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_int("q", q, 1)
     profiles = []
     for parts in _integer_partitions(q):
         sizes = tuple(sorted(multiple * p for p in parts))
@@ -125,8 +122,7 @@ def even_block_profiles(q: int):
     the symmetry of repeated (N, P) types.  Validated against brute-force
     enumeration in the test suite.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_int("q", q, 1)
     types = sorted(
         (N, P)
         for N in range(1, q + 1)

@@ -1,12 +1,13 @@
 """Fekete and shifted Fekete polynomials and exact norms on the unit circle.
 
-Their size rule, shared by `legendre`: p is an odd prime <= MAX_PRIME, by the
-package's one trial division, `special_numbers._prime_factors`.  A vector of
-coefficients is a tuple of integers, constant term first, as the public
-builders return it.  One private builder per character gives the same
-coefficients as signed bytes (a memoryview of format "b") for the norm
-engine: `_fekete_signs(p, r)`, the Legendre symbol shifted by r (r = 0 is
-Fekete), and `gf2k._galois_signs(k, beta)`, the additive characters.
+Their size rule, `_check_prime`, shared by `legendre`: p is an int in
+3..MAX_PRIME (`littlewood._check_int`), then a prime by the one trial division,
+`special_numbers._prime_factors`.  A vector of coefficients is a tuple of
+integers, constant term first, as the public builders return it.  One private
+builder per character gives the same coefficients as signed bytes (a
+memoryview of format "b") for the norm engine: `_fekete_signs(p, r)`, the
+Legendre symbol shifted by r (r = 0 is Fekete), and `gf2k._galois_signs(k,
+beta)`, the additive characters.
 For a real-coefficient polynomial f and even exponent 2q, the 2q-th power of
 the L^2q norm equals the sum of squared coefficients of f^q (orthonormality
 of the monomials), so it is an exact integer.  `norm_2q_exact`, imported
@@ -28,10 +29,12 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
+from littlewood import _check_int
 from littlewood.gf2k import MAX_K, _check_exponent, _galois_signs
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
     HALF,
+    SHIFTED_QMAX,
     _check_order,
     check_shift,
     fekete_limit_recursive,
@@ -51,9 +54,10 @@ _LEGENDRE = bytes.maketrans(b"\x00\x01", b"\xff\x01")
 
 def is_odd_prime(p: int) -> bool:
     """Whether p is an odd prime, by trial division; ValueError above MAX_PRIME."""
-    if p > MAX_PRIME:
-        raise ValueError(f"prime size {p} exceeds the limit {MAX_PRIME}")
-    return p > 2 and _prime_factors(p) == [p]
+    if p < 3:
+        return False
+    _check_int("p", p, 3, MAX_PRIME)
+    return _prime_factors(p) == [p]
 
 
 def legendre(a: int, p: int) -> int:
@@ -79,6 +83,7 @@ def shifted_fekete(p: int, r: int) -> tuple[int, ...]:
 
 def _check_prime(p: int) -> None:
     """Raise ValueError unless p is an odd prime of at most MAX_PRIME."""
+    _check_int("p", p, 3, MAX_PRIME)
     if not is_odd_prime(p):
         raise ValueError(f"primality check failed: {p} is not an odd prime")
 
@@ -105,10 +110,9 @@ def norm_2q_quadrature(f, q: int) -> float:
     q*deg(f), so averaging over M = 2*q*deg(f) + 1 equally spaced points is
     mathematically exact; accuracy is limited only by double precision.
     """
+    _check_int("q", q, 1)
     import numpy as np
 
-    if q < 1:
-        raise ValueError("q must be >= 1")
     coeffs = np.asarray(list(f), dtype=float)
     deg = len(coeffs) - 1
     M = 2 * q * deg + 1
@@ -133,9 +137,9 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
     sizes = list(sizes)
     if family not in ("fekete", "shifted", "galois"):
         raise ValueError(f"unknown family {family!r}")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if family != "shifted":
+    if family == "shifted":
+        _check_int("q", q, 1, SHIFTED_QMAX)
+    else:
         _check_order(family, "q", q)
     shapes = []  # (length, nonzero coefficients) per size
     for s in sizes:

@@ -7,6 +7,7 @@ arguments and Eulerian polynomials; restricted-composition counts; and
 pure; only the test oracle `eulerian_general` keeps a memo.  The Eulerian
 polynomials and the shifted evaluator's scaled Eulerian values come from one
 integer recurrence, `_spline_rows`; the alternating binomial sum is its oracle.
+`littlewood._check_int` checks each order.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
+
+from littlewood import _check_int
 
 
 def _binom(a: int, b: int) -> int:
@@ -33,8 +36,7 @@ def _carlitz_binomial(k: int, j: int) -> int:
 
 def _binomial_recurrence(kmax: int, b) -> tuple[int, ...]:
     """x(1..kmax) by x(k) = 1 - sum_{j<k} b(k, j) x(j), the rule of T(k) and C(k)."""
-    if not isinstance(kmax, int) or kmax < 1:
-        raise ValueError("kmax must be an integer >= 1")
+    _check_int("kmax", kmax, 1)
     xs: list[int] = []
     for k in range(1, kmax + 1):
         xs.append(1 - sum(b(k, j) * x for j, x in enumerate(xs, 1)))
@@ -92,8 +94,7 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     >>> eulerian_general(1, Fraction(1, 2))
     Fraction(1, 2)
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
     return _eulerian_general(n, Fraction(x))
 
 
@@ -128,8 +129,7 @@ def eulerian_polynomial(N: int) -> tuple[int, ...]:
     >>> eulerian_polynomial(2)
     (0, 1, 4, 1)
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_int("N", N, 1)
     return tuple(next(islice(_spline_rows((0,), 1), N - 1, None)))
 
 
@@ -139,8 +139,8 @@ def composition_count(N: int, n: int, m: int) -> int:
     Evaluated by inclusion-exclusion:
     sum_{j=0}^{N} (-1)^j C(N, j) C(N + m - n*j - 1, N - 1).
     """
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be >= 1")
+    _check_int("N", N, 1)
+    _check_int("n", n, 1)
     total = 0
     for j in range(N + 1):
         term = math.comb(N, j) * _binom(N + m - n * j - 1, N - 1)

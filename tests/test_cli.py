@@ -223,7 +223,7 @@ def test_phi_out_of_range_is_error_record(capsys):
     record = json.loads(out)
     jsonschema.validate(record, SCHEMA)
     assert code == 1
-    assert "1 <= q <= 16" in record["error"]
+    assert record["error"] == "q 17 out of range 1..16"
 
 
 def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
@@ -232,7 +232,7 @@ def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
 
     monkeypatch.setattr(limits_mod, "_shifted_values", never)
     cases = [
-        (("--q", "17", "--eval", "1/4"), "1 <= q <= 16"),
+        (("--q", "17", "--eval", "1/4"), "q 17 out of range 1..16"),
         (("--q", "8", "--eval", "-1/" + "1" + "0" * 3000), "more than 4300 digits"),
     ] + [
         (("--q", str(q), "--eval", f"1/{d}"),
@@ -377,9 +377,9 @@ def test_empirical_refuses_oversized_input(capsys, monkeypatch):
          ("shifted", 3, [2380957], 1)),
         (("--family", "fekete", "--q", "128", "--p", "1877"), "capacity",
          ("fekete", 128, [1877])),
-        (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "limit",
+        (("--family", "fekete", "--q", "1", "--p", "341550071728321"), "range 3..16777216",
          ("fekete", 1, [341550071728321])),
-        (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q <= 16",
+        (("--family", "shifted", "--q", "17", "--p", "5", "--shift", "1"), "q 17 out of range",
          ("shifted", 17, [5], 1)),
         (("--family", "shifted", "--q", "8", "--p", "3",
           "--shift-ratio", "1/" + "1" + "0" * 320), "more than 4300 digits",

@@ -1,8 +1,6 @@
 """Tests for set-partition enumeration and profile counting."""
 from collections import Counter
 
-import pytest
-
 from littlewood.partitions import (
     enumerate_set_partitions,
     even_block_profiles,
@@ -35,11 +33,6 @@ def test_enumeration_yields_partitions():
 
 def test_enumeration_m1():
     assert list(enumerate_set_partitions(1)) == [((1,),)]
-
-
-def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        next(enumerate_set_partitions(14))
 
 
 def test_even_partitions_of_six():

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from int_limit import int_max_str_digits
 from littlewood import limits, piecewise, sturm
 from littlewood.limits import _newton, phi_piecewise, shifted_fekete_limit
 from littlewood.piecewise import PiecewisePoly, _segment_bounds, pw_minimize
@@ -331,9 +332,7 @@ def test_phi_min_value_prints_and_contains_the_exact_enclosure(monkeypatch):
     # phi_min's, rounded outward to multiples of 2^-(2e + 32), prints
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
     f = phi_piecewise(8)
-    old = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    with int_max_str_digits(sys.int_info.default_max_str_digits):
         for e in (20, 200, 1200):
             eps = Fraction(1, 2**e)
             res = limits.phi_min(8, eps)
@@ -346,8 +345,6 @@ def test_phi_min_value_prints_and_contains_the_exact_enclosure(monkeypatch):
             assert all(2 ** (2 * e + 32) % end.denominator == 0 for end in res.value)
         with pytest.raises(ValueError, match="Exceeds the limit"):
             repr(exact)
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def test_phi_refinement_digests(monkeypatch):

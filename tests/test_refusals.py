@@ -1,0 +1,208 @@
+"""Every argument rule refuses its bad inputs with ValueError, in its one
+wording, before any work and within 50 ms.
+
+`RULES` lists each public entry point of each integer rule,
+`littlewood._check_int`: an int n with lo <= n (<= hi), else the message
+"{name} {n!r} out of range {lo}..{hi}".  Each entry is called at lo - 1, at
+hi + 1, and at lo as a float, a Fraction and a str.  `FURTHER` adds
+out-of-range ints to some entries, `_coefficient_rows` holds the refusals of
+coefficient vectors, and `OTHER` those of the other rules (family, eps) and of
+q = 0 with other vectors.  The functions that do the work after the checks are
+patched to fail, and numpy to be missing, so a check that came after any work
+would show as an AssertionError or ImportError, not as the expected
+ValueError.  This file needs only pytest, the standard library and littlewood.
+"""
+import sys
+import time
+from array import array
+from fractions import Fraction
+from functools import partial
+
+import pytest
+
+from littlewood import gf2k, intconv, limits, partitions, polynomials, special_numbers
+from littlewood.gf2k import MAX_K, galois, primitive_polynomial
+from littlewood.intconv import norm_2q_exact, power_layout
+from littlewood.limits import (
+    DIRECT_QMAX,
+    MAX_Q,
+    PHI_PIECES_QMAX,
+    SHIFTED_QMAX,
+    check_shift,
+    fekete_limit_direct,
+    fekete_limit_recursive,
+    fekete_triangle_row,
+    galois_limit_direct,
+    galois_limit_recursive,
+    galois_triangle_row,
+    limit_table,
+    phi_min,
+    phi_piecewise,
+    shifted_fekete_limit,
+    triangle_table,
+)
+from littlewood.partitions import (
+    MAX_ENUMERATION,
+    enumerate_set_partitions,
+    even_block_profiles,
+    even_size_profiles,
+    galois_size_profiles,
+)
+from littlewood.polynomials import (
+    MAX_PRIME,
+    _fekete_signs,
+    convergence_table,
+    fekete,
+    legendre,
+    norm_2q_quadrature,
+    shifted_fekete,
+)
+from littlewood.special_numbers import (
+    carlitz_numbers,
+    composition_count,
+    eulerian_general,
+    eulerian_polynomial,
+    tangent_numbers,
+)
+
+# module -> the functions that run after its checks
+WORK = {
+    limits: ("_node_table", "_shifted_values", "_block_scale", "phi_piecewise",
+             "tangent_numbers", "carlitz_numbers"),
+    special_numbers: ("_tangent_binomial", "_carlitz_binomial", "_eulerian_general",
+                      "_spline_rows", "_binom"),
+    partitions: ("_integer_partitions", "_exact_quotient"),
+    gf2k: ("primitive_polynomial", "_prime_factors", "_trace_bits"),
+    polynomials: ("_prime_factors", "_galois_signs", "norm_2q_exact",
+                  "fekete_limit_recursive", "galois_limit_recursive", "shifted_fekete_limit"),
+    intconv: ("Decimal", "_pack_signs"),
+}
+
+# (entry point, argument name, lo, hi, the call with that argument): every
+# public way into every integer rule; generators are driven with next()
+RULES = [
+    ("fekete_limit_recursive", "q", 1, MAX_Q, fekete_limit_recursive),
+    ("galois_limit_recursive", "q", 1, MAX_Q, galois_limit_recursive),
+    ("fekete_triangle_row", "k", 1, MAX_Q, fekete_triangle_row),
+    ("galois_triangle_row", "k", 1, MAX_Q, galois_triangle_row),
+    ("limit_table-fekete", "qmax", 1, MAX_Q, partial(limit_table, "fekete")),
+    ("limit_table-galois", "qmax", 1, MAX_Q, partial(limit_table, "galois")),
+    ("triangle_table-fekete", "rows", 1, MAX_Q, partial(triangle_table, "fekete")),
+    ("triangle_table-galois", "rows", 1, MAX_Q, partial(triangle_table, "galois")),
+    ("fekete_limit_direct", "q", 1, DIRECT_QMAX, fekete_limit_direct),
+    ("galois_limit_direct", "q", 1, DIRECT_QMAX, galois_limit_direct),
+    ("check_shift", "q", 1, SHIFTED_QMAX, lambda n: check_shift(n, 0)),
+    ("shifted_fekete_limit", "q", 1, SHIFTED_QMAX, lambda n: shifted_fekete_limit(n, 1 / 4)),
+    ("phi_piecewise", "q", 1, PHI_PIECES_QMAX, phi_piecewise),
+    ("phi_min", "q", 2, PHI_PIECES_QMAX, lambda n: phi_min(n, Fraction(1, 8))),
+    ("tangent_numbers", "kmax", 1, None, tangent_numbers),
+    ("carlitz_numbers", "kmax", 1, None, carlitz_numbers),
+    ("eulerian_general", "n", 1, None, lambda n: eulerian_general(n, 1)),
+    ("eulerian_polynomial", "N", 1, None, eulerian_polynomial),
+    ("composition_count-N", "N", 1, None, lambda n: composition_count(n, 3, 2)),
+    ("composition_count-n", "n", 1, None, lambda n: composition_count(2, n, 2)),
+    ("enumerate_set_partitions", "m", 1, MAX_ENUMERATION,
+     lambda n: next(enumerate_set_partitions(n))),
+    ("even_size_profiles", "q", 1, None, lambda n: next(even_size_profiles(n))),
+    ("galois_size_profiles", "q", 1, None, lambda n: next(galois_size_profiles(n))),
+    ("even_block_profiles", "q", 1, None, lambda n: next(even_block_profiles(n))),
+    ("galois-k", "k", 2, MAX_K, galois),
+    ("galois-beta-3", "beta", 1, 7, partial(galois, 3)),
+    ("galois-beta-24", "beta", 1, (1 << MAX_K) - 1, partial(galois, MAX_K)),
+    ("primitive_polynomial", "k", 2, MAX_K, primitive_polynomial),
+    ("fekete", "p", 3, MAX_PRIME, fekete),
+    ("shifted_fekete", "p", 3, MAX_PRIME, lambda n: shifted_fekete(n, 1)),
+    ("_fekete_signs", "p", 3, MAX_PRIME, _fekete_signs),
+    ("_fekete_signs-shifted", "p", 3, MAX_PRIME, lambda n: _fekete_signs(n, 1)),
+    ("legendre", "p", 3, MAX_PRIME, partial(legendre, 2)),
+    ("norm_2q_exact", "q", 1, None, partial(norm_2q_exact, (1, 1))),
+    ("power_layout", "q", 1, None, lambda n: power_layout(5, n, 4)),
+    ("norm_2q_quadrature", "q", 1, None, partial(norm_2q_quadrature, (1, 1))),
+    ("convergence_table-fekete-q", "q", 1, MAX_Q, lambda n: convergence_table("fekete", n, [5])),
+    ("convergence_table-galois-q", "q", 1, MAX_Q, lambda n: convergence_table("galois", n, [2])),
+    ("convergence_table-shifted-q", "q", 1, SHIFTED_QMAX,
+     lambda n: convergence_table("shifted", n, [5], shift=1)),
+    ("convergence_table-fekete-p", "p", 3, MAX_PRIME,
+     lambda n: convergence_table("fekete", 2, [n])),
+    ("convergence_table-shifted-p", "p", 3, MAX_PRIME,
+     lambda n: convergence_table("shifted", 2, [n], shift=1)),
+    ("convergence_table-galois-k", "k", 2, MAX_K, lambda n: convergence_table("galois", 2, [n])),
+]
+
+
+def _out_of_range(name, n, lo, hi):
+    return f"{name} {n!r} out of range {lo}..{'' if hi is None else hi}"
+
+
+# entry -> further out-of-range ints: the least prime past MAX_PRIME and
+# 2^31 - 1, k = 0, q = -1
+FURTHER = {
+    "fekete": (16777259, 2**31 - 1),
+    "shifted_fekete": (16777259,),
+    "_fekete_signs": (16777259,),
+    "_fekete_signs-shifted": (16777259,),
+    "galois-k": (0,),
+    "primitive_polynomial": (0,),
+    "convergence_table-galois-k": (0,),
+    "norm_2q_exact": (-1,),
+}
+
+
+def _rule_rows():
+    for label, name, lo, hi, call in RULES:
+        beyond = [lo - 1] + ([] if hi is None else [hi + 1]) + list(FURTHER.get(label, ()))
+        for n in beyond + [float(lo), Fraction(lo), str(lo)]:
+            yield pytest.param(partial(call, n), _out_of_range(name, n, lo, hi),
+                               id=f"{label}-{n!r}")
+
+
+COEFFICIENTS = "exact norms take polynomials whose coefficients are 0, 1 and -1"
+
+
+def _coefficient_rows():
+    # one coefficient other than 0, 1 and -1 among 3000, in a list, a tuple
+    # or a generator, is refused before the engine builds any Decimal
+    units = [1, 0, -1] * 1000
+    for odd in (2, -2, 127, 128, -129, 10**20, 1.5, "1", None):
+        coeffs = units[:1234] + [odd] + units[1234:]
+        for kind, make in (("list", list), ("tuple", tuple),
+                           ("generator", lambda xs: (x for x in xs))):
+            for q in (1, 2):
+                yield pytest.param(lambda make=make, coeffs=coeffs, q=q:
+                                   norm_2q_exact(make(coeffs), q), COEFFICIENTS,
+                                   id=f"norm_2q_exact-{odd!r}-{kind}-q{q}")
+    for other in (5, "101", memoryview(array("h", [2, 0, 1]))):
+        yield pytest.param(partial(norm_2q_exact, other, 2), COEFFICIENTS,
+                           id=f"norm_2q_exact-{type(other).__name__}")
+
+
+OTHER = [
+    pytest.param(lambda: norm_2q_exact((), 0), _out_of_range("q", 0, 1, None),
+                 id="norm_2q_exact-empty-q-0"),
+    pytest.param(lambda: norm_2q_exact((1,), 0), _out_of_range("q", 0, 1, None),
+                 id="norm_2q_exact-unit-q-0"),
+    pytest.param(lambda: triangle_table("both", 2), "unknown family 'both'",
+                 id="triangle_table-family"),
+    *(pytest.param(partial(phi_min, 3, eps), "eps must be positive", id=f"phi_min-eps-{eps!r}")
+      for eps in (0, Fraction(-1, 4), "0", "-1/4")),
+]
+
+
+@pytest.fixture(autouse=True)
+def no_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a refused call reached the work after its checks")
+
+    for module, names in WORK.items():
+        for name in names:
+            monkeypatch.setattr(module, name, never)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+
+
+@pytest.mark.parametrize("call, message", [*_rule_rows(), *_coefficient_rows(), *OTHER])
+def test_refused_before_work(call, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert time.perf_counter() - start < 0.05
+    assert str(refused.value) == message

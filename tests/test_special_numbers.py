@@ -4,8 +4,6 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from littlewood.special_numbers import (
     _spline_rows,
     carlitz_numbers,
@@ -33,13 +31,6 @@ def test_carlitz_first_values():
     assert carlitz_numbers(4) == (1, -1, 4, -33)
     # hand evaluation of the k=3 recursion
     assert carlitz_numbers(3)[2] == 1 - (3 * 1 * 1 + 3 * 2 * (-1))
-
-
-def test_invalid_kmax():
-    with pytest.raises(ValueError):
-        tangent_numbers(0)
-    with pytest.raises(ValueError):
-        carlitz_numbers(0)
 
 
 # ---------------------------------------------------------------------------
