@@ -56,8 +56,13 @@ def _digit_limit() -> int:
     return min(sys.get_int_max_str_digits() or sys.maxsize, sys.int_info.default_max_str_digits)
 
 
-def _check_int(name: str, n, lo: int, hi: int | None = None) -> None:
-    """Raise ValueError unless n is an int with lo <= n (<= hi): the one integer rule,
-    with the one message "{name} {n!r} out of range {lo}..{hi}" ("{lo}.." if no hi)."""
-    if not isinstance(n, int) or n < lo or hi is not None and n > hi:
-        raise ValueError(f"{name} {n!r} out of range {lo}..{'' if hi is None else hi}")
+def _check_int(name: str, n, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise ValueError unless n is an int with lo <= n <= hi, either bound optional: the
+    one integer rule, with the one message "{name} {n!r} out of range {lo}..{hi}" (a bound
+    left out is blank).  An int of over 3L bits, L = `_digit_limit()`, may have more
+    digits than repr() may print, so it is named "{name} of {bits} bits" instead."""
+    if not isinstance(n, int) or lo is not None and n < lo or hi is not None and n > hi:
+        big = isinstance(n, int) and n.bit_length() > 3 * _digit_limit()
+        shown = f"of {n.bit_length()} bits" if big else repr(n)
+        bounds = "..".join("" if b is None else str(b) for b in (lo, hi))
+        raise ValueError(f"{name} {shown} out of range {bounds}")

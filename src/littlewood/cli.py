@@ -1,16 +1,16 @@
 """Command-line interface: limits, triangle, phi, and empirical subcommands.
 
-Every command renders either a JSON record (schema "v1", shipped in
-littlewood/schema/output.v1.json) or RFC-4180-style CSV.  Exact rationals are
-always printed as "num/den" so downstream tools can re-verify without
-rounding; decimals carry 12 significant digits.  A handler builds only the
-requested format, and JSON is streamed to stdout.  Output is byte-identical
-across identical invocations apart from the JSON timing field (CSV carries no
-timing).  Malformed usage exits 2 via argparse.  Every other refusal is the
-library's: each command calls one library function, which raises ValueError
-before any work starts if the request is outside its admission rule, and
-`main` prints that message as an error record and exits 1.  The one rule kept
-here is which of --p and --k `empirical` was given.
+Each handler returns its parameters and its results once, as the records of
+the JSON output (schema "v1", shipped in littlewood/schema/output.v1.json);
+`main` alone renders them, as JSON or as RFC-4180-style CSV streamed from the
+same records.  A CSV row is by default a record's values under its keys, a
+list joined by spaces; triangle, phi --min and empirical state their own view.
+Exact rationals are always "num/den", and decimals carry 12 significant
+digits.  Output is byte-identical across identical invocations apart from the
+JSON timing field.  Malformed usage exits 2 via argparse.  Every other refusal
+is the library's, raised as ValueError before any work starts, and `main`
+prints it as an error record and exits 1; the one rule kept here is which of
+--p and --k `empirical` was given.
 """
 from __future__ import annotations
 
@@ -124,66 +124,43 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 def _cmd_limits(args):
     table = limits_mod.limit_table(args.family, args.qmax)
     params = {"family": args.family, "qmax": args.qmax, "format": args.format}
-    entries = sorted(table.entries.items())
-    if args.format == "json":
-        return params, [
-            {"q": q, "limit": _rat(v), "limit_decimal": _dec(v)} for q, v in entries
-        ]
-    return params, (["q", "limit", "limit_decimal"],
-                    ([q, _rat(v), _dec(v)] for q, v in entries))
+    return params, ({"q": q, "limit": _rat(v), "limit_decimal": _dec(v)}
+                    for q, v in sorted(table.entries.items()))
 
 
 def _cmd_triangle(args):
     table = limits_mod.triangle_table(args.family, args.rows)
     params = {"family": args.family, "rows": args.rows, "format": args.format}
-    if args.format == "json":
-        return params, [{"k": row.k, "values": [str(v) for v in row.values]}
-                        for row in table]
-    return params, (["k", "m", "value"],
-                    ([row.k, m, str(v)] for row in table
-                     for m, v in enumerate(row.values, start=1)))
+    records = ({"k": row.k, "values": [str(v) for v in row.values]} for row in table)
+    # CSV: one row per value
+    return params, records, ["k", "m", "value"], lambda r: (
+        [r["k"], m, v] for m, v in enumerate(r["values"], start=1))
 
 
 def _cmd_phi(args):
     q = args.q
-    json_out = args.format == "json"
     if args.eval_at is not None:
         value = limits_mod.shifted_fekete_limit(q, args.eval_at)
-        params = {"q": q, "eval": _rat(args.eval_at), "format": args.format}
-        r, v, v_dec = _rat(args.eval_at), _rat(value), _dec(value)
-        if json_out:
-            return params, [{"q": q, "r": r, "value": v, "value_decimal": v_dec}]
-        return params, (["q", "r", "value", "value_decimal"], [[q, r, v, v_dec]])
+        r = _rat(args.eval_at)
+        params = {"q": q, "eval": r, "format": args.format}
+        return params, [{"q": q, "r": r, "value": _rat(value), "value_decimal": _dec(value)}]
 
     if args.minimize:
         res = limits_mod.phi_min(q, args.eps)
         params = {"q": q, "min": True, "eps": _rat(args.eps), "format": args.format}
         a_lo, a_hi, v_lo, v_hi = (_rat(x) for x in (*res.argmin, *res.value))
-        if json_out:
-            return params, [{
-                "q": q,
-                "argmin_lo": a_lo,
-                "argmin_hi": a_hi,
-                "min_lo": v_lo,
-                "min_hi": v_hi,
-                "min_decimal": _dec(res.value[1]),
-                "alt_flag": res.alt_flag,
-            }]
+        record = {"q": q, "argmin_lo": a_lo, "argmin_hi": a_hi, "min_lo": v_lo,
+                  "min_hi": v_hi, "min_decimal": _dec(res.value[1]), "alt_flag": res.alt_flag}
+        # CSV: no min_decimal, and alt_flag as true/false
         header = ["q", "argmin_lo", "argmin_hi", "min_lo", "min_hi", "alt_flag"]
-        return params, (header, [[q, a_lo, a_hi, v_lo, v_hi,
-                                  "true" if res.alt_flag else "false"]])
+        return params, [record], header, lambda r: [
+            [*(r[key] for key in header[:-1]), "true" if r["alt_flag"] else "false"]]
 
     f = limits_mod.phi_piecewise(q)
     params = {"q": q, "pieces": True, "format": args.format}
-    pieces = (
-        (i, _rat(f.breakpoints[i]), _rat(f.breakpoints[i + 1]), [_rat(c) for c in piece])
-        for i, piece in enumerate(f.pieces)
-    )
-    if json_out:
-        return params, [{"piece": i, "lo": lo, "hi": hi, "coefficients": coeffs}
-                        for i, lo, hi, coeffs in pieces]
-    return params, (["piece", "lo", "hi", "coefficients"],
-                    ([i, lo, hi, " ".join(coeffs)] for i, lo, hi, coeffs in pieces))
+    return params, ({"piece": i, "lo": _rat(f.breakpoints[i]), "hi": _rat(f.breakpoints[i + 1]),
+                     "coefficients": [_rat(c) for c in piece]}
+                    for i, piece in enumerate(f.pieces))
 
 
 def _cmd_empirical(args):
@@ -198,35 +175,19 @@ def _cmd_empirical(args):
     if getattr(args, other):
         raise ValueError(f"family {family} takes --{flag}, not --{other}")
     shift, shift_ratio = args.shift, args.shift_ratio
-    table = poly_mod.convergence_table(
-        family, q, sizes, shift=shift, shift_ratio=shift_ratio
-    )
+    table = poly_mod.convergence_table(family, q, sizes, shift=shift, shift_ratio=shift_ratio)
     params = {"family": family, "q": q, "sizes": sizes, "format": args.format}
     if shift is not None:
         params["shift"] = shift
     if shift_ratio is not None:
         params["shift_ratio"] = _rat(shift_ratio)
-    if args.format == "json":
-        return params, [
-            {
-                "n": row.n,
-                "exact_norm": str(row.exact_norm),
-                "ratio": _rat(row.ratio),
-                "limit": _rat(row.limit),
-                "abs_err": _dec(row.abs_err),
-                "rel_err": _dec(row.rel_err),
-            }
-            for row in table
-        ]
-    header = ["n", "exact_norm", "ratio_num", "ratio_den", "limit_num",
-              "limit_den", "rel_err"]
-    rows = (
-        [row.n, str(row.exact_norm), str(row.ratio.numerator),
-         str(row.ratio.denominator), str(row.limit.numerator),
-         str(row.limit.denominator), _dec(row.rel_err)]
-        for row in table
-    )
-    return params, (header, rows)
+    records = ({"n": row.n, "exact_norm": str(row.exact_norm), "ratio": _rat(row.ratio),
+                "limit": _rat(row.limit), "abs_err": _dec(row.abs_err),
+                "rel_err": _dec(row.rel_err)} for row in table)
+    # CSV: ratio and limit split at "/", and no abs_err
+    header = ["n", "exact_norm", "ratio_num", "ratio_den", "limit_num", "limit_den", "rel_err"]
+    return params, records, header, lambda r: [
+        [r["n"], r["exact_norm"], *r["ratio"].split("/"), *r["limit"].split("/"), r["rel_err"]]]
 
 
 _HANDLERS = {
@@ -242,27 +203,24 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
     started = time.perf_counter()
+    output = None
     try:
-        params, body = _HANDLERS[args.command](args)
+        params, records, *csv_view = _HANDLERS[args.command](args)
+        if args.format == "json":
+            output = {
+                "schema": SCHEMA_VERSION,
+                "command": args.command,
+                "parameters": params,
+                "results": list(records),
+                "timing": {"seconds": time.perf_counter() - started},
+            }
     except ValueError as exc:
         _write_json({"schema": SCHEMA_VERSION, "command": args.command, "error": str(exc)})
         return 1
-    elapsed = time.perf_counter() - started
-    if args.format == "json":
-        _write_json({
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "parameters": params,
-            "results": body,
-            "timing": {"seconds": elapsed},
-        })
+    if output is None:
+        _write_csv(records, *csv_view)
     else:
-        import csv  # only CSV output needs it
-
-        writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL)
-        header, rows = body
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_json(output)
     return 0
 
 
@@ -270,6 +228,19 @@ def _write_json(record) -> None:
     # streamed to stdout; the same bytes as print(json.dumps(record, indent=2))
     json.dump(record, sys.stdout, indent=2)
     sys.stdout.write("\n")
+
+
+def _write_csv(records, header=None, to_rows=None) -> None:
+    """Stream records as CSV: the given header and rows, or by default the
+    record's keys and one row of its values, a list joined by spaces."""
+    import csv  # only CSV output needs it
+
+    writer = csv.writer(sys.stdout, quoting=csv.QUOTE_ALL)
+    for i, record in enumerate(records):
+        if i == 0:
+            writer.writerow(header or list(record))
+        writer.writerows(to_rows(record) if to_rows else [
+            [" ".join(v) if isinstance(v, list) else v for v in record.values()]])
 
 
 if __name__ == "__main__":

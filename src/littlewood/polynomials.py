@@ -53,8 +53,9 @@ _LEGENDRE = bytes.maketrans(b"\x00\x01", b"\xff\x01")
 
 
 def is_odd_prime(p: int) -> bool:
-    """Whether p is an odd prime, by trial division; ValueError above MAX_PRIME."""
-    if p < 3:
+    """Whether the int p is an odd prime, by trial division; ValueError above MAX_PRIME
+    and for anything but an int."""
+    if isinstance(p, int) and p < 3:
         return False
     _check_int("p", p, 3, MAX_PRIME)
     return _prime_factors(p) == [p]
@@ -62,6 +63,7 @@ def is_odd_prime(p: int) -> bool:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a / p) via Euler's criterion."""
+    _check_int("a", a)
     _check_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
@@ -90,7 +92,8 @@ def _check_prime(p: int) -> None:
 
 def _fekete_signs(p: int, r: int = 0) -> memoryview:
     """`shifted_fekete(p, r)`, r = 0 being `fekete(p)`, as signed bytes;
-    ValueError unless p is an odd prime <= MAX_PRIME, before any allocation."""
+    ValueError unless r is an int and p an odd prime <= MAX_PRIME, before any allocation."""
+    _check_int("r", r)
     _check_prime(p)
     squares = bytearray(p)
     for j in range(1, (p + 1) // 2):  # j and p - j have the same square
@@ -141,6 +144,8 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         _check_int("q", q, 1, SHIFTED_QMAX)
     else:
         _check_order(family, "q", q)
+    if shift is not None:
+        _check_int("shift", shift)
     shapes = []  # (length, nonzero coefficients) per size
     for s in sizes:
         if family != "galois":

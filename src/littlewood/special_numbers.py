@@ -141,6 +141,7 @@ def composition_count(N: int, n: int, m: int) -> int:
     """
     _check_int("N", N, 1)
     _check_int("n", n, 1)
+    _check_int("m", m)
     total = 0
     for j in range(N + 1):
         term = math.comb(N, j) * _binom(N + m - n * j - 1, N - 1)

@@ -1,13 +1,14 @@
 """sha256 digests of the CSV output of the exact commands (`limits`,
 `triangle`, `phi`) and of `empirical` runs, each recorded from an earlier
-version of the program whose route it pins.
+version of the program whose route it pins, and of one JSON record per mode.
 
-`tests/test_cli.py` checks both tables in-process.  Run as a script,
+`tests/test_cli.py` checks the tables in-process.  Run as a script,
 `PYTHONPATH=src python tests/csv_digests.py` runs every command as
-`python -m littlewood ... --format csv` and compares the bytes, with no
-dependency beyond the standard library.  It also runs each of `REFUSALS`,
-which must exit 1 with a v1 error record and nothing on stderr.  It exits 1
-on any mismatch.
+`python -m littlewood ... --format csv` and compares the bytes, and each of
+`JSON_DIGESTS` as `python -m littlewood ...` and compares `json_digest` of
+its output, with no dependency beyond the standard library.  It also runs
+each of `REFUSALS`, which must exit 1 with a v1 error record and nothing on
+stderr.  It exits 1 on any mismatch.
 """
 import hashlib
 import json
@@ -78,6 +79,44 @@ PINNED_CSV_DIGESTS = [
 
 def _sweep(*head: str, primes: tuple[int, ...]) -> tuple[str, ...]:
     return (*head, *(arg for p in primes for arg in ("--p", str(p))))
+
+
+def json_digest(output: bytes | str) -> str:
+    """sha256 of a JSON record re-dumped with indent=2, without its timing."""
+    record = json.loads(output)
+    record.pop("timing", None)
+    return hashlib.sha256(json.dumps(record, indent=2).encode()).hexdigest()
+
+
+# one JSON record per mode and two error records, recorded while each mode
+# still built its JSON records and its CSV rows separately; `json_digest`
+# compares them, so the exit code is checked beside them
+JSON_DIGESTS = [
+    (("limits", "--family", "galois", "--qmax", "16"), 0,
+     "bc85c9bb6ec71f6e19807f65366e4269e5493eb423406d0917cfd503c21a918b"),
+    (("triangle", "--family", "fekete", "--rows", "8"), 0,
+     "347e8489d776241077b0b0cf32727e515ebf1bd63e2770e6f1783b9bbf29aad3"),
+    (("phi", "--q", "7", "--eval", "2/7"), 0,
+     "bc102db25d3708cf7851d3d7317c8d7e21185ff2a3be92a2be1b4aa0d4bfbc8a"),
+    (("phi", "--q", "5", "--min"), 0,
+     "7f3c2b8e937bfe138fd34f310a8bceafb630c1a21c6e9e3b5cd00fc6f06436b3"),
+    (("phi", "--q", "4", "--pieces"), 0,
+     "6e5e8670c13f73bac138c0e1943fb1efe570bddb9f496905232bf83baee17741"),
+    (_sweep("empirical", "--family", "fekete", "--q", "2", primes=(101, 103)), 0,
+     "ea3dc842344354ddd1f205fd7bdb53646c1f474d07517ba1a84386f36bc13474"),
+    (("empirical", "--family", "galois", "--q", "2", "--k", "8", "--k", "10"), 0,
+     "ed300504d02aaf1138a08610e531c1abe9a318bdcf2272f7149dd66628b27349"),
+    (_sweep("empirical", "--family", "shifted", "--q", "3", primes=(101, 211))
+     + ("--shift", "-7"), 0,
+     "258018657c163e55c0e111d0e8ed1fda4e9524da3edf411b8c4ae3e298165f53"),
+    (_sweep("empirical", "--family", "shifted", "--q", "2", primes=(101, 211))
+     + ("--shift-ratio", "1/4"), 0,
+     "443be980760a3c90fb0844764dec74c74de935e401492653edac16317eea6eac"),
+    (("limits", "--family", "fekete", "--qmax", "129"), 1,
+     "c445dff138272a8146df084bef45b2772cf02ed9a876d9771d65125d28c843d8"),
+    (("empirical", "--family", "fekete", "--q", "1", "--p", "9"), 1,
+     "4246e0a8aa5897e4601fdcca472bcd1033e8be32ad1686969daf045e6c24886d"),
+]
 
 
 # the shapes of the benchmark's `norms` jobs, recorded from the numpy NTT
@@ -173,6 +212,15 @@ def main() -> int:
         )
         ok = proc.returncode == 0 and hashlib.sha256(proc.stdout).hexdigest() == digest
         print("ok  " if ok else "FAIL", " ".join(argv))
+        if not ok:
+            failures += 1
+            sys.stderr.write(proc.stderr.decode())
+    for argv, code, digest in JSON_DIGESTS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "littlewood", *argv], capture_output=True
+        )
+        ok = proc.returncode == code and json_digest(proc.stdout) == digest
+        print("ok  " if ok else "FAIL", " ".join(argv), "(json)")
         if not ok:
             failures += 1
             sys.stderr.write(proc.stderr.decode())

@@ -12,7 +12,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from csv_digests import FIRST_REFUSED, NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS, REFUSALS
+from csv_digests import (
+    FIRST_REFUSED, JSON_DIGESTS, NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS, REFUSALS, json_digest,
+)
 from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
 from littlewood.cli import main
@@ -573,6 +575,56 @@ def test_empirical_csv_pinned_digests(capsys, argv, digest):
     code, out = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", JSON_DIGESTS, ids=[" ".join(a) for a, _, _ in JSON_DIGESTS]
+)
+def test_json_pinned_digests(capsys, argv, exit_code, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert json_digest(out) == digest
+
+
+# the CSV of each mode as a view of its JSON records: the header, and the
+# rows of one record, with the same strings split or dropped
+CSV_VIEWS = [
+    (("limits", "--family", "fekete", "--qmax", "6"),
+     ["q", "limit", "limit_decimal"],
+     lambda r: [[str(r["q"]), r["limit"], r["limit_decimal"]]]),
+    (("triangle", "--family", "galois", "--rows", "5"),
+     ["k", "m", "value"],
+     lambda r: [[str(r["k"]), str(m), v] for m, v in enumerate(r["values"], start=1)]),
+    (("phi", "--q", "5", "--eval", "-2/7"),
+     ["q", "r", "value", "value_decimal"],
+     lambda r: [[str(r["q"]), r["r"], r["value"], r["value_decimal"]]]),
+    (("phi", "--q", "4", "--min"),
+     ["q", "argmin_lo", "argmin_hi", "min_lo", "min_hi", "alt_flag"],
+     lambda r: [[str(r["q"]), r["argmin_lo"], r["argmin_hi"], r["min_lo"], r["min_hi"],
+                 "true" if r["alt_flag"] else "false"]]),
+    (("phi", "--q", "3", "--pieces"),
+     ["piece", "lo", "hi", "coefficients"],
+     lambda r: [[str(r["piece"]), r["lo"], r["hi"], " ".join(r["coefficients"])]]),
+    (("empirical", "--family", "shifted", "--q", "2", "--p", "13", "--p", "101",
+      "--shift", "-3"),
+     ["n", "exact_norm", "ratio_num", "ratio_den", "limit_num", "limit_den", "rel_err"],
+     lambda r: [[str(r["n"]), r["exact_norm"], *r["ratio"].split("/"),
+                 *r["limit"].split("/"), r["rel_err"]]]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, header, view", CSV_VIEWS,
+    ids=["limits", "triangle", "phi-eval", "phi-min", "phi-pieces", "empirical"],
+)
+def test_csv_is_a_view_of_the_json_records(capsys, argv, header, view):
+    code, record = run_json(capsys, *argv)
+    assert code == 0
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        header, *(row for r in record["results"] for row in view(r))
+    ]
 
 
 NUMPY_FREE_SCRIPT = """

@@ -2,12 +2,14 @@
 wording, before any work and within 50 ms.
 
 `RULES` lists each public entry point of each integer rule,
-`littlewood._check_int`: an int n with lo <= n (<= hi), else the message
-"{name} {n!r} out of range {lo}..{hi}".  Each entry is called at lo - 1, at
-hi + 1, and at lo as a float, a Fraction and a str.  `FURTHER` adds
-out-of-range ints to some entries, `_coefficient_rows` holds the refusals of
-coefficient vectors, and `OTHER` those of the other rules (family, eps) and of
-q = 0 with other vectors.  The functions that do the work after the checks are
+`littlewood._check_int`: an int n with lo <= n <= hi, either bound optional,
+else the message "{name} {n!r} out of range {lo}..{hi}" (a bound left out is
+blank).  Each entry is called at lo - 1, at hi + 1, and at lo (0 with no lo)
+as a float, a Fraction and a str.  `FURTHER` adds out-of-range ints to some
+entries, `HUGE` those past the int/str limit, which the message names by bit
+length, `_coefficient_rows` holds the refusals of coefficient vectors, and
+`OTHER` those of the other rules (family, eps, `is_odd_prime`) and of q = 0
+with other vectors.  The functions that do the work after the checks are
 patched to fail, and numpy to be missing, so a check that came after any work
 would show as an AssertionError or ImportError, not as the expected
 ValueError.  This file needs only pytest, the standard library and littlewood.
@@ -53,6 +55,7 @@ from littlewood.polynomials import (
     _fekete_signs,
     convergence_table,
     fekete,
+    is_odd_prime,
     legendre,
     norm_2q_quadrature,
     shifted_fekete,
@@ -101,6 +104,7 @@ RULES = [
     ("eulerian_polynomial", "N", 1, None, eulerian_polynomial),
     ("composition_count-N", "N", 1, None, lambda n: composition_count(n, 3, 2)),
     ("composition_count-n", "n", 1, None, lambda n: composition_count(2, n, 2)),
+    ("composition_count-m", "m", None, None, lambda n: composition_count(2, 3, n)),
     ("enumerate_set_partitions", "m", 1, MAX_ENUMERATION,
      lambda n: next(enumerate_set_partitions(n))),
     ("even_size_profiles", "q", 1, None, lambda n: next(even_size_profiles(n))),
@@ -114,7 +118,10 @@ RULES = [
     ("shifted_fekete", "p", 3, MAX_PRIME, lambda n: shifted_fekete(n, 1)),
     ("_fekete_signs", "p", 3, MAX_PRIME, _fekete_signs),
     ("_fekete_signs-shifted", "p", 3, MAX_PRIME, lambda n: _fekete_signs(n, 1)),
+    ("shifted_fekete-r", "r", None, None, partial(shifted_fekete, 5)),
+    ("_fekete_signs-r", "r", None, None, partial(_fekete_signs, 5)),
     ("legendre", "p", 3, MAX_PRIME, partial(legendre, 2)),
+    ("legendre-a", "a", None, None, lambda n: legendre(n, 7)),
     ("norm_2q_exact", "q", 1, None, partial(norm_2q_exact, (1, 1))),
     ("power_layout", "q", 1, None, lambda n: power_layout(5, n, 4)),
     ("norm_2q_quadrature", "q", 1, None, partial(norm_2q_quadrature, (1, 1))),
@@ -127,11 +134,13 @@ RULES = [
     ("convergence_table-shifted-p", "p", 3, MAX_PRIME,
      lambda n: convergence_table("shifted", 2, [n], shift=1)),
     ("convergence_table-galois-k", "k", 2, MAX_K, lambda n: convergence_table("galois", 2, [n])),
+    ("convergence_table-shifted-shift", "shift", None, None,
+     lambda n: convergence_table("shifted", 2, [5], shift=n)),
 ]
 
 
-def _out_of_range(name, n, lo, hi):
-    return f"{name} {n!r} out of range {lo}..{'' if hi is None else hi}"
+def _out_of_range(name, shown, lo, hi):
+    return f"{name} {shown} out of range {'' if lo is None else lo}..{'' if hi is None else hi}"
 
 
 # entry -> further out-of-range ints: the least prime past MAX_PRIME and
@@ -147,13 +156,26 @@ FURTHER = {
     "norm_2q_exact": (-1,),
 }
 
+# entry -> the signs of 10**5000 it refuses; 10**5000 has 16610 bits, more than
+# three per digit of the default int/str limit or of the lowest (640)
+HUGE = {
+    "limit_table-fekete": (1, -1),
+    "galois-beta-3": (1, -1),
+    "norm_2q_exact": (-1,),
+}
+
 
 def _rule_rows():
     for label, name, lo, hi, call in RULES:
-        beyond = [lo - 1] + ([] if hi is None else [hi + 1]) + list(FURTHER.get(label, ()))
-        for n in beyond + [float(lo), Fraction(lo), str(lo)]:
-            yield pytest.param(partial(call, n), _out_of_range(name, n, lo, hi),
+        beyond = ([] if lo is None else [lo - 1]) + ([] if hi is None else [hi + 1])
+        base = 0 if lo is None else lo
+        for n in beyond + list(FURTHER.get(label, ())) + [float(base), Fraction(base), str(base)]:
+            yield pytest.param(partial(call, n), _out_of_range(name, repr(n), lo, hi),
                                id=f"{label}-{n!r}")
+        for sign in HUGE.get(label, ()):
+            yield pytest.param(lambda call=call, sign=sign: call(sign * 10**5000),
+                               _out_of_range(name, "of 16610 bits", lo, hi),
+                               id=f"{label}-{'-' if sign < 0 else ''}10**5000")
 
 
 COEFFICIENTS = "exact norms take polynomials whose coefficients are 0, 1 and -1"
@@ -177,14 +199,20 @@ def _coefficient_rows():
 
 
 OTHER = [
-    pytest.param(lambda: norm_2q_exact((), 0), _out_of_range("q", 0, 1, None),
+    pytest.param(lambda: norm_2q_exact((), 0), _out_of_range("q", "0", 1, None),
                  id="norm_2q_exact-empty-q-0"),
-    pytest.param(lambda: norm_2q_exact((1,), 0), _out_of_range("q", 0, 1, None),
+    pytest.param(lambda: norm_2q_exact((1,), 0), _out_of_range("q", "0", 1, None),
                  id="norm_2q_exact-unit-q-0"),
     pytest.param(lambda: triangle_table("both", 2), "unknown family 'both'",
                  id="triangle_table-family"),
     *(pytest.param(partial(phi_min, 3, eps), "eps must be positive", id=f"phi_min-eps-{eps!r}")
       for eps in (0, Fraction(-1, 4), "0", "-1/4")),
+    # a bool for any int up to MAX_PRIME, so only the refusals of the p rule
+    *(pytest.param(partial(is_odd_prime, p), _out_of_range("p", repr(p), 3, MAX_PRIME),
+                   id=f"is_odd_prime-{p!r}")
+      for p in (MAX_PRIME + 1, 2.5, 3.5, 7.0, Fraction(2), Fraction(7), "2", "7")),
+    pytest.param(lambda: is_odd_prime(10**5000),
+                 _out_of_range("p", "of 16610 bits", 3, MAX_PRIME), id="is_odd_prime-10**5000"),
 ]
 
 
