@@ -19,8 +19,9 @@ isolation.  The direct partition-profile sums `fekete_limit_direct` and
 the Eulerian rows and the primes of `_block_scale` come from `special_numbers`.
 
 Each public function raises ValueError before any work for input outside its
-rule (`_check_order`, `check_shift`, the *_QMAX bounds; each order by
-`littlewood._check_int`); the command line prints that message as its error record.
+rule (`_check_order`, `check_shift`, `phi_min`'s eps, the *_QMAX bounds; each
+order by `littlewood._check_int`); the command line prints that message as its
+error record.
 
 The piecewise, rational-polynomial, partition-profile and root modules are
 imported by the functions that use them, so the recursions and
@@ -423,34 +424,29 @@ def shifted_fekete_limit(q: int, R) -> Fraction:
     return _shifted_values(q, [R.numerator], R.denominator)[0]
 
 
-def phi_piecewise(q: int) -> PiecewisePoly:
-    """The shift-ratio limit function of order q on [0, 1/2], exactly.
+def _phi_quarter(q: int) -> PiecewisePoly:
+    """phi_q on [0, 1/4], exactly, for an admitted q.
 
     Every block of every even block profile contributes an Eulerian value at
     2(N-P) R + a - 1, a polynomial in R of degree 2N-1 between the points
     where its argument is an integer; so phi_q is a polynomial of degree at
     most 2q-1 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
-    bounds |D| = |N-P| by min(N, q-N)).  These and 1/4 are mirrored by
-    R -> 1/2 - R, under which phi_q is invariant.  On each interval [a, b]
-    between candidates in [0, 1/4], 2q+1 exact values at equally spaced
-    interior rationals r/d, s apart, come from one pass of `_shifted_values`
-    over the common denominator d.  Scaled by the lcm L of their denominators
-    times (2q)! s^(2q), they are interpolated in r by integer divided
-    differences (`_newton`); the 2q-th divided difference must vanish, or
-    ArithmeticError is raised, and the rest, with r = R d, give the piece p
-    there.  The piece on [1/2 - b, 1/2 - a] is p(1/2 - R): p shifted by 1/2,
-    odd coefficients negated.  Equal neighbours then merge, so only true
-    breakpoints remain.
+    bounds |D| = |N-P| by min(N, q-N)).  On each interval [a, b] between
+    these candidates in [0, 1/4], 2q+1 exact values at equally spaced interior
+    rationals r/d, s apart, come from one pass of `_shifted_values` over the
+    common denominator d.  Scaled by the lcm L of their denominators times
+    (2q)! s^(2q), they are interpolated in r by integer divided differences
+    (`_newton`); the 2q-th divided difference must vanish, or ArithmeticError
+    is raised, and the rest, with r = R d, give the piece there.  Equal
+    neighbours then merge, so only true breakpoints remain.
     """
     from littlewood.piecewise import PiecewisePoly
-    from littlewood.ratpoly import poly_shift
 
-    _check_int("q", q, 1, PHI_PIECES_QMAX)
-    breaks = sorted({Fraction(0), HALF / 2, HALF} | {
-        Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
+    breaks = sorted({Fraction(0), HALF / 2} | {
+        Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D // 2 + 1)
     })
-    left, right = [], []
-    for a, b in zip(breaks, breaks[1:breaks.index(HALF / 2) + 1]):
+    pieces = []
+    for a, b in zip(breaks, breaks[1:]):
         # 2q+1 equally spaced interior nodes r/d, s apart
         xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
         d = lcm(*(x.denominator for x in xs))
@@ -463,21 +459,41 @@ def phi_piecewise(q: int) -> PiecewisePoly:
         if coeffs[-1]:
             raise ArithmeticError(f"phi_{q} near {xs[-1]} is not of degree < {2 * q}")
         # scale * phi_q(R) = sum_i coeffs[i] (R d)^i
-        piece = tuple(Fraction(c * d**i, scale) for i, c in enumerate(coeffs[:-1]))
-        left.append(piece)
-        right.append(tuple(c * (-1) ** i for i, c in enumerate(poly_shift(piece, HALF))))
-    return PiecewisePoly(tuple(breaks), tuple(left + right[::-1]))
+        pieces.append(tuple(Fraction(c * d**i, scale) for i, c in enumerate(coeffs[:-1])))
+    return PiecewisePoly(breaks, pieces)
+
+
+def phi_piecewise(q: int) -> PiecewisePoly:
+    """The shift-ratio limit function of order q on [0, 1/2], exactly.
+
+    It is `_phi_quarter(q)` on [0, 1/4], mirrored by R -> 1/2 - R, under which
+    phi_q is invariant: the piece on [1/2 - b, 1/2 - a] is p(1/2 - R) for the
+    piece p on [a, b], that is p shifted by 1/2 with odd coefficients negated.
+    Equal neighbours then merge, so only true breakpoints remain.
+    """
+    from littlewood.piecewise import PiecewisePoly
+    from littlewood.ratpoly import poly_shift
+
+    _check_int("q", q, 1, PHI_PIECES_QMAX)
+    f = _phi_quarter(q)
+    mirror = [tuple(c * (-1) ** i for i, c in enumerate(poly_shift(p, HALF))) for p in f.pieces]
+    return PiecewisePoly(f.breakpoints + tuple(HALF - b for b in f.breakpoints[-2::-1]),
+                         f.pieces + tuple(mirror[::-1]))
 
 
 def phi_min(q: int, eps) -> PhiMinResult:
     """Certified minimum of the order-q shift-limit function on [0, 1/2].
 
-    It is taken over [0, 1/4], as phi_q(R) = phi_q(1/2 - R); the mirror of the
-    argmin is a minimizer too.  alt_flag reports whether another candidate in
-    [0, 1/4] has a value enclosure overlapping the minimum's (uniqueness of
-    the minimizer is evidence, never an assumption).  A value enclosure wider
-    than a point is rounded outward to multiples of 2^-k, k = 2 ceil(log2(1/eps))
-    + 32: still a certificate, at most eps^2 2^-31 wider, and printable.
+    It is taken over [0, 1/4] (`_phi_quarter`), as phi_q(R) = phi_q(1/2 - R);
+    the mirror of the argmin is a minimizer too.  alt_flag reports whether
+    another candidate in [0, 1/4] has a value enclosure overlapping the
+    minimum's (uniqueness of the minimizer is evidence, never an assumption).
+    A value enclosure wider than a point is rounded outward to multiples of
+    2^-k, k = 2 ceil(log2(1/eps)) + 32: still a certificate, at most
+    eps^2 2^-31 wider.  As phi_q < (2q)!/q! (see `check_shift`), its ends then
+    have numerators and denominators below 2^k (2q)!/q!, and eps is refused
+    before any work unless that bound is below 10^L (L:
+    `littlewood._digit_limit`), so every admitted result prints.
     """
     from littlewood.piecewise import pw_minimize
 
@@ -485,9 +501,13 @@ def phi_min(q: int, eps) -> PhiMinResult:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    res = pw_minimize(phi_piecewise(q), 0, HALF / 2, eps)
+    k, limit = 2 * (ceil(1 / eps) - 1).bit_length() + 32, _digit_limit()
+    # the bit length alone refuses 2^k >= 2^(4 limit) > 10^limit before it is built
+    if k >= 4 * limit or 2**k * factorial(2 * q) // factorial(q) >= 10**limit:
+        raise ValueError(f"phi_{q} minimum at this eps may have more than {limit} digits, "
+                         "the int/str conversion limit")
+    res = pw_minimize(_phi_quarter(q), eps)
     lower, upper = res.value
     if lower < upper:
-        k = 2 * (ceil(1 / eps) - 1).bit_length() + 32
         lower, upper = Fraction(floor(lower * 2**k), 2**k), Fraction(ceil(upper * 2**k), 2**k)
     return PhiMinResult(res.argmin, (lower, upper), bool(res.competitors))

@@ -6,6 +6,9 @@ and k coefficient tuples; piece i is valid on [b_{i-1}, b_i) and the value is 0
 outside [b_0, b_k].  Values are canonical on construction: coefficients are
 `Fraction`s, trailing zero coefficients are trimmed and identical adjacent
 pieces are merged, so equality of two values is decidable field by field.
+`pw_minimize` certifies the minimum over [b_0, b_k] by the same half-open
+rule: the value at b_i is that of the piece starting there, and at b_k that
+of the last piece.
 """
 from __future__ import annotations
 
@@ -70,49 +73,39 @@ class MinimizeResult(NamedTuple):
     competitors: tuple[tuple[Fraction, Fraction], ...] = ()
 
 
-def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
-    """Minimize f over [lo, hi] with exact certificates.
+def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
+    """Minimize f over its domain [b_0, b_k] with exact certificates.
 
-    Per piece, the real roots of the derivative are isolated and refined to
-    width <= eps by one integer Descartes bisection (`sturm._isolate`) on its
-    squarefree part, computed once; candidate values are compared using exact
-    evaluation at rational points plus centred bounds on each root enclosure
-    (`_segment_bounds`), and overlapping enclosures are halved by the same
-    bisection until candidates separate or a width floor is hit.
+    Every candidate is an enclosure [a, b] with bounds on the minimum of its
+    piece over it (`_segment_bounds`, exact when a == b).  The points are each
+    piece's left end, the domain's right end and the rational roots of f'; a
+    point takes its value from the piece that starts there, as `evaluate`
+    does.  The other real roots of f' are isolated and refined to width
+    <= eps by one integer Descartes bisection (`sturm._isolate`) on the
+    squarefree part of each piece's derivative, computed once; enclosures
+    whose bounds overlap the best are halved by the same bisection until the
+    candidates separate or a width floor is hit.
 
     >>> cubic = PiecewisePoly((0, 2), ((0, -2, 0, 1),))   # x^3 - 2x
-    >>> pw_minimize(cubic, 0, 2, Fraction(1, 8)).argmin   # holds sqrt(2/3)
+    >>> pw_minimize(cubic, Fraction(1, 8)).argmin          # holds sqrt(2/3)
     (Fraction(3, 4), Fraction(7, 8))
     >>> square = PiecewisePoly((0, 1), ((1, -8, 16),))    # (4x - 1)^2
-    >>> pw_minimize(square, 0, 1, Fraction(1, 8))[:2]
+    >>> pw_minimize(square, Fraction(1, 8))[:2]
     ((Fraction(1, 4), Fraction(1, 4)), (Fraction(0, 1), Fraction(0, 1)))
     """
-    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not lo < hi:
-        raise ValueError("empty minimization interval")
     bps = f.breakpoints
-    lo, hi = max(lo, bps[0]), min(hi, bps[-1])
-    if not lo < hi:
-        raise ValueError("minimization interval misses the piece domains")
-
-    exact_xs = set()
-    # candidate records: [x_lo, x_hi, val_lo, val_hi, piece, squarefree f']
+    # candidate records [a, b, lower, upper, piece, squarefree f'], in order
     cands: list[list] = []
-    for i, piece in enumerate(f.pieces):
-        u, v = max(lo, bps[i]), min(hi, bps[i + 1])
-        if u >= v:
-            continue
-        exact_xs.update((u, v))
+    for u, v, piece in zip(bps, bps[1:], f.pieces):
         deriv = squarefree_part(poly_derivative(piece))
-        roots, intervals = _isolate(deriv, u, v, eps)
-        exact_xs.update(roots)
-        for a, b in intervals:
+        # a root at u is the point (u, u); one at v is the next piece's, or
+        # the domain's right end
+        inside = [(a, b) for a, b in _isolate(deriv, u, v, eps) if b > u and a < v]
+        for a, b in [(u, u), *inside] + ([(v, v)] if v == bps[-1] else []):
             cands.append([a, b, *_segment_bounds(piece, a, b), piece, deriv])
-    for x in sorted(exact_xs):
-        val = f.evaluate(x)
-        cands.append([x, x, val, val, None, None])
 
     width_floor = eps / 2**24
     while True:
@@ -123,8 +116,7 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
             break
         for c in movable:
             # one halving: the root met at the midpoint, or the half holding it
-            roots, intervals = _isolate(c[5], c[0], c[1], (c[1] - c[0]) / 2)
-            (a, b), = [(x, x) for x in roots] + intervals
+            (a, b), = _isolate(c[5], c[0], c[1], (c[1] - c[0]) / 2)
             c[:4] = a, b, *_segment_bounds(c[4], a, b)
 
     best = min(cands, key=lambda c: (c[3], c[0]))
@@ -140,7 +132,11 @@ def pw_minimize(f: PiecewisePoly, lo, hi, eps) -> MinimizeResult:
 def _segment_bounds(piece, a, b) -> tuple[Fraction, Fraction]:
     """Bounds on min of the piece over [a, b]: with p(a + t) = sum c_i t^i and
     t in [0, w], w = b - a, c_0 + sum_(i>=1) min(c_i w^i, 0) below, which
-    tightens with w; the better attained endpoint value above."""
+    tightens with w and is p(a) at w = 0; the better attained endpoint value
+    above."""
+    if a == b:
+        value = poly_eval(piece, a)
+        return value, value
     c, w = poly_shift(piece, a), b - a
     lower = c[0] + sum(min(ci * w**i, 0) for i, ci in enumerate(c[1:], 1))
     return lower, min(c[0], poly_eval(piece, b))

@@ -50,27 +50,23 @@ def squarefree_part(p) -> tuple[int, ...]:
 
 def _isolate(p, lo, hi, eps):
     """Real roots of a primitive squarefree p in [lo, hi], for Fractions
-    lo < hi and eps > 0, as (exact, intervals), both sorted: `exact` are the
-    rational roots met at lo, hi or a bisection point, and `intervals` open
-    intervals (a, b) of width <= eps with p(a), p(b) nonzero, each holding
-    exactly one other root.
+    lo < hi and eps > 0, as one sorted list of enclosures: (x, x) for a
+    rational root x met at lo, hi or a bisection point, and (a, b), an open
+    interval of width <= eps with p(a), p(b) nonzero, for each other root.
 
-    >>> _isolate((-2, 0, 1), Fraction(0), Fraction(2), Fraction(1, 8))   # x^2 - 2
-    ([], [(Fraction(11, 8), Fraction(3, 2))])
-    >>> _isolate((0, -1, 0, 1), Fraction(-1), Fraction(1), Fraction(1))  # x^3 - x
-    ([Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)], [])
+    >>> _isolate((0, -2, 0, 1), Fraction(0), Fraction(2), Fraction(1, 4))   # x^3 - 2x
+    [(Fraction(0, 1), Fraction(0, 1)), (Fraction(5, 4), Fraction(3, 2))]
     """
     d = len(p) - 1
     if d < 1:
-        return [], []
+        return []
     # q(t) = den^d p(lo + (hi - lo) t) in integers: its roots in (0, 1) are
     # those of p in (lo, hi), and q(0), q(1) have the signs of p(lo), p(hi)
     den = math.lcm(lo.denominator, hi.denominator)
     q = poly_shift([c * den ** (d - i) for i, c in enumerate(p)], int(lo * den))
     w = int((hi - lo) * den)
     q = [c * w**i for i, c in enumerate(q)]
-    exact = [x for x, v in ((lo, q[0]), (hi, sum(q))) if v == 0]
-    intervals = []
+    found = [(x, x) for x, v in ((lo, q[0]), (hi, sum(q))) if v == 0]
     todo = [(lo, hi, q)]
     while todo:
         a, b, q = todo.pop()
@@ -82,13 +78,13 @@ def _isolate(p, lo, hi, eps):
             continue
         # one root, none at the ends: final once eps wide, else halved again
         if bound == 1 and q[0] and sum(q) and b - a <= eps:
-            intervals.append((a, b))
+            found.append((a, b))
             continue
         # halves: 2^d q(t / 2) on (a, mid) and 2^d q((1 + t) / 2) on (mid, b)
         mid = (a + b) / 2
         left = [c << (d - i) for i, c in enumerate(q)]
         right = poly_shift(left, 1)
         if right[0] == 0:
-            exact.append(mid)
+            found.append((mid, mid))
         todo += [(mid, b, right), (a, mid, left)]
-    return sorted(exact), sorted(intervals)
+    return sorted(found)

@@ -80,17 +80,6 @@ def test_unknown_family_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_limits_qmax_bound(capsys):
-    code, out = run_cli(capsys, "limits", "--family", "fekete", "--qmax", "129")
-    record = json.loads(out)
-    jsonschema.validate(record, SCHEMA)
-    assert code == 1
-    assert "128" in record["error"]
-    code, record = run_json(capsys, "limits", "--family", "fekete", "--qmax", "64")
-    assert code == 0
-    assert len(record["results"]) == 64
-
-
 def test_triangle(capsys):
     code, record = run_json(capsys, "triangle", "--family", "fekete", "--rows", "2")
     assert code == 0
@@ -101,22 +90,16 @@ def test_triangle(capsys):
 
 
 def test_triangle_zero_rows_is_error_record(capsys):
-    # positivity is the library's rule; only text that is no integer is usage
-    code, record = run_json(capsys, "triangle", "--family", "fekete", "--rows", "0")
-    assert code == 1
-    assert record["error"] == "rows 0 out of range 1..128"
+    # positivity is the library's rule (its refusal is a `REFUSED` row); only
+    # text that is no integer is usage
     with pytest.raises(SystemExit) as exc:
         main(["triangle", "--family", "fekete", "--rows", "2.5"])
     assert exc.value.code == 2
 
 
 def test_triangle_rows_bound(capsys):
-    code, out = run_cli(capsys, "triangle", "--family", "fekete", "--rows", "129")
-    record = json.loads(out)
-    jsonschema.validate(record, SCHEMA)
-    assert code == 1
-    assert "128" in record["error"]
-    # the former cap of 16 rows is gone; row 17 extends the 16-row table
+    # the refusal of 129 rows is a `REFUSED` row; the former cap of 16 rows is
+    # gone, and row 17 extends the 16-row table
     code, record = run_json(capsys, "triangle", "--family", "fekete", "--rows", "17")
     assert code == 0
     _, shorter = run_json(capsys, "triangle", "--family", "fekete", "--rows", "16")
@@ -149,9 +132,7 @@ def test_phi_eval_negative_rational(capsys):
 
 
 def test_negative_rational_options(capsys):
-    code, record = run_json(capsys, "phi", "--q", "3", "--min", "--eps", "-1/4")
-    assert code == 1
-    assert record["error"] == "eps must be positive"
+    # "--eps -1/4" parses, and is refused as a `REFUSED` row
     code, record = run_json(
         capsys, "empirical", "--family", "shifted", "--q", "2", "--p", "13",
         "--shift-ratio", "-1/3",
@@ -220,14 +201,6 @@ def test_phi_pieces(capsys):
     assert piece["coefficients"] == ["19/5", "-24/1", "96/1", "-192/1", "192/1"]
 
 
-def test_phi_out_of_range_is_error_record(capsys):
-    code, out = run_cli(capsys, "phi", "--q", "17", "--eval", "1/4")
-    record = json.loads(out)
-    jsonschema.validate(record, SCHEMA)
-    assert code == 1
-    assert record["error"] == "q 17 out of range 1..16"
-
-
 def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused request reached the evaluator")
@@ -294,6 +267,63 @@ def test_phi_eval_refuses_past_the_running_int_str_limit():
         16, Fraction(1, 3))
 
 
+def test_phi_min_digit_rule_edge(capsys):
+    # at q = 6, 2^k 12!/6! < 10^4300 up to k = 2 * 7116 + 32: eps = 2^-7116 is
+    # the deepest admitted power of 2, and its minimum, the exact point 1/4, prints
+    value = limits_mod.shifted_fekete_limit(6, Fraction(1, 4))
+    for e in (7000, 7116):
+        code, record = run_json(capsys, "phi", "--q", "6", "--min", "--eps", f"1/{2**e}")
+        assert code == 0, e
+        res = record["results"][0]
+        assert (res["argmin_lo"], res["argmin_hi"]) == ("1/4", "1/4"), e
+        assert res["min_lo"] == res["min_hi"] == f"{value.numerator}/{value.denominator}", e
+    code, record = run_json(capsys, "phi", "--q", "6", "--min", "--eps", f"1/{2**7117}")
+    assert code == 1
+    assert record["error"] == ("phi_6 minimum at this eps may have more than 4300 digits, "
+                               "the int/str conversion limit")
+
+
+# TIMED_CLI_SCRIPT with the phi cap raised to 8, printing after its results
+# the q of every `_phi_quarter` call
+PHI_CAP_8_SCRIPT = """
+from littlewood import limits
+limits.PHI_PIECES_QMAX = 8
+calls = []
+quarter = limits._phi_quarter
+limits._phi_quarter = lambda q: calls.append(q) or quarter(q)
+""" + TIMED_CLI_SCRIPT + "print(json.dumps(calls))\n"
+
+
+def test_phi_min_refuses_past_the_running_int_str_limit():
+    # under a cap of 8, phi_8's minimum is irrational and its value enclosure
+    # is rounded to 2^-k, k = 2 log2(1/eps) + 32: at eps = 2^-1100, 2^k 16!/8!
+    # has 681 digits, which a limit of 640 cannot print, and it is refused
+    # before `_phi_quarter` runs; at 2^-900 it has 561 and the minimum prints
+    argvs = [["phi", "--q", "8", "--min", "--eps", f"1/{2**1100}"],
+             ["phi", "--q", "8", "--min", "--eps", f"1/{2**900}"]]
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-c", PHI_CAP_8_SCRIPT,
+         json.dumps(argvs)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results, calls = proc.stdout.splitlines()
+    (code, seconds, record), (admitted, _, value) = json.loads(results)
+    for rec in (record, value):
+        jsonschema.validate(rec, SCHEMA)
+    assert code == 1
+    assert record["error"] == ("phi_8 minimum at this eps may have more than 640 digits, "
+                               "the int/str conversion limit")
+    assert seconds < 0.5
+    assert json.loads(calls) == [8]
+    assert admitted == 0
+    res = value["results"][0]
+    u, v = Fraction(res["argmin_lo"]), Fraction(res["argmin_hi"])
+    assert Fraction(2411, 10000) < u < v < Fraction(2412, 10000)
+    lower, upper = Fraction(res["min_lo"]), Fraction(res["min_hi"])
+    assert lower < upper and all(2 ** (2 * 900 + 32) % x.denominator == 0 for x in (lower, upper))
+
+
 def test_phi_eval_beyond_the_former_cap(capsys):
     code, record = run_json(capsys, "phi", "--q", "12", "--eval", "1/4")
     assert code == 0
@@ -340,15 +370,6 @@ def test_empirical_shifted(capsys):
     )
     assert code == 0
     assert record["results"][0]["limit"] == "7/6"
-
-
-def test_empirical_composite_prime_is_error(capsys):
-    code, out = run_cli(capsys, "empirical", "--family", "fekete", "--q", "2", "--p", "9")
-    record = json.loads(out)
-    jsonschema.validate(record, SCHEMA)
-    assert code == 1
-    assert "primality" in record["error"]
-    assert "9" in record["error"]
 
 
 def _forbid_polynomial_work(monkeypatch):
@@ -477,6 +498,8 @@ REFUSED = [
      lambda: limits_mod.phi_min(3, 0)),
     (("phi", "--q", "3", "--min", "--eps", "-1/4"),
      lambda: limits_mod.phi_min(3, Fraction(-1, 4))),
+    (("phi", "--q", "6", "--min", "--eps", f"1/{2**7200}"),
+     lambda: limits_mod.phi_min(6, Fraction(1, 2**7200))),
     (("phi", "--q", "7", "--pieces"),
      lambda: limits_mod.phi_piecewise(7)),
     (("phi", "--q", "0", "--eval", "1/4"),
@@ -517,6 +540,7 @@ def test_error_record_is_the_library_refusal(capsys, monkeypatch, argv, call):
     _forbid_polynomial_work(monkeypatch)
     monkeypatch.setattr(limits_mod, "_node_table", never)
     monkeypatch.setattr(limits_mod, "_shifted_values", never)
+    monkeypatch.setattr(limits_mod, "_phi_quarter", never)
     with pytest.raises(ValueError) as exc:
         call()
     code, record = run_json(capsys, *argv)

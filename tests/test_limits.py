@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -652,11 +653,17 @@ def test_shifted_blocks_window_ends_are_nonzero():
 
 def test_phi_pieces_mirror():
     # phi_q(R) = phi_q(1/2 - R): the piece on [1/2 - b, 1/2 - a] is the one on
-    # [a, b] at R -> 1/2 - R; 2q+1 points determine a polynomial of degree <= 2q
+    # [a, b] at R -> 1/2 - R; 2q+1 points determine a polynomial of degree <= 2q.
+    # Below 1/4 the pieces are those of `_phi_quarter`, which `phi_min` takes
     half = Fraction(1, 2)
     for q in range(1, 7):
         f = phi_piecewise(q)
         bps, n = f.breakpoints, len(f.pieces)
+        quarter = limits._phi_quarter(q)
+        assert quarter.breakpoints[-1] == half / 2, q
+        assert set(quarter.breakpoints[:-1]) <= set(bps), q
+        for a, piece in zip(quarter.breakpoints, quarter.pieces):
+            assert f.pieces[bisect_right(bps, a) - 1] == piece, (q, a)
         assert all(x + y == half for x, y in zip(bps, bps[::-1])), q
         for i, piece in enumerate(f.pieces):
             lo, hi = bps[i], bps[i + 1]

@@ -105,7 +105,7 @@ def test_poly_shift_matches_evaluation(a, n, c, x):
 
 def test_minimize_perfect_square():
     f = PiecewisePoly((0, Fraction(1, 2)), ((1, -8, 16),))  # (4x-1)^2
-    res = pw_minimize(f, 0, Fraction(1, 2), Fraction(1, 1024))
+    res = pw_minimize(f, Fraction(1, 1024))
     assert res.argmin == (Fraction(1, 4), Fraction(1, 4))
     assert res.value == (0, 0)
     assert res.competitors == ()
@@ -115,7 +115,7 @@ def test_minimize_irrational_critical_point():
     # x^3 - 2x on [0, 2]: minimum at sqrt(2/3), irrational
     f = PiecewisePoly((0, 2), ((0, -2, 0, 1),))
     eps = Fraction(1, 1 << 16)
-    res = pw_minimize(f, 0, 2, eps)
+    res = pw_minimize(f, eps)
     u, v = res.argmin
     assert v - u <= eps
     # sympy's root count: the derivative has exactly one root in the enclosure
@@ -132,19 +132,20 @@ def test_minimize_irrational_critical_point():
 
 def test_minimize_bounds_sound():
     # E(2, x) E(2, 1-x), with E(2, .) the Eulerian spline (x+1)^2, 1+2x-2x^2,
-    # (x-2)^2 on [-1, 0), [0, 1), [1, 2): an interior minimum and competing
-    # shapes across pieces
+    # (x-2)^2 on [-1, 0), [0, 1), [1, 2): competing shapes across pieces, with
+    # the minimum 0 at both ends of the domain
     f = PiecewisePoly((-1, 0, 1, 2), (
         (1, 4, 6, 4, 1),         # (x+1)^4
         (1, 4, 0, -8, 4),        # (1+2x-2x^2)^2
         (16, -32, 24, -8, 1),    # (x-2)^4
     ))
-    lo, hi = Fraction(0), Fraction(1)
+    lo, hi = Fraction(-1), Fraction(2)
     eps = Fraction(1, 1 << 12)
-    res = pw_minimize(f, lo, hi, eps)
+    res = pw_minimize(f, eps)
+    assert res.argmin == (lo, lo) and res.value == (0, 0) and res.competitors == ((hi, hi),)
     mid = (res.argmin[0] + res.argmin[1]) / 2
     val = f.evaluate(mid)
-    # Lipschitz bound on [0,1] for this small product is comfortably < 64
+    # Lipschitz bound on [-1, 2] for this small product is comfortably < 64
     slack = eps * 64
     assert res.value[0] - slack <= val <= res.value[1] + slack
     step = Fraction(1, 4096)
@@ -155,10 +156,26 @@ def test_minimize_bounds_sound():
 
 
 def test_minimize_empty_domain_errors():
+    # a PiecewisePoly has no empty domain, so eps is pw_minimize's one rule
     with pytest.raises(ValueError):
-        pw_minimize(HAT, 5, 6, Fraction(1, 16))
-    with pytest.raises(ValueError):
-        pw_minimize(HAT, 0, 1, Fraction(0))
+        PiecewisePoly((5, 5), ((1,),))
+    for eps in (0, Fraction(-1, 16)):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            pw_minimize(HAT, eps)
+
+
+def test_minimize_takes_the_value_of_the_piece_starting_there(monkeypatch):
+    # 2 - 2x on [0, 1) and 1 on [1, 2]: at 1 the value is 1, from the piece
+    # that starts there, as `evaluate` gives it, not the left piece's limit 0;
+    # pw_minimize reads it from the piece, not through `evaluate`
+    f = PiecewisePoly((0, 1, 2), ((2, -2), (1,)))
+    assert f.evaluate(1) == 1
+    monkeypatch.delattr(PiecewisePoly, "evaluate")
+    res = pw_minimize(f, Fraction(1, 16))
+    assert res == ((1, 1), (1, 1), ((2, 2),))
+    # a zero piece is a constant like any other
+    res = pw_minimize(PiecewisePoly((0, 1, 2), ((1,), ())), Fraction(1, 16))
+    assert res == ((1, 1), (0, 0), ((2, 2),))
 
 
 @st.composite
@@ -193,14 +210,14 @@ def _root_problems(draw):
 
 def _sign_bisection(p, a, b, width):
     """Test oracle: bisect (a, b), where p changes sign once, by Fraction
-    evaluation down to width <= `width`; the root as a Fraction when a
-    midpoint hits it, else the final open interval."""
+    evaluation down to width <= `width`; the point (x, x) when a midpoint x
+    hits the root, else the final open interval."""
     fa = poly_eval(p, a)
     while b - a > width:
         mid = (a + b) / 2
         fm = poly_eval(p, mid)
         if fm == 0:
-            return mid
+            return (mid, mid)
         if (fa > 0) != (fm > 0):
             b = mid
         else:
@@ -215,11 +232,9 @@ def test_isolate_refines_like_sign_bisection(problem):
     # squarefree part gives on the coarsest isolating intervals
     p, lo, hi, eps = problem
     p = squarefree_part(p)
-    exact, intervals = _isolate(p, lo, hi, hi - lo)
-    refined = [_sign_bisection(p, a, b, eps) for a, b in intervals]
-    exact += [r for r in refined if isinstance(r, Fraction)]
-    intervals = [r for r in refined if not isinstance(r, Fraction)]
-    assert _isolate(p, lo, hi, eps) == (sorted(exact), sorted(intervals))
+    refined = [(a, b) if a == b else _sign_bisection(p, a, b, eps)
+               for a, b in _isolate(p, lo, hi, hi - lo)]
+    assert _isolate(p, lo, hi, eps) == sorted(refined)
 
 
 # f' = (5x - 27)^3 (4x^2 - 4x - 11)^2 on [1/4, 9/4]: f decreases, and the
@@ -235,8 +250,10 @@ def test_isolate_and_minimize_match_sympy(problem):
     p, lo, hi, eps = problem
     P = _sympy_poly(p)
     roots = [r for r in dict.fromkeys(sympy.real_roots(P)) if lo <= r <= hi]
-    exact, intervals = _isolate(squarefree_part(p), lo, hi, eps)
-    assert len(exact) + len(intervals) == len(roots)
+    found = _isolate(squarefree_part(p), lo, hi, eps)
+    assert found == sorted(found) and len(found) == len(roots)
+    exact = [a for a, b in found if a == b]
+    intervals = [(a, b) for a, b in found if a < b]
     assert {_rational(x) for x in exact} <= set(roots)
     # f' = p: the minimum of f over [lo, hi] is at an end or at a root of p,
     # and over an isolating interval (a, b) at a, b or its one root, where
@@ -254,7 +271,7 @@ def test_isolate_and_minimize_match_sympy(problem):
 
     values = {x: F.eval(x) for x in [_rational(lo), _rational(hi), *roots]}
     true_min = min(values.values(), key=lambda v: sympy.N(v, 60))
-    res = pw_minimize(f, lo, hi, eps)
+    res = pw_minimize(f, eps)
     assert _rational(res.value[0]) <= true_min <= _rational(res.value[1])
     minimizers = [x for x, v in values.items() if abs(sympy.N(v - true_min, 60)) < 1e-40]
     assert any(_rational(u) <= x <= _rational(v)
@@ -270,7 +287,7 @@ def test_phi8_twin_irrational_minima(monkeypatch):
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
     f = phi_piecewise(8)
     eps = Fraction(1, 1 << 20)
-    res = pw_minimize(f, 0, Fraction(1, 2), eps)
+    res = pw_minimize(f, eps)
     u, v = res.argmin
     assert 0 < v - u <= eps and Fraction(24, 100) < u < v < Fraction(26, 100)
     i = bisect_right(f.breakpoints, u) - 1
@@ -287,7 +304,6 @@ def test_minimize_takes_one_squarefree_part_per_piece(monkeypatch):
     # squarefree derivative instead of recomputing it
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
     f = phi_piecewise(8)
-    lo, hi = Fraction(0), Fraction(1, 2)
     calls = []
 
     def counted(p):
@@ -296,10 +312,9 @@ def test_minimize_takes_one_squarefree_part_per_piece(monkeypatch):
 
     monkeypatch.setattr(piecewise, "squarefree_part", counted)
     monkeypatch.setattr(sturm, "squarefree_part", counted)
-    res = pw_minimize(f, lo, hi, Fraction(1, 2**20))
+    res = pw_minimize(f, Fraction(1, 2**20))
     assert res.competitors
-    bps = f.breakpoints
-    assert len(calls) == sum(max(lo, a) < min(hi, b) for a, b in zip(bps, bps[1:])) == 6
+    assert len(calls) == len(f.pieces) == 6
 
 
 def test_phi8_pieces_match_evaluator_off_nodes(monkeypatch):
@@ -331,12 +346,12 @@ def test_phi_min_value_prints_and_contains_the_exact_enclosure(monkeypatch):
     # pw_minimize's exact value enclosure has numerators past 4300 digits;
     # phi_min's, rounded outward to multiples of 2^-(2e + 32), prints
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
-    f = phi_piecewise(8)
+    f = limits._phi_quarter(8)
     with int_max_str_digits(sys.int_info.default_max_str_digits):
         for e in (20, 200, 1200):
             eps = Fraction(1, 2**e)
             res = limits.phi_min(8, eps)
-            exact = pw_minimize(f, 0, Fraction(1, 4), eps)
+            exact = pw_minimize(f, eps)
             repr(res)
             assert res.argmin == exact.argmin
             (lower, upper), (exact_lower, exact_upper) = res.value, exact.value
@@ -355,7 +370,7 @@ def test_phi_refinement_digests(monkeypatch):
     results = {
         (q, e): limits.phi_min(q, Fraction(1, 2**e)) for q in (7, 8) for e in (20, 200)
     }
-    results["twin"] = pw_minimize(phi_piecewise(8), 0, Fraction(1, 2), Fraction(1, 2**20))
+    results["twin"] = pw_minimize(phi_piecewise(8), Fraction(1, 2**20))
     digests = {key: hashlib.sha256(repr(r).encode()).hexdigest() for key, r in results.items()}
     q7 = "41c13cd83a2f68679c5d0d084756a89a50541f8ecb31bf93ec4a39fc523befe7"
     assert digests == {

@@ -14,6 +14,7 @@ patched to fail, and numpy to be missing, so a check that came after any work
 would show as an AssertionError or ImportError, not as the expected
 ValueError.  This file needs only pytest, the standard library and littlewood.
 """
+import gc
 import sys
 import time
 from array import array
@@ -22,7 +23,7 @@ from functools import partial
 
 import pytest
 
-from littlewood import gf2k, intconv, limits, partitions, polynomials, special_numbers
+from littlewood import _digit_limit, gf2k, intconv, limits, partitions, polynomials, special_numbers
 from littlewood.gf2k import MAX_K, galois, primitive_polynomial
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
@@ -70,7 +71,7 @@ from littlewood.special_numbers import (
 
 # module -> the functions that run after its checks
 WORK = {
-    limits: ("_node_table", "_shifted_values", "_block_scale", "phi_piecewise",
+    limits: ("_node_table", "_shifted_values", "_block_scale", "_phi_quarter",
              "tangent_numbers", "carlitz_numbers"),
     special_numbers: ("_tangent_binomial", "_carlitz_binomial", "_eulerian_general",
                       "_spline_rows", "_binom"),
@@ -207,6 +208,11 @@ OTHER = [
                  id="triangle_table-family"),
     *(pytest.param(partial(phi_min, 3, eps), "eps must be positive", id=f"phi_min-eps-{eps!r}")
       for eps in (0, Fraction(-1, 4), "0", "-1/4")),
+    # 2^k (2q)!/q! >= 10^L, k = 2 log2(1/eps) + 32: the rounded minimum may not print
+    *(pytest.param(partial(phi_min, 6, eps),
+                   f"phi_6 minimum at this eps may have more than {_digit_limit()} digits, "
+                   "the int/str conversion limit", id=f"phi_min-eps-{label}")
+      for eps, label in ((Fraction(1, 2**7200), "2**-7200"), (Fraction(1, 10**5000), "10**-5000"))),
     # a bool for any int up to MAX_PRIME, so only the refusals of the p rule
     *(pytest.param(partial(is_odd_prime, p), _out_of_range("p", repr(p), 3, MAX_PRIME),
                    id=f"is_odd_prime-{p!r}")
@@ -229,6 +235,8 @@ def no_work(monkeypatch):
 
 @pytest.mark.parametrize("call, message", [*_rule_rows(), *_coefficient_rows(), *OTHER])
 def test_refused_before_work(call, message):
+    # a collection of what earlier tests left would fall inside the timed span
+    gc.collect()
     start = time.perf_counter()
     with pytest.raises(ValueError) as refused:
         call()
