@@ -9,7 +9,9 @@ command loads only the modules it runs.  Nothing here imports numpy; only
 the quadrature oracle `norm_2q_quadrature` loads it, when called.
 """
 import sys
+from fractions import Fraction
 from importlib import import_module
+from math import isfinite
 
 __version__ = "0.1.0"
 
@@ -66,3 +68,19 @@ def _check_int(name: str, n, lo: int | None = None, hi: int | None = None) -> No
         shown = f"of {n.bit_length()} bits" if big else repr(n)
         bounds = "..".join("" if b is None else str(b) for b in (lo, hi))
         raise ValueError(f"{name} {shown} out of range {bounds}")
+
+
+def _check_rational(name: str, x) -> Fraction:
+    """x as a Fraction, by the one rational rule: an int, a Fraction, a finite float, or a
+    str that Fraction reads with a nonzero denominator and no exponent ("3", "-1/4",
+    "0.125"); Fraction would expand an exponent in full before any cost rule could
+    refuse it.  Anything else raises ValueError "{name} {x!r} is not an exact rational
+    (...)", the parenthesis naming the admitted forms."""
+    if (isinstance(x, (int, Fraction)) or isinstance(x, float) and isfinite(x)
+            or isinstance(x, str) and "e" not in x.lower()):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} {x!r} is not an exact rational (int, Fraction, finite float, "
+                     "or str n/d or decimal without exponent)")

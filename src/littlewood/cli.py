@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from littlewood import limits as limits_mod
+from littlewood import _check_rational, limits as limits_mod
 
 SCHEMA_VERSION = "v1"
 
@@ -36,13 +36,8 @@ def _dec(x) -> str:
 
 
 def _rational(text: str) -> Fraction:
-    # Fraction expands an exponent in full, before any cost rule can refuse it
-    if "e" in text.lower():
-        raise ValueError("exponent notation")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator") from None
+    # argparse names this function in its usage error
+    return _check_rational("value", text)
 
 
 # Options taking a rational.  argparse reads a value such as "-1/4" as an

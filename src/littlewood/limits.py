@@ -15,17 +15,22 @@ nodes of an interval and their 2q-th divided difference must vanish, and
 mirroring by the substitution R -> 1/2 - R, under which phi_q is invariant;
 its minimum is certified on [0, 1/4] with enclosures from Descartes root
 isolation.  The direct partition-profile sums `fekete_limit_direct` and
-`galois_limit_direct` are cross-checks.  T(k), C(k) with their binomials,
-the Eulerian rows and the primes of `_block_scale` come from `special_numbers`.
+`galois_limit_direct`, the recursion's cross-checks, are one sum
+(`_direct_sum`) over a profile stream of `partitions`, whose one enumerator
+counts each multiset of block sizes by one formula, with a weight per block.
+T(k), C(k) with their binomials, the Eulerian rows and the primes of
+`_block_scale` come from `special_numbers`.
 
 Each public function raises ValueError before any work for input outside its
 rule (`_check_order`, `check_shift`, `phi_min`'s eps, the *_QMAX bounds; each
-order by `littlewood._check_int`); the command line prints that message as its
+order by `littlewood._check_int`, each shift ratio and eps by
+`littlewood._check_rational`); the command line prints that message as its
 error record.
 
-The piecewise, rational-polynomial, partition-profile and root modules are
-imported by the functions that use them, so the recursions and
-`shifted_fekete_limit` run without loading them.
+The piecewise, rational-polynomial and partition-profile modules are
+imported by the functions that use them, and `sturm` is loaded only through
+`piecewise`, so the recursions and `shifted_fekete_limit` run without
+loading any of them.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ from math import ceil, comb, factorial, floor, lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from littlewood import _check_int, _digit_limit
+from littlewood import _check_int, _check_rational, _digit_limit
 from littlewood.special_numbers import (_carlitz_binomial, _prime_factors, _spline_rows,
                                         _tangent_binomial, carlitz_numbers, eulerian_polynomial,
                                         tangent_numbers)
@@ -188,28 +193,30 @@ def _triangle_row(pi: tuple[int, ...]) -> TriangleRow:
     return TriangleRow(len(pi), half[:0:-1] + half)
 
 
+def _single_order(family: str, name: str, n: int) -> tuple[int, ...]:
+    # pi_n of one order: the rule, then a node table of exactly that order
+    _check_order(family, name, n)
+    return _recursion_y(_node_table(family, n), n)
+
+
 def fekete_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Fekete polynomials, F(q, q)."""
-    _check_order("fekete", "q", q)
-    return _limit(_recursion_y(_node_table("fekete", q), q))
+    return _limit(_single_order("fekete", "q", q))
 
 
 def galois_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Galois polynomials, G(q, q)."""
-    _check_order("galois", "q", q)
-    return _limit(_recursion_y(_node_table("galois", q), q))
+    return _limit(_single_order("galois", "q", q))
 
 
 def fekete_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! F(k, m) for m = 1..2k-1."""
-    _check_order("fekete", "k", k)
-    return _triangle_row(_recursion_y(_node_table("fekete", k), k))
+    return _triangle_row(_single_order("fekete", "k", k))
 
 
 def galois_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! G(k, m) for m = 1..2k-1."""
-    _check_order("galois", "k", k)
-    return _triangle_row(_recursion_y(_node_table("galois", k), k))
+    return _triangle_row(_single_order("galois", "k", k))
 
 
 def limit_table(family: str, qmax: int) -> LimitTable:
@@ -226,51 +233,53 @@ def triangle_table(family: str, rows: int) -> list[TriangleRow]:
     return [_triangle_row(_recursion_y(table, k)) for k in range(1, rows + 1)]
 
 
-def fekete_limit_direct(q: int) -> Fraction:
-    """Direct partition-sum form of the Fekete limit, via even size profiles.
-
-    Per profile, the composition sum factors as the x^q coefficient of the
-    product of the blocks' Eulerian polynomials.
+def _direct_sum(q: int, profiles, unit: int, weights) -> Fraction:
+    """The sum over size profiles of count * prod weights[N-1] * [x^q] prod E_N(x),
+    with one factor per block of size unit * N and E_N the Eulerian polynomial
+    (`eulerian_polynomial`).  count is the one formula of `partitions._profiles`;
+    per profile, the composition sum factors as that x^q coefficient of the
+    product, whose degree 2q - (number of blocks) is at least q.
     """
-    from littlewood.partitions import even_size_profiles
     from littlewood.ratpoly import poly_mul
 
-    _check_int("q", q, 1, DIRECT_QMAX)
-    tangents = tangent_numbers(q)
     total = Fraction(0)
-    for prof in even_size_profiles(q):
-        weight = Fraction(prof.count)
-        gen: tuple = (Fraction(1),)
+    for prof in profiles:
+        term, gen = Fraction(prof.count), (1,)
         for size in prof.sizes:
-            N = size // 2
-            weight *= Fraction(tangents[N - 1], factorial(2 * N - 1))
+            N = size // unit
+            term *= weights[N - 1]
             gen = poly_mul(gen, eulerian_polynomial(N))
-        total += weight * gen[q]  # gen has degree 2q - len(prof.sizes) >= q
+        total += term * gen[q]
     return total
+
+
+def fekete_limit_direct(q: int) -> Fraction:
+    """Direct partition-sum form of the Fekete limit, over the even size
+    profiles of a 2q-set, with weight T(N)/(2N-1)! per block of size 2N."""
+    from littlewood.partitions import even_size_profiles
+
+    _check_int("q", q, 1, DIRECT_QMAX)
+    weights = [Fraction(t, factorial(2 * N - 1)) for N, t in enumerate(tangent_numbers(q), 1)]
+    return _direct_sum(q, even_size_profiles(q), 2, weights)
 
 
 def galois_limit_direct(q: int) -> Fraction:
-    """Direct partition-sum form of the Galois limit, via size profiles,
-    including the multinomial factor q!/prod(N_i!) applied per partition."""
+    """Direct partition-sum form of the Galois limit, over the size profiles
+    of a q-set, with weight C(N)/(N! (2N-1)!) per block of size N and the
+    multinomial factor q!/prod(N_i!) of each partition: its q! is taken out
+    of the sum and its 1/N! is in the weights."""
     from littlewood.partitions import galois_size_profiles
-    from littlewood.ratpoly import poly_mul
 
     _check_int("q", q, 1, DIRECT_QMAX)
-    carlitzs = carlitz_numbers(q)
-    total = Fraction(0)
-    for prof in galois_size_profiles(q):
-        weight = Fraction(prof.count * factorial(q))
-        gen: tuple = (Fraction(1),)
-        for N in prof.sizes:
-            weight *= Fraction(carlitzs[N - 1], factorial(N) * factorial(2 * N - 1))
-            gen = poly_mul(gen, eulerian_polynomial(N))
-        total += weight * gen[q]
-    return total
+    weights = [Fraction(c, factorial(N) * factorial(2 * N - 1))
+               for N, c in enumerate(carlitz_numbers(q), 1)]
+    return factorial(q) * _direct_sum(q, galois_size_profiles(q), 1, weights)
 
 
 def check_shift(q: int, R) -> None:
     """Raise ValueError unless `shifted_fekete_limit(q, R)` is admitted:
-    1 <= q <= SHIFTED_QMAX and, with R reduced to r/d in [0, 1/2),
+    1 <= q <= SHIFTED_QMAX, R a rational by `littlewood._check_rational`, and,
+    with R reduced to r/d in [0, 1/2),
     (2q)!/q! c^q d^(2q) < 10^L (L: `littlewood._digit_limit`).  That product
     bounds both printed integers: the value's denominator divides c^q d^(2q)
     (`_shifted_values`), and phi_q(R) < (2q)!/q! as the 2q-th moment of a
@@ -281,7 +290,7 @@ def check_shift(q: int, R) -> None:
     """
     _check_int("q", q, 1, SHIFTED_QMAX)
     limit = _digit_limit()
-    d = (Fraction(R) % HALF).denominator
+    d = (_check_rational("R", R) % HALF).denominator
     # bit lengths alone refuse d^(2q) >= 2^(4 limit) > 10^limit before it is built
     if 2 * q * (d.bit_length() - 1) >= 4 * limit or (
             factorial(2 * q) // factorial(q) * _block_scale(q) ** q * d ** (2 * q) >= 10**limit):
@@ -498,7 +507,7 @@ def phi_min(q: int, eps) -> PhiMinResult:
     from littlewood.piecewise import pw_minimize
 
     _check_int("q", q, 2, PHI_PIECES_QMAX)  # phi_1 is constant
-    eps = Fraction(eps)
+    eps = _check_rational("eps", eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     k, limit = 2 * (ceil(1 / eps) - 1).bit_length() + 32, _digit_limit()

@@ -5,14 +5,15 @@ tuple of ascending integers, blocks ordered by smallest element.  The raw
 enumerator is an oracle for tests only.  The profile streams compress the
 partition sums to a few dozen multiplicity-weighted terms; they serve the
 direct routes `fekete_limit_direct` and `galois_limit_direct` and the test
-oracles of the shifted limit, and no command loads this module.  Each size is
-checked by `littlewood._check_int`, with its one message.
+oracles of the shifted limit, and no command loads this module.  All three
+come from one enumerator, `_profiles`, of multisets of block types with one
+count formula; each stream is a choice of types.  Each size is checked by
+`littlewood._check_int`, with its one message, on the stream's first item.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial
 
 from littlewood import _check_int
 
@@ -60,95 +61,83 @@ def enumerate_set_partitions(m: int):
     yield from rec(1, 0)
 
 
-def _integer_partitions(total: int, cap: int | None = None):
-    """Nonincreasing tuples of positive integers summing to `total`."""
-    cap = total if cap is None else cap
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, cap), 0, -1):
-        for rest in _integer_partitions(total - first, first):
-            yield (first,) + rest
+def _profiles(types, low: int, high: int) -> list[tuple[tuple, int]]:
+    """Multisets of block types (label, l, h), labels ascending, whose l's sum
+    to `low` and h's to `high`, as (labels, count) in lexicographic order of
+    the labels.  A block of a set partition of a low-set plus a high-set has
+    type (label, l, h) when it takes l low and h high elements, and a multiset
+    of types is realized by
 
+        count = low! * high! / (prod l! * prod h! * prod mult!)
 
-def _exact_quotient(num: int, den: int) -> int:
-    if num % den:
-        raise ArithmeticError("profile count is not integral")
-    return num // den
+    set partitions: choose which low and which high elements enter each
+    block, then divide by the symmetry of repeated types.  The division is
+    checked to be exact (ArithmeticError otherwise).
 
+    >>> dict(_profiles([(N, N, 0) for N in (1, 2, 3)], 3, 0))
+    {(1, 1, 1): 1, (1, 2): 3, (3,): 1}
+    """
+    num = factorial(low) * factorial(high)
+    weights = [factorial(l) * factorial(h) for _, l, h in types]
+    profiles: list[tuple[tuple, int]] = []
 
-def _size_profiles(q: int, multiple: int):
-    # sizes multiple * N_i, sum N_i = q, counted among partitions of a (multiple q)-set
-    _check_int("q", q, 1)
-    profiles = []
-    for parts in _integer_partitions(q):
-        sizes = tuple(sorted(multiple * p for p in parts))
-        den = prod(map(factorial, sizes + tuple(Counter(sizes).values())))
-        profiles.append(SizeProfile(sizes, _exact_quotient(factorial(multiple * q), den)))
-    profiles.sort(key=lambda p: p.sizes)
-    yield from profiles
+    def rec(i: int, low: int, high: int, den: int, mult: int, chosen: tuple):
+        # types before i are spent; chosen ends in mult copies of type i
+        if not low and not high:
+            if num % den:
+                raise ArithmeticError("profile count is not integral")
+            profiles.append((chosen, num // den))
+            return
+        for j in range(i, len(types)):
+            label, l, h = types[j]
+            if l <= low and h <= high:
+                m = mult + 1 if j == i else 1
+                rec(j, low - l, high - h, den * weights[j] * m, m, chosen + (label,))
+
+    rec(0, low, high, 1, 0, ())
+    return profiles
 
 
 def even_size_profiles(q: int):
     """Size multisets {2N_1, ..., 2N_l} of even partitions of a 2q-set.
 
-    Each profile carries count = (2q)! / (prod (2N_i)! * prod mult_s!), the
-    number of set partitions realizing the multiset.  Profiles stream in
-    lexicographic order of their ascending-sorted entries.
+    Blocks of size 2N are the type (2N, 2N, 0) of `_profiles` with low = 2q,
+    so count = (2q)! / (prod (2N_i)! * prod mult_s!), the number of set
+    partitions realizing the multiset.  Profiles stream in lexicographic order
+    of their ascending-sorted entries.
     """
-    yield from _size_profiles(q, 2)
+    _check_int("q", q, 1)
+    for sizes, count in _profiles([(2 * N, 2 * N, 0) for N in range(1, q + 1)], 2 * q, 0):
+        yield SizeProfile(sizes, count)
 
 
 def galois_size_profiles(q: int):
     """Size multisets {N_1, ..., N_l} of all partitions of a q-set.
 
+    Blocks of size N are the type (N, N, 0) of `_profiles` with low = q, so
     count = q! / (prod N_i! * prod mult_s!); the multinomial factor the limit
     evaluation applies per partition is *not* folded in here.
     """
-    yield from _size_profiles(q, 1)
+    _check_int("q", q, 1)
+    for sizes, count in _profiles([(N, N, 0) for N in range(1, q + 1)], q, 0):
+        yield SizeProfile(sizes, count)
 
 
 def even_block_profiles(q: int):
     """(half_size, high_count) multisets of even partitions of {1..2q}.
 
-    A block of 2N elements with P of them above q consumes 2N-P elements of
-    the low half {1..q} and P of the high half; profiles satisfy
-    sum(2N_i - P_i) = sum(P_i) = q.  Each carries
+    A block of 2N elements with P of them above q is the type
+    ((N, P), 2N-P, P) of `_profiles`, with low = high = q: it consumes 2N-P
+    elements of the low half {1..q} and P of the high half.  Each profile
+    carries
 
         count = q! * q! / (prod (2N_i - P_i)! * prod P_i! * prod mult_t!),
 
-    the number of even set partitions realizing the multiset: choose which
-    low-half and which high-half elements enter each block, then divide by
-    the symmetry of repeated (N, P) types.  Validated against brute-force
-    enumeration in the test suite.
+    the number of even set partitions realizing the multiset.  Validated
+    against brute-force enumeration in the test suite.
     """
     _check_int("q", q, 1)
-    types = sorted(
-        (N, P)
-        for N in range(1, q + 1)
-        for P in range(max(0, 2 * N - q), min(2 * N, q) + 1)
-    )
-    profiles = []
-
-    def rec(idx: int, low: int, high: int, chosen: list[tuple[int, int]]):
-        if low == 0 and high == 0:
-            entries = tuple(chosen)
-            den = 1
-            for N, P in entries:
-                den *= factorial(2 * N - P) * factorial(P)
-            for mult in Counter(entries).values():
-                den *= factorial(mult)
-            num = factorial(q) ** 2
-            profiles.append(EvenBlockProfile(entries, _exact_quotient(num, den)))
-            return
-        for i in range(idx, len(types)):
-            N, P = types[i]
-            l, h = 2 * N - P, P
-            if l <= low and h <= high:
-                chosen.append((N, P))
-                rec(i, low - l, high - h, chosen)
-                chosen.pop()
-
-    rec(0, q, q, [])
-    profiles.sort(key=lambda p: p.entries)
-    yield from profiles
+    types = [((N, P), 2 * N - P, P)
+             for N in range(1, q + 1) for P in range(max(0, 2 * N - q), min(2 * N, q) + 1)]
+    for entries, count in _profiles(types, q, q):
+        yield EvenBlockProfile(entries, count)

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
+from littlewood import _check_rational
 from littlewood.ratpoly import poly_derivative, poly_eval, poly_shift, poly_trim
 from littlewood.sturm import _isolate, squarefree_part
 
@@ -93,7 +94,7 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
     >>> pw_minimize(square, Fraction(1, 8))[:2]
     ((Fraction(1, 4), Fraction(1, 4)), (Fraction(0, 1), Fraction(0, 1)))
     """
-    eps = Fraction(eps)
+    eps = _check_rational("eps", eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     bps = f.breakpoints

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
-from littlewood import _check_int
+from littlewood import _check_int, _check_rational
 from littlewood.gf2k import MAX_K, _check_exponent, _galois_signs
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
@@ -146,6 +146,8 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         _check_order(family, "q", q)
     if shift is not None:
         _check_int("shift", shift)
+    if shift_ratio is not None:
+        shift_ratio = _check_rational("shift_ratio", shift_ratio)
     shapes = []  # (length, nonzero coefficients) per size
     for s in sizes:
         if family != "galois":

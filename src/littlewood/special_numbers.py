@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 
-from littlewood import _check_int
+from littlewood import _check_int, _check_rational
 
 
 def _binom(a: int, b: int) -> int:
@@ -95,7 +95,7 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     Fraction(1, 2)
     """
     _check_int("n", n, 1)
-    return _eulerian_general(n, Fraction(x))
+    return _eulerian_general(n, _check_rational("x", x))
 
 
 def _spline_rows(ts, d: int):

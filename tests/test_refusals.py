@@ -7,8 +7,9 @@ else the message "{name} {n!r} out of range {lo}..{hi}" (a bound left out is
 blank).  Each entry is called at lo - 1, at hi + 1, and at lo (0 with no lo)
 as a float, a Fraction and a str.  `FURTHER` adds out-of-range ints to some
 entries, `HUGE` those past the int/str limit, which the message names by bit
-length, `_coefficient_rows` holds the refusals of coefficient vectors, and
-`OTHER` those of the other rules (family, eps, `is_odd_prime`) and of q = 0
+length.  `RATIONAL_RULES` lists each public entry point of the rational rule,
+`littlewood._check_rational`, each called with every value of `NOT_RATIONAL`.
+`_coefficient_rows` holds the refusals of coefficient vectors, and `OTHER` those of the other rules (family, eps, `is_odd_prime`) and of q = 0
 with other vectors.  The functions that do the work after the checks are
 patched to fail, and numpy to be missing, so a check that came after any work
 would show as an AssertionError or ImportError, not as the expected
@@ -18,12 +19,14 @@ import gc
 import sys
 import time
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from littlewood import _digit_limit, gf2k, intconv, limits, partitions, polynomials, special_numbers
+from littlewood import (_digit_limit, gf2k, intconv, limits, partitions, piecewise, polynomials,
+                        special_numbers)
 from littlewood.gf2k import MAX_K, galois, primitive_polynomial
 from littlewood.intconv import norm_2q_exact, power_layout
 from littlewood.limits import (
@@ -51,6 +54,7 @@ from littlewood.partitions import (
     even_size_profiles,
     galois_size_profiles,
 )
+from littlewood.piecewise import PiecewisePoly, pw_minimize
 from littlewood.polynomials import (
     MAX_PRIME,
     _fekete_signs,
@@ -75,7 +79,8 @@ WORK = {
              "tangent_numbers", "carlitz_numbers"),
     special_numbers: ("_tangent_binomial", "_carlitz_binomial", "_eulerian_general",
                       "_spline_rows", "_binom"),
-    partitions: ("_integer_partitions", "_exact_quotient"),
+    partitions: ("_profiles",),
+    piecewise: ("_isolate", "squarefree_part"),
     gf2k: ("primitive_polynomial", "_prime_factors", "_trace_bits"),
     polynomials: ("_prime_factors", "_galois_signs", "norm_2q_exact",
                   "fekete_limit_recursive", "galois_limit_recursive", "shifted_fekete_limit"),
@@ -179,6 +184,38 @@ def _rule_rows():
                                id=f"{label}-{'-' if sign < 0 else ''}10**5000")
 
 
+# (entry point, argument name, the call with that argument): every public way
+# into the rational rule, `littlewood._check_rational`
+RATIONAL_RULES = [
+    ("check_shift", "R", partial(check_shift, 3)),
+    ("shifted_fekete_limit", "R", partial(shifted_fekete_limit, 3)),
+    ("phi_min", "eps", partial(phi_min, 3)),
+    ("pw_minimize", "eps", partial(pw_minimize, PiecewisePoly((0, 1), ((1, -8, 16),)))),
+    ("eulerian_general", "x", partial(eulerian_general, 3)),
+    ("convergence_table-shifted-shift_ratio", "shift_ratio",
+     lambda x: convergence_table("shifted", 2, [5], shift_ratio=x)),
+]
+
+# entries whose None means "not given"
+OPTIONAL = {"convergence_table-shifted-shift_ratio"}
+
+# what the rule refuses: no finite value, no rational type, an exponent
+# (Fraction would build 10^(10^7) first), a zero denominator, no number
+NOT_RATIONAL = (float("inf"), float("-inf"), float("nan"), None, Decimal("0.25"), [1],
+                "1e-10000000", "1e-1000000", "1E-3", "1/0", "inf", "zap")
+
+
+def _rational_rows():
+    for label, name, call in RATIONAL_RULES:
+        for x in NOT_RATIONAL:
+            if x is None and label in OPTIONAL:
+                continue
+            yield pytest.param(partial(call, x),
+                               f"{name} {x!r} is not an exact rational (int, Fraction, finite "
+                               "float, or str n/d or decimal without exponent)",
+                               id=f"{label}-{x!r}")
+
+
 COEFFICIENTS = "exact norms take polynomials whose coefficients are 0, 1 and -1"
 
 
@@ -233,7 +270,8 @@ def no_work(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
 
 
-@pytest.mark.parametrize("call, message", [*_rule_rows(), *_coefficient_rows(), *OTHER])
+@pytest.mark.parametrize("call, message",
+                         [*_rule_rows(), *_rational_rows(), *_coefficient_rows(), *OTHER])
 def test_refused_before_work(call, message):
     # a collection of what earlier tests left would fall inside the timed span
     gc.collect()
