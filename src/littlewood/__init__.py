@@ -75,12 +75,16 @@ def _check_rational(name: str, x) -> Fraction:
     str that Fraction reads with a nonzero denominator and no exponent ("3", "-1/4",
     "0.125"); Fraction would expand an exponent in full before any cost rule could
     refuse it.  Anything else raises ValueError "{name} {x!r} is not an exact rational
-    (...)", the parenthesis naming the admitted forms."""
+    (...)", the parenthesis naming the admitted forms.  A str of over 2L + 2 characters,
+    L = `_digit_limit()` (two L-digit numerals, a sign and a slash), is refused before
+    Fraction reads it, and named "{name} of {len} characters" instead."""
+    too_long = isinstance(x, str) and len(x) > 2 * _digit_limit() + 2
     if (isinstance(x, (int, Fraction)) or isinstance(x, float) and isfinite(x)
-            or isinstance(x, str) and "e" not in x.lower()):
+            or isinstance(x, str) and not too_long and "e" not in x.lower()):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"{name} {x!r} is not an exact rational (int, Fraction, finite float, "
+    shown = f"of {len(x)} characters" if too_long else repr(x)
+    raise ValueError(f"{name} {shown} is not an exact rational (int, Fraction, finite float, "
                      "or str n/d or decimal without exponent)")

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from littlewood import _check_rational
-from littlewood.ratpoly import poly_derivative, poly_eval, poly_shift, poly_trim
-from littlewood.sturm import _isolate, squarefree_part
+from littlewood.ratpoly import poly_derivative, poly_eval, poly_trim
+from littlewood.sturm import _isolate, _on_unit, squarefree_part
 
 
 class _Pieces(NamedTuple):
@@ -78,7 +78,8 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
     """Minimize f over its domain [b_0, b_k] with exact certificates.
 
     Every candidate is an enclosure [a, b] with bounds on the minimum of its
-    piece over it (`_segment_bounds`, exact when a == b).  The points are each
+    piece over it, read from the piece mapped to [0, 1] in integers
+    (`_segment_bounds`, exact when a == b).  The points are each
     piece's left end, the domain's right end and the rational roots of f'; a
     point takes its value from the piece that starts there, as `evaluate`
     does.  The other real roots of f' are isolated and refined to width
@@ -131,13 +132,9 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
 
 
 def _segment_bounds(piece, a, b) -> tuple[Fraction, Fraction]:
-    """Bounds on min of the piece over [a, b]: with p(a + t) = sum c_i t^i and
-    t in [0, w], w = b - a, c_0 + sum_(i>=1) min(c_i w^i, 0) below, which
-    tightens with w and is p(a) at w = 0; the better attained endpoint value
-    above."""
-    if a == b:
-        value = poly_eval(piece, a)
-        return value, value
-    c, w = poly_shift(piece, a), b - a
-    lower = c[0] + sum(min(ci * w**i, 0) for i, ci in enumerate(c[1:], 1))
-    return lower, min(c[0], poly_eval(piece, b))
+    """Bounds on min of the piece over [a, b], from p(a + (b - a) t) =
+    sum c_i t^i / s on t in [0, 1] (`sturm._on_unit`): (c_0 + sum_(i>=1)
+    min(c_i, 0)) / s below, which tightens as b - a shrinks, and the better
+    end value min(c_0, sum c_i) / s above; both are p(a) when a == b."""
+    s, c = _on_unit(piece, a, b)
+    return Fraction(c[0] + sum(min(ci, 0) for ci in c[1:]), s), Fraction(min(c[0], sum(c)), s)

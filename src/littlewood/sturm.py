@@ -1,51 +1,77 @@
 """Exact real-root isolation for rational polynomials by Descartes bisection.
 
-Polynomials use the dense tuple representation from `ratpoly`.  Roots are
-isolated by Descartes' rule of signs under bisection (Collins & Akritas,
-1976) in integer arithmetic on the primitive squarefree part, and the same
-halving refines each isolating interval to the requested width.  The module
-kept its name from the Sturm chains it used to build, because the benchmark
-tracer imports `littlewood.sturm`.
+Polynomials use the dense tuple representation from `ratpoly`.  Polynomial
+arithmetic is on integers: rational coefficients are scaled to integers once,
+on input, and only the enclosure ends are Fractions.  `_on_unit` is the one
+map of a polynomial on [lo, hi] to an integer polynomial on [0, 1], which
+`_isolate` and `piecewise._segment_bounds` both read, and `squarefree_part`
+takes its gcds by integer pseudo-division.  Roots are isolated by Descartes'
+rule of signs under bisection (Collins & Akritas, 1976) on the primitive
+squarefree part, and the same halving refines each isolating interval to the
+requested width.  The module kept its name from the Sturm chains it used to
+build, because the benchmark tracer imports `littlewood.sturm`.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from fractions import Fraction  # the doctests' enclosure ends
 
 from littlewood.ratpoly import poly_derivative, poly_shift, poly_trim
 
 
 def _primitive(p) -> tuple[int, ...]:
-    """Integer polynomial equal to p up to a positive rational factor."""
+    """Integer polynomial equal to p up to a positive rational factor; () for
+    the zero polynomial."""
     p = poly_trim(p)
-    if not p:
-        return ()
-    coeffs = [Fraction(c) for c in p]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
     content = math.gcd(*ints)
     return tuple(c // content for c in ints)
 
 
 def _divmod(a, b):
-    """Quotient and remainder of a divided by b over the rationals."""
-    rem = [Fraction(c) for c in a]
-    db, lead = len(b) - 1, Fraction(b[-1])
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    """Integer pseudo-division: quot and rem with lead(b)^k a = quot b + rem,
+    deg rem < deg b, and k = deg a - deg b + 1 (0 when deg a < deg b)."""
+    rem, db, lead = list(a), len(b) - 1, b[-1]
+    quot = [0] * max(len(rem) - db, 0)
     for i in range(len(quot) - 1, -1, -1):
-        quot[i] = rem[i + db] / lead
+        # both sides times lead, then the top term of rem moved into quot
+        quot[i] = top = rem[i + db]
+        rem = [lead * c for c in rem]
         for j, cb in enumerate(b):
-            rem[i + j] -= quot[i] * cb
-    return poly_trim(quot), poly_trim(rem[:db])
+            rem[i + j] -= top * cb
+    # quot's term of degree i is multiplied by lead in each of the i later steps
+    return poly_trim([c * lead**i for i, c in enumerate(quot)]), poly_trim(rem[:db])
 
 
 def squarefree_part(p) -> tuple[int, ...]:
-    """Primitive squarefree polynomial with the same real roots as p."""
+    """Primitive squarefree integer polynomial with the same real roots as p,
+    by the Euclidean gcd of p and p' in integer pseudo-remainders, each made
+    primitive; its sign is not normalised."""
     p = _primitive(p)
     a, b = p, _primitive(poly_derivative(p))
     while b:
         a, b = b, _primitive(_divmod(a, b)[1])
     return _primitive(_divmod(p, a)[0]) if len(a) > 1 else p
+
+
+def _on_unit(p, lo, hi) -> tuple[int, tuple[int, ...]]:
+    """Integers s > 0 and c_0..c_d with p(lo + (hi - lo) t) = sum c_i t^i / s,
+    for p with int or Fraction coefficients and Fractions lo <= hi: the one map
+    of a polynomial on [lo, hi] to one on [0, 1].  The zero polynomial gives
+    c = (0,).
+
+    >>> _on_unit((Fraction(1, 2), 0, 1), Fraction(1), Fraction(3))   # x^2 + 1/2 on [1, 3]
+    (2, (3, 8, 8))
+    """
+    p = tuple(p) or (0,)
+    d, den = len(p) - 1, math.lcm(lo.denominator, hi.denominator)
+    scale = math.lcm(*(c.denominator for c in p))
+    # den^d scale p((L + W t) / den) with L = lo den and W = (hi - lo) den
+    q = poly_shift([c.numerator * (scale // c.denominator) * den ** (d - i)
+                    for i, c in enumerate(p)], int(lo * den))
+    w = int((hi - lo) * den)
+    return scale * den**d, tuple(c * w**i for i, c in enumerate(q))
 
 
 def _isolate(p, lo, hi, eps):
@@ -60,12 +86,9 @@ def _isolate(p, lo, hi, eps):
     d = len(p) - 1
     if d < 1:
         return []
-    # q(t) = den^d p(lo + (hi - lo) t) in integers: its roots in (0, 1) are
-    # those of p in (lo, hi), and q(0), q(1) have the signs of p(lo), p(hi)
-    den = math.lcm(lo.denominator, hi.denominator)
-    q = poly_shift([c * den ** (d - i) for i, c in enumerate(p)], int(lo * den))
-    w = int((hi - lo) * den)
-    q = [c * w**i for i, c in enumerate(q)]
+    # q(t), a positive multiple of p(lo + (hi - lo) t): its roots in (0, 1)
+    # are those of p in (lo, hi), and q(0), q(1) have the signs of p(lo), p(hi)
+    q = _on_unit(p, lo, hi)[1]
     found = [(x, x) for x, v in ((lo, q[0]), (hi, sum(q))) if v == 0]
     todo = [(lo, hi, q)]
     while todo:

@@ -101,6 +101,12 @@ def test_poly_shift_matches_evaluation(a, n, c, x):
         shifted = poly_shift(a, shift)
         assert len(shifted) == len(a)
         assert poly_eval(shifted, x) == poly_eval(a, x + shift)
+    # the integer map to [0, 1], on [c, x] or [x, c] and on the point c
+    for lo, hi in ((min(c, x), max(c, x)), (c, c)):
+        s, coeffs = sturm._on_unit(a, lo, hi)
+        assert s > 0 and all(type(ci) is int for ci in coeffs)
+        for t in (0, Fraction(1, 2), 1):
+            assert poly_eval(coeffs, t) / s == poly_eval(a, lo + (hi - lo) * t)
 
 
 def test_minimize_perfect_square():
@@ -250,7 +256,11 @@ def test_isolate_and_minimize_match_sympy(problem):
     p, lo, hi, eps = problem
     P = _sympy_poly(p)
     roots = [r for r in dict.fromkeys(sympy.real_roots(P)) if lo <= r <= hi]
-    found = _isolate(squarefree_part(p), lo, hi, eps)
+    # squarefree part: integers, and a rational multiple of sympy's
+    squarefree = squarefree_part(p)
+    assert all(type(c) is int for c in squarefree)
+    assert _sympy_poly(squarefree).monic() == P.sqf_part().monic()
+    found = _isolate(squarefree, lo, hi, eps)
     assert found == sorted(found) and len(found) == len(roots)
     exact = [a for a, b in found if a == b]
     intervals = [(a, b) for a, b in found if a < b]

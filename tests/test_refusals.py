@@ -200,9 +200,12 @@ RATIONAL_RULES = [
 OPTIONAL = {"convergence_table-shifted-shift_ratio"}
 
 # what the rule refuses: no finite value, no rational type, an exponent
-# (Fraction would build 10^(10^7) first), a zero denominator, no number
+# (Fraction would build 10^(10^7) first), a zero denominator, no number, and
+# decimals of 10^5 and 4 10^5 digits, longer than two numerals of the int/str
+# limit (with the limit off, Fraction would read them in quadratic time)
 NOT_RATIONAL = (float("inf"), float("-inf"), float("nan"), None, Decimal("0.25"), [1],
-                "1e-10000000", "1e-1000000", "1E-3", "1/0", "inf", "zap")
+                "1e-10000000", "1e-1000000", "1E-3", "1/0", "inf", "zap",
+                *("0." + "1" * n for n in (10**5, 4 * 10**5)))
 
 
 def _rational_rows():
@@ -210,10 +213,12 @@ def _rational_rows():
         for x in NOT_RATIONAL:
             if x is None and label in OPTIONAL:
                 continue
+            # an over-long str is named by its length, not by its repr
+            shown = f"of {len(x)} characters" if isinstance(x, str) and len(x) > 1000 else repr(x)
             yield pytest.param(partial(call, x),
-                               f"{name} {x!r} is not an exact rational (int, Fraction, finite "
+                               f"{name} {shown} is not an exact rational (int, Fraction, finite "
                                "float, or str n/d or decimal without exponent)",
-                               id=f"{label}-{x!r}")
+                               id=f"{label}-{shown}")
 
 
 COEFFICIENTS = "exact norms take polynomials whose coefficients are 0, 1 and -1"
@@ -257,6 +262,16 @@ OTHER = [
     pytest.param(lambda: is_odd_prime(10**5000),
                  _out_of_range("p", "of 16610 bits", 3, MAX_PRIME), id="is_odd_prime-10**5000"),
 ]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def frozen_heap():
+    # what earlier test files left moves out of the collector's reach, so each
+    # row's collect walks only what this file makes
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(autouse=True)
