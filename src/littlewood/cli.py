@@ -36,8 +36,11 @@ def _dec(x) -> str:
 
 
 def _rational(text: str) -> Fraction:
-    # argparse names this function in its usage error
-    return _check_rational("value", text)
+    # the usage error carries the rule's own message, which names an over-long value by length
+    try:
+        return _check_rational("value", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # Options taking a rational.  argparse reads a value such as "-1/4" as an

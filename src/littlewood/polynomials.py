@@ -21,7 +21,9 @@ limits.  Its whole admission rule is `check_convergence`: the q range, the
 sizes (primes up to MAX_PRIME, Galois exponents by `gf2k._check_exponent`),
 the norm engine's `power_layout` for each size and the shift rule
 `check_shift`.  Each raises ValueError before any work starts, and the
-`empirical` command prints it as its error record.
+`empirical` command prints it as its error record.  What the rule admits it
+returns as the run: per size, the sign builder and its arguments and the
+limit's shift ratio, so `convergence_table` only runs it.
 """
 from __future__ import annotations
 
@@ -135,8 +137,12 @@ class ConvergenceRow(NamedTuple):
 
 
 def check_convergence(family: str, q: int, sizes, shift: int | None = None,
-                      shift_ratio=None) -> None:
-    """Raise ValueError unless `convergence_table` admits these arguments."""
+                      shift_ratio=None) -> list[tuple]:
+    """Raise ValueError unless `convergence_table` admits these arguments, and
+    return the run it admits: one entry (n, build, args, R) per size, in input
+    order.  build(*args) is the size's vector of n signs, `_fekete_signs(p, r)`
+    or `_galois_signs(k)`, and R is the shift ratio of its limit, None for the
+    family's one limit."""
     sizes = list(sizes)
     if family not in ("fekete", "shifted", "galois"):
         raise ValueError(f"unknown family {family!r}")
@@ -148,66 +154,52 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         _check_int("shift", shift)
     if shift_ratio is not None:
         shift_ratio = _check_rational("shift_ratio", shift_ratio)
-    shapes = []  # (length, nonzero coefficients) per size
+    run = []
     for s in sizes:
         if family != "galois":
             _check_prime(s)
-            shapes.append((s, s - 1))
+            run.append((s, _fekete_signs, (s, 0), None))
         else:
             _check_exponent(s)
-            shapes.append(((1 << s) - 1, (1 << s) - 1))
-    for n, nonzeros in shapes:
-        power_layout(n, q, nonzeros)
+            run.append(((1 << s) - 1, _galois_signs, (s,), None))
+    for n, build, _, _ in run:
+        # a Fekete vector has one zero sign
+        power_layout(n, q, n if build is _galois_signs else n - 1)
     if family != "shifted":
         if shift is not None or shift_ratio is not None:
             raise ValueError("--shift/--shift-ratio apply to the shifted family only")
-        return
+        return run
     if shift is None and shift_ratio is None:
         raise ValueError("shifted family needs --shift or --shift-ratio")
     if shift is not None and shift_ratio is not None:
         raise ValueError("shifted family takes one of --shift and --shift-ratio, not both")
-    for ratio in [shift_ratio] if shift is None else [Fraction(shift, p) for p in sizes]:
-        check_shift(q, ratio)
+    ratios = [shift_ratio if shift is None else Fraction(shift, p) for p in sizes]
+    for R in dict.fromkeys(ratios):
+        check_shift(q, R)
+    # r = R p rounded half up: the shift itself when R = shift/p, and r/p -> R
+    return [(p, _fekete_signs, (p, floor(R * p + HALF)), R) for p, R in zip(sizes, ratios)]
 
 
-def convergence_table(
-    family: str,
-    q: int,
-    sizes,
-    shift: int | None = None,
-    shift_ratio=None,
-) -> list[ConvergenceRow]:
+def convergence_table(family: str, q: int, sizes, shift: int | None = None,
+                      shift_ratio=None) -> list[ConvergenceRow]:
     """Exact norm ratios against the theoretical limit, one row per size.
 
     `sizes` are odd primes p <= MAX_PRIME for the fekete/shifted families and
     exponents k in 2..MAX_K for galois.  The shifted family takes either a fixed
-    shift r or a target ratio R (then r = round(R * p), so r/p -> R).  The
-    arguments are checked by `check_convergence` first, so ValueError is
-    raised before any polynomial is built.  Rows are computed and returned in
-    input order.
+    shift r or a target ratio R (then r = round(R * p), so r/p -> R).  The run
+    is `check_convergence`'s, so ValueError is raised before any polynomial is
+    built.  Each distinct limit is evaluated once, and rows are computed and
+    returned in input order.
     """
-    sizes = list(sizes)
-    check_convergence(family, q, sizes, shift, shift_ratio)
-    if family == "fekete":
-        limit = fekete_limit_recursive(q)
-    elif family == "galois":
-        limit = galois_limit_recursive(q)
-    elif shift_ratio is not None:
-        limit = shifted_fekete_limit(q, shift_ratio)
+    run = check_convergence(family, q, sizes, shift, shift_ratio)
+    recursion = {"fekete": fekete_limit_recursive, "galois": galois_limit_recursive}.get(family)
+    limits = {R: recursion(q) if R is None else shifted_fekete_limit(q, R)
+              for R in dict.fromkeys(R for *_, R in run)}
     rows = []
-    for s in sizes:
+    for n, build, args, R in run:
         # the polynomial is not bound to a name, so it is freed before the next
-        if family == "galois":
-            n, norm = (1 << s) - 1, norm_2q_exact(_galois_signs(s), q)
-        else:
-            if family == "fekete":
-                r = 0
-            elif shift_ratio is None:
-                r, limit = shift, shifted_fekete_limit(q, Fraction(shift, s))
-            else:
-                r = floor(Fraction(shift_ratio) * s + HALF)  # round half up
-            n, norm = s, norm_2q_exact(_fekete_signs(s, r), q)
-        ratio = Fraction(norm, n**q)
+        norm = norm_2q_exact(build(*args), q)
+        ratio, limit = Fraction(norm, n**q), limits[R]
         err = ratio - limit
         rows.append(ConvergenceRow(
             family, q, n, norm, ratio, limit, abs(float(err)), abs(float(err / limit))

@@ -164,6 +164,20 @@ def test_phi_eval_bad_rational_is_usage_error(capsys):
         assert f"'{argv[-1]}'" in err, argv
 
 
+def test_refused_rational_usage_error_states_the_rule(capsys):
+    # the usage error is the rational rule's message: an over-long value is
+    # named by its length, not repeated
+    for argv, part in (
+        (["phi", "--q", "3", "--min", "--eps", "0." + "1" * 10**4], "of 10002 characters"),
+        (["phi", "--q", "2", "--eval", "1e-3"], "'1e-3' is not an exact rational"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv[-2]
+        err = capsys.readouterr().err
+        assert len(err) < 1000 and part in err and "Traceback" not in err, argv[-2]
+
+
 def test_zero_denominator_is_usage_error(capsys):
     for argv, flag in (
         (["phi", "--q", "2", "--eval", "1/0"], "--eval"),

@@ -692,7 +692,43 @@ def test_check_convergence_takes_any_iterable():
     with pytest.raises(ValueError) as refused:
         check_convergence("fekete", 2, (p for p in [5, 9]))
     assert str(refused.value) == "primality check failed: 9 is not an odd prime"
-    assert check_convergence("fekete", 2, (p for p in [5, 7])) is None
+    # the admitted run: per size, in input order, n, the sign builder's
+    # arguments and the limit's shift ratio; r rounds R p half up
+    for family, sizes, kwargs, entries in (
+        ("fekete", [7, 5], {}, [(7, (7, 0), None), (5, (5, 0), None)]),
+        ("galois", [3, 2], {}, [(7, (3,), None), (3, (2,), None)]),
+        ("shifted", [7, 5], {"shift": 1},
+         [(7, (7, 1), Fraction(1, 7)), (5, (5, 1), Fraction(1, 5))]),
+        ("shifted", [7, 5], {"shift_ratio": "1/2"},
+         [(7, (7, 4), Fraction(1, 2)), (5, (5, 3), Fraction(1, 2))]),
+    ):
+        run = check_convergence(family, 2, (s for s in sizes), **kwargs)
+        assert [(n, args, R) for n, _, args, R in run] == entries
+        for n, build, args, _ in run:
+            assert len(build(*args)) == n
+
+
+def test_convergence_table_evaluates_each_limit_once(monkeypatch):
+    from littlewood import polynomials as poly_mod
+
+    calls = []
+
+    def counted(name):
+        limit = getattr(poly_mod, name)
+        return lambda *args: calls.append(name) or limit(*args)
+
+    for name in ("fekete_limit_recursive", "galois_limit_recursive", "shifted_fekete_limit"):
+        monkeypatch.setattr(poly_mod, name, counted(name))
+    for args, kwargs, expected in (
+        (("fekete", 2, [5, 7, 11]), {}, ["fekete_limit_recursive"]),
+        (("galois", 2, [2, 3, 4]), {}, ["galois_limit_recursive"]),
+        (("shifted", 2, [5, 7, 11]), {"shift_ratio": Fraction(1, 4)}, ["shifted_fekete_limit"]),
+        # one ratio 1/p per distinct prime
+        (("shifted", 2, [5, 7, 5]), {"shift": 1}, ["shifted_fekete_limit"] * 2),
+    ):
+        calls.clear()
+        rows = convergence_table(*args, **kwargs)
+        assert len(rows) == 3 and calls == expected, (args, kwargs, calls)
 
 
 def test_convergence_table_input_order():
