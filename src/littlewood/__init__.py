@@ -7,6 +7,10 @@ Every public name, and every module in `_EXPORTS`, is imported on first
 access (PEP 562), so a bare `import littlewood` loads no submodule and each
 command loads only the modules it runs.  Nothing here imports numpy; only
 the quadrature oracle `norm_2q_quadrature` loads it, when called.
+
+The rules every module shares live here: `_check_int` for an integer
+argument, `_check_rational` for a rational one, and `_check_digits` for an
+exact integer that must print within the int/str conversion limit.
 """
 import sys
 from fractions import Fraction
@@ -88,3 +92,17 @@ def _check_rational(name: str, x) -> Fraction:
     shown = f"of {len(x)} characters" if too_long else repr(x)
     raise ValueError(f"{name} {shown} is not an exact rational (int, Fraction, finite float, "
                      "or str n/d or decimal without exponent)")
+
+
+def _check_digits(what: str, low_bits: int, value) -> int:
+    """value() if it is below 10^L, L = `_digit_limit()`: the one printed-size rule.
+    2^low_bits must be a lower bound on value(); from low_bits >= 4L, as 2^(4L) > 10^L,
+    the rule refuses without calling value, so a number too big to print is never
+    built.  A refusal raises ValueError "{what} may have more than {L} digits, the
+    int/str conversion limit"."""
+    limit = _digit_limit()
+    if low_bits < 4 * limit:
+        v = value()
+        if v < 10**limit:
+            return v
+    raise ValueError(f"{what} may have more than {limit} digits, the int/str conversion limit")

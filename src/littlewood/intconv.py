@@ -27,10 +27,11 @@ One rule, `power_layout`, admits a power: f^q packs into q(n - 1) + 1 slots
 of w digits, and slots * w may be at most MAX_POWER_DIGITS, at 0.07-0.26 us
 and, above the process's size before the call, 2.5-2.9 bytes of peak RSS per
 digit at q = 2 and 2.7-3.2 at q >= 3 (2-vCPU x86-64, Python 3.11.7; at the
-budget the worst took 25.5 s and 311 MB).  int() parses each slot, so w may be
-at most L (`littlewood._digit_limit`).  These, a q that `littlewood._check_int`
-refuses (not an int >= 1), and q >= 2 without the C `decimal` module (its
-pure-Python fallback is quadratic) raise ValueError before any big number is built.
+budget the worst took 25.5 s and 311 MB).  int() parses each slot, so 2B + 1
+must pass `littlewood._check_digits`, with S^(q-1) as its lower bound.  These,
+a q that `littlewood._check_int` refuses (not an int >= 1), and q >= 2 without
+the C `decimal` module (its pure-Python fallback is quadratic) raise ValueError
+before any big number is built.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from decimal import (
 )
 from operator import mul
 
-from littlewood import _check_int, _digit_limit
+from littlewood import _check_digits, _check_int
 
 try:
     import _decimal  # noqa: F401  (the C implementation behind `decimal`)
@@ -76,15 +77,10 @@ def power_layout(n: int, q: int, nonzeros: int) -> tuple[int, int]:
     if not C_DECIMAL:
         raise ValueError("exact norms at q >= 2 need the C decimal module (_decimal); "
                          "its pure-Python fallback multiplies in quadratic time")
-    # B >= 2^low: bit lengths alone refuse B >= 2^(4 limit) > 10^limit
-    limit = _digit_limit()
-    low = (q - 1) * (nonzeros.bit_length() - 1)
-    w = limit + 1 if low >= 4 * limit else 1 + Decimal(2 * nonzeros ** (q - 1) + 1).adjusted()
-    if w > limit:
-        raise ValueError(f"the coefficients of f^q, q of {q.bit_length()} bits, are bounded only "
-                         f"by S^(q-1), S = sum |a| of {nonzeros.bit_length()} bits, beyond the "
-                         f"exact-norm coefficient bound: twice it plus one must have at most "
-                         f"{limit} digits")
+    w = len(str(_check_digits(
+        f"the exact-norm coefficient bound 2 S^(q-1) + 1 of f^q (q of {q.bit_length()} bits, "
+        f"S = sum |a| of {nonzeros.bit_length()} bits)",
+        (q - 1) * (nonzeros.bit_length() - 1), lambda: 2 * nonzeros ** (q - 1) + 1)))
     slots = q * (n - 1) + 1
     if slots * w > MAX_POWER_DIGITS:
         raise ValueError(f"f^{q} of a length-{n} polynomial packs into {slots} slots of {w} "

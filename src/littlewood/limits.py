@@ -24,7 +24,8 @@ T(k), C(k) with their binomials, the Eulerian rows and the primes of
 Each public function raises ValueError before any work for input outside its
 rule (`_check_order`, `check_shift`, `phi_min`'s eps, the *_QMAX bounds; each
 order by `littlewood._check_int`, each shift ratio and eps by
-`littlewood._check_rational`); the command line prints that message as its
+`littlewood._check_rational`, each bound on a printed value by
+`littlewood._check_digits`); the command line prints that message as its
 error record.
 
 The piecewise, rational-polynomial and partition-profile modules are
@@ -40,7 +41,7 @@ from math import ceil, comb, factorial, floor, lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from littlewood import _check_int, _check_rational, _digit_limit
+from littlewood import _check_digits, _check_int, _check_rational
 from littlewood.special_numbers import (_carlitz_binomial, _prime_factors, _spline_rows,
                                         _tangent_binomial, carlitz_numbers, eulerian_polynomial,
                                         tangent_numbers)
@@ -279,8 +280,8 @@ def galois_limit_direct(q: int) -> Fraction:
 def check_shift(q: int, R) -> None:
     """Raise ValueError unless `shifted_fekete_limit(q, R)` is admitted:
     1 <= q <= SHIFTED_QMAX, R a rational by `littlewood._check_rational`, and,
-    with R reduced to r/d in [0, 1/2),
-    (2q)!/q! c^q d^(2q) < 10^L (L: `littlewood._digit_limit`).  That product
+    with R reduced to r/d in [0, 1/2), (2q)!/q! c^q d^(2q) admitted by
+    `littlewood._check_digits`, with d^(2q) as its lower bound.  That product
     bounds both printed integers: the value's denominator divides c^q d^(2q)
     (`_shifted_values`), and phi_q(R) < (2q)!/q! as the 2q-th moment of a
     Rademacher sum with complex weights of square sum 1, whose real and
@@ -289,13 +290,9 @@ def check_shift(q: int, R) -> None:
     6.8-9.6 s and 18-22 MB (2-vCPU x86-64, Python 3.11.7).
     """
     _check_int("q", q, 1, SHIFTED_QMAX)
-    limit = _digit_limit()
     d = (_check_rational("R", R) % HALF).denominator
-    # bit lengths alone refuse d^(2q) >= 2^(4 limit) > 10^limit before it is built
-    if 2 * q * (d.bit_length() - 1) >= 4 * limit or (
-            factorial(2 * q) // factorial(q) * _block_scale(q) ** q * d ** (2 * q) >= 10**limit):
-        raise ValueError(f"phi_{q} at this shift ratio may have more than {limit} digits, "
-                         "the int/str conversion limit")
+    _check_digits(f"phi_{q} at this shift ratio", 2 * q * (d.bit_length() - 1),
+                  lambda: factorial(2 * q) // factorial(q) * _block_scale(q) ** q * d ** (2 * q))
 
 
 def _factorial_valuation(n: int, p: int) -> int:
@@ -501,8 +498,8 @@ def phi_min(q: int, eps) -> PhiMinResult:
     2^-k, k = 2 ceil(log2(1/eps)) + 32: still a certificate, at most
     eps^2 2^-31 wider.  As phi_q < (2q)!/q! (see `check_shift`), its ends then
     have numerators and denominators below 2^k (2q)!/q!, and eps is refused
-    before any work unless that bound is below 10^L (L:
-    `littlewood._digit_limit`), so every admitted result prints.
+    before any work unless `littlewood._check_digits` admits that bound, so
+    every admitted result prints.
     """
     from littlewood.piecewise import pw_minimize
 
@@ -510,11 +507,9 @@ def phi_min(q: int, eps) -> PhiMinResult:
     eps = _check_rational("eps", eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    k, limit = 2 * (ceil(1 / eps) - 1).bit_length() + 32, _digit_limit()
-    # the bit length alone refuses 2^k >= 2^(4 limit) > 10^limit before it is built
-    if k >= 4 * limit or 2**k * factorial(2 * q) // factorial(q) >= 10**limit:
-        raise ValueError(f"phi_{q} minimum at this eps may have more than {limit} digits, "
-                         "the int/str conversion limit")
+    k = 2 * (ceil(1 / eps) - 1).bit_length() + 32
+    _check_digits(f"phi_{q} minimum at this eps", k,
+                  lambda: 2**k * factorial(2 * q) // factorial(q))
     res = pw_minimize(_phi_quarter(q), eps)
     lower, upper = res.value
     if lower < upper:

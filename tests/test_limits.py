@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from csv_digests import FIRST_REFUSED
-from int_limit import int_max_str_digits
+from int_limit import int_max_str_digits, least_reaching, recorded_digit_checks
 from littlewood.partitions import enumerate_set_partitions, even_block_profiles
 from littlewood.limits import (
+    PHI_PIECES_QMAX,
     SHIFTED_QMAX,
     check_shift,
     fekete_limit_direct,
@@ -34,7 +35,7 @@ from littlewood.limits import (
     shifted_fekete_limit,
     triangle_table,
 )
-from littlewood import gf2k, limits
+from littlewood import _check_digits, gf2k, limits
 from littlewood.ratpoly import poly_eval
 from littlewood.special_numbers import (
     carlitz_numbers,
@@ -187,6 +188,35 @@ def test_eulerian_y_form_expands_back():
         for i in range(j):
             y = limits._node(i)
             assert node_alphas[i][j - 1] == sum(c * y**m for m, c in enumerate(alpha)), (i, j)
+
+
+def _exp_series(g, n):
+    # e_0..e_n of exp(sum_j g[j-1] t^j), by m e_m = sum_j j g_j e_(m-j)
+    e = [Fraction(1)]
+    for m in range(1, n + 1):
+        e.append(sum(j * g[j - 1] * e[m - j] for j in range(1, m + 1)) / m)
+    return e
+
+
+def test_node_table_matches_exponential_formula():
+    # pi_n(y) = s_n [t^n] exp(sum_j N_j alpha_j(y) t^j / s_j), with N_j = T(j) and
+    # s_n = 2n (2n-1)!^2 for Fekete, N_j = C(j) and s_n = n (2n-1)! n! (n-1)!
+    # for Galois; alpha_j in y = x + 1/x is expanded from x^-j A_j(x), whose
+    # coefficients come from the alternating binomial sum of `eulerian_general`
+    kmax, f = 12, math.factorial
+    alphas = [_y_form([int(eulerian_general(2 * j - 1, a - 1)) for a in range(j, 2 * j)])
+              for j in range(1, kmax + 1)]
+    for family, numbers, scale in (
+            ("fekete", tangent_numbers(kmax), lambda n: 2 * n * f(2 * n - 1) ** 2),
+            ("galois", carlitz_numbers(kmax), lambda n: n * f(2 * n - 1) * f(n) * f(n - 1))):
+        for k in range(1, kmax + 1):
+            for i, values in enumerate(limits._node_table(family, k)):
+                y = (i + 1) // 2 if i % 2 else -(i // 2)
+                g = [Fraction(N * sum(c * y**m for m, c in enumerate(alpha)), scale(j))
+                     for j, N, alpha in zip(range(1, k + 1), numbers, alphas)]
+                e = _exp_series(g, k)
+                expected = [1] + [scale(n) * e[n] for n in range(1, k + 1)]
+                assert values == expected, (family, k, y)
 
 
 def test_value_route_matches_coefficient_recursion():
@@ -413,17 +443,81 @@ def test_shifted_symmetries_property(q, R):
     assert shifted_fekete_limit(q, R + Fraction(1, 2)) == v
 
 
+@lru_cache(maxsize=None)
 def _first_refused(q: int, limit: int = 4300) -> int:
-    # the least d with (2q)!/q! c^q d^(2q) >= 10^limit, by bisection
-    scale = math.factorial(2 * q) // math.factorial(q) * limits._block_scale(q) ** q
-    lo, hi = 1, 10 ** (limit // (2 * q) + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if scale * mid ** (2 * q) >= 10**limit:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # the least d with (2q)!/q! c^q d^(2q) >= 10^limit
+    return least_reaching(_shift_scale(q), 2 * q, limit)
+
+
+def _shift_scale(q: int) -> int:
+    # (2q)!/q! c^q, the shift rule's bound without d^(2q)
+    return math.factorial(2 * q) // math.factorial(q) * limits._block_scale(q) ** q
+
+
+class _Admitted(Exception):
+    """Raised in place of the work an admitted call would go on to do."""
+
+
+def _admitted(*args):
+    raise _Admitted
+
+
+def _refusal(call) -> str | None:
+    # the message of the ValueError call raises, or None if it is admitted
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    except _Admitted:
+        pass
+    return None
+
+
+def test_digit_rule_decides_long_bounds_by_bits_alone():
+    # 2^(4L) > 10^L: from low_bits = 4L on, value is never called
+    for limit in (640, 4300):
+        with int_max_str_digits(limit):
+            assert _check_digits("x", 4 * limit - 1, lambda: 10**limit - 1) == 10**limit - 1
+            with pytest.raises(ValueError, match=rf"^x may have more than {limit} digits, "
+                                                 "the int/str conversion limit$"):
+                _check_digits("x", 4 * limit - 1, lambda: 10**limit)
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                _check_digits("x", 4 * limit, _admitted)
+
+
+@st.composite
+def _shift_case(draw):
+    # q, the limit, and d near the 10^L edge, near the 4L-bit edge
+    # 2q (bitlen(d) - 1) >= 4L, or anywhere from below the one to past the other
+    q = draw(st.integers(1, SHIFTED_QMAX))
+    limit = draw(st.sampled_from((640, 4300)))
+    digits_edge, bits_edge = _first_refused(q, limit), 1 << -(-2 * limit // q)
+    d = draw(st.one_of(st.integers(digits_edge - 3, digits_edge + 3),
+                       st.integers(bits_edge - 3, bits_edge + 3),
+                       st.integers(digits_edge // 2, 2 * bits_edge)))
+    return q, limit, max(d, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shift_case())
+@example((16, 4300, (1 << 538) - 1))
+@example((1, 640, 1 << 1280))
+def test_shift_rule_refuses_exactly_at_its_formula(case):
+    # refused exactly when (2q)!/q! c^q d^(2q) >= 10^L, d the reduced
+    # denominator; what check_shift hands the rule is that bound, and
+    # 2^low_bits is below it
+    q, limit, d = case
+    R = Fraction(1, d)
+    bound = _shift_scale(q) * (R % Fraction(1, 2)).denominator ** (2 * q)
+    start = time.perf_counter()
+    with int_max_str_digits(limit), recorded_digit_checks(limits) as seen:
+        refused = _refusal(lambda: check_shift(q, R))
+    assert time.perf_counter() - start < 0.05
+    expected = (f"phi_{q} at this shift ratio may have more than {limit} digits, "
+                "the int/str conversion limit")
+    assert refused == (expected if bound >= 10**limit else None)
+    [(low_bits, value)] = seen
+    assert value == bound and 2**low_bits <= bound
 
 
 def test_block_scale_is_least():
@@ -694,6 +788,45 @@ def test_phi_min_preconditions():
         phi_min(1, Fraction(1, 16))
     with pytest.raises(ValueError):
         phi_piecewise(7)
+
+
+@st.composite
+def _eps_case(draw):
+    # q, the limit, and e with eps = 2^-e, so k = 2e + 32, near the 10^L edge
+    # 2^k (2q)!/q! >= 10^L, near the 4L-bit edge k >= 4L, or anywhere between
+    q = draw(st.integers(2, PHI_PIECES_QMAX))
+    limit = draw(st.sampled_from((640, 4300)))
+    scale = math.factorial(2 * q) // math.factorial(q)
+    digits_edge = least_reaching(scale, 1, limit).bit_length() // 2 - 16
+    bits_edge = 2 * limit - 16
+    e = draw(st.one_of(st.integers(digits_edge - 3, digits_edge + 3),
+                       st.integers(bits_edge - 3, bits_edge + 3),
+                       st.integers(0, bits_edge + 8)))
+    return q, limit, e
+
+
+@settings(max_examples=60, deadline=None)
+@given(_eps_case())
+@example((6, 4300, 7116))
+@example((6, 4300, 7117))
+@example((2, 640, 1263))
+@example((2, 640, 1264))
+def test_min_rule_refuses_exactly_at_its_formula(case):
+    # refused exactly when 2^k (2q)!/q! >= 10^L, k = 2 ceil(log2(1/eps)) + 32;
+    # what phi_min hands the rule is that bound, and 2^low_bits is below it
+    q, limit, e = case
+    bound = 2 ** (2 * e + 32) * math.factorial(2 * q) // math.factorial(q)
+    start = time.perf_counter()
+    with (int_max_str_digits(limit), recorded_digit_checks(limits) as seen,
+          pytest.MonkeyPatch.context() as patch):
+        patch.setattr(limits, "_phi_quarter", _admitted)
+        refused = _refusal(lambda: phi_min(q, Fraction(1, 2**e)))
+    assert time.perf_counter() - start < 0.05
+    expected = (f"phi_{q} minimum at this eps may have more than {limit} digits, "
+                "the int/str conversion limit")
+    assert refused == (expected if bound >= 10**limit else None)
+    [(low_bits, value)] = seen
+    assert value == bound and 2**low_bits <= bound
 
 
 def test_admitted_answer_does_not_outlive_its_cap(monkeypatch):

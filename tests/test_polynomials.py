@@ -1,5 +1,6 @@
 """Tests for polynomial construction, fields, exact norms, and convergence."""
 import hashlib
+import math
 import random
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from sympy import isprime
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
-from int_limit import int_max_str_digits
+from int_limit import int_max_str_digits, least_reaching, recorded_digit_checks
 from littlewood.gf2k import (
     _galois_signs,
     _gf2_mulmod,
@@ -24,6 +25,7 @@ from littlewood.gf2k import (
     galois,
     primitive_polynomial,
 )
+from littlewood import intconv
 from littlewood.intconv import (
     _CHUNK,
     MAX_POWER_DIGITS,
@@ -440,12 +442,20 @@ def test_wide_slots_match_oracle(p, q):
     assert norm_2q_exact(_fekete_signs(p), q) == expected
 
 
+def _bound_refused(q_bits: int, s_bits: int, limit: int) -> str:
+    """The exact message of `power_layout`'s refusal of the coefficient bound."""
+    return (f"the exact-norm coefficient bound 2 S^(q-1) + 1 of f^q (q of {q_bits} bits, "
+            f"S = sum |a| of {s_bits} bits) may have more than {limit} digits, "
+            "the int/str conversion limit")
+
+
 def test_slot_rule_at_the_int_parse_limit():
     # 2 * 2^14283 + 1 has 4300 digits, the most int() parses by default, and
     # 2 * 2^14284 + 1 has 4301
     assert power_layout(2, 14284, 2) == (14285, 4300)
-    with pytest.raises(ValueError, match="at most 4300 digits"):
+    with pytest.raises(ValueError) as refused:
         power_layout(2, 14285, 2)
+    assert str(refused.value) == _bound_refused(14, 2, 4300)
     # the decoder parses a slot of 4300 digits
     h = 5 * 10**4299
     assert _centred_square_sum("1" + "9" * 4300, 4300, 1) == (10**4300 - 1 - h) ** 2
@@ -476,14 +486,15 @@ def test_slot_rule_follows_the_running_int_str_limit():
     )
     assert proc.returncode == 0, proc.stderr
     seconds, message = proc.stdout.split(" ", 1)
-    assert "twice it plus one must have at most 640 digits" in message
+    assert message == _bound_refused(12, 2, 640) + "\n"
     assert float(seconds) < 0.05
     # no limit, or one above the default, reads as the default of 4300
     for limit in (0, 10**5):
         with int_max_str_digits(limit):
             assert power_layout(2, 14284, 2) == (14285, 4300)
-            with pytest.raises(ValueError, match="at most 4300 digits"):
+            with pytest.raises(ValueError) as refused:
                 power_layout(2, 14285, 2)
+            assert str(refused.value) == _bound_refused(14, 2, 4300)
 
 
 def test_raised_limit_keeps_slots_within_the_stated_cost():
@@ -495,25 +506,76 @@ def test_raised_limit_keeps_slots_within_the_stated_cost():
             assert len(str(2 * 2 ** (q - 1) + 1)) == w
             assert (q + 1) * w <= MAX_POWER_DIGITS
             start = time.perf_counter()
-            with pytest.raises(ValueError, match="twice it plus one must have at most 4300 digits"):
+            with pytest.raises(ValueError) as refused:
                 norm_2q_exact(a, q)
             assert time.perf_counter() - start < 0.05, q
+            assert str(refused.value) == _bound_refused(q.bit_length(), 2, 4300)
 
 
 def test_coefficient_refusal_states_sizes_not_values():
     # q, or n and the number of nonzero coefficients, has more digits than
     # the limit, so a message that printed them would raise the int/str
     # conversion error instead
-    for call, limit in ((lambda: norm_2q_exact((1, 1), 10**5000), 4300),
-                        (lambda: power_layout(3 * 10**700, 2, 3 * 10**700), 640)):
+    for call, limit, q_bits, s_bits in (
+            (lambda: norm_2q_exact((1, 1), 10**5000), 4300, 16610, 2),
+            (lambda: power_layout(3 * 10**700, 2, 3 * 10**700), 640, 2, 2327)):
         with int_max_str_digits(limit):
-            with pytest.raises(ValueError, match="coefficient bound: twice it plus one must "
-                                                 f"have at most {limit} digits"):
+            with pytest.raises(ValueError) as refused:
                 call()
+        assert str(refused.value) == _bound_refused(q_bits, s_bits, limit)
     # a coefficient beyond the limit is refused without printing it
     with int_max_str_digits(4300):
         with pytest.raises(ValueError, match="coefficients are 0, 1 and -1$"):
             norm_2q_exact([10**5000, 1], 2)
+
+
+@st.composite
+def _bound_case(draw):
+    # the limit, q and S = sum |a|: either q <= 64 and S near the 10^L edge
+    # 2 S^(q-1) + 1 >= 10^L, near the 4L-bit edge (q - 1)(bitlen(S) - 1) >= 4L,
+    # or between, or S <= 7 and q likewise
+    limit = draw(st.sampled_from((640, 4300)))
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 64))
+        digits_edge = least_reaching(2, q - 1, limit)
+        bits_edge = 1 << -(-4 * limit // (q - 1))
+        S = draw(st.one_of(st.integers(digits_edge - 3, digits_edge + 3),
+                           st.integers(bits_edge - 3, bits_edge + 3),
+                           st.integers(2, 2 * bits_edge)))
+        return limit, q, max(S, 2)
+    S = draw(st.integers(2, 7))
+    digits_edge = 1 + math.ceil((limit * math.log(10) - math.log(2)) / math.log(S))
+    bits_edge = 1 - (-4 * limit // (S.bit_length() - 1))
+    q = draw(st.one_of(st.integers(digits_edge - 3, digits_edge + 3),
+                       st.integers(bits_edge - 3, bits_edge + 3),
+                       st.integers(2, bits_edge + 8)))
+    return limit, q, S
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bound_case())
+@example((4300, 14285, 2))
+@example((640, 2561, 3))
+@example((640, 2560, 3))
+@example((640, 1341, 3))
+@example((640, 1342, 3))
+def test_coefficient_rule_refuses_exactly_at_its_formula(case):
+    # refused exactly when 2 S^(q-1) + 1 >= 10^L; what power_layout hands the
+    # rule is that bound, and 2^low_bits is below it.  The length n = 2 keeps
+    # every admitted power within the digit budget.
+    limit, q, S = case
+    bound = 2 * S ** (q - 1) + 1
+    start = time.perf_counter()
+    with int_max_str_digits(limit), recorded_digit_checks(intconv) as seen:
+        try:
+            layout = power_layout(2, q, S)
+        except ValueError as exc:
+            layout = str(exc)
+    assert time.perf_counter() - start < 0.05
+    refused = _bound_refused(q.bit_length(), S.bit_length(), limit)
+    assert layout == (refused if bound >= 10**limit else (q + 1, len(str(bound))))
+    [(low_bits, value)] = seen
+    assert value == bound and 2**low_bits <= bound
 
 
 def test_admission_refuses_in_bounded_time():

@@ -248,6 +248,8 @@ OTHER = [
                  id="norm_2q_exact-unit-q-0"),
     pytest.param(lambda: triangle_table("both", 2), "unknown family 'both'",
                  id="triangle_table-family"),
+    pytest.param(lambda: convergence_table("both", 2, [5]), "unknown family 'both'",
+                 id="convergence_table-family"),
     *(pytest.param(partial(phi_min, 3, eps), "eps must be positive", id=f"phi_min-eps-{eps!r}")
       for eps in (0, Fraction(-1, 4), "0", "-1/4")),
     # 2^k (2q)!/q! >= 10^L, k = 2 log2(1/eps) + 32: the rounded minimum may not print
