@@ -355,9 +355,12 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
     return blocks
 
 
-def _shifted_values(q: int, numerators, d: int) -> list[Fraction]:
-    """phi_q(r/d) for every r in numerators, nodes in [0, 1/2) that share one
-    open interval between breakpoints (`_shifted_blocks`), in one pass.
+def _shifted_values(q: int, numerators, d: int) -> tuple[list[int], int]:
+    """(values, den) with phi_q(r_i/d) = values[i] / den for the r_i in
+    numerators, nodes in [0, 1/2) that share one open interval between
+    breakpoints (`_shifted_blocks`), in one pass: values are the integers
+    q! [u^q x^(2q)] S_q, and den = c^q d^(2q) (`_block_scale`) is their one
+    denominator, with no fraction reduced.
 
     With the blocks k G_k (`_shifted_blocks`), S_n = q!/n! F_n is an integer
     series with S_0 = q! and n S_n = sum_k (k G_k) S_(n-k), so each step ends
@@ -404,8 +407,7 @@ def _shifted_values(q: int, numerators, d: int) -> list[Fraction]:
         series.append({p: (xlo, [v // n for v in h]) for p, h in acc.items()})
 
     # at n = q the windows are exactly u^q and x^(2q), and phi_q = q! S_q
-    scale, den = factorial(q), c**q * d ** (2 * q)
-    return [Fraction(scale * t, den) for t in series[q][q][1]]
+    return [factorial(q) * t for t in series[q][q][1]], c**q * d ** (2 * q)
 
 
 def shifted_fekete_limit(q: int, R) -> Fraction:
@@ -427,7 +429,8 @@ def shifted_fekete_limit(q: int, R) -> Fraction:
     """
     check_shift(q, R)
     R = Fraction(R) % HALF
-    return _shifted_values(q, [R.numerator], R.denominator)[0]
+    (value,), den = _shifted_values(q, [R.numerator], R.denominator)
+    return Fraction(value, den)
 
 
 def _phi_quarter(q: int) -> PiecewisePoly:
@@ -440,11 +443,12 @@ def _phi_quarter(q: int) -> PiecewisePoly:
     bounds |D| = |N-P| by min(N, q-N)).  On each interval [a, b] between
     these candidates in [0, 1/4], 2q+1 exact values at equally spaced interior
     rationals r/d, s apart, come from one pass of `_shifted_values` over the
-    common denominator d.  Scaled by the lcm L of their denominators times
-    (2q)! s^(2q), they are interpolated in r by integer divided differences
+    common denominator d, as integers over its one denominator den.  Times
+    m = (2q)! s^(2q), they are interpolated in r by integer divided differences
     (`_newton`); the 2q-th divided difference must vanish, or ArithmeticError
-    is raised, and the rest, with r = R d, give the piece there.  Equal
-    neighbours then merge, so only true breakpoints remain.
+    is raised, and the rest, with r = R d, give the piece there, coefficient
+    i being coeffs[i] d^i / (den m).  Equal neighbours then merge, so only true
+    breakpoints remain.
     """
     from littlewood.piecewise import PiecewisePoly
 
@@ -457,15 +461,14 @@ def _phi_quarter(q: int) -> PiecewisePoly:
         xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
         d = lcm(*(x.denominator for x in xs))
         rs = [x.numerator * (d // x.denominator) for x in xs]
-        ys = _shifted_values(q, rs, d)
-        # scaled so that every divided difference of order <= 2q is an integer
-        s = rs[1] - rs[0]
-        scale = lcm(*(y.denominator for y in ys)) * factorial(2 * q) * s ** (2 * q)
-        coeffs = _newton(rs, [y.numerator * (scale // y.denominator) for y in ys])
+        ys, den = _shifted_values(q, rs, d)
+        # times m, every divided difference of order <= 2q is an integer
+        m = factorial(2 * q) * (rs[1] - rs[0]) ** (2 * q)
+        coeffs = _newton(rs, [y * m for y in ys])
         if coeffs[-1]:
             raise ArithmeticError(f"phi_{q} near {xs[-1]} is not of degree < {2 * q}")
-        # scale * phi_q(R) = sum_i coeffs[i] (R d)^i
-        pieces.append(tuple(Fraction(c * d**i, scale) for i, c in enumerate(coeffs[:-1])))
+        # den m phi_q(R) = sum_i coeffs[i] (R d)^i
+        pieces.append(tuple(Fraction(c * d**i, den * m) for i, c in enumerate(coeffs[:-1])))
     return PiecewisePoly(breaks, pieces)
 
 

@@ -27,37 +27,35 @@ class _Pieces(NamedTuple):
 
 
 class PiecewisePoly(_Pieces):
+    """Breakpoints, coefficients and `evaluate`'s x are read by the one
+    rational rule, `littlewood._check_rational` (named "breakpoint",
+    "coefficient" and "x"); the canonical form keeps each piece that differs
+    from the one before it, with its starting breakpoint, then b_k."""
+
     # a NamedTuple class may not override __new__, so the canonical form is
     # built in this subclass
     __slots__ = ()
 
     def __new__(cls, breakpoints, pieces):
-        bps = tuple(Fraction(b) for b in breakpoints)
-        pieces = tuple(poly_trim(tuple(Fraction(c) for c in p)) for p in pieces)
+        bps = tuple(_check_rational("breakpoint", b) for b in breakpoints)
+        pieces = tuple(poly_trim(tuple(_check_rational("coefficient", c) for c in p))
+                       for p in pieces)
         if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise ValueError("piece count must equal breakpoint count - 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        merged_b = [bps[0]]
-        merged_p: list[tuple[Fraction, ...]] = []
-        for i, p in enumerate(pieces):
-            if merged_p and merged_p[-1] == p:
-                merged_b[-1] = bps[i + 1]
-            else:
-                merged_p.append(p)
-                merged_b.append(bps[i + 1])
-        return super().__new__(cls, tuple(merged_b), tuple(merged_p))
+        starts, kept = zip(*[(b, p) for b, p, before in zip(bps, pieces, (None,) + pieces)
+                             if p != before])
+        return super().__new__(cls, starts + bps[-1:], kept)
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
+        x = _check_rational("x", x)
         bps = self.breakpoints
-        if x < bps[0] or x > bps[-1]:
+        if not bps[0] <= x <= bps[-1]:
             return Fraction(0)
-        if x == bps[-1]:
-            # Right edge takes the limit of the last piece; phi_q is
-            # continuous, so this agrees with the two-sided limit there.
-            return poly_eval(self.pieces[-1], x)
-        return poly_eval(self.pieces[bisect_right(bps, x) - 1], x)
+        # Half-open [b_(i-1), b_i); the right edge takes the limit of the last
+        # piece; phi_q is continuous, so this agrees with the two-sided limit there.
+        return poly_eval(self.pieces[min(bisect_right(bps, x), len(self.pieces)) - 1], x)
 
 
 class MinimizeResult(NamedTuple):
@@ -121,8 +119,7 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
             (a, b), = _isolate(c[5], c[0], c[1], (c[1] - c[0]) / 2)
             c[:4] = a, b, *_segment_bounds(c[4], a, b)
 
-    best = min(cands, key=lambda c: (c[3], c[0]))
-    overlapping = [c for c in cands if c[2] <= best[3]]
+    best = min(overlapping, key=lambda c: (c[3], c[0]))
     value_lo = min(c[2] for c in overlapping)
     return MinimizeResult(
         argmin=(best[0], best[1]),

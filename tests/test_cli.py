@@ -1,23 +1,32 @@
 """Tests for the command-line interface and its machine-readable output."""
 import csv
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 from importlib import resources
+from math import factorial, gcd, isqrt
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csv_digests import (
     FIRST_REFUSED, JSON_DIGESTS, NORM_CSV_DIGESTS, PINNED_CSV_DIGESTS, REFUSALS, json_digest,
 )
+from int_limit import int_max_str_digits, least_reaching
 from littlewood import limits as limits_mod
 from littlewood import polynomials as poly_mod
 from littlewood.cli import main
+from littlewood.gf2k import MAX_K
 
 with resources.files("littlewood").joinpath("schema/output.v1.json").open() as fh:
     SCHEMA = json.load(fh)
@@ -235,7 +244,7 @@ def test_phi_eval_refuses_beyond_the_rule(capsys, monkeypatch):
         assert code == 1, argv
         assert reason in record["error"], argv
     # one below the edge, the request reaches the evaluator with its denominator
-    monkeypatch.setattr(limits_mod, "_shifted_values", lambda q, rs, d: [Fraction(1, d)])
+    monkeypatch.setattr(limits_mod, "_shifted_values", lambda q, rs, d: ([1], d))
     for q, d in FIRST_REFUSED.items():
         code, record = run_json(capsys, "phi", "--q", str(q), "--eval", f"1/{d - 1}")
         assert code == 0, q
@@ -560,6 +569,309 @@ def test_error_record_is_the_library_refusal(capsys, monkeypatch, argv, call):
     code, record = run_json(capsys, *argv)
     assert code == 1
     assert record == {"schema": "v1", "command": argv[0], "error": str(exc.value)}
+
+
+# ---------------------------------------------------------------------------
+# The refusal grammar at the level of argv: every draw of any command reaches
+# the work (patched to raise _Admitted), is refused by the library with an
+# error record (exit 1), or is a usage error (exit 2), within 50 ms; and which
+# of the three follows from the README's rules, written here in plain integers.
+# Draws lean towards the edge of each rule, which is found in plain integers too.
+
+class _Admitted(Exception):
+    pass
+
+
+ADMITTED = "admitted"
+DEFAULT_LIMIT = sys.int_info.default_max_str_digits
+# the int/str limits of the grammar: the lowest, the default, and off
+GRAMMAR_LIMITS = (640, DEFAULT_LIMIT, 0)
+# the work after each command's admission
+ADMITTED_WORK = {limits_mod: ("_node_table", "_shifted_values", "_phi_quarter"),
+                 poly_mod: ("fekete_limit_recursive", "galois_limit_recursive",
+                            "shifted_fekete_limit", "norm_2q_exact")}
+# order texts that are no int
+NOT_INTS = ("2.5", "1e3", "x", "0x10", "")
+ORDER_EDGES = (0, 1, 2, 6, 7, 16, 17, limits_mod.MAX_Q, limits_mod.MAX_Q + 1, 10**400)
+MAX_PRIME = poly_mod.MAX_PRIME
+# primes and composites around MAX_PRIME; 16777213 is the largest prime below
+# it and 16777259 the least above
+PRIME_EDGES = (16777213, MAX_PRIME - 1, MAX_PRIME, MAX_PRIME + 1, 16777259)
+
+
+def _digit_rule_limit(limit):
+    # L of the printed-size rule: the running limit, the default when off or above it
+    return min(limit or DEFAULT_LIMIT, DEFAULT_LIMIT)
+
+
+def _is_odd_prime(p):
+    return p >= 3 and p % 2 and all(p % r for r in range(3, isqrt(p) + 1, 2))
+
+
+@cache
+def _least_block_scale(q):
+    # the least c with (2N-1)! (2N)! dividing c^N for every N <= q
+    c = 1
+    for p in range(2, 2 * q + 1):
+        if all(p % r for r in range(2, p)):
+            c *= p ** max(-(-_valuation(factorial(2 * N - 1) * factorial(2 * N), p) // N)
+                          for N in range(1, q + 1))
+    return c
+
+
+def _valuation(m, p):
+    v = 0
+    while m % p == 0:
+        m, v = m // p, v + 1
+    return v
+
+
+@cache
+def _least_refused_denominator(q, L):
+    # the least d with (2q)!/q! c^q d^(2q) >= 10^L
+    return least_reaching(factorial(2 * q) // factorial(q) * _least_block_scale(q) ** q, 2 * q, L)
+
+
+def _shift_admitted(q, n, d, L):
+    # n/d reduced into [0, 1/2) is (2n mod d) / (2d)
+    reduced = 2 * d // gcd(2 * n % d, 2 * d)
+    return reduced < _least_refused_denominator(q, L)
+
+
+def _min_admitted(q, n, d, L):
+    # 2^k (2q)!/q! < 10^L for eps = n/d > 0, k = 2 bitlen(ceil(1/eps) - 1) + 32
+    k = 2 * (-(-d // n) - 1).bit_length() + 32
+    return 2**k * factorial(2 * q) // factorial(q) < 10**L
+
+
+@cache
+def _least_refused_eps_denominator(q, L):
+    # the least d whose eps = 1/d the rule refuses: k = 2 bitlen(d - 1) + 32
+    # reaches the least k with 2^k (2q)!/q! >= 10^L
+    k = (-(-10**L // (factorial(2 * q) // factorial(q))) - 1).bit_length()
+    b = max(1, -(-(k - 32) // 2))
+    return (1 << (b - 1)) + 1
+
+
+def _layout_admitted(n, nonzeros, q, L):
+    # 2 S^(q-1) + 1 < 10^L, and q(n - 1) + 1 slots of its digit count within 10^8 digits
+    if q < 2 or nonzeros < 2:
+        return True
+    bound = 2 * nonzeros ** (q - 1) + 1
+    return bound < 10**L and (q * (n - 1) + 1) * len(str(bound)) <= 10**8
+
+
+@cache
+def _capacity_edges(q, L):
+    # the primes on both sides of the largest Fekete size admitted at q, and the
+    # Galois exponents on both sides of the largest admitted
+    lo, hi = 3, MAX_PRIME
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _layout_admitted(mid, mid - 1, q, L) else (lo, mid - 1)
+    below = next(p for p in range(lo, 2, -1) if _is_odd_prime(p))
+    above = next(p for p in range(lo + 1, 2 * lo + 3) if _is_odd_prime(p))
+    k = max([2] + [k for k in range(2, MAX_K + 1)
+                   if _layout_admitted((1 << k) - 1, (1 << k) - 1, q, L)])
+    return (below, above), (k, k + 1)
+
+
+def _empirical_verdict(family, q, sizes, other, shift, ratio, L):
+    if not sizes or other:
+        return 1
+    if not 1 <= q <= (limits_mod.SHIFTED_QMAX if family == "shifted" else limits_mod.MAX_Q):
+        return 1
+    if family == "galois":
+        if not all(2 <= k <= MAX_K for k in sizes):
+            return 1
+        layouts = [((1 << k) - 1, (1 << k) - 1) for k in sizes]
+    else:
+        if not all(p <= MAX_PRIME and _is_odd_prime(p) for p in sizes):
+            return 1
+        layouts = [(p, p - 1) for p in sizes]
+    if not all(_layout_admitted(n, nonzeros, q, L) for n, nonzeros in layouts):
+        return 1
+    if family != "shifted":
+        return ADMITTED if shift is None and ratio is None else 1
+    if shift is None and ratio is None:
+        return 1
+    ratios = [ratio] if shift is None else [(shift, p) for p in sizes]
+    return ADMITTED if all(_shift_admitted(q, n, d, L) for n, d in ratios) else 1
+
+
+def _draw_order(data, label, hi):
+    # (text, n) of an order from -5 to 10^400, mostly in 1..hi; n is None for a
+    # text that is no int
+    kind = data.draw(st.sampled_from(["in range"] * 4 + ["edge", "small", "huge", "no int"]),
+                     label=f"{label} kind")
+    if kind == "no int":
+        return data.draw(st.sampled_from(NOT_INTS), label=label), None
+    n = data.draw({"in range": st.integers(1, hi), "edge": st.sampled_from(ORDER_EDGES),
+                   "small": st.integers(-5, 20), "huge": st.integers(-5, 10**400)}[kind],
+                  label=label)
+    return str(n), n
+
+
+def _draw_rational(data, label, edges, limit):
+    # (text, (n, d)) of n/d with a long denominator, drawn mostly at the edges
+    # given, as eps or a shift ratio +-1/d; (n, d) is None when the rational rule
+    # refuses the text: over 2L + 2 characters, a numeral of more digits than
+    # the running limit, or a zero denominator
+    L = _digit_rule_limit(limit)
+    kind = data.draw(st.sampled_from(["edge"] * 4 + ["small", "long", "power", "length edge"]),
+                     label=f"{label} kind")
+    # at an edge, -1/d is (d - 2)/(2d) in [0, 1/2), of twice the denominator for odd d
+    n = data.draw(st.sampled_from([1, -1]) if kind == "edge" else st.one_of(
+        st.integers(-3, 40), st.builds(pow, st.just(10), st.integers(0, 5000))),
+        label=f"{label} numerator")
+    d = data.draw({
+        "edge": st.builds(int.__add__, st.sampled_from(edges), st.integers(-2, 2)),
+        "small": st.integers(0, 50),
+        "long": st.integers(1, 10**80),
+        "power": st.builds(lambda b, j, delta: b**j + delta, st.sampled_from([2, 10]),
+                           st.integers(0, 9000), st.integers(-2, 2)),
+        # a text of 2L + 2 characters, give or take one
+        "length edge": st.builds(lambda e: 10 ** (2 * L + e - len(f"{n}/")), st.integers(0, 2)),
+    }[kind].filter(lambda d: d >= 0), label=f"{label} denominator")
+    text = f"{n}/{d}"
+    too_long = len(text) > 2 * L + 2
+    if too_long or not d or limit and max(len(str(abs(n))), len(str(d))) > limit:
+        return text, None
+    return text, (n, d)
+
+
+def _draw_limits_or_triangle(data, command, limit):
+    option = "--qmax" if command == "limits" else "--rows"
+    family = data.draw(st.sampled_from(limits_mod.FAMILIES), label="family")
+    text, n = _draw_order(data, option, limits_mod.MAX_Q)
+    argv = [command, "--family", family, option, text]
+    if n is None:
+        return argv, 2
+    return argv, ADMITTED if 1 <= n <= limits_mod.MAX_Q else 1
+
+
+def _draw_phi(data, limit):
+    L = _digit_rule_limit(limit)
+    mode = data.draw(st.sampled_from(["--eval", "--min", "--pieces"]), label="mode")
+    text, q = _draw_order(data, "--q", limits_mod.SHIFTED_QMAX if mode == "--eval"
+                          else limits_mod.PHI_PIECES_QMAX)
+    argv = ["phi", "--q", text, mode]
+    if mode == "--pieces":
+        return argv, 2 if q is None else ADMITTED if 1 <= q <= limits_mod.PHI_PIECES_QMAX else 1
+    if mode == "--eval":
+        edges = [_least_refused_denominator(q, L) if q and 1 <= q <= limits_mod.SHIFTED_QMAX
+                 else 3]
+        r_text, R = _draw_rational(data, "R", edges, limit)
+        argv.append(r_text)
+        if q is None or R is None:
+            return argv, 2
+        admitted = 1 <= q <= limits_mod.SHIFTED_QMAX and _shift_admitted(q, *R, L)
+        return argv, ADMITTED if admitted else 1
+    eps = (1, 1 << 20)
+    if data.draw(st.booleans(), label="eps given"):
+        edge = (_least_refused_eps_denominator(q, L) if q and 2 <= q <= limits_mod.PHI_PIECES_QMAX
+                else 1 << 20)
+        e_text, eps = _draw_rational(data, "eps", [edge], limit)
+        argv += ["--eps", e_text]
+    if q is None or eps is None:
+        return argv, 2
+    admitted = 2 <= q <= limits_mod.PHI_PIECES_QMAX and eps[0] > 0 and _min_admitted(q, *eps, L)
+    return argv, ADMITTED if admitted else 1
+
+
+def _draw_empirical(data, limit):
+    L = _digit_rule_limit(limit)
+    family = data.draw(st.sampled_from(["fekete", "shifted", "galois"]), label="family")
+    text, q = _draw_order(data, "--q", limits_mod.SHIFTED_QMAX if family == "shifted"
+                          else limits_mod.MAX_Q)
+    argv = ["empirical", "--family", family, "--q", text]
+    flag, other = ("--k", "--p") if family == "galois" else ("--p", "--k")
+    primes, exponents = _capacity_edges(q, L) if q and 2 <= q <= limits_mod.MAX_Q else (
+        (3, 5), (2, 3))
+    if flag == "--p":
+        size = st.one_of(st.sampled_from(primes), st.sampled_from([3, 5, 7, 13, 101, 1009]),
+                         st.sampled_from(PRIME_EDGES), st.integers(-5, 200),
+                         st.integers(3, 3 * 10**7), st.integers(-10**400, 10**400))
+    else:
+        size = st.one_of(st.sampled_from(exponents), st.integers(-2, MAX_K + 3),
+                         st.integers(-10**400, 10**400))
+    sizes = data.draw(st.lists(size, min_size=1, max_size=2), label="sizes")
+    if data.draw(st.integers(0, 19), label="no sizes") == 0:
+        sizes = []
+    for n in sizes:
+        argv += [flag, str(n)]
+    given_other = data.draw(st.integers(0, 19), label="other flag") == 0
+    if given_other:
+        argv += [other, "5"]
+    # mostly the shift options each family takes
+    kinds = ["shift", "ratio"] * 3 + ["none"] if family == "shifted" else ["none"] * 6 + [
+        "shift", "ratio"]
+    shift_kind = data.draw(st.sampled_from(kinds + ["both"]), label="shift")
+    shift = ratio = None
+    usage = q is None
+    if shift_kind in ("shift", "both"):
+        shift = data.draw(st.one_of(st.integers(-50, 50), st.integers(-10**400, 10**400)),
+                          label="--shift")
+        argv += ["--shift", str(shift)]
+    if shift_kind in ("ratio", "both"):
+        edges = [_least_refused_denominator(q, L) if q and 1 <= q <= limits_mod.SHIFTED_QMAX
+                 else 3]
+        r_text, ratio = _draw_rational(data, "--shift-ratio", edges, limit)
+        argv += ["--shift-ratio", r_text]
+        usage = usage or ratio is None
+    if usage or shift_kind == "both":
+        return argv, 2
+    return argv, _empirical_verdict(family, q, sizes, given_other, shift, ratio, L)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_argv_refusal_grammar(data):
+    limit = data.draw(st.sampled_from(GRAMMAR_LIMITS), label="int/str limit")
+    command = data.draw(st.sampled_from(["limits", "triangle", "phi", "empirical"]),
+                        label="command")
+    # texts and verdicts are built with no limit, as the drawn numbers may have
+    # more digits than the limit the command then runs under
+    with int_max_str_digits(0):
+        if command == "phi":
+            argv, verdict = _draw_phi(data, limit)
+        elif command == "empirical":
+            argv, verdict = _draw_empirical(data, limit)
+        else:
+            argv, verdict = _draw_limits_or_triangle(data, command, limit)
+
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    out, err = io.StringIO(), io.StringIO()
+    with ExitStack() as stack:
+        for module, names in ADMITTED_WORK.items():
+            stack.enter_context(mock.patch.multiple(module, **dict.fromkeys(names, admitted)))
+        stack.enter_context(redirect_stdout(out))
+        stack.enter_context(redirect_stderr(err))
+        stack.enter_context(int_max_str_digits(limit))
+        # a collection of what earlier tests left would fall inside the timed span
+        gc.disable()
+        start = time.perf_counter()
+        try:
+            outcome = main(argv)
+        except _Admitted:
+            outcome = ADMITTED
+        except SystemExit as exc:
+            outcome = exc.code
+        finally:
+            elapsed = time.perf_counter() - start
+            gc.enable()
+    shown = [a if len(a) < 40 else f"<{len(a)} characters>" for a in argv]
+    assert outcome == verdict, (shown, limit, err.getvalue()[-300:])
+    assert elapsed < 0.05, (shown, limit, elapsed)
+    if outcome == 1:
+        record = json.loads(out.getvalue())
+        jsonschema.validate(record, SCHEMA)
+        assert set(record) == {"schema", "command", "error"} and record["command"] == argv[0]
+    elif outcome == 2:
+        assert out.getvalue() == "" and "usage: littlewood" in err.getvalue()
 
 
 def test_script_refusals_are_library_refusals():

@@ -649,10 +649,10 @@ def test_phi_piecewise_check_node_fires(monkeypatch):
     def perturbed(q, rs, d):
         # one wrong interpolation value moves the piece off the check node
         calls.append(rs)
-        ys = exact(q, rs, d)
+        ys, den = exact(q, rs, d)
         if len(calls) == 1:
             ys[2] += 1
-        return ys
+        return ys, den
 
     monkeypatch.setattr(limits, "_shifted_values", perturbed)
     with pytest.raises(ArithmeticError):
@@ -698,11 +698,12 @@ def test_shifted_values_match_pointwise(q, data):
     d = math.lcm(a.denominator, b.denominator) * data.draw(st.integers(2, 60), label="m")
     interior = range(int(a * d) + 1, int(b * d))
     rs = data.draw(st.lists(st.sampled_from(interior), min_size=1, max_size=7, unique=True))
-    values = limits._shifted_values(q, rs, d)
+    values, den = limits._shifted_values(q, rs, d)
     assert len(values) == len(rs)
     for r, v in zip(rs, values):
         R = Fraction(r, d)
-        assert v == shifted_fekete_limit(q, R) == _profile_shifted_limit(q, R), (q, R)
+        assert (Fraction(v, den) == shifted_fekete_limit(q, R)
+                == _profile_shifted_limit(q, R)), (q, R)
 
 
 def test_shifted_values_refuse_straddling_nodes():
@@ -715,8 +716,10 @@ def test_shifted_values_refuse_straddling_nodes():
             with pytest.raises(ValueError, match="straddle"):
                 limits._shifted_values(q, rs, 8)
     # at q = 1 no block moves with R, and at q = 3 only 0 and 1/2 are breakpoints
-    assert limits._shifted_values(1, [0, 1], 8) == [1, 1]
-    assert limits._shifted_values(3, [1, 2, 3], 8) == [
+    values, den = limits._shifted_values(1, [0, 1], 8)
+    assert [Fraction(v, den) for v in values] == [1, 1]
+    values, den = limits._shifted_values(3, [1, 2, 3], 8)
+    assert [Fraction(v, den) for v in values] == [
         shifted_fekete_limit(3, Fraction(r, 8)) for r in (1, 2, 3)
     ]
 

@@ -57,6 +57,27 @@ def test_invalid_construction():
         PiecewisePoly((0, 1), ((1,), (2,)))
 
 
+# few distinct pieces, so runs of equal neighbours are common; () and (0,), and
+# (1, -2) and (1, -2, 0), are equal pieces written differently
+_RUN_PIECES = st.sampled_from([(), (0,), (1, -2), (1, -2, 0), (Fraction(1, 3), 0, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=30),
+                min_size=2, max_size=12, unique=True), st.data())
+def test_merge_keeps_run_starts_and_the_half_open_rule(points, data):
+    bps = sorted(points)
+    pieces = data.draw(st.lists(_RUN_PIECES, min_size=len(bps) - 1, max_size=len(bps) - 1))
+    f = PiecewisePoly(bps, pieces)
+    assert all(a != b for a, b in zip(f.pieces, f.pieces[1:]))
+    assert set(f.breakpoints) <= set(bps)
+    for x in bps + [(a + b) / 2 for a, b in zip(bps, bps[1:])]:
+        # the last input piece that starts at or before x; b_k takes the last piece
+        i = max(j for j in range(len(pieces)) if bps[j] <= x)
+        assert f.evaluate(x) == poly_eval(pieces[i], x), x
+    assert f.evaluate(bps[0] - 1) == f.evaluate(bps[-1] + 1) == 0
+
+
 def test_newton_recovers_integer_polynomial():
     # the recursion's nodes 0, 1, -1, 2, -2, 3 are not monotone
     p = (-3, 0, 5, 7, 0, -2)

@@ -191,6 +191,9 @@ RATIONAL_RULES = [
     ("shifted_fekete_limit", "R", partial(shifted_fekete_limit, 3)),
     ("phi_min", "eps", partial(phi_min, 3)),
     ("pw_minimize", "eps", partial(pw_minimize, PiecewisePoly((0, 1), ((1, -8, 16),)))),
+    ("PiecewisePoly-breakpoint", "breakpoint", lambda x: PiecewisePoly((0, x), ((1,),))),
+    ("PiecewisePoly-coefficient", "coefficient", lambda x: PiecewisePoly((0, 1), ((1, x),))),
+    ("PiecewisePoly.evaluate", "x", PiecewisePoly((0, 1), ((1, 2),)).evaluate),
     ("eulerian_general", "x", partial(eulerian_general, 3)),
     ("convergence_table-shifted-shift_ratio", "shift_ratio",
      lambda x: convergence_table("shifted", 2, [5], shift_ratio=x)),
