@@ -21,7 +21,9 @@ limits.  Its whole admission rule is `check_convergence`: the q range, the
 sizes (primes up to MAX_PRIME, Galois exponents by `gf2k._check_exponent`),
 the norm engine's `power_layout` for each size and the shift rule
 `check_shift`.  Each raises ValueError before any work starts, and the
-`empirical` command prints it as its error record.  What the rule admits it
+`empirical` command prints it as its error record.  The family decides each
+size's length and zero count: a Galois exponent k gives 2^k - 1 signs, none
+zero, and a prime p gives p signs, one zero.  What the rule admits it
 returns as the run: per size, the sign builder and its arguments and the
 limit's shift ratio, so `convergence_table` only runs it.
 """
@@ -119,8 +121,8 @@ def norm_2q_quadrature(f, q: int) -> float:
     import numpy as np
 
     coeffs = np.asarray(list(f), dtype=float)
-    deg = len(coeffs) - 1
-    M = 2 * q * deg + 1
+    # the zero polynomial (deg -1) takes one point, where it is 0
+    M = 2 * q * max(len(coeffs) - 1, 0) + 1
     values = np.abs(np.fft.fft(coeffs, M)) ** 2
     return float(np.mean(values**q))
 
@@ -141,8 +143,8 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
     """Raise ValueError unless `convergence_table` admits these arguments, and
     return the run it admits: one entry (n, build, args, R) per size, in input
     order.  build(*args) is the size's vector of n signs, `_fekete_signs(p, r)`
-    or `_galois_signs(k)`, and R is the shift ratio of its limit, None for the
-    family's one limit."""
+    or `_galois_signs(k)` as the family says, and R is the shift ratio of its
+    limit, None for the family's one limit."""
     sizes = list(sizes)
     if family not in ("fekete", "shifted", "galois"):
         raise ValueError(f"unknown family {family!r}")
@@ -154,30 +156,29 @@ def check_convergence(family: str, q: int, sizes, shift: int | None = None,
         _check_int("shift", shift)
     if shift_ratio is not None:
         shift_ratio = _check_rational("shift_ratio", shift_ratio)
-    run = []
+    galois = family == "galois"
     for s in sizes:
-        if family != "galois":
-            _check_prime(s)
-            run.append((s, _fekete_signs, (s, 0), None))
-        else:
-            _check_exponent(s)
-            run.append(((1 << s) - 1, _galois_signs, (s,), None))
-    for n, build, _, _ in run:
-        # a Fekete vector has one zero sign
-        power_layout(n, q, n if build is _galois_signs else n - 1)
-    if family != "shifted":
-        if shift is not None or shift_ratio is not None:
-            raise ValueError("--shift/--shift-ratio apply to the shifted family only")
-        return run
-    if shift is None and shift_ratio is None:
+        (_check_exponent if galois else _check_prime)(s)
+    for s in sizes:
+        # 2^k - 1 signs, none zero, for Galois; p signs, one zero, for Fekete
+        n = (1 << s) - 1 if galois else s
+        power_layout(n, q, n if galois else n - 1)
+    if family != "shifted" and (shift is not None or shift_ratio is not None):
+        raise ValueError("--shift/--shift-ratio apply to the shifted family only")
+    if family == "shifted" and shift is None and shift_ratio is None:
         raise ValueError("shifted family needs --shift or --shift-ratio")
     if shift is not None and shift_ratio is not None:
         raise ValueError("shifted family takes one of --shift and --shift-ratio, not both")
+    # each size's shift ratio; None, for the family's one limit, outside the shifted family
     ratios = [shift_ratio if shift is None else Fraction(shift, p) for p in sizes]
     for R in dict.fromkeys(ratios):
-        check_shift(q, R)
+        if R is not None:
+            check_shift(q, R)
+    if galois:
+        return [((1 << k) - 1, _galois_signs, (k,), None) for k in sizes]
     # r = R p rounded half up: the shift itself when R = shift/p, and r/p -> R
-    return [(p, _fekete_signs, (p, floor(R * p + HALF)), R) for p, R in zip(sizes, ratios)]
+    return [(p, _fekete_signs, (p, 0 if R is None else floor(R * p + HALF)), R)
+            for p, R in zip(sizes, ratios)]
 
 
 def convergence_table(family: str, q: int, sizes, shift: int | None = None,

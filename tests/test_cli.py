@@ -396,12 +396,24 @@ def test_empirical_shifted(capsys):
 
 
 def _forbid_polynomial_work(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a refused request built a polynomial or a norm")
+    # one sentinel per name, so no patched function stands in for another
+    def never(name):
+        def sentinel(*args, **kwargs):
+            raise AssertionError(f"a refused request called {name}")
+        return sentinel
 
     for name in ("fekete", "shifted_fekete", "_fekete_signs", "_galois_signs",
                  "norm_2q_exact"):
-        monkeypatch.setattr(poly_mod, name, never)
+        monkeypatch.setattr(poly_mod, name, never(name))
+
+
+def test_forbidden_work_names_each_function(monkeypatch):
+    _forbid_polynomial_work(monkeypatch)
+    names = ("fekete", "shifted_fekete", "_fekete_signs", "_galois_signs", "norm_2q_exact")
+    assert len({id(getattr(poly_mod, name)) for name in names}) == len(names)
+    for name in names:
+        with pytest.raises(AssertionError, match=f"called {name}$"):
+            getattr(poly_mod, name)(5)
 
 
 def _library_refusal(*request) -> str:

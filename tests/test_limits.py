@@ -18,8 +18,10 @@ from sympy import factorint
 
 from csv_digests import FIRST_REFUSED
 from int_limit import int_max_str_digits, least_reaching, recorded_digit_checks
+from moments import family_moments, is_stieltjes
 from littlewood.partitions import enumerate_set_partitions, even_block_profiles
 from littlewood.limits import (
+    FAMILIES,
     PHI_PIECES_QMAX,
     SHIFTED_QMAX,
     check_shift,
@@ -376,6 +378,26 @@ def test_limit_table():
 def test_monotone_growth():
     for limits in (FEKETE_LIMITS, GALOIS_LIMITS):
         assert all(a < b for a, b in zip(limits, limits[1:]))
+
+
+def test_limits_are_stieltjes_moments():
+    # m_q = E[X^q] of a law on [0, inf), an oracle independent of the
+    # recursion at every order; `python tests/moments.py` checks q <= 127
+    for family in FAMILIES:
+        moments = family_moments(family, 64)
+        assert is_stieltjes(moments), family
+        # one moment off by a relative 1e-12, either way, is no moment sequence
+        for scale in (1 + Fraction(1, 10**12), 1 - Fraction(1, 10**12)):
+            assert not is_stieltjes([*moments[:40], moments[40] * scale, *moments[41:]]), \
+                (family, scale)
+    for R in (Fraction(0), Fraction(1, 8), Fraction(1, 4)):
+        moments = [Fraction(1)] + [shifted_fekete_limit(q, R) for q in range(1, 16)]
+        assert is_stieltjes(moments), R
+    # controls: Exp(1), the law of random +-1 polynomials, and U[0, 2], the
+    # Rudin-Shapiro law, pass; the standard normal law has mass below 0
+    assert is_stieltjes([math.factorial(q) for q in range(64)])
+    assert is_stieltjes([Fraction(2**q, q + 1) for q in range(64)])
+    assert not is_stieltjes([0 if q % 2 else math.prod(range(1, q, 2)) for q in range(16)])
 
 
 # ---------------------------------------------------------------------------

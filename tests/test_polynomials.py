@@ -323,6 +323,9 @@ def test_norm_parseval_base_case():
 def test_norm_quadrature_agreement():
     assert norm_2q_quadrature((1,), 4) == pytest.approx(1.0, abs=1e-12)
     assert norm_2q_quadrature(fekete(3), 2) == pytest.approx(6.0, abs=1e-9)
+    # the zero polynomial, with no coefficient or one zero one
+    for f in ((), (0,)):
+        assert norm_2q_quadrature(f, 2) == norm_2q_exact(f, 2) == 0, f
     exact = norm_2q_exact(fekete(101), 3)
     quad = norm_2q_quadrature(fekete(101), 3)
     assert abs(quad - exact) / exact < 1e-8
@@ -768,6 +771,33 @@ def test_check_convergence_takes_any_iterable():
         assert [(n, args, R) for n, _, args, R in run] == entries
         for n, build, args, _ in run:
             assert len(build(*args)) == n
+
+
+def test_check_convergence_layout_follows_the_family(monkeypatch):
+    # one function for both sign builders: the family alone decides each
+    # size's length and zero count, whatever the builders are
+    from littlewood import polynomials as poly_mod
+
+    def shared(*args):
+        raise AssertionError("admission built a vector")
+
+    layouts = []
+
+    def recorded(*args):
+        layouts.append(args)
+        return power_layout(*args)
+
+    for name in ("_fekete_signs", "_galois_signs"):
+        monkeypatch.setattr(poly_mod, name, shared)
+    monkeypatch.setattr(poly_mod, "power_layout", recorded)
+    for args, kwargs, expected in (
+        (("fekete", 2, [13]), {}, (13, 2, 12)),
+        (("shifted", 2, [13]), {"shift": 1}, (13, 2, 12)),
+        (("galois", 2, [3]), {}, (7, 2, 7)),
+    ):
+        layouts.clear()
+        check_convergence(*args, **kwargs)
+        assert layouts == [expected], (args, kwargs)
 
 
 def test_convergence_table_evaluates_each_limit_once(monkeypatch):
