@@ -98,11 +98,12 @@ def _check_digits(what: str, low_bits: int, value) -> int:
     """value() if it is below 10^L, L = `_digit_limit()`: the one printed-size rule.
     2^low_bits must be a lower bound on value(); from low_bits >= 4L, as 2^(4L) > 10^L,
     the rule refuses without calling value, so a number too big to print is never
-    built.  A refusal raises ValueError "{what} may have more than {L} digits, the
-    int/str conversion limit"."""
+    built, and a value of at most 3L bits, as 2^(3L) < 10^L, is admitted without
+    building 10^L.  A refusal raises ValueError "{what} may have more than {L}
+    digits, the int/str conversion limit"."""
     limit = _digit_limit()
     if low_bits < 4 * limit:
         v = value()
-        if v < 10**limit:
+        if v.bit_length() <= 3 * limit or v < 10**limit:
             return v
     raise ValueError(f"{what} may have more than {limit} digits, the int/str conversion limit")

@@ -7,8 +7,9 @@ same records.  A CSV row is by default a record's values under its keys, a
 list joined by spaces; triangle, phi --min and empirical state their own view.
 Exact rationals are always "num/den", and decimals carry 12 significant
 digits.  Output is byte-identical across identical invocations apart from the
-JSON timing field.  Malformed usage exits 2 via argparse.  Every other refusal
-is the library's, raised as ValueError before any work starts, and `main`
+JSON timing field.  Malformed usage exits 2 via argparse; so does --eps
+without --min, which `main` checks after parsing.  Every other refusal is
+the library's, raised as ValueError before any work starts, and `main`
 prints it as an error record and exits 1; the one rule kept here is which of
 --p and --k `empirical` was given.
 """
@@ -85,12 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--eval", type=_rational, metavar="R", dest="eval_at")
     mode.add_argument("--min", action="store_true", dest="minimize")
     mode.add_argument("--pieces", action="store_true")
-    p_phi.add_argument(
-        "--eps",
-        type=_rational,
-        default=Fraction(1, 1 << 20),
-        help="enclosure width for --min (default 1/1048576)",
-    )
+    p_phi.add_argument("--eps", type=_rational,
+                       help="enclosure width, --min only (default 1/1048576)")
     _add_format(p_phi)
 
     p_emp = sub.add_parser("empirical", help="exact norms of actual polynomials")
@@ -144,8 +141,9 @@ def _cmd_phi(args):
         return params, [{"q": q, "r": r, "value": _rat(value), "value_decimal": _dec(value)}]
 
     if args.minimize:
-        res = limits_mod.phi_min(q, args.eps)
-        params = {"q": q, "min": True, "eps": _rat(args.eps), "format": args.format}
+        eps = Fraction(1, 1 << 20) if args.eps is None else args.eps
+        res = limits_mod.phi_min(q, eps)
+        params = {"q": q, "min": True, "eps": _rat(eps), "format": args.format}
         a_lo, a_hi, v_lo, v_hi = (_rat(x) for x in (*res.argmin, *res.value))
         record = {"q": q, "argmin_lo": a_lo, "argmin_hi": a_hi, "min_lo": v_lo,
                   "min_hi": v_hi, "min_decimal": _dec(res.value[1]), "alt_flag": res.alt_flag}
@@ -200,6 +198,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
+    if getattr(args, "eps", None) is not None and not args.minimize:
+        parser.error("argument --eps: allowed with --min only")
     started = time.perf_counter()
     output = None
     try:

@@ -5,9 +5,12 @@ their triangular arrays come from a polynomial recursion in y = x + 1/x on
 the palindromic polynomials x^k pi_k(y).  It is linear in products of
 polynomials, so one pass per call runs it as a scalar recurrence at the
 integer nodes y = 0, 1, -1, 2, ..., and each pi_k is interpolated from k
-node values of that table; a call keeps nothing, so its cost depends only on
-its arguments.  The shifted limit phi_q(R) at a rational shift ratio R comes
-from the exponential formula over even block profiles, run as an integer
+node values of that table.  The six public functions of these two families
+read the rows of one builder, `_rows`: a triangle row is pi_k expanded back
+to powers of x, and a limit is its row's middle (x^0) entry over (2q-1)!.
+A call keeps nothing, so its cost depends only on its arguments.  The
+shifted limit phi_q(R) at a rational shift ratio R comes from the
+exponential formula over even block profiles, run as an integer
 power-series recurrence.  phi_q on [0, 1/2] is also built as an exact
 piecewise polynomial, by interpolating that evaluator between candidate
 breakpoints in [0, 1/4], where one pass of the recurrence serves all 2q+1
@@ -129,28 +132,12 @@ def _node_table(family: str, k: int) -> list[list[int]]:
     alphas = _alphas(k)
     table = [[1] for _ in alphas]
     for n in range(1, k + 1):
-        # s_(n,j), j = 1..n: the weight of alpha_j pi_(n-j) in pi_n (`_recursion_y`)
+        # s_(n,j), j = 1..n: the weight of alpha_j pi_(n-j) in pi_n (`_rows`)
         weights = [comb(2 * n - 1, 2 * j - 1) * max(2 * (n - j), 1) * b(n, j) * t
                    for j, t in enumerate(numbers[:n], 1)]
         for a, vals in zip(alphas, table):
             vals.append(sum(map(mul, weights, map(mul, a, reversed(vals)))))
     return table
-
-
-def _recursion_y(table: list[list[int]], k: int) -> tuple[int, ...]:
-    """pi_k, where (2k-1)! times the recursion polynomial is x^k pi_k(x + 1/x),
-    from a node table (`_node_table`) of order at least k.
-
-    F_0 = G_0 = 1;  F_2k = sum_j C(2k-1, 2j-1) T(j)/(2j-1)! A_j F_(2k-2j)  and
-    G_k = sum_j C(k, j) C(k-1, j-1) C(j)/(2j-1)! A_j G_(k-j).  Scaled by (2k-1)!,
-    the weight of A_j times (2k-2j-1)! F_(2k-2j) gains the integer factor
-    (2k-1)!/((2j-1)! (2k-2j-1)!) = C(2k-1, 2j-1) max(2k-2j, 1), and in
-    y = x + 1/x each term is alpha_j pi_(k-j).  That is linear in products of
-    polynomials, so it runs at each integer node y_i; pi_k is interpolated
-    from the nodes y_0..y_(k-1) by Newton divided differences (`_newton`),
-    integers because pi_k has integer coefficients and the nodes are integers.
-    """
-    return _newton([_node(i) for i in range(k)], [vals[k] for vals in table[:k]])
 
 
 def _newton(xs, ys) -> tuple[int, ...]:
@@ -182,56 +169,65 @@ def _check_order(family: str, name: str, n: int) -> None:
     _check_int(name, n, 1, MAX_Q)
 
 
-def _limit(pi: tuple[int, ...]) -> Fraction:
-    # F(q, q) and G(q, q) are the x^0 term of pi_q(x + 1/x) over (2q-1)!
-    q = len(pi)
-    centre = sum(pi[m] * comb(m, m // 2) for m in range(0, q, 2))
-    return Fraction(centre, factorial(2 * q - 1))
+def _rows(family: str, name: str, k: int, first: int = 1) -> list[TriangleRow]:
+    """Rows first..k of the family's triangular array, from one node table of
+    order k (`_node_table`), after the order rule (`_check_order`, k named name).
+
+    Row n holds the x-coefficients of x^n pi_n(x + 1/x), (2n-1)! times the
+    recursion polynomial of order n:  F_0 = G_0 = 1;
+    F_2n = sum_j C(2n-1, 2j-1) T(j)/(2j-1)! A_j F_(2n-2j)  and
+    G_n = sum_j C(n, j) C(n-1, j-1) C(j)/(2j-1)! A_j G_(n-j).  Scaled by (2n-1)!,
+    the weight of A_j times (2n-2j-1)! F_(2n-2j) gains the integer factor
+    (2n-1)!/((2j-1)! (2n-2j-1)!) = C(2n-1, 2j-1) max(2n-2j, 1), and in
+    y = x + 1/x each term is alpha_j pi_(n-j).  That is linear in products of
+    polynomials, so it runs at each integer node y_i; pi_n is interpolated
+    from the nodes y_0..y_(n-1) by Newton divided differences (`_newton`),
+    integers because pi_n has integer coefficients and the nodes are integers,
+    then expanded back to powers of x (`_x_form`) and mirrored.  The row's
+    middle (x^0) entry over (2n-1)! is the limit of order n (`_limit`).
+    """
+    _check_order(family, name, k)
+    table = _node_table(family, k)
+    rows = []
+    for n in range(first, k + 1):
+        half = _x_form(_newton([_node(i) for i in range(n)], [vals[n] for vals in table[:n]]))
+        rows.append(TriangleRow(n, half[:0:-1] + half))
+    return rows
 
 
-def _triangle_row(pi: tuple[int, ...]) -> TriangleRow:
-    half = _x_form(pi)
-    return TriangleRow(len(pi), half[:0:-1] + half)
-
-
-def _single_order(family: str, name: str, n: int) -> tuple[int, ...]:
-    # pi_n of one order: the rule, then a node table of exactly that order
-    _check_order(family, name, n)
-    return _recursion_y(_node_table(family, n), n)
+def _limit(row: TriangleRow) -> Fraction:
+    # F(q, q) and G(q, q) are the middle (x^0) entry of row q over (2q-1)!
+    return Fraction(row.values[row.k - 1], factorial(2 * row.k - 1))
 
 
 def fekete_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Fekete polynomials, F(q, q)."""
-    return _limit(_single_order("fekete", "q", q))
+    return _limit(_rows("fekete", "q", q, q)[0])
 
 
 def galois_limit_recursive(q: int) -> Fraction:
     """Limit of the normalized 2q-th power norm of Galois polynomials, G(q, q)."""
-    return _limit(_single_order("galois", "q", q))
+    return _limit(_rows("galois", "q", q, q)[0])
 
 
 def fekete_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! F(k, m) for m = 1..2k-1."""
-    return _triangle_row(_single_order("fekete", "k", k))
+    return _rows("fekete", "k", k, k)[0]
 
 
 def galois_triangle_row(k: int) -> TriangleRow:
     """Integers (2k-1)! G(k, m) for m = 1..2k-1."""
-    return _triangle_row(_single_order("galois", "k", k))
+    return _rows("galois", "k", k, k)[0]
 
 
 def limit_table(family: str, qmax: int) -> LimitTable:
     """The family's limits for q = 1..qmax, from one node table."""
-    _check_order(family, "qmax", qmax)
-    table = _node_table(family, qmax)
-    return LimitTable(family, {q: _limit(_recursion_y(table, q)) for q in range(1, qmax + 1)})
+    return LimitTable(family, {row.k: _limit(row) for row in _rows(family, "qmax", qmax)})
 
 
 def triangle_table(family: str, rows: int) -> list[TriangleRow]:
     """Rows k = 1..rows of the family's triangular array, from one node table."""
-    _check_order(family, "rows", rows)
-    table = _node_table(family, rows)
-    return [_triangle_row(_recursion_y(table, k)) for k in range(1, rows + 1)]
+    return _rows(family, "rows", rows)
 
 
 def _direct_sum(q: int, profiles, unit: int, weights) -> Fraction:

@@ -203,6 +203,19 @@ def test_zero_denominator_is_usage_error(capsys):
         assert "Traceback" not in err, argv
 
 
+def test_eps_outside_min_is_usage_error(capsys):
+    # --eps sets the enclosure width of --min alone; with --pieces or --eval it
+    # would be ignored, so it is refused as malformed usage
+    for argv in (["phi", "--q", "3", "--pieces", "--eps", "-5"],
+                 ["phi", "--q", "3", "--eval", "1/4", "--eps", "1/8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: littlewood"), argv
+        assert "--eps" in err and "Traceback" not in err, argv
+
+
 def test_phi_min(capsys):
     code, record = run_json(capsys, "phi", "--q", "2", "--min")
     assert code == 0
@@ -768,25 +781,28 @@ def _draw_phi(data, limit):
     text, q = _draw_order(data, "--q", limits_mod.SHIFTED_QMAX if mode == "--eval"
                           else limits_mod.PHI_PIECES_QMAX)
     argv = ["phi", "--q", text, mode]
-    if mode == "--pieces":
-        return argv, 2 if q is None else ADMITTED if 1 <= q <= limits_mod.PHI_PIECES_QMAX else 1
+    R = None
     if mode == "--eval":
         edges = [_least_refused_denominator(q, L) if q and 1 <= q <= limits_mod.SHIFTED_QMAX
                  else 3]
         r_text, R = _draw_rational(data, "R", edges, limit)
         argv.append(r_text)
-        if q is None or R is None:
-            return argv, 2
-        admitted = 1 <= q <= limits_mod.SHIFTED_QMAX and _shift_admitted(q, *R, L)
-        return argv, ADMITTED if admitted else 1
+    # --eps is drawn for every mode, and is malformed usage outside --min
     eps = (1, 1 << 20)
-    if data.draw(st.booleans(), label="eps given"):
-        edge = (_least_refused_eps_denominator(q, L) if q and 2 <= q <= limits_mod.PHI_PIECES_QMAX
-                else 1 << 20)
+    eps_given = data.draw(st.booleans(), label="eps given")
+    if eps_given:
+        min_order = mode == "--min" and q and 2 <= q <= limits_mod.PHI_PIECES_QMAX
+        edge = _least_refused_eps_denominator(q, L) if min_order else 1 << 20
         e_text, eps = _draw_rational(data, "eps", [edge], limit)
         argv += ["--eps", e_text]
-    if q is None or eps is None:
+    if q is None or eps is None or mode == "--eval" and R is None or (
+            eps_given and mode != "--min"):
         return argv, 2
+    if mode == "--pieces":
+        return argv, ADMITTED if 1 <= q <= limits_mod.PHI_PIECES_QMAX else 1
+    if mode == "--eval":
+        admitted = 1 <= q <= limits_mod.SHIFTED_QMAX and _shift_admitted(q, *R, L)
+        return argv, ADMITTED if admitted else 1
     admitted = 2 <= q <= limits_mod.PHI_PIECES_QMAX and eps[0] > 0 and _min_admitted(q, *eps, L)
     return argv, ADMITTED if admitted else 1
 
