@@ -24,10 +24,10 @@ _EXPORTS = {
     "gf2k": ("galois", "primitive_polynomial"),
     "intconv": ("norm_2q_exact",),
     "limits": (
-        "LimitTable", "PhiMinResult", "TriangleRow", "fekete_limit_direct",
-        "fekete_limit_recursive", "fekete_triangle_row", "galois_limit_direct",
-        "galois_limit_recursive", "galois_triangle_row", "limit_table",
-        "phi_min", "phi_piecewise", "shifted_fekete_limit", "triangle_table",
+        "fekete_limit_direct", "fekete_limit_recursive", "fekete_triangle_row",
+        "galois_limit_direct", "galois_limit_recursive", "galois_triangle_row",
+        "limit_table", "phi_min", "phi_piecewise", "shifted_fekete_limit",
+        "triangle_table",
     ),
     "partitions": (
         "EvenBlockProfile", "SizeProfile", "enumerate_set_partitions",

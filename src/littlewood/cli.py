@@ -120,13 +120,13 @@ def _cmd_limits(args):
     table = limits_mod.limit_table(args.family, args.qmax)
     params = {"family": args.family, "qmax": args.qmax, "format": args.format}
     return params, ({"q": q, "limit": _rat(v), "limit_decimal": _dec(v)}
-                    for q, v in sorted(table.entries.items()))
+                    for q, v in table.items())
 
 
 def _cmd_triangle(args):
     table = limits_mod.triangle_table(args.family, args.rows)
     params = {"family": args.family, "rows": args.rows, "format": args.format}
-    records = ({"k": row.k, "values": [str(v) for v in row.values]} for row in table)
+    records = ({"k": k, "values": [str(v) for v in row]} for k, row in enumerate(table, 1))
     # CSV: one row per value
     return params, records, ["k", "m", "value"], lambda r: (
         [r["k"], m, v] for m, v in enumerate(r["values"], start=1))
@@ -145,8 +145,8 @@ def _cmd_phi(args):
         res = limits_mod.phi_min(q, eps)
         params = {"q": q, "min": True, "eps": _rat(eps), "format": args.format}
         a_lo, a_hi, v_lo, v_hi = (_rat(x) for x in (*res.argmin, *res.value))
-        record = {"q": q, "argmin_lo": a_lo, "argmin_hi": a_hi, "min_lo": v_lo,
-                  "min_hi": v_hi, "min_decimal": _dec(res.value[1]), "alt_flag": res.alt_flag}
+        record = {"q": q, "argmin_lo": a_lo, "argmin_hi": a_hi, "min_lo": v_lo, "min_hi": v_hi,
+                  "min_decimal": _dec(res.value[1]), "alt_flag": bool(res.competitors)}
         # CSV: no min_decimal, and alt_flag as true/false
         header = ["q", "argmin_lo", "argmin_hi", "min_lo", "min_hi", "alt_flag"]
         return params, [record], header, lambda r: [

@@ -8,6 +8,8 @@ integer nodes y = 0, 1, -1, 2, ..., and each pi_k is interpolated from k
 node values of that table.  The six public functions of these two families
 read the rows of one builder, `_rows`: a triangle row is pi_k expanded back
 to powers of x, and a limit is its row's middle (x^0) entry over (2q-1)!.
+Results are plain values: a row is a tuple of integers, `limit_table` a
+dict {q: limit}, and `phi_min` the `MinimizeResult` of `pw_minimize`.
 A call keeps nothing, so its cost depends only on its arguments.  The
 shifted limit phi_q(R) at a rational shift ratio R comes from the
 exponential formula over even block profiles, run as an integer
@@ -42,7 +44,7 @@ from fractions import Fraction
 from itertools import count, cycle, repeat
 from math import ceil, comb, factorial, floor, lcm
 from operator import add, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from littlewood import _check_digits, _check_int, _check_rational
 from littlewood.special_numbers import (_carlitz_binomial, _prime_factors, _spline_rows,
@@ -50,7 +52,7 @@ from littlewood.special_numbers import (_carlitz_binomial, _prime_factors, _spli
                                         tangent_numbers)
 
 if TYPE_CHECKING:
-    from littlewood.piecewise import PiecewisePoly
+    from littlewood.piecewise import MinimizeResult, PiecewisePoly
 
 HALF = Fraction(1, 2)
 
@@ -72,24 +74,6 @@ DIRECT_QMAX = 10  # largest order of the direct sums, the recursion's oracles
 # Largest order of the symbolic phi constructions, `phi_piecewise` and
 # `phi_min`, and of the `phi --pieces` and `phi --min` commands.
 PHI_PIECES_QMAX = 6
-
-
-class TriangleRow(NamedTuple):
-    """Row k of a family's triangular integer array: 2k-1 palindromic values."""
-
-    k: int
-    values: tuple[int, ...]
-
-
-class LimitTable(NamedTuple):
-    family: str
-    entries: dict[int, Fraction]
-
-
-class PhiMinResult(NamedTuple):
-    argmin: tuple[Fraction, Fraction]
-    value: tuple[Fraction, Fraction]
-    alt_flag: bool
 
 
 def _x_form(pi) -> tuple[int, ...]:
@@ -169,9 +153,10 @@ def _check_order(family: str, name: str, n: int) -> None:
     _check_int(name, n, 1, MAX_Q)
 
 
-def _rows(family: str, name: str, k: int, first: int = 1) -> list[TriangleRow]:
-    """Rows first..k of the family's triangular array, from one node table of
-    order k (`_node_table`), after the order rule (`_check_order`, k named name).
+def _rows(family: str, name: str, k: int, first: int = 1) -> list[tuple[int, ...]]:
+    """Rows first..k of the family's triangular array, as tuples, from one node
+    table of order k (`_node_table`), after the order rule (`_check_order`, k
+    named name).
 
     Row n holds the x-coefficients of x^n pi_n(x + 1/x), (2n-1)! times the
     recursion polynomial of order n:  F_0 = G_0 = 1;
@@ -191,13 +176,13 @@ def _rows(family: str, name: str, k: int, first: int = 1) -> list[TriangleRow]:
     rows = []
     for n in range(first, k + 1):
         half = _x_form(_newton([_node(i) for i in range(n)], [vals[n] for vals in table[:n]]))
-        rows.append(TriangleRow(n, half[:0:-1] + half))
+        rows.append(half[:0:-1] + half)
     return rows
 
 
-def _limit(row: TriangleRow) -> Fraction:
-    # F(q, q) and G(q, q) are the middle (x^0) entry of row q over (2q-1)!
-    return Fraction(row.values[row.k - 1], factorial(2 * row.k - 1))
+def _limit(row: tuple[int, ...]) -> Fraction:
+    # F(q, q) and G(q, q) are the middle (x^0) entry of row q, of 2q-1 values, over (2q-1)!
+    return Fraction(row[len(row) // 2], factorial(len(row)))
 
 
 def fekete_limit_recursive(q: int) -> Fraction:
@@ -210,23 +195,25 @@ def galois_limit_recursive(q: int) -> Fraction:
     return _limit(_rows("galois", "q", q, q)[0])
 
 
-def fekete_triangle_row(k: int) -> TriangleRow:
-    """Integers (2k-1)! F(k, m) for m = 1..2k-1."""
+def fekete_triangle_row(k: int) -> tuple[int, ...]:
+    """The integers (2k-1)! F(k, m) for m = 1..2k-1, a palindromic tuple."""
     return _rows("fekete", "k", k, k)[0]
 
 
-def galois_triangle_row(k: int) -> TriangleRow:
-    """Integers (2k-1)! G(k, m) for m = 1..2k-1."""
+def galois_triangle_row(k: int) -> tuple[int, ...]:
+    """The integers (2k-1)! G(k, m) for m = 1..2k-1, a palindromic tuple."""
     return _rows("galois", "k", k, k)[0]
 
 
-def limit_table(family: str, qmax: int) -> LimitTable:
-    """The family's limits for q = 1..qmax, from one node table."""
-    return LimitTable(family, {row.k: _limit(row) for row in _rows(family, "qmax", qmax)})
+def limit_table(family: str, qmax: int) -> dict[int, Fraction]:
+    """{q: limit} for the family's limits at q = 1..qmax, from one node table."""
+    return {q: _limit(row) for q, row in enumerate(_rows(family, "qmax", qmax), 1)}
 
 
-def triangle_table(family: str, rows: int) -> list[TriangleRow]:
-    """Rows k = 1..rows of the family's triangular array, from one node table."""
+def triangle_table(family: str, rows: int) -> list[tuple[int, ...]]:
+    """Rows k = 1..rows of the family's triangular array, from one node table, as
+    tuples: row k, at index k - 1, is the k-th `fekete_triangle_row` or
+    `galois_triangle_row`."""
     return _rows(family, "rows", rows)
 
 
@@ -486,19 +473,22 @@ def phi_piecewise(q: int) -> PiecewisePoly:
                          f.pieces + tuple(mirror[::-1]))
 
 
-def phi_min(q: int, eps) -> PhiMinResult:
-    """Certified minimum of the order-q shift-limit function on [0, 1/2].
+def phi_min(q: int, eps) -> MinimizeResult:
+    """Certified minimum of the order-q shift-limit function on [0, 1/2], as
+    `pw_minimize`'s result on [0, 1/4] (`_phi_quarter`) with its value rounded
+    outward.
 
-    It is taken over [0, 1/4] (`_phi_quarter`), as phi_q(R) = phi_q(1/2 - R);
-    the mirror of the argmin is a minimizer too.  alt_flag reports whether
-    another candidate in [0, 1/4] has a value enclosure overlapping the
-    minimum's (uniqueness of the minimizer is evidence, never an assumption).
-    A value enclosure wider than a point is rounded outward to multiples of
-    2^-k, k = 2 ceil(log2(1/eps)) + 32: still a certificate, at most
-    eps^2 2^-31 wider.  As phi_q < (2q)!/q! (see `check_shift`), its ends then
-    have numerators and denominators below 2^k (2q)!/q!, and eps is refused
-    before any work unless `littlewood._check_digits` admits that bound, so
-    every admitted result prints.
+    [0, 1/4] suffices, as phi_q(R) = phi_q(1/2 - R); the mirror of the argmin
+    is a minimizer too.  competitors lists the other candidates in [0, 1/4]
+    whose value enclosures overlap the minimum's (uniqueness of the minimizer
+    is evidence, never an assumption); the command line prints
+    bool(competitors) as alt_flag.  A value enclosure wider than a point is
+    rounded outward to multiples of 2^-k, k = 2 ceil(log2(1/eps)) + 32: still
+    a certificate, at most eps^2 2^-31 wider.  As phi_q < (2q)!/q! (see
+    `check_shift`), its ends then have numerators and denominators below
+    2^k (2q)!/q!, and eps is refused before any work unless
+    `littlewood._check_digits` admits that bound, so every admitted result
+    prints.
     """
     from littlewood.piecewise import pw_minimize
 
@@ -513,4 +503,4 @@ def phi_min(q: int, eps) -> PhiMinResult:
     lower, upper = res.value
     if lower < upper:
         lower, upper = Fraction(floor(lower * 2**k), 2**k), Fraction(ceil(upper * 2**k), 2**k)
-    return PhiMinResult(res.argmin, (lower, upper), bool(res.competitors))
+    return res._replace(value=(lower, upper))

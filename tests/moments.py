@@ -54,7 +54,7 @@ def family_moments(family: str, count: int) -> list[Fraction]:
     """m_0 = 1 and the family's limit ratios m_q for q = 1..count - 1."""
     from littlewood.limits import limit_table
 
-    return [Fraction(1), *limit_table(family, count - 1).entries.values()]
+    return [Fraction(1), *limit_table(family, count - 1).values()]
 
 
 def main(count: int = 128) -> int:

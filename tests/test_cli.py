@@ -1012,15 +1012,17 @@ from littlewood.cli import main
 assert "numpy" not in sys.modules, "import littlewood.cli"
 # JSON output skips csv; limits, triangle, phi --eval and empirical also skip
 # the piecewise, rational-polynomial, profile and Sturm modules and
-# dataclasses; phi --min and --pieces skip the profiles and dataclasses
+# dataclasses; the limit commands, which run first, also skip the norm engine;
+# phi --min and --pieces skip the profiles and dataclasses
 LEAN = ("csv", "dataclasses", "littlewood.piecewise", "littlewood.ratpoly",
         "littlewood.partitions", "littlewood.sturm", "numpy")
+EXACT = (*LEAN, "littlewood.polynomials", "littlewood.gf2k", "littlewood.intconv")
 SYMBOLIC = ("csv", "dataclasses", "littlewood.partitions", "numpy")
 for argv, skipped in (
-    (["limits", "--family", "fekete", "--qmax", "8"], LEAN),
-    (["triangle", "--family", "galois", "--rows", "4"], LEAN),
-    (["phi", "--q", "2", "--eval", "-1/4"], LEAN),
-    (["phi", "--q", "12", "--eval", "2/7"], LEAN),
+    (["limits", "--family", "fekete", "--qmax", "8"], EXACT),
+    (["triangle", "--family", "galois", "--rows", "4"], EXACT),
+    (["phi", "--q", "2", "--eval", "-1/4"], EXACT),
+    (["phi", "--q", "12", "--eval", "2/7"], EXACT),
     (["empirical", "--family", "fekete", "--q", "1", "--p", "101"], LEAN),
     (["empirical", "--family", "fekete", "--q", "2", "--p", "101"], LEAN),
     (["empirical", "--family", "shifted", "--q", "1", "--p", "101",
@@ -1069,15 +1071,14 @@ for name in littlewood.__all__:
 
 # the package's public names: `__all__` lists exactly these
 PUBLIC_NAMES = """
-ConvergenceRow EvenBlockProfile LimitTable MinimizeResult PhiMinResult
-PiecewisePoly SizeProfile TriangleRow carlitz_numbers composition_count
-convergence_table enumerate_set_partitions eulerian_general eulerian_polynomial
-even_block_profiles even_size_profiles fekete fekete_limit_direct
-fekete_limit_recursive fekete_triangle_row galois galois_limit_direct
-galois_limit_recursive galois_size_profiles galois_triangle_row legendre
-limit_table norm_2q_exact norm_2q_quadrature phi_min phi_piecewise
-primitive_polynomial pw_minimize shifted_fekete shifted_fekete_limit
-tangent_numbers triangle_table
+ConvergenceRow EvenBlockProfile MinimizeResult PiecewisePoly SizeProfile
+carlitz_numbers composition_count convergence_table enumerate_set_partitions
+eulerian_general eulerian_polynomial even_block_profiles even_size_profiles
+fekete fekete_limit_direct fekete_limit_recursive fekete_triangle_row galois
+galois_limit_direct galois_limit_recursive galois_size_profiles
+galois_triangle_row legendre limit_table norm_2q_exact norm_2q_quadrature
+phi_min phi_piecewise primitive_polynomial pw_minimize shifted_fekete
+shifted_fekete_limit tangent_numbers triangle_table
 """.split()
 
 

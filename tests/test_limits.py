@@ -38,6 +38,7 @@ from littlewood.limits import (
     triangle_table,
 )
 from littlewood import _check_digits, gf2k, limits
+from littlewood.piecewise import MinimizeResult
 from littlewood.ratpoly import poly_eval
 from littlewood.special_numbers import (
     carlitz_numbers,
@@ -96,19 +97,19 @@ GALOIS_ROWS = {
 
 def test_triangle_rows_published():
     for k, row in FEKETE_ROWS.items():
-        assert fekete_triangle_row(k).values == row
+        assert fekete_triangle_row(k) == row
     for k, row in GALOIS_ROWS.items():
-        assert galois_triangle_row(k).values == row
+        assert galois_triangle_row(k) == row
     for family, rows in (("fekete", FEKETE_ROWS), ("galois", GALOIS_ROWS)):
-        assert triangle_table(family, len(rows)) == [(k, rows[k]) for k in sorted(rows)]
+        assert triangle_table(family, len(rows)) == [rows[k] for k in sorted(rows)]
 
 
 def test_triangle_invariants():
     tangents = tangent_numbers(8)
     carlitzs = carlitz_numbers(8)
     for k in range(1, 9):
-        fr = fekete_triangle_row(k).values
-        gr = galois_triangle_row(k).values
+        fr = fekete_triangle_row(k)
+        gr = galois_triangle_row(k)
         assert fr == fr[::-1]
         assert gr == gr[::-1]
         assert fr[0] == tangents[k - 1]
@@ -223,14 +224,14 @@ def test_node_table_matches_exponential_formula():
 
 def test_value_route_matches_coefficient_recursion():
     for family in ("fekete", "galois"):
-        table = limit_table(family, 72).entries
+        table = limit_table(family, 72)
         rows = triangle_table(family, 72)
         for q in range(1, 73):
             pi = _coefficient_recursion(family, q)
             centre = sum(pi[m] * math.comb(m, m // 2) for m in range(0, q, 2))
             assert table[q] == Fraction(centre, math.factorial(2 * q - 1))
             half = limits._x_form(pi)
-            assert rows[q - 1] == (q, half[:0:-1] + half), (family, q)
+            assert rows[q - 1] == half[:0:-1] + half, (family, q)
 
 
 def test_no_state_outlives_a_call():
@@ -273,11 +274,26 @@ def test_recursions_need_no_deep_stack():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_per_order_functions_match_the_tables():
+    # the per-order functions build rows first = k..k of `_rows`, the tables
+    # rows 1..24: each order's value and row agree across the two routes
+    for family, limit, row_of in (
+        ("fekete", fekete_limit_recursive, fekete_triangle_row),
+        ("galois", galois_limit_recursive, galois_triangle_row),
+    ):
+        table, rows = limit_table(family, 24), triangle_table(family, 24)
+        assert type(table) is dict and list(table) == list(range(1, 25))
+        assert type(rows) is list and len(rows) == 24
+        for k in range(1, 25):
+            assert limit(k) == table[k], (family, k)
+            assert row_of(k) == rows[k - 1], (family, k)
+
+
 def test_triangle_rows_palindromic():
     for k in range(1, 17):
         for row in (fekete_triangle_row(k), galois_triangle_row(k)):
-            assert row.k == k and len(row.values) == 2 * k - 1
-            assert row.values == row.values[::-1], k
+            assert type(row) is tuple and len(row) == 2 * k - 1
+            assert row == row[::-1], k
 
 
 def test_direct_hand_values():
@@ -369,8 +385,8 @@ def test_partition_first_oracles():
 
 def test_limit_table():
     table = limit_table("fekete", 3)
-    assert table.entries == {1: Fraction(1), 2: Fraction(5, 3), 3: Fraction(19, 5)}
-    assert limit_table("galois", 1).entries[1] == 1
+    assert table == {1: Fraction(1), 2: Fraction(5, 3), 3: Fraction(19, 5)}
+    assert limit_table("galois", 1) == {1: 1}
     with pytest.raises(ValueError):
         limit_table("both", 2)
 
@@ -803,7 +819,7 @@ def test_phi_min():
         assert res.argmin[0] <= Fraction(1, 4) <= res.argmin[1]
         assert res.argmin[1] - res.argmin[0] <= eps
         assert res.value == (PHI_QUARTER[q - 1], PHI_QUARTER[q - 1])
-        assert res.alt_flag is False
+        assert type(res) is MinimizeResult and res.competitors == ()
     # eps is read as a Fraction, as pw_minimize reads it
     assert phi_min(3, "1/8") == phi_min(3, Fraction(1, 8))
 

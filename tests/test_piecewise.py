@@ -359,12 +359,12 @@ def test_phi8_pieces_match_evaluator_off_nodes(monkeypatch):
 
 
 def test_phi8_min_on_quarter_is_tight(monkeypatch):
-    # on [0, 1/4] the mirror twin is out of range, so alt_flag is clear, and
+    # on [0, 1/4] the mirror twin is out of range, so no competitor remains, and
     # the centred bound pins the value once the argmin enclosure is eps wide
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
     eps = Fraction(1, 1 << 20)
     res = limits.phi_min(8, eps)
-    assert res.alt_flag is False
+    assert res.competitors == ()
     u, v = res.argmin
     assert Fraction(2411, 10000) < u < v < Fraction(2412, 10000) and v - u <= eps
     lower, upper = res.value
@@ -395,19 +395,22 @@ def test_phi_min_value_prints_and_contains_the_exact_enclosure(monkeypatch):
 
 def test_phi_refinement_digests(monkeypatch):
     # sha256 of repr of results the CLI digests never reach: phi_min past the
-    # cap at a coarse and a deep eps, and the q = 8 twin minimisation; the
-    # q = 8 entries pin phi_min's outward-rounded value enclosures
+    # cap at a coarse and a deep eps, as (argmin, value, alt_flag) with the
+    # CLI's alt_flag = bool(competitors), and the q = 8 twin minimisation as
+    # pw_minimize returns it; the q = 8 entries pin phi_min's outward-rounded
+    # value enclosures
     monkeypatch.setattr(limits, "PHI_PIECES_QMAX", 8)
     results = {
         (q, e): limits.phi_min(q, Fraction(1, 2**e)) for q in (7, 8) for e in (20, 200)
     }
-    results["twin"] = pw_minimize(phi_piecewise(8), Fraction(1, 2**20))
-    digests = {key: hashlib.sha256(repr(r).encode()).hexdigest() for key, r in results.items()}
-    q7 = "41c13cd83a2f68679c5d0d084756a89a50541f8ecb31bf93ec4a39fc523befe7"
+    contents = {key: (r.argmin, r.value, bool(r.competitors)) for key, r in results.items()}
+    contents["twin"] = pw_minimize(phi_piecewise(8), Fraction(1, 2**20))
+    digests = {key: hashlib.sha256(repr(r).encode()).hexdigest() for key, r in contents.items()}
+    q7 = "f346201d2a00ecf260682e34322f1325117b41458ec588e67490689d40e3c869"
     assert digests == {
         (7, 20): q7,
         (7, 200): q7,
-        (8, 20): "5fd0dbf5a8b67d0f4941ca19c9784a498b5585433ddb976f18eb2d6960cdf925",
-        (8, 200): "342e20a28333def914cf0f9526d5fd16c71f4dc7b681158c2c54c6846bca9a42",
+        (8, 20): "3918be240eb33ebc0dc8b82f5c8000fa34e0d917be562f2853e1f28c6e6fa73d",
+        (8, 200): "927058e78aa56dacc3af5b3d04e3825f101464f2a7e725a7ca88483c3a813e40",
         "twin": "752673cf5f6dfc2187b0d1e041f20472d86a82094b32e15ea70cda8f6c1538e3",
     }
