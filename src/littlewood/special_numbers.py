@@ -4,16 +4,15 @@ Signed tangent numbers T(k) and Carlitz numbers C(k), defined only here, by
 one recurrence with a binomial per family; Eulerian numbers at rational
 arguments and Eulerian polynomials; restricted-composition counts; and
 `_prime_factors`, the one trial division in the package.  All are exact and
-pure; only the test oracle `eulerian_general` keeps a memo.  The Eulerian
-polynomials and the shifted evaluator's scaled Eulerian values come from one
-integer recurrence, `_spline_rows`; the alternating binomial sum is its oracle.
+pure, and nothing is kept between calls.  The Eulerian polynomials and the
+shifted evaluator's scaled Eulerian values come from one integer recurrence,
+`_spline_rows`; the alternating binomial sum is its oracle.
 `littlewood._check_int` checks each order.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count, islice
 
 from littlewood import _check_int, _check_rational
@@ -69,7 +68,6 @@ def carlitz_numbers(kmax: int) -> tuple[int, ...]:
     return _binomial_recurrence(kmax, _carlitz_binomial)
 
 
-@lru_cache(maxsize=None)
 def _eulerian_general(n: int, x: Fraction) -> Fraction:
     top = math.floor(x + 1)
     if top < 0:

@@ -7,7 +7,7 @@ import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 from operator import add, mul
 
@@ -235,29 +235,45 @@ def test_value_route_matches_coefficient_recursion():
 
 
 def test_no_state_outlives_a_call():
-    # in a fresh process: after these calls neither module holds a mutable
-    # container or a cache except the oracle `_eulerian_general`'s, and
-    # limit_table("fekete", 64) leaves only its 64 values, about 21 KB (a
-    # table kept per node would hold more than 800 KB)
+    # in a fresh process with every module imported: no module global is a
+    # cache, the calls below leave every module-level container at its size
+    # (and bind no new one), and limit_table("fekete", 64) leaves only its 64
+    # values, about 21 KB (a table kept per node would hold more than 800 KB)
     script = (
-        "import json, tracemalloc\n"
+        "import importlib, json, pkgutil, tracemalloc\n"
         "from fractions import Fraction\n"
-        "from littlewood import limits, special_numbers\n"
+        "import littlewood\n"
+        "mods = [littlewood] + [importlib.import_module(f'littlewood.{m.name}')\n"
+        "    for m in pkgutil.iter_modules(littlewood.__path__) if m.name != '__main__']\n"
+        "def sizes():\n"
+        "    return {f'{mod.__name__}.{name}': len(value) for mod in mods\n"
+        "            for name, value in vars(mod).items() if not name.startswith('__')\n"
+        "            and isinstance(value, (dict, list, set, bytearray))}\n"
+        "before = sizes()\n"
+        "from littlewood import limits, polynomials, special_numbers\n"
         "limits.limit_table('fekete', 48)\n"
         "limits.triangle_table('galois', 8)\n"
         "limits.shifted_fekete_limit(4, Fraction(1, 3))\n"
-        "kept = sorted(\n"
-        "    f'{mod.__name__}.{name}' for mod in (limits, special_numbers)\n"
-        "    for name, value in vars(mod).items() if not name.startswith('__')\n"
-        "    and (isinstance(value, (dict, list, set, bytearray)) or hasattr(value, 'cache_info')))\n"
+        "limits.phi_piecewise(3)\n"
+        "limits.phi_min(3, Fraction(1, 2**20))\n"
+        "special_numbers.eulerian_general(5, Fraction(1, 3))\n"
+        "polynomials.convergence_table('fekete', 2, [13])\n"
+        "polynomials.convergence_table('shifted', 2, [13], shift_ratio=Fraction(1, 4))\n"
+        "polynomials.convergence_table('galois', 2, [5])\n"
+        "caches = sorted(f'{mod.__name__}.{name}' for mod in mods\n"
+        "                for name, value in vars(mod).items() if hasattr(value, 'cache_info'))\n"
         "tracemalloc.start()\n"
         "table = limits.limit_table('fekete', 64)\n"
-        "print(json.dumps([kept, tracemalloc.get_traced_memory()[0]]))\n"
+        "print(json.dumps([caches, before, sizes(), tracemalloc.get_traced_memory()[0]]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    kept, held = json.loads(proc.stdout)
-    assert kept == ["littlewood.special_numbers._eulerian_general"]
+    caches, before, after, held = json.loads(proc.stdout)
+    assert caches == []
+    assert "littlewood.cli._HANDLERS" in before  # the scan reaches the submodules
+    # the recursions and special numbers hold no container at all
+    assert not [k for k in before if k.startswith(("littlewood.limits.", "littlewood.special_"))]
+    assert after == before
     assert held < 128 * 1024, held
 
 
@@ -420,6 +436,10 @@ def test_limits_are_stieltjes_moments():
 # shifted limits
 
 
+# the profile oracle's Eulerian values, memoised here: the library keeps nothing
+_eulerian = cache(eulerian_general)
+
+
 def _profile_shifted_limit(q, R):
     # the former production route: per even block profile, each block
     # contributes Eulerian values at 2R(N-P) + a - 1 over the a where they can
@@ -436,7 +456,7 @@ def _profile_shifted_limit(q, R):
             shift = 2 * R * (N - P)
             nxt = {}
             for a in range(math.floor(-shift) + 1, math.ceil(2 * N - shift)):
-                v = eulerian_general(2 * N - 1, shift + a - 1)
+                v = _eulerian(2 * N - 1, shift + a - 1)
                 if v:
                     for e, c in conv.items():
                         nxt[e + a] = nxt.get(e + a, Fraction(0)) + c * v
