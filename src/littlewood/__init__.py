@@ -30,8 +30,8 @@ _EXPORTS = {
         "triangle_table",
     ),
     "partitions": (
-        "EvenBlockProfile", "SizeProfile", "enumerate_set_partitions",
-        "even_block_profiles", "even_size_profiles", "galois_size_profiles",
+        "enumerate_set_partitions", "even_block_profiles", "even_size_profiles",
+        "galois_size_profiles",
     ),
     "piecewise": ("MinimizeResult", "PiecewisePoly", "pw_minimize"),
     "polynomials": (

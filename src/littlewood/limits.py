@@ -28,10 +28,10 @@ T(k), C(k) with their binomials, the Eulerian rows and the primes of
 
 Each public function raises ValueError before any work for input outside its
 rule (`_check_order`, `check_shift`, `phi_min`'s eps, the *_QMAX bounds; each
-order by `littlewood._check_int`, each shift ratio and eps by
-`littlewood._check_rational`, each bound on a printed value by
-`littlewood._check_digits`); the command line prints that message as its
-error record.
+order by `littlewood._check_int`, each shift ratio by
+`littlewood._check_rational`, eps by `piecewise._check_eps`, each bound on a
+printed value by `littlewood._check_digits`); the command line prints that
+message as its error record.
 
 The piecewise, rational-polynomial and partition-profile modules are
 imported by the functions that use them, and `sturm` is loaded only through
@@ -218,7 +218,8 @@ def triangle_table(family: str, rows: int) -> list[tuple[int, ...]]:
 
 
 def _direct_sum(q: int, profiles, unit: int, weights) -> Fraction:
-    """The sum over size profiles of count * prod weights[N-1] * [x^q] prod E_N(x),
+    """The sum over the (sizes, count) pairs of a profile stream of
+    count * prod weights[N-1] * [x^q] prod E_N(x),
     with one factor per block of size unit * N and E_N the Eulerian polynomial
     (`eulerian_polynomial`).  count is the one formula of `partitions._profiles`;
     per profile, the composition sum factors as that x^q coefficient of the
@@ -227,9 +228,9 @@ def _direct_sum(q: int, profiles, unit: int, weights) -> Fraction:
     from littlewood.ratpoly import poly_mul
 
     total = Fraction(0)
-    for prof in profiles:
-        term, gen = Fraction(prof.count), (1,)
-        for size in prof.sizes:
+    for sizes, count in profiles:
+        term, gen = Fraction(count), (1,)
+        for size in sizes:
             N = size // unit
             term *= weights[N - 1]
             gen = poly_mul(gen, eulerian_polynomial(N))
@@ -490,12 +491,10 @@ def phi_min(q: int, eps) -> MinimizeResult:
     `littlewood._check_digits` admits that bound, so every admitted result
     prints.
     """
-    from littlewood.piecewise import pw_minimize
+    from littlewood.piecewise import _check_eps, pw_minimize
 
     _check_int("q", q, 2, PHI_PIECES_QMAX)  # phi_1 is constant
-    eps = _check_rational("eps", eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _check_eps(eps)
     k = 2 * (ceil(1 / eps) - 1).bit_length() + 32
     _check_digits(f"phi_{q} minimum at this eps", k,
                   lambda: 2**k * factorial(2 * q) // factorial(q))

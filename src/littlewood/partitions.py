@@ -7,35 +7,19 @@ partition sums to a few dozen multiplicity-weighted terms; they serve the
 direct routes `fekete_limit_direct` and `galois_limit_direct` and the test
 oracles of the shifted limit, and no command loads this module.  All three
 come from one enumerator, `_profiles`, of multisets of block types with one
-count formula; each stream is a choice of types.  Each size is checked by
-`littlewood._check_int`, with its one message, on the stream's first item.
+count formula; each stream is a choice of types.  A stream yields plain
+(multiset, count) pairs, a tuple of block types and the number of set
+partitions realizing it, so dict(stream) is the profile map.  Each size is
+checked by `littlewood._check_int`, with its one message, on the stream's
+first item.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from littlewood import _check_int
 
 MAX_ENUMERATION = 13
-
-
-@dataclass(frozen=True)
-class SizeProfile:
-    """Multiset of block sizes with the number of set partitions realizing it."""
-
-    sizes: tuple[int, ...]
-    count: int
-
-
-@dataclass(frozen=True)
-class EvenBlockProfile:
-    """Multiset of (half_size, high_count) block descriptors for even
-    partitions of {1..2q}, where high_count is the number of elements of the
-    block exceeding q, with the number of partitions realizing it."""
-
-    entries: tuple[tuple[int, int], ...]
-    count: int
 
 
 def enumerate_set_partitions(m: int):
@@ -99,37 +83,41 @@ def _profiles(types, low: int, high: int) -> list[tuple[tuple, int]]:
 
 
 def even_size_profiles(q: int):
-    """Size multisets {2N_1, ..., 2N_l} of even partitions of a 2q-set.
+    """(sizes, count) pairs: the size multisets (2N_1, ..., 2N_l), ascending, of
+    even partitions of a 2q-set.
 
     Blocks of size 2N are the type (2N, 2N, 0) of `_profiles` with low = 2q,
     so count = (2q)! / (prod (2N_i)! * prod mult_s!), the number of set
-    partitions realizing the multiset.  Profiles stream in lexicographic order
-    of their ascending-sorted entries.
+    partitions realizing the multiset.  Pairs stream in lexicographic order
+    of their sizes.
+
+    >>> dict(even_size_profiles(2))
+    {(2, 2): 3, (4,): 1}
     """
     _check_int("q", q, 1)
-    for sizes, count in _profiles([(2 * N, 2 * N, 0) for N in range(1, q + 1)], 2 * q, 0):
-        yield SizeProfile(sizes, count)
+    yield from _profiles([(2 * N, 2 * N, 0) for N in range(1, q + 1)], 2 * q, 0)
 
 
 def galois_size_profiles(q: int):
-    """Size multisets {N_1, ..., N_l} of all partitions of a q-set.
+    """(sizes, count) pairs: the size multisets (N_1, ..., N_l), ascending, of
+    all partitions of a q-set, in lexicographic order of their sizes.
 
     Blocks of size N are the type (N, N, 0) of `_profiles` with low = q, so
     count = q! / (prod N_i! * prod mult_s!); the multinomial factor the limit
     evaluation applies per partition is *not* folded in here.
     """
     _check_int("q", q, 1)
-    for sizes, count in _profiles([(N, N, 0) for N in range(1, q + 1)], q, 0):
-        yield SizeProfile(sizes, count)
+    yield from _profiles([(N, N, 0) for N in range(1, q + 1)], q, 0)
 
 
 def even_block_profiles(q: int):
-    """(half_size, high_count) multisets of even partitions of {1..2q}.
+    """(entries, count) pairs: the multisets of (half_size, high_count)
+    entries (N, P), ascending, of even partitions of {1..2q}.
 
     A block of 2N elements with P of them above q is the type
     ((N, P), 2N-P, P) of `_profiles`, with low = high = q: it consumes 2N-P
-    elements of the low half {1..q} and P of the high half.  Each profile
-    carries
+    elements of the low half {1..q} and P of the high half.  Each multiset
+    comes with
 
         count = q! * q! / (prod (2N_i - P_i)! * prod P_i! * prod mult_t!),
 
@@ -139,5 +127,4 @@ def even_block_profiles(q: int):
     _check_int("q", q, 1)
     types = [((N, P), 2 * N - P, P)
              for N in range(1, q + 1) for P in range(max(0, 2 * N - q), min(2 * N, q) + 1)]
-    for entries, count in _profiles(types, q, q):
-        yield EvenBlockProfile(entries, count)
+    yield from _profiles(types, q, q)

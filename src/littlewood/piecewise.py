@@ -72,6 +72,15 @@ class MinimizeResult(NamedTuple):
     competitors: tuple[tuple[Fraction, Fraction], ...] = ()
 
 
+def _check_eps(eps) -> Fraction:
+    """eps as a Fraction, by the one tolerance rule: a rational by
+    `littlewood._check_rational` (named "eps"), and positive."""
+    eps = _check_rational("eps", eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
+
+
 def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
     """Minimize f over its domain [b_0, b_k] with exact certificates.
 
@@ -93,9 +102,7 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
     >>> pw_minimize(square, Fraction(1, 8))[:2]
     ((Fraction(1, 4), Fraction(1, 4)), (Fraction(0, 1), Fraction(0, 1)))
     """
-    eps = _check_rational("eps", eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _check_eps(eps)
     bps = f.breakpoints
     # candidate records [a, b, lower, upper, piece, squarefree f'], in order
     cands: list[list] = []

@@ -1067,11 +1067,13 @@ for name in littlewood.__all__:
     obj = getattr(littlewood, name)
     assert obj.__module__.startswith("littlewood."), name
     assert getattr(sys.modules[obj.__module__], name) is obj, name
+# results are plain values: no module loads dataclasses
+assert "dataclasses" not in sys.modules
 """
 
 # the package's public names: `__all__` lists exactly these
 PUBLIC_NAMES = """
-ConvergenceRow EvenBlockProfile MinimizeResult PiecewisePoly SizeProfile
+ConvergenceRow MinimizeResult PiecewisePoly
 carlitz_numbers composition_count convergence_table enumerate_set_partitions
 eulerian_general eulerian_polynomial even_block_profiles even_size_profiles
 fekete fekete_limit_direct fekete_limit_recursive fekete_triangle_row galois
