@@ -1,22 +1,29 @@
 """Command-line interface: limits, triangle, phi, and empirical subcommands.
 
-Each handler returns its parameters and its results once, as the records of
-the JSON output (schema "v1", shipped in littlewood/schema/output.v1.json);
-`main` alone renders them, as JSON or as RFC-4180-style CSV streamed from the
-same records.  A CSV row is by default a record's values under its keys, a
-list joined by spaces; triangle, phi --min and empirical state their own view.
+The parser is the one table of commands: each subparser carries its handler
+as `args.run`.  A handler returns its parameters and its results once, as the
+records of the JSON output (schema "v1", shipped in
+littlewood/schema/output.v1.json); `main` alone renders them, as JSON or as
+RFC-4180-style CSV streamed from the same records.  A CSV row is by default a
+record's values under its keys, a list joined by spaces; triangle, phi --min
+and empirical state their own view.
 Exact rationals are always "num/den", and decimals carry 12 significant
 digits.  Output is byte-identical across identical invocations apart from the
 JSON timing field.  Malformed usage exits 2 via argparse; so does --eps
 without --min, which `main` checks after parsing.  Every other refusal is
 the library's, raised as ValueError before any work starts, and `main`
 prints it as an error record and exits 1; the one rule kept here is which of
---p and --k `empirical` was given.
+--p and --k `empirical` was given.  Output that cannot be written exits 1
+without a traceback: a closed stdout is refused before any work, a reader
+that left (BrokenPipeError) ends it silently, and any other OSError while
+writing or flushing prints one line, "littlewood: cannot write the output:
+<reason>", to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -73,12 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limits = sub.add_parser("limits", help="published limiting values per family")
     p_limits.add_argument("--family", choices=limits_mod.FAMILIES, required=True)
     p_limits.add_argument("--qmax", type=int, required=True)
-    _add_format(p_limits)
+    _add_run_and_format(p_limits, _cmd_limits)
 
     p_tri = sub.add_parser("triangle", help="triangular integer arrays per family")
     p_tri.add_argument("--family", choices=limits_mod.FAMILIES, required=True)
     p_tri.add_argument("--rows", type=int, required=True)
-    _add_format(p_tri)
+    _add_run_and_format(p_tri, _cmd_triangle)
 
     p_phi = sub.add_parser("phi", help="shift-ratio limit functions")
     p_phi.add_argument("--q", type=int, required=True)
@@ -88,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--pieces", action="store_true")
     p_phi.add_argument("--eps", type=_rational,
                        help="enclosure width, --min only (default 1/1048576)")
-    _add_format(p_phi)
+    _add_run_and_format(p_phi, _cmd_phi)
 
     p_emp = sub.add_parser("empirical", help="exact norms of actual polynomials")
     p_emp.add_argument("--family", choices=("fekete", "shifted", "galois"), required=True)
@@ -107,12 +114,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shift-ratio", type=_rational, default=None,
         help="target ratio R; uses r = round(R*p) per prime",
     )
-    _add_format(p_emp)
+    _add_run_and_format(p_emp, _cmd_empirical)
 
     return parser
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
+def _add_run_and_format(p: argparse.ArgumentParser, run) -> None:
+    """Bind the command's handler, which `main` calls as args.run(args), and add
+    the option every command ends with, --format."""
+    p.set_defaults(run=run)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -186,40 +196,43 @@ def _cmd_empirical(args):
         [r["n"], r["exact_norm"], *r["ratio"].split("/"), *r["limit"].split("/"), r["rel_err"]]]
 
 
-_HANDLERS = {
-    "limits": _cmd_limits,
-    "triangle": _cmd_triangle,
-    "phi": _cmd_phi,
-    "empirical": _cmd_empirical,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
     if getattr(args, "eps", None) is not None and not args.minimize:
         parser.error("argument --eps: allowed with --min only")
+    if sys.stdout is None:
+        return _cannot_write("stdout is closed")
     started = time.perf_counter()
-    output = None
     try:
-        params, records, *csv_view = _HANDLERS[args.command](args)
-        if args.format == "json":
-            output = {
-                "schema": SCHEMA_VERSION,
-                "command": args.command,
-                "parameters": params,
-                "results": list(records),
-                "timing": {"seconds": time.perf_counter() - started},
-            }
-    except ValueError as exc:
-        _write_json({"schema": SCHEMA_VERSION, "command": args.command, "error": str(exc)})
-        return 1
-    if output is None:
-        _write_csv(records, *csv_view)
-    else:
-        _write_json(output)
-    return 0
+        try:
+            params, records, *csv_view = args.run(args)
+            if args.format == "csv":
+                _write_csv(records, *csv_view)
+            else:
+                _write_json({"schema": SCHEMA_VERSION, "command": args.command,
+                             "parameters": params, "results": list(records),
+                             "timing": {"seconds": time.perf_counter() - started}})
+            code = 0
+        except ValueError as exc:
+            _write_json({"schema": SCHEMA_VERSION, "command": args.command, "error": str(exc)})
+            code = 1
+        sys.stdout.flush()
+    except OSError as exc:
+        # the library does no I/O, so this is the output's error.  Python
+        # flushes stdout again at exit; pointing it at devnull, as the Python
+        # docs advise for SIGPIPE, keeps that flush from failing too
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        # a reader that left wants no message
+        return 1 if isinstance(exc, BrokenPipeError) else _cannot_write(exc.strerror or exc)
+    return code
+
+
+def _cannot_write(reason) -> int:
+    print(f"littlewood: cannot write the output: {reason}", file=sys.stderr)
+    return 1
 
 
 def _write_json(record) -> None:
@@ -239,7 +252,3 @@ def _write_csv(records, header=None, to_rows=None) -> None:
             writer.writerow(header or list(record))
         writer.writerows(to_rows(record) if to_rows else [
             [" ".join(v) if isinstance(v, list) else v for v in record.values()]])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

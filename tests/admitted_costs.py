@@ -12,11 +12,23 @@ import json
 import os
 import sys
 import time
+from math import factorial
 
 from csv_digests import FIRST_REFUSED
+from littlewood import _digit_limit
+from littlewood.gf2k import MAX_K
+from littlewood.limits import PHI_PIECES_QMAX
 
 MAX_SECONDS = 60
 MAX_RSS_MB = 512
+
+
+def largest_admitted_eps_exponent(q: int) -> int:
+    """The largest e at which `phi_min`'s digit rule admits eps = 1/2^e at order q:
+    it admits while 2^(2e + 32) (2q)!/q! < 10^L, L = `littlewood._digit_limit()`."""
+    bits = ((10**_digit_limit() - 1) // (factorial(2 * q) // factorial(q))).bit_length() - 1
+    return (bits - 32) // 2
+
 
 INPUTS = [
     # the shift rule: the largest admitted denominator at SHIFTED_QMAX = 16
@@ -29,6 +41,11 @@ INPUTS = [
     ("triangle", "--family", "galois", "--rows", "128"),
     ("phi", "--q", "6", "--pieces"),
     ("phi", "--q", "6", "--min"),
+    # the digit rule of phi --min: its smallest admitted eps at PHI_PIECES_QMAX
+    ("phi", "--q", str(PHI_PIECES_QMAX), "--min",
+     "--eps", f"1/{2 ** largest_admitted_eps_exponent(PHI_PIECES_QMAX)}"),
+    # the field rule at q = 1, where every sign is built only to be counted
+    ("empirical", "--family", "galois", "--q", "1", "--k", str(MAX_K)),
 ]
 
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -935,6 +936,49 @@ def test_module_entry_point():
     record = json.loads(proc.stdout)
     jsonschema.validate(record, SCHEMA)
     assert record["results"][1]["limit"] == "5/3"
+
+
+# dev mode with warnings as errors, so that an "Exception ignored" at exit shows
+DEV_MODE = {**os.environ, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
+CANNOT_WRITE = "littlewood: cannot write the output: "
+
+
+def test_reader_that_leaves_ends_without_a_message():
+    # `triangle --family fekete --rows 64 --format csv | head -n 1`: about 700 KB,
+    # so the child is still writing when the reader closes its end
+    with subprocess.Popen(
+        [sys.executable, "-m", "littlewood", "triangle", "--family", "fekete",
+         "--rows", "64", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=DEV_MODE,
+    ) as proc:
+        assert proc.stdout.readline() == b'"k","m","value"\r\n'
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_prints_one_line():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "littlewood", "limits", "--family", "fekete", "--qmax", "8"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=DEV_MODE,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(CANNOT_WRITE) and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_is_refused_before_any_work():
+    # the shell's >&- starts the child with no fd 1, so sys.stdout is None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m littlewood limits --family fekete --qmax 8 >&-',
+         sys.executable],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=DEV_MODE,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == CANNOT_WRITE + "stdout is closed\n"
 
 
 @pytest.mark.parametrize(

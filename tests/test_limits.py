@@ -270,7 +270,7 @@ def test_no_state_outlives_a_call():
     assert proc.returncode == 0, proc.stderr
     caches, before, after, held = json.loads(proc.stdout)
     assert caches == []
-    assert "littlewood.cli._HANDLERS" in before  # the scan reaches the submodules
+    assert "littlewood.gf2k._BIT_SIGNS" in before  # the scan reaches the submodules
     # the recursions and special numbers hold no container at all
     assert not [k for k in before if k.startswith(("littlewood.limits.", "littlewood.special_"))]
     assert after == before
