@@ -35,7 +35,6 @@ SCHEMA_VERSION = "v1"
 
 
 def _rat(x) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -104,10 +104,8 @@ def _fekete_signs(p: int, r: int = 0) -> memoryview:
         squares[j * j % p] = 1
     signs = squares.translate(_LEGENDRE)
     signs[0] = 0
-    r %= p
-    if r:
-        signs = signs[r:] + signs[:r]
-    return memoryview(signs).cast("b")
+    r %= p  # r = 0 rotates by nothing
+    return memoryview(signs[r:] + signs[:r]).cast("b")
 
 
 def norm_2q_quadrature(f, q: int) -> float:

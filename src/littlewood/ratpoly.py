@@ -23,8 +23,6 @@ def poly_trim(c: Sequence) -> Coeffs:
 def poly_mul(a: Sequence, b: Sequence) -> Coeffs:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return poly_trim(out)

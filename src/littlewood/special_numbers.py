@@ -11,26 +11,19 @@ shifted evaluator's scaled Eulerian values come from one integer recurrence,
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import count, islice
+from math import comb, floor
 
 from littlewood import _check_int, _check_rational
 
 
-def _binom(a: int, b: int) -> int:
-    """Binomial coefficient with C(a, b) = 0 for b < 0 or a < b (including a < 0)."""
-    if b < 0 or a < b:
-        return 0
-    return math.comb(a, b)
-
-
 def _tangent_binomial(k: int, j: int) -> int:
-    return math.comb(2 * k - 1, 2 * j - 1)
+    return comb(2 * k - 1, 2 * j - 1)
 
 
 def _carlitz_binomial(k: int, j: int) -> int:
-    return math.comb(k, j) * math.comb(k - 1, j - 1)
+    return comb(k, j) * comb(k - 1, j - 1)
 
 
 def _binomial_recurrence(kmax: int, b) -> tuple[int, ...]:
@@ -69,13 +62,11 @@ def carlitz_numbers(kmax: int) -> tuple[int, ...]:
 
 
 def _eulerian_general(n: int, x: Fraction) -> Fraction:
-    top = math.floor(x + 1)
-    if top < 0:
-        return Fraction(0)
     total = Fraction(0)
-    # C(n+1, j) vanishes for j > n+1, so the sum may be capped there.
-    for j in range(0, min(top, n + 1) + 1):
-        term = math.comb(n + 1, j) * (x + 1 - j) ** n
+    # C(n+1, j) vanishes for j > n+1, so the sum may be capped there; below
+    # x = -1 the range is empty and the sum is 0.
+    for j in range(min(floor(x + 1), n + 1) + 1):
+        term = comb(n + 1, j) * (x + 1 - j) ** n
         total += -term if j % 2 else term
     return total
 
@@ -135,14 +126,20 @@ def composition_count(N: int, n: int, m: int) -> int:
     """Number of tuples (j_1, ..., j_N) in [0, n)^N with j_1 + ... + j_N = m.
 
     Evaluated by inclusion-exclusion:
-    sum_{j=0}^{N} (-1)^j C(N, j) C(N + m - n*j - 1, N - 1).
+    sum_{j=0}^{min(N, m // n)} (-1)^j C(N, j) C(N + m - n*j - 1, N - 1),
+    2 (min(N, m // n) + 1) binomials at m >= 0.  The terms past m // n are
+    0, as there N + m - n*j - 1 < N - 1, so they are left out; a negative m
+    gives the empty sum.
+
+    >>> composition_count(3, 2, 2)
+    3
     """
     _check_int("N", N, 1)
     _check_int("n", n, 1)
     _check_int("m", m)
     total = 0
-    for j in range(N + 1):
-        term = math.comb(N, j) * _binom(N + m - n * j - 1, N - 1)
+    for j in range(min(N, m // n) + 1):
+        term = comb(N, j) * comb(N + m - n * j - 1, N - 1)
         total += -term if j % 2 else term
     return total
 

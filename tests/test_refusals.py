@@ -13,11 +13,14 @@ length.  `RATIONAL_RULES` lists each public entry point of the rational rule,
 with other vectors.  The functions that do the work after the checks are
 patched to fail, and numpy to be missing, so a check that came after any work
 would show as an AssertionError or ImportError, not as the expected
-ValueError.  This file needs only pytest, the standard library and littlewood.
+ValueError.  `ADMITTED` makes one small admitted call of each public entry
+point of those modules, and every patched function must run in one of them,
+so that no witness is one that can never fire.  This file needs only pytest, the standard library and littlewood.
 """
 import gc
 import sys
 import time
+from collections import Counter
 from array import array
 from decimal import Decimal
 from fractions import Fraction
@@ -58,6 +61,7 @@ from littlewood.piecewise import PiecewisePoly, pw_minimize
 from littlewood.polynomials import (
     MAX_PRIME,
     _fekete_signs,
+    check_convergence,
     convergence_table,
     fekete,
     is_odd_prime,
@@ -78,7 +82,7 @@ WORK = {
     limits: ("_node_table", "_shifted_values", "_block_scale", "_phi_quarter",
              "tangent_numbers", "carlitz_numbers"),
     special_numbers: ("_tangent_binomial", "_carlitz_binomial", "_eulerian_general",
-                      "_spline_rows", "_binom"),
+                      "_spline_rows", "comb"),
     partitions: ("_profiles",),
     piecewise: ("_isolate", "squarefree_part"),
     gf2k: ("primitive_polynomial", "_prime_factors", "_trace_bits"),
@@ -300,3 +304,51 @@ def test_refused_before_work(call, message):
         call()
     assert time.perf_counter() - start < 0.05
     assert str(refused.value) == message
+
+
+# one small admitted call of each public entry point of each `WORK` module;
+# norm_2q_quadrature is left out, as its only work is numpy, which may be absent
+ADMITTED = [
+    partial(fekete_limit_recursive, 3), partial(galois_limit_recursive, 3),
+    partial(fekete_triangle_row, 3), partial(galois_triangle_row, 3),
+    partial(limit_table, "fekete", 3), partial(limit_table, "galois", 3),
+    partial(triangle_table, "fekete", 3), partial(triangle_table, "galois", 3),
+    partial(fekete_limit_direct, 2), partial(galois_limit_direct, 2),
+    partial(check_shift, 2, 0), partial(shifted_fekete_limit, 2, Fraction(1, 4)),
+    partial(phi_piecewise, 2), partial(phi_min, 3, Fraction(1, 16)),
+    partial(tangent_numbers, 3), partial(carlitz_numbers, 3),
+    partial(eulerian_general, 3, 1), partial(eulerian_polynomial, 2),
+    partial(composition_count, 3, 2, 2),
+    lambda: list(enumerate_set_partitions(3)), lambda: list(even_size_profiles(2)),
+    lambda: list(galois_size_profiles(2)), lambda: list(even_block_profiles(2)),
+    partial(pw_minimize, PiecewisePoly((0, 1), ((1, -8, 16),)), Fraction(1, 16)),
+    partial(primitive_polynomial, 4), partial(galois, 4),
+    partial(is_odd_prime, 7), partial(legendre, 2, 7), partial(fekete, 7),
+    partial(shifted_fekete, 7, 1), partial(_fekete_signs, 7, 1),
+    partial(check_convergence, "fekete", 2, [5]),
+    partial(convergence_table, "fekete", 2, [5]), partial(convergence_table, "galois", 2, [3]),
+    partial(convergence_table, "shifted", 2, [5], shift=1),
+    partial(power_layout, 5, 2, 4), partial(norm_2q_exact, [1, 1, -1], 2),
+]
+
+
+def test_every_work_witness_is_reached(monkeypatch):
+    # a witness that no admitted call reaches (a helper renamed or no longer
+    # called) would leave test_refused_before_work blind to work before a check
+    monkeypatch.undo()  # `no_work`'s patches: here the witnesses run, counted
+    reached = Counter()
+
+    def counted(key, real):
+        def witness(*args, **kwargs):
+            reached[key] += 1
+            return real(*args, **kwargs)
+        return witness
+
+    for module, names in WORK.items():
+        for name in names:
+            key = f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    for call in ADMITTED:
+        call()
+    witnesses = [f"{module.__name__}.{name}" for module, names in WORK.items() for name in names]
+    assert [key for key in witnesses if not reached[key]] == []

@@ -1,6 +1,7 @@
 """Tests for tangent/Carlitz numbers, Eulerian values, and composition counts."""
 import math
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -129,6 +130,15 @@ def test_composition_examples():
     assert composition_count(2, 3, 2) == 3
     assert composition_count(3, 2, 7) == 0
     assert composition_count(4, 5, 8) == _brute_count(4, 5, 8)
+    # negative m and the far tail past N (n - 1), where every term is 0
+    for N in range(1, 6):
+        for n in range(1, 6):
+            for m in range(-3, N * n + 4):
+                assert composition_count(N, n, m) == _brute_count(N, n, m), (N, n, m)
+    # only the m // n + 1 nonzero terms are summed, not all N + 1
+    start = time.process_time()
+    assert composition_count(4000, 2, 5) == math.comb(4000, 5)
+    assert time.process_time() - start < 0.1
 
 
 def test_composition_scaled_convergence():
