@@ -326,7 +326,7 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
             raise ValueError("the nodes straddle a breakpoint")
         for N, row in zip(range(1, q + 1), _spline_rows(ts, d)):
             P = N - D
-            if abs(D) > N or not 0 <= P <= q or 2 * N - P > q:
+            if not max(0, 2 * N - q) <= P <= min(2 * N, q):
                 continue
             scale = N * d * tangents[N - 1] * (
                 c**N // (factorial(2 * N - 1) * factorial(2 * N - P) * factorial(P))

@@ -87,11 +87,13 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
     Every candidate is an enclosure [a, b] with bounds on the minimum of its
     piece over it, read from the piece mapped to [0, 1] in integers
     (`_segment_bounds`, exact when a == b).  The points are each
-    piece's left end, the domain's right end and the rational roots of f'; a
-    point takes its value from the piece that starts there, as `evaluate`
-    does.  The other real roots of f' are isolated and refined to width
-    <= eps by one integer Descartes bisection (`sturm._isolate`) on the
-    squarefree part of each piece's derivative, computed once; enclosures
+    piece's left end and the domain's right end, which it adds itself, and the
+    rational roots of f' met inside a piece; a point takes its value from the
+    piece that starts there, as `evaluate` does.  The other real roots of f'
+    inside a piece are isolated and refined to width <= eps by one integer
+    Descartes bisection (`sturm._isolate`, which reports only the roots
+    inside the open interval) on the squarefree part of each piece's
+    derivative, computed once; enclosures
     whose bounds overlap the best are halved by the same bisection until the
     candidates separate or a width floor is hit.
 
@@ -108,9 +110,10 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
     cands: list[list] = []
     for u, v, piece in zip(bps, bps[1:], f.pieces):
         deriv = squarefree_part(poly_derivative(piece))
-        # a root at u is the point (u, u); one at v is the next piece's, or
-        # the domain's right end
-        inside = [(a, b) for a, b in _isolate(deriv, u, v, eps) if b > u and a < v]
+        # the piece's left end u and the domain's right end are points of
+        # their own, so a root of f' there needs no enclosure; _isolate reports
+        # only the roots in (u, v)
+        inside = _isolate(deriv, u, v, eps)
         for a, b in [(u, u), *inside] + ([(v, v)] if v == bps[-1] else []):
             cands.append([a, b, *_segment_bounds(piece, a, b), piece, deriv])
 

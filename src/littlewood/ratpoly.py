@@ -9,10 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Coeffs = tuple  # coefficient tuple, low degree first; () is the zero polynomial
 
-
-def poly_trim(c: Sequence) -> Coeffs:
+def poly_trim(c: Sequence) -> tuple:
     """Drop trailing zero coefficients."""
     n = len(c)
     while n and c[n - 1] == 0:
@@ -20,7 +18,7 @@ def poly_trim(c: Sequence) -> Coeffs:
     return tuple(c[:n])
 
 
-def poly_mul(a: Sequence, b: Sequence) -> Coeffs:
+def poly_mul(a: Sequence, b: Sequence) -> tuple:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
@@ -35,11 +33,11 @@ def poly_eval(a: Sequence, x) -> Fraction:
     return acc
 
 
-def poly_derivative(a: Sequence) -> Coeffs:
+def poly_derivative(a: Sequence) -> tuple:
     return tuple(i * c for i, c in enumerate(a))[1:]
 
 
-def poly_shift(a: Sequence, c) -> Coeffs:
+def poly_shift(a: Sequence, c) -> tuple:
     """Coefficients of a(x + c), as many as a has; c is an int or a Fraction.
 
     >>> poly_shift((0, 0, 1), 1)                   # (x + 1)^2

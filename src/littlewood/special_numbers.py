@@ -61,16 +61,6 @@ def carlitz_numbers(kmax: int) -> tuple[int, ...]:
     return _binomial_recurrence(kmax, _carlitz_binomial)
 
 
-def _eulerian_general(n: int, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    # C(n+1, j) vanishes for j > n+1, so the sum may be capped there; below
-    # x = -1 the range is empty and the sum is 0.
-    for j in range(min(floor(x + 1), n + 1) + 1):
-        term = comb(n + 1, j) * (x + 1 - j) ** n
-        total += -term if j % 2 else term
-    return total
-
-
 def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     """Eulerian number of order n at a rational argument x.
 
@@ -84,7 +74,14 @@ def eulerian_general(n: int, x: Fraction | int) -> Fraction:
     Fraction(1, 2)
     """
     _check_int("n", n, 1)
-    return _eulerian_general(n, _check_rational("x", x))
+    x = _check_rational("x", x)
+    total = Fraction(0)
+    # C(n+1, j) vanishes for j > n+1, so the sum may be capped there; below
+    # x = -1 the range is empty and the sum is 0.
+    for j in range(min(floor(x + 1), n + 1) + 1):
+        term = comb(n + 1, j) * (x + 1 - j) ** n
+        total += -term if j % 2 else term
+    return total
 
 
 def _spline_rows(ts, d: int):

@@ -8,8 +8,10 @@ map of a polynomial on [lo, hi] to an integer polynomial on [0, 1], which
 takes its gcds by integer pseudo-division.  Roots are isolated by Descartes'
 rule of signs under bisection (Collins & Akritas, 1976) on the primitive
 squarefree part, and the same halving refines each isolating interval to the
-requested width.  The module kept its name from the Sturm chains it used to
-build, because the benchmark tracer imports `littlewood.sturm`.
+requested width.  `_isolate` reports only the roots inside the open interval
+it is given; a root at either end is for its caller to handle.  The module
+kept its name from the Sturm chains it used to build, because the benchmark
+tracer imports `littlewood.sturm`.
 """
 from __future__ import annotations
 
@@ -75,21 +77,20 @@ def _on_unit(p, lo, hi) -> tuple[int, tuple[int, ...]]:
 
 
 def _isolate(p, lo, hi, eps):
-    """Real roots of a primitive squarefree p in [lo, hi], for Fractions
-    lo < hi and eps > 0, as one sorted list of enclosures: (x, x) for a
-    rational root x met at lo, hi or a bisection point, and (a, b), an open
-    interval of width <= eps with p(a), p(b) nonzero, for each other root.
+    """Real roots of a primitive squarefree p in the open interval (lo, hi),
+    for Fractions lo < hi and eps > 0, as one sorted list of enclosures:
+    (x, x) for a rational root x met at a bisection point, and (a, b), an
+    open interval of width <= eps with p(a), p(b) nonzero, for each other
+    root.  Roots at lo and hi are not reported.
 
     >>> _isolate((0, -2, 0, 1), Fraction(0), Fraction(2), Fraction(1, 4))   # x^3 - 2x
-    [(Fraction(0, 1), Fraction(0, 1)), (Fraction(5, 4), Fraction(3, 2))]
+    [(Fraction(5, 4), Fraction(3, 2))]
     """
     d = len(p) - 1
-    if d < 1:
-        return []
     # q(t), a positive multiple of p(lo + (hi - lo) t): its roots in (0, 1)
     # are those of p in (lo, hi), and q(0), q(1) have the signs of p(lo), p(hi)
     q = _on_unit(p, lo, hi)[1]
-    found = [(x, x) for x, v in ((lo, q[0]), (hi, sum(q))) if v == 0]
+    found = []
     todo = [(lo, hi, q)]
     while todo:
         a, b, q = todo.pop()

@@ -409,6 +409,11 @@ def test_empirical_shifted(capsys):
     assert record["results"][0]["limit"] == "7/6"
 
 
+# the functions of `polynomials` through which an empirical run builds its
+# signs and takes its norms
+_POLYNOMIAL_WORK = ("_fekete_signs", "_galois_signs", "norm_2q_exact")
+
+
 def _forbid_polynomial_work(monkeypatch):
     # one sentinel per name, so no patched function stands in for another
     def never(name):
@@ -416,18 +421,38 @@ def _forbid_polynomial_work(monkeypatch):
             raise AssertionError(f"a refused request called {name}")
         return sentinel
 
-    for name in ("fekete", "shifted_fekete", "_fekete_signs", "_galois_signs",
-                 "norm_2q_exact"):
+    for name in _POLYNOMIAL_WORK:
         monkeypatch.setattr(poly_mod, name, never(name))
 
 
 def test_forbidden_work_names_each_function(monkeypatch):
     _forbid_polynomial_work(monkeypatch)
-    names = ("fekete", "shifted_fekete", "_fekete_signs", "_galois_signs", "norm_2q_exact")
-    assert len({id(getattr(poly_mod, name)) for name in names}) == len(names)
-    for name in names:
+    ids = {id(getattr(poly_mod, name)) for name in _POLYNOMIAL_WORK}
+    assert len(ids) == len(_POLYNOMIAL_WORK)
+    for name in _POLYNOMIAL_WORK:
         with pytest.raises(AssertionError, match=f"called {name}$"):
             getattr(poly_mod, name)(5)
+
+
+def test_every_forbidden_work_name_is_reached(capsys, monkeypatch):
+    # a name that no admitted run reaches would leave the refusal tests that
+    # forbid it blind to work done before a check
+    reached = {name: 0 for name in _POLYNOMIAL_WORK}
+
+    def counted(name, real):
+        def witness(*args, **kwargs):
+            reached[name] += 1
+            return real(*args, **kwargs)
+        return witness
+
+    for name in _POLYNOMIAL_WORK:
+        monkeypatch.setattr(poly_mod, name, counted(name, getattr(poly_mod, name)))
+    for argv in (("--family", "fekete", "--q", "2", "--p", "5"),
+                 ("--family", "shifted", "--q", "2", "--p", "13", "--shift-ratio", "1/4"),
+                 ("--family", "galois", "--q", "2", "--k", "2")):
+        code, _ = run_json(capsys, "empirical", *argv)
+        assert code == 0
+    assert [name for name, calls in reached.items() if not calls] == []
 
 
 def _library_refusal(*request) -> str:

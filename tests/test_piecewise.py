@@ -273,10 +273,15 @@ _DOUBLE_ROOT = poly_mul(poly_mul(poly_mul((-27, 5), (-27, 5)), (-27, 5)),
 @settings(max_examples=80, deadline=None)
 @given(_root_problems())
 @example((_DOUBLE_ROOT, Fraction(1, 4), Fraction(9, 4), Fraction(1, 32)))
+# the zero polynomial and a nonzero constant have no roots to report
+@example(((), Fraction(0), Fraction(1), Fraction(1, 4)))
+@example(((3,), Fraction(-1, 2), Fraction(5, 2), Fraction(1, 8)))
 def test_isolate_and_minimize_match_sympy(problem):
     p, lo, hi, eps = problem
     P = _sympy_poly(p)
-    roots = [r for r in dict.fromkeys(sympy.real_roots(P)) if lo <= r <= hi]
+    # _isolate reports only the roots inside (lo, hi); _root_problems also
+    # draws roots at the ends, which must not be reported
+    roots = [r for r in dict.fromkeys(sympy.real_roots(P)) if lo < r < hi]
     # squarefree part: integers, and a rational multiple of sympy's
     squarefree = squarefree_part(p)
     assert all(type(c) is int for c in squarefree)
@@ -286,6 +291,7 @@ def test_isolate_and_minimize_match_sympy(problem):
     exact = [a for a, b in found if a == b]
     intervals = [(a, b) for a, b in found if a < b]
     assert {_rational(x) for x in exact} <= set(roots)
+    assert all(lo < x < hi for x in exact)
     # f' = p: the minimum of f over [lo, hi] is at an end or at a root of p,
     # and over an isolating interval (a, b) at a, b or its one root, where
     # _segment_bounds must enclose it

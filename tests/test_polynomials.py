@@ -729,8 +729,7 @@ def test_convergence_table_refuses_before_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a refused table built a polynomial or a norm")
 
-    for name in ("fekete", "shifted_fekete", "_fekete_signs", "_galois_signs",
-                 "norm_2q_exact"):
+    for name in ("_fekete_signs", "_galois_signs", "norm_2q_exact"):
         monkeypatch.setattr(poly_mod, name, never)
     for args, kwargs, reason in (
         (("galois", 2, [14, 23]), {}, "capacity"),

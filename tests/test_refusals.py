@@ -81,8 +81,7 @@ from littlewood.special_numbers import (
 WORK = {
     limits: ("_node_table", "_shifted_values", "_block_scale", "_phi_quarter",
              "tangent_numbers", "carlitz_numbers"),
-    special_numbers: ("_tangent_binomial", "_carlitz_binomial", "_eulerian_general",
-                      "_spline_rows", "comb"),
+    special_numbers: ("_tangent_binomial", "_carlitz_binomial", "_spline_rows", "comb"),
     partitions: ("_profiles",),
     piecewise: ("_isolate", "squarefree_part"),
     gf2k: ("primitive_polynomial", "_prime_factors", "_trace_bits"),
