@@ -15,8 +15,8 @@ shifted limit phi_q(R) at a rational shift ratio R comes from the
 exponential formula over even block profiles, run as an integer
 power-series recurrence.  phi_q on [0, 1/2] is also built as an exact
 piecewise polynomial, by interpolating that evaluator between candidate
-breakpoints in [0, 1/4], where one pass of the recurrence serves all 2q+1
-nodes of an interval and their 2q-th divided difference must vanish, and
+breakpoints in [0, 1/4], where one pass of the recurrence serves all 2q
+nodes of an interval and their (2q-1)-th divided difference must vanish, and
 mirroring by the substitution R -> 1/2 - R, under which phi_q is invariant;
 its minimum is certified on [0, 1/4] with enclosures from Descartes root
 isolation.  The direct partition-profile sums `fekete_limit_direct` and
@@ -312,7 +312,9 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
     come from the recurrence of `_spline_rows`, run for all nodes at once, and
     the value at a sits at m = f + a.  Only W_n[0] can vanish, when t = 0, so the
     nodes share e and len(coeffs) if they share f and whether t = 0 for every
-    D; otherwise they straddle a breakpoint and ValueError is raised.
+    D.  Sharing f at every D is enough: where t = 0 at some nodes only, f
+    differs at -D.  Otherwise the nodes straddle a breakpoint, and ValueError
+    is raised.
     """
     K = len(numerators)
     tangents = tangent_numbers(q)
@@ -322,7 +324,7 @@ def _shifted_blocks(q: int, numerators, d: int, c: int) -> list[dict]:
     for D in range(-(q // 2), q // 2 + 1):
         fs, ts = zip(*[divmod(2 * r * D, d) for r in numerators])
         f = fs[0]
-        if fs.count(f) < K or 0 < ts.count(0) < K:
+        if fs.count(f) < K:
             raise ValueError("the nodes straddle a breakpoint")
         for N, row in zip(range(1, q + 1), _spline_rows(ts, d)):
             P = N - D
@@ -421,18 +423,20 @@ def _phi_quarter(q: int) -> PiecewisePoly:
     """phi_q on [0, 1/4], exactly, for an admitted q.
 
     Every block of every even block profile contributes an Eulerian value at
-    2(N-P) R + a - 1, a polynomial in R of degree 2N-1 between the points
-    where its argument is an integer; so phi_q is a polynomial of degree at
-    most 2q-1 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
-    bounds |D| = |N-P| by min(N, q-N)).  On each interval [a, b] between
-    these candidates in [0, 1/4], 2q+1 exact values at equally spaced interior
+    2D R + a - 1, D = N-P, a polynomial in R of degree 2N-1 between the points
+    where its argument is an integer, and a constant when D = 0.  The D of a
+    profile's blocks sum to 0, so none or at least two are nonzero, and each
+    term has degree at most 2q-2; so phi_q is a polynomial of degree at most
+    2q-2 between breakpoints R = j/(2D), 1 <= D <= q/2 (`_shifted_blocks`
+    bounds |D| by min(N, q-N)).  On each interval [a, b] between these
+    candidates in [0, 1/4], 2q exact values at equally spaced interior
     rationals r/d, s apart, come from one pass of `_shifted_values` over the
     common denominator d, as integers over its one denominator den.  Times
-    m = (2q)! s^(2q), they are interpolated in r by integer divided differences
-    (`_newton`); the 2q-th divided difference must vanish, or ArithmeticError
-    is raised, and the rest, with r = R d, give the piece there, coefficient
-    i being coeffs[i] d^i / (den m).  Equal neighbours then merge, so only true
-    breakpoints remain.
+    m = (2q-1)! s^(2q-1), they are interpolated in r by integer divided
+    differences (`_newton`); the (2q-1)-th divided difference must vanish, or
+    ArithmeticError is raised, and the rest, with r = R d, give the piece
+    there, coefficient i being coeffs[i] d^i / (den m).  Equal neighbours then
+    merge, so only true breakpoints remain.
     """
     from littlewood.piecewise import PiecewisePoly
 
@@ -441,16 +445,16 @@ def _phi_quarter(q: int) -> PiecewisePoly:
     })
     pieces = []
     for a, b in zip(breaks, breaks[1:]):
-        # 2q+1 equally spaced interior nodes r/d, s apart
-        xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
+        # 2q equally spaced interior nodes r/d, s apart
+        xs = [a + (b - a) * k / (2 * q + 1) for k in range(1, 2 * q + 1)]
         d = lcm(*(x.denominator for x in xs))
         rs = [x.numerator * (d // x.denominator) for x in xs]
         ys, den = _shifted_values(q, rs, d)
-        # times m, every divided difference of order <= 2q is an integer
-        m = factorial(2 * q) * (rs[1] - rs[0]) ** (2 * q)
+        # times m, every divided difference of order <= 2q-1 is an integer
+        m = factorial(2 * q - 1) * (rs[1] - rs[0]) ** (2 * q - 1)
         coeffs = _newton(rs, [y * m for y in ys])
         if coeffs[-1]:
-            raise ArithmeticError(f"phi_{q} near {xs[-1]} is not of degree < {2 * q}")
+            raise ArithmeticError(f"phi_{q} near {xs[-1]} is not of degree < {2 * q - 1}")
         # den m phi_q(R) = sum_i coeffs[i] (R d)^i
         pieces.append(tuple(Fraction(c * d**i, den * m) for i, c in enumerate(coeffs[:-1])))
     return PiecewisePoly(breaks, pieces)

@@ -129,7 +129,7 @@ def pw_minimize(f: PiecewisePoly, eps) -> MinimizeResult:
             (a, b), = _isolate(c[5], c[0], c[1], (c[1] - c[0]) / 2)
             c[:4] = a, b, *_segment_bounds(c[4], a, b)
 
-    best = min(overlapping, key=lambda c: (c[3], c[0]))
+    best = min(overlapping, key=lambda c: c[3])
     value_lo = min(c[2] for c in overlapping)
     return MinimizeResult(
         argmin=(best[0], best[1]),

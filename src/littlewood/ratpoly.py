@@ -46,7 +46,7 @@ def poly_shift(a: Sequence, c) -> tuple:
     (Fraction(1, 4), Fraction(1, 1), 1)
     """
     a = list(a)
-    for i in range(len(a) - 1):
+    for i in range(len(a)):
         for j in range(len(a) - 2, i - 1, -1):
             a[j] += c * a[j + 1]
     return tuple(a)

@@ -35,7 +35,7 @@ def _divmod(a, b):
     """Integer pseudo-division: quot and rem with lead(b)^k a = quot b + rem,
     deg rem < deg b, and k = deg a - deg b + 1 (0 when deg a < deg b)."""
     rem, db, lead = list(a), len(b) - 1, b[-1]
-    quot = [0] * max(len(rem) - db, 0)
+    quot = [0] * (len(rem) - db)
     for i in range(len(quot) - 1, -1, -1):
         # both sides times lead, then the top term of rem moved into quot
         quot[i] = top = rem[i + db]

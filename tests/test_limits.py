@@ -717,6 +717,22 @@ def test_phi_piecewise_check_node_fires(monkeypatch):
         phi_piecewise(4)
 
 
+@pytest.mark.parametrize("node", range(8))
+def test_phi_piecewise_check_fires_at_every_node(monkeypatch, node):
+    # one unit off at node i of phi_4's 8 consecutive integer nodes moves the
+    # top divided difference, times m = 7!, by C(7, i) != 0
+    exact = limits._shifted_values
+
+    def perturbed(q, rs, d):
+        ys, den = exact(q, rs, d)
+        ys[node] += 1
+        return ys, den
+
+    monkeypatch.setattr(limits, "_shifted_values", perturbed)
+    with pytest.raises(ArithmeticError, match=r"^phi_4 near 2/9 is not of degree < 7$"):
+        phi_piecewise(4)
+
+
 def _candidate_breakpoints(q):
     return sorted({Fraction(0), Fraction(1, 4), Fraction(1, 2)} | {
         Fraction(j, 2 * D) for D in range(1, q // 2 + 1) for j in range(D + 1)
@@ -741,8 +757,8 @@ def test_phi_piecewise_evaluates_only_below_quarter(monkeypatch):
     for q in range(1, 7):
         nodes.clear()
         phi_piecewise(q)
-        assert len(nodes) == _candidate_intervals_below_quarter(q) * (2 * q + 1), q
-    assert len(nodes) == 26
+        assert len(nodes) == _candidate_intervals_below_quarter(q) * 2 * q, q
+    assert len(nodes) == 24
 
 
 @settings(max_examples=40, deadline=None)
@@ -789,11 +805,11 @@ def test_shifted_blocks_window_ends_are_nonzero():
         # R = 0: t = 0 at every D
         for q in range(1, 9):
             yield q, [0], 1
-        # the 2q+1 interior nodes of one phi_6 interval, as `phi_piecewise`
+        # the 2q interior nodes of one phi_6 interval, as `phi_piecewise`
         # takes them: t != 0 at every D != 0
         q = 6
         a, b = _candidate_breakpoints(q)[1:3]
-        xs = [a + (b - a) * k / (2 * q + 2) for k in range(1, 2 * q + 2)]
+        xs = [a + (b - a) * k / (2 * q + 1) for k in range(1, 2 * q + 1)]
         d = math.lcm(*(x.denominator for x in xs))
         yield q, [x.numerator * (d // x.denominator) for x in xs], d
 
@@ -825,6 +841,28 @@ def test_phi_pieces_mirror():
             for k in range(1, 2 * q + 2):
                 x = lo + (hi - lo) * Fraction(k, 2 * q + 3)
                 assert poly_eval(piece, x) == poly_eval(f.pieces[n - 1 - i], half - x), (q, x)
+
+
+def test_phi_pieces_have_degree_at_most_2q_minus_2():
+    # a profile's term moves with R only through its blocks with D = N - P != 0,
+    # of R-degree 2N - 1 each; the D sum to 0, so none or at least two are
+    # nonzero, and the degree is at most 2q - 2 (`_phi_quarter` interpolates
+    # at 2q nodes and checks the top coefficient)
+    for q in range(1, 7):
+        degrees = [len(piece) - 1 for piece in phi_piecewise(q).pieces]
+        assert max(degrees) <= 2 * q - 2, (q, degrees)
+    assert max(len(piece) for piece in phi_piecewise(6).pieces) == 11
+
+
+def test_phi_quarter_at_q10_breaks_at_every_candidate():
+    # the first order with a candidate j/(2D) at j = 2 below 1/4: 1/5 = 2/10;
+    # phi_10 changes piece at each candidate, and each piece is phi_10
+    half = Fraction(1, 2)
+    f = limits._phi_quarter(10)
+    assert f.breakpoints == (0, Fraction(1, 10), Fraction(1, 8), Fraction(1, 6),
+                             Fraction(1, 5), half / 2)
+    for a, b in zip(f.breakpoints, f.breakpoints[1:]):
+        assert f.evaluate((a + b) / 2) == shifted_fekete_limit(10, (a + b) / 2), (a, b)
 
 
 def test_phi1_constant():

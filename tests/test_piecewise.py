@@ -318,6 +318,46 @@ def test_isolate_and_minimize_match_sympy(problem):
         assert u == v or P.count_roots(_rational(u), _rational(v)) >= 1, (u, v)
 
 
+@pytest.mark.parametrize("lo, hi, delta, eps", [
+    (-2, 3, Fraction(1, 1000), Fraction(1, 4)),
+    (-3, 2, Fraction(-1, 1000), Fraction(1, 4)),
+    (-2, 2, Fraction(0), Fraction(1, 4)),
+    (-2, 3, Fraction(0), Fraction(1, 4)),
+    (-3, 2, Fraction(0), Fraction(1, 4)),
+    # isolated at width 1, above eps: 21 halvings to the floor 2^-21
+    (-2, 2, Fraction(0), Fraction(8)),
+])
+def test_minimize_near_twin_minima_match_sympy(lo, hi, delta, eps):
+    # f = (x^2 - 2)^2 + delta x has its minima near -sqrt(2) and sqrt(2), with
+    # values about 2 sqrt(2) |delta| apart, equal at delta = 0.  At eps = 1/4 the
+    # two enclosures' value ranges overlap on the first pass, and for delta != 0
+    # the one with the lower upper bound holds the larger minimum; only
+    # refining both separates them
+    f = PiecewisePoly((lo, hi), ((4, delta, -4, 0, 1),))
+    F = _sympy_poly(f.pieces[0])
+    points = [_rational(lo), _rational(hi), *dict.fromkeys(sympy.real_roots(F.diff(X)))]
+    values = {x: F.eval(x) for x in points}
+    true_min = min(values.values(), key=lambda v: sympy.N(v, 60))
+    res = pw_minimize(f, eps)
+    lower, upper = map(_rational, res.value)
+    assert lower <= true_min <= upper
+    u, v = map(_rational, res.argmin)
+    assert any(u <= x <= v and abs(sympy.N(y - true_min, 60)) < 1e-40 for x, y in values.items())
+    # competitors is empty exactly when every critical point and end outside
+    # the argmin is certified above the minimum
+    others = [y for x, y in values.items() if not u <= x <= v]
+    assert (not res.competitors) == all(sympy.N(y - upper, 60) > 0 for y in others)
+    assert bool(res.competitors) == (delta == 0)
+    # the argmin has the least upper bound of the enclosures returned, and
+    # equal minima, never separated, are halved to the floor eps / 2^24 and
+    # no further
+    bounds = [_segment_bounds(f.pieces[0], a, b) for a, b in (res.argmin, *res.competitors)]
+    assert res.value[1] == bounds[0][1] == min(b for _, b in bounds)
+    if delta == 0:
+        for a, b in (res.argmin, *res.competitors):
+            assert eps / 2**25 < b - a <= eps / 2**24, (a, b)
+
+
 def test_phi8_twin_irrational_minima(monkeypatch):
     # phi_8 has its minimum off 1/4, at an irrational R near 0.24113 and at
     # its mirror 1/2 - R

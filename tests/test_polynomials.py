@@ -429,6 +429,17 @@ def test_power_square_sum_beyond_capacity():
     assert norm_2q_exact([], 3) == 0
 
 
+def test_capacity_admits_a_power_of_exactly_its_digits(monkeypatch):
+    # (1 + x + x^2)^2 packs into 5 slots of 1 digit: admitted at a capacity of
+    # 5 digits, refused at 4
+    monkeypatch.setattr(intconv, "MAX_POWER_DIGITS", 5)
+    assert power_layout(3, 2, 3) == (5, 1)
+    assert norm_2q_exact([1, 1, 1], 2) == 1 + 4 + 9 + 4 + 1
+    monkeypatch.setattr(intconv, "MAX_POWER_DIGITS", 4)
+    with pytest.raises(ValueError, match="5 slots of 1 digits, beyond the exact-norm capacity of 4"):
+        norm_2q_exact([1, 1, 1], 2)
+
+
 def test_budget_admits_every_power_the_length_and_slot_caps_admitted():
     # the caps this budget replaced: 2^21 slots of at most 44 digits
     assert (1 << 21) * 44 <= MAX_POWER_DIGITS
@@ -579,6 +590,15 @@ def test_coefficient_rule_refuses_exactly_at_its_formula(case):
     assert layout == (refused if bound >= 10**limit else (q + 1, len(str(bound))))
     [(low_bits, value)] = seen
     assert value == bound and 2**low_bits <= bound
+
+
+def test_coefficient_bound_is_refused_from_its_bits_alone():
+    # S = 2^60 + 1 at q = 10^5: 2 S^(q-1) + 1 has about 6e6 bits, a second to
+    # build, and its lower bound of (q - 1) 60 bits refuses it without that
+    start = time.perf_counter()
+    with int_max_str_digits(4300), pytest.raises(ValueError, match="coefficient bound"):
+        power_layout(2, 10**5, 2**60 + 1)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_admission_refuses_in_bounded_time():
